@@ -10,81 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import erf, erfc  # noqa: F401  erfc is re-exported
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
-
-# Below this, the Maclaurin-style series wins; above, the Laplace continued
-# fraction for erfc converges faster. Both deliver < 1e-14 relative error at
-# the crossover (see tests for the oracle table).
-_ERF_SERIES_CUTOFF = 2.0
 _CEIL_SLACK = 1e-9
-
-
-def erf(x: float) -> float:
-    """Gauss error function, accurate to better than 1e-12 relative error.
-
-    Uses the scaled power series 2x*exp(-x^2)/sqrt(pi) * sum (2x^2)^n / (2n+1)!!
-    for small arguments (all terms positive, no cancellation) and a Lentz
-    continued-fraction evaluation of erfc for large ones.
-    """
-    if x != x:  # NaN
-        return x
-    ax = abs(x)
-    if ax == 0.0:
-        return 0.0
-    if ax < _ERF_SERIES_CUTOFF:
-        y = _erf_series(ax)
-    else:
-        y = 1.0 - _erfc_cf(ax)
-    return y if x > 0 else -y
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, 1 - erf(x), without cancellation loss."""
-    if x < -_ERF_SERIES_CUTOFF:
-        return 2.0 - _erfc_cf(-x)
-    if x > _ERF_SERIES_CUTOFF:
-        return _erfc_cf(x)
-    return 1.0 - erf(x)
-
-
-def _erf_series(ax: float) -> float:
-    # erf(x) = (2x e^{-x^2}/sqrt(pi)) * sum_{n>=0} (2x^2)^n / (1*3*...*(2n+1))
-    x2 = ax * ax
-    t = 1.0
-    acc = 1.0
-    denom = 1.0
-    for n in range(1, 200):
-        denom += 2.0
-        t *= 2.0 * x2 / denom
-        acc += t
-        if t < acc * 1e-18:
-            break
-    return 2.0 * ax * math.exp(-x2) * _INV_SQRT_PI * acc
-
-
-def _erfc_cf(ax: float) -> float:
-    # erfc(x) = e^{-x^2}/sqrt(pi) * 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    # evaluated with the modified Lentz algorithm.
-    tiny = 1e-300
-    f = ax
-    c = f
-    d = 0.0
-    for m in range(1, 300):
-        a_m = 0.5 * m
-        d = ax + a_m * d
-        if abs(d) < tiny:
-            d = tiny
-        c = ax + a_m / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-ax * ax) * _INV_SQRT_PI / f
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .core import SimulationConfig, category, strategy_from_category, validate_strategy
+from .core import SimulationConfig, category, strategy_from_category, validate_strategy, write_csv_rows
 from .ingest import (
     DEFAULT_AMOUNT_MU,
     DEFAULT_AMOUNT_SIGMA,
@@ -59,7 +59,16 @@ from .verkle import (
     graphene_integration_summary,
     write_bandwidth_csv,
 )
-from .vrp import MAX_ORACLE_BLOCKS, MAX_ORACLE_TXS, VrpInstance, brute_force_min_variance, variance_objective
+from .vrp import (
+    MAX_ORACLE_BLOCKS,
+    MAX_ORACLE_TXS,
+    AssignmentMatrix,
+    VrpInstance,
+    block_sums,
+    brute_force_min_variance,
+    check_constraints,
+    variance_objective,
+)
 
 ENV_SEED = "DTSIM_SEED"
 
@@ -315,11 +324,7 @@ def cmd_simulate(args, config, config_text, explicit) -> int:
         summary["volatility"] = vol
         summary["benchmark"] = benchmark_check(vol)
     summary_path = out / "summary.csv"
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        for key, value in summary.items():
-            writer.writerow([key, repr(value) if isinstance(value, float) else value])
+    write_csv_rows(summary_path, ("key", "value"), summary.items())
     outputs.append(summary_path)
 
     manifest = _write_manifest(out, "simulate", seed, config_text, outputs,
@@ -466,11 +471,26 @@ def _read_assignments(path):
     return rows
 
 
+def _packing(rows, heights, capacity):
+    """Assignment and instance of (tx_id, block, fee, nodes) rows over `heights`.
+
+    Block k of the assignment is the k-th entry of `heights`.
+    """
+    column = {b: k for k, b in enumerate(heights)}
+    matrix = AssignmentMatrix(blocks=tuple(column[block] for _, block, _, _ in rows),
+                              tx_ids=tuple(tx_id for tx_id, _, _, _ in rows),
+                              n_blocks=len(heights))
+    instance = VrpInstance(fees=tuple(fee for _, _, fee, _ in rows),
+                           demands=tuple(nodes for _, _, _, nodes in rows),
+                           capacity=capacity)
+    return matrix, instance
+
+
 def cmd_vrp_check(args, config, config_text, explicit) -> int:
-    if args.oracle_max_n > MAX_ORACLE_TXS:
-        raise ConfigError(f"--oracle-max-n is capped at {MAX_ORACLE_TXS}")
-    if args.oracle_blocks > MAX_ORACLE_BLOCKS:
-        raise ConfigError(f"--oracle-blocks is capped at {MAX_ORACLE_BLOCKS}")
+    if not 1 <= args.oracle_max_n <= MAX_ORACLE_TXS:
+        raise ConfigError(f"--oracle-max-n must be between 1 and {MAX_ORACLE_TXS}")
+    if not 1 <= args.oracle_blocks <= MAX_ORACLE_BLOCKS:
+        raise ConfigError(f"--oracle-blocks must be between 1 and {MAX_ORACLE_BLOCKS}")
     assignments_path = args.assignments
     if assignments_path is None:
         assignments_path = Path(args.blocks).with_name("assignments.csv")
@@ -478,23 +498,11 @@ def cmd_vrp_check(args, config, config_text, explicit) -> int:
     capacity = int(config["simulation"]["leaf_capacity"])
 
     # Full-chain constraint check.
-    tx_rows = {}
-    duplicates = []
-    for tx_id, block, fee, nodes in rows:
-        if tx_id in tx_rows:
-            duplicates.append(tx_id)
-        else:
-            tx_rows[tx_id] = (block, fee, nodes)
-    violations = [f"transaction {t} assigned more than once" for t in duplicates]
     block_ids = sorted({block for _, block, _, _ in rows})
-    demand = {b: 0 for b in block_ids}
-    for tx_id, (block, fee, nodes) in tx_rows.items():
-        demand[block] += nodes
-    for b in block_ids:
-        if demand[b] > capacity:
-            violations.append(f"block {b} demand {demand[b]} exceeds capacity {capacity}")
-
-    print(f"transactions: {len(tx_rows)}, blocks: {len(block_ids)}, capacity: {capacity}")
+    matrix, instance = _packing(rows, block_ids, capacity)
+    violations = check_constraints(matrix, instance)
+    distinct_txs = len(set(matrix.tx_ids))
+    print(f"transactions: {distinct_txs}, blocks: {len(block_ids)}, capacity: {capacity}")
     if violations:
         print(f"violations ({len(violations)}):")
         for v in violations:
@@ -504,33 +512,18 @@ def cmd_vrp_check(args, config, config_text, explicit) -> int:
 
     if args.target_incentive is not None:
         # Depot-style report: how far block incomes sit from the target level.
-        sums = {b: 0.0 for b in block_ids}
-        for _tx_id, (block, fee, _nodes) in tx_rows.items():
-            sums[block] += fee
-        deviations = [abs(sums[b] - args.target_incentive) for b in block_ids]
+        deviations = [abs(s - args.target_incentive) for s in block_sums(matrix, instance.fees)]
         print(f"target incentive {args.target_incentive!r}: "
               f"mean |deviation| {sum(deviations) / len(deviations)!r}, "
               f"max |deviation| {max(deviations)!r}")
 
     # Oracle gap on a truncated instance: first few blocks, first few txs.
     chosen_blocks = block_ids[: args.oracle_blocks]
-    truncated = [(tx_id, block, fee, nodes) for tx_id, block, fee, nodes in rows
-                 if block in chosen_blocks][: args.oracle_max_n]
-    if truncated and not duplicates:
-        fees = tuple(fee for _, _, fee, _ in truncated)
-        demands = tuple(nodes for _, _, _, nodes in truncated)
-        instance = VrpInstance(fees=fees, demands=demands, capacity=capacity)
-        block_index = {b: i for i, b in enumerate(chosen_blocks)}
-        actual_rows = tuple(
-            tuple(1 if block_index[block] == k else 0 for k in range(len(chosen_blocks)))
-            for _, block, _, _ in truncated
-        )
-        from .vrp import AssignmentMatrix
-
-        actual = AssignmentMatrix(rows=actual_rows,
-                                  tx_ids=tuple(t for t, _, _, _ in truncated))
-        actual_var = variance_objective(actual, fees)
-        _witness, best_var = brute_force_min_variance(instance, len(chosen_blocks))
+    truncated = [row for row in rows if row[1] in chosen_blocks][: args.oracle_max_n]
+    if distinct_txs == len(rows):  # the oracle gap means nothing once a row is duplicated
+        actual, oracle_instance = _packing(truncated, chosen_blocks, capacity)
+        actual_var = variance_objective(actual, oracle_instance.fees)
+        _witness, best_var = brute_force_min_variance(oracle_instance, len(chosen_blocks))
         gap = actual_var - best_var
         print(f"oracle instance: {len(truncated)} txs over {len(chosen_blocks)} blocks")
         print(f"assignment variance: {actual_var!r}")
@@ -578,14 +571,8 @@ def cmd_volatility(args, config, config_text, explicit) -> int:
         print(f"rolling volatility, window {args.window}: {len(series)} values")
         print(f"first {series[0]!r}, last {series[-1]!r}")
         if args.out:
-            with open(args.out, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["index", "volatility"])
-                for i, v in enumerate(series):
-                    writer.writerow([i, repr(v)])
-        overall = series_volatility(values)
-    else:
-        overall = series_volatility(values)
+            write_csv_rows(args.out, ("index", "volatility"), enumerate(series))
+    overall = series_volatility(values)
     print(f"volatility: {overall!r}")
     print(f"benchmark: {benchmark_check(overall)}")
     return 0

@@ -6,9 +6,10 @@ concurrent simulation runs.
 
 from __future__ import annotations
 
+import csv
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 
 class Priority(enum.Enum):
@@ -202,3 +203,20 @@ def validate_strategy(s: DtsStrategy, cfg: SimulationConfig) -> list[str]:
         problems.append(
             f"max_trx_nodes (a6) {s.max_trx_nodes} exceeds leaf capacity {cfg.leaf_capacity}")
     return problems
+
+
+def write_csv_rows(path, header: Sequence, rows: Iterable[Sequence]) -> int:
+    """Stream `rows` under `header` into a CSV file; returns the row count.
+
+    The one output format of the package: utf-8, LF line ends, and values
+    written by the csv module, so a float appears as its shortest
+    round-trip form (str equals repr for Python floats) and a bool as
+    True/False.
+    """
+    count = 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for count, row in enumerate(rows, start=1):
+            writer.writerow(row)
+    return count

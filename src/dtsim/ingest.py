@@ -17,7 +17,7 @@ from typing import Iterable, List
 
 import numpy as np
 
-from .core import Transaction
+from .core import Transaction, write_csv_rows
 
 MIN_POSITIVE_FEE = sys.float_info.min
 
@@ -205,11 +205,5 @@ def load_csv(path, commission_ratio: float = 0.002) -> List[Transaction]:
 
 def write_csv(stream: Iterable[Transaction], path) -> int:
     """Write a stream as CSV (id, amount, arrival_time_ms, fee); returns rows."""
-    count = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "amount", "arrival_time_ms", "fee"])
-        for tx in stream:
-            writer.writerow([tx.id, repr(tx.amount), tx.arrival_time, repr(tx.fee)])
-            count += 1
-    return count
+    return write_csv_rows(path, ("id", "amount", "arrival_time_ms", "fee"),
+                          ((tx.id, tx.amount, tx.arrival_time, tx.fee) for tx in stream))

@@ -16,7 +16,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import SimulationConfig, StrategyCategory, category, strategy_from_category
+from .core import (SimulationConfig, StrategyCategory, category, strategy_from_category,
+                   validate_strategy, write_csv_rows)
 from .metrics import series_volatility
 from .optimizers import cma_es, differential_evolution, genetic_algorithm, gbo, pso
 from .simulator import run
@@ -133,7 +134,8 @@ def evaluate(candidate: Sequence[float], cat: StrategyCategory,
     """Objective: volatility of the simulated incentive series.
 
     Invalid strategies and degenerate runs (fewer than three sealed blocks)
-    score +inf instead of raising, so optimizers can rank them out.
+    score +inf instead of raising, so optimizers can rank them out. Data
+    errors of the stream (DataError from `run`) propagate.
     """
     space = SearchSpace(category=cat)
     attrs = space.decode(candidate)
@@ -141,10 +143,9 @@ def evaluate(candidate: Sequence[float], cat: StrategyCategory,
         strategy = strategy_from_category(cat, **attrs)
     except ValueError:
         return math.inf
-    try:
-        result = run(dataset, strategy, cfg)
-    except ValueError:
+    if validate_strategy(strategy, cfg):
         return math.inf
+    result = run(dataset, strategy, cfg)
     if len(result.blocks) < 3:
         return math.inf
     return series_volatility(result.incentives)
@@ -264,29 +265,9 @@ def grid_rows(runs: Sequence[OptimizationRun]) -> List[dict]:
 
 
 def write_grid_csv(rows: Sequence[dict], path) -> int:
-    import csv
-
-    cols = ["algorithm", "experiment", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "volatility"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_cell(row[c]) for c in cols])
-    return len(rows)
+    cols = ("algorithm", "experiment", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "volatility")
+    return write_csv_rows(path, cols, ([row[c] for c in cols] for row in rows))
 
 
 def write_trace_csv(run_: OptimizationRun, path) -> int:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["generation", "best_volatility"])
-        for gen, best in enumerate(run_.trace):
-            writer.writerow([gen, _cell(best)])
-    return len(run_.trace)
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return write_csv_rows(path, ("generation", "best_volatility"), enumerate(run_.trace))

@@ -14,7 +14,6 @@ drained through the miner after the last arrival.
 
 from __future__ import annotations
 
-import csv
 import enum
 import heapq
 import math
@@ -22,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .allocation import AllocationParams, block_incentive, fits, leaf_nodes
-from .core import BlockRecord, DtsStrategy, Priority, SimulationConfig, Transaction, validate_strategy
+from .core import (BlockRecord, DtsStrategy, Priority, SimulationConfig, Transaction,
+                   validate_strategy, write_csv_rows)
 from .ingest import MIN_POSITIVE_FEE
 from . import verkle
 
@@ -69,10 +69,6 @@ class Mempool:
 
     def __contains__(self, tx_id: int) -> bool:
         return tx_id in self._live
-
-    def pending(self) -> List[Transaction]:
-        """Snapshot of pending transactions in arrival order."""
-        return sorted(self._live.values(), key=lambda t: (t.arrival_time, -t.fee, t.id))
 
     def pending_fees(self) -> float:
         return math.fsum(t.fee for t in self._live.values())
@@ -369,19 +365,11 @@ def fixed_block_baseline(dataset: Sequence[Transaction], txs_per_block: int = 21
 
 def write_blocks_csv(blocks: Sequence[BlockRecord], path) -> int:
     """Write the block series CSV (height, tx_count, occupied_nodes, incentive, seal_time)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["height", "tx_count", "occupied_nodes", "incentive", "seal_time"])
-        for b in blocks:
-            writer.writerow([b.height, len(b.tx_ids), b.occupied_nodes, repr(b.incentive), b.seal_time])
-    return len(blocks)
+    return write_csv_rows(path, ("height", "tx_count", "occupied_nodes", "incentive", "seal_time"),
+                          ((b.height, len(b.tx_ids), b.occupied_nodes, b.incentive, b.seal_time)
+                           for b in blocks))
 
 
 def write_assignments_csv(assignments, path) -> int:
     """Write tx-to-block assignments CSV (tx_id, block, fee, nodes)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tx_id", "block", "fee", "nodes"])
-        for tx_id, height, fee, nodes in assignments:
-            writer.writerow([tx_id, height, repr(fee), nodes])
-    return len(assignments)
+    return write_csv_rows(path, ("tx_id", "block", "fee", "nodes"), assignments)

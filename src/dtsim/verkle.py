@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from .core import write_csv_rows
+
 HASH_BITS = 256
 _BYTES_PER_LEVEL = HASH_BITS // 8
 
@@ -44,10 +46,6 @@ class DigestCommitment(CommitmentScheme):
 
 
 DEFAULT_SCHEME = DigestCommitment()
-
-
-def leaf_digest(data: bytes) -> bytes:
-    return hashlib.sha256(b"leaf:" + data).digest()
 
 
 def slot_digest(tx_id: int, slot: int) -> bytes:
@@ -284,12 +282,5 @@ def bandwidth_report(scenarios: Sequence[Tuple[str, int]],
 
 
 def write_bandwidth_csv(rows: Sequence[dict], path) -> int:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scenario", "n_t", "structure", "k", "mode", "bytes"])
-        for row in rows:
-            writer.writerow([row["scenario"], row["n_t"], row["structure"],
-                             row["k"], row["mode"], repr(row["bytes"])])
-    return len(rows)
+    cols = ("scenario", "n_t", "structure", "k", "mode", "bytes")
+    return write_csv_rows(path, cols, ([row[c] for c in cols] for row in rows))

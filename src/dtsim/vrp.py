@@ -27,8 +27,6 @@ class VrpInstance:
     fees: Tuple[float, ...]
     demands: Tuple[int, ...]
     capacity: int
-    category_id: Optional[int] = None
-    target_incentive: Optional[float] = None  # depot level, reporting only
 
     def __post_init__(self):
         if len(self.fees) != len(self.demands):
@@ -42,20 +40,20 @@ class VrpInstance:
 
 @dataclass(frozen=True)
 class AssignmentMatrix:
-    """Binary matrix x[i][k]: transaction i rides in block k."""
+    """Binary matrix x[i][k] (transaction row i rides in block k), stored by row.
 
-    rows: Tuple[Tuple[int, ...], ...]
+    `blocks[i]` is the block index k in [0, n_blocks) of row i, or None when
+    the row is unplaced. Rows align with `tx_ids`, which may repeat: a
+    duplicated row is a transaction packed twice.
+    """
+
+    blocks: Tuple[Optional[int], ...]
     tx_ids: Tuple[int, ...]
+    n_blocks: int
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def block_of(self, row: int) -> Optional[int]:
-        for k, cell in enumerate(self.rows[row]):
-            if cell:
-                return k
-        return None
+    def __post_init__(self):
+        if len(self.blocks) != len(self.tx_ids):
+            raise ValueError("blocks and tx_ids must have equal length")
 
 
 def encode(blocks: Sequence[BlockRecord], universe: Optional[Sequence[int]] = None) -> AssignmentMatrix:
@@ -74,33 +72,31 @@ def encode(blocks: Sequence[BlockRecord], universe: Optional[Sequence[int]] = No
     if universe is None:
         universe = sorted(placement)
     universe = tuple(universe)
-    n_blocks = len(blocks)
-    rows = tuple(
-        tuple(1 if placement.get(tx_id) == k else 0 for k in range(n_blocks))
-        for tx_id in universe
-    )
-    return AssignmentMatrix(rows=rows, tx_ids=universe)
+    return AssignmentMatrix(blocks=tuple(placement.get(tx_id) for tx_id in universe),
+                            tx_ids=universe, n_blocks=len(blocks))
 
 
 def check_constraints(m: AssignmentMatrix, instance: VrpInstance) -> List[str]:
     """All violated packing constraints; empty when the assignment is valid.
 
     Checks that every transaction is packed exactly once and that no
-    block's total slot demand exceeds the capacity.
+    block's total slot demand exceeds the capacity. Every placed row counts
+    toward its block's demand, duplicates included.
     """
+    if len(m.blocks) != len(instance.fees):
+        return [f"matrix has {len(m.blocks)} rows for {len(instance.fees)} transactions"]
     problems = []
-    if len(m.rows) != len(instance.fees):
-        problems.append(
-            f"matrix has {len(m.rows)} rows for {len(instance.fees)} transactions")
-        return problems
+    packed = dict.fromkeys(m.tx_ids, 0)
     demand_per_block = [0] * m.n_blocks
-    for i, row in enumerate(m.rows):
-        s = sum(row)
-        if s != 1:
-            problems.append(f"transaction {m.tx_ids[i]} packed {s} times (expected once)")
-        for k, cell in enumerate(row):
-            if cell:
-                demand_per_block[k] += instance.demands[i]
+    for tx_id, k, demand in zip(m.tx_ids, m.blocks, instance.demands):
+        if k is not None:
+            packed[tx_id] += 1
+            demand_per_block[k] += demand
+    for tx_id, times in packed.items():
+        if times > 1:
+            problems.append(f"transaction {tx_id} assigned more than once: packed {times} times")
+        elif times == 0:
+            problems.append(f"transaction {tx_id} packed 0 times (expected once)")
     for k, demand in enumerate(demand_per_block):
         if demand > instance.capacity:
             problems.append(
@@ -108,18 +104,22 @@ def check_constraints(m: AssignmentMatrix, instance: VrpInstance) -> List[str]:
     return problems
 
 
+def block_sums(m: AssignmentMatrix, fees: Sequence[float]) -> List[float]:
+    """Per-block fee totals; unplaced rows count toward no block."""
+    if len(m.blocks) != len(fees):
+        raise ValueError("fee vector length must match matrix rows")
+    sums = [0.0] * m.n_blocks
+    for k, fee in zip(m.blocks, fees):
+        if k is not None:
+            sums[k] += fee
+    return sums
+
+
 def variance_objective(m: AssignmentMatrix, fees: Sequence[float]) -> float:
     """Population variance of the per-block fee totals."""
     if m.n_blocks < 1:
         raise ValueError("variance needs at least one block")
-    if len(m.rows) != len(fees):
-        raise ValueError("fee vector length must match matrix rows")
-    sums = [0.0] * m.n_blocks
-    for i, row in enumerate(m.rows):
-        for k, cell in enumerate(row):
-            if cell:
-                sums[k] += fees[i]
-    return _population_variance(sums)
+    return _population_variance(block_sums(m, fees))
 
 
 def _population_variance(values: Sequence[float]) -> float:
@@ -172,9 +172,5 @@ def brute_force_min_variance(instance: VrpInstance, block_count: int) -> Tuple[A
             best_assignment = assignment
     if best_assignment is None:
         raise ValueError("no capacity-feasible assignment exists")
-    rows = tuple(
-        tuple(1 if k == best_assignment[i] else 0 for k in range(block_count))
-        for i in range(n)
-    )
-    matrix = AssignmentMatrix(rows=rows, tx_ids=tuple(range(n)))
+    matrix = AssignmentMatrix(blocks=best_assignment, tx_ids=tuple(range(n)), n_blocks=block_count)
     return matrix, best_var

@@ -59,6 +59,13 @@ class TestExitCodes:
         proc = run_cli(["vrp-check", "--blocks", str(blocks), "--oracle-max-n", "13"])
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("flag", ["--oracle-max-n", "--oracle-blocks"])
+    def test_nonpositive_oracle_size_rejected(self, tmp_path, flag):
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("height,tx_count,occupied_nodes,incentive,seal_time\n")
+        for value in ("0", "-5990"):
+            assert main(["vrp-check", "--blocks", str(blocks), flag, value]) == 2
+
     def test_nonpositive_incentive_is_data_error(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("incentive\n5.0\n0.0\n7.0\n")

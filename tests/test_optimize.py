@@ -14,6 +14,7 @@ from dtsim.optimize import (
     grid_rows,
     run_optimizer,
 )
+from dtsim.simulator import DataError
 
 
 class TestConstriction:
@@ -146,6 +147,11 @@ class TestEvaluate:
         cat = category(2)
         cfg = SimulationConfig(leaf_capacity=100)
         assert evaluate([2000, 110, 6.94, 1.0], cat, stream, cfg) == math.inf
+
+    def test_data_error_propagates_instead_of_scoring_inf(self):
+        reversed_stream = generate(DatasetSpec(count=3_000, rng_seed=1))[::-1]
+        with pytest.raises(DataError, match="ordered by arrival_time"):
+            evaluate([2000, 110, 6.94, 1.0], category(2), reversed_stream, SimulationConfig())
 
 
 class TestExperimentGrid:

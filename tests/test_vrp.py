@@ -19,12 +19,12 @@ def block(height, tx_ids, nodes=100):
 class TestEncode:
     def test_single_cell(self):
         m = encode([block(0, [7])])
-        assert m.rows == ((1,),)
+        assert m.blocks == (0,)
         assert m.tx_ids == (7,)
 
     def test_rows_have_one_hot_placement(self):
         m = encode([block(0, [1, 3]), block(1, [2])])
-        assert m.rows == ((1, 0), (0, 1), (1, 0))
+        assert m.blocks == (0, 1, 0)
         assert m.tx_ids == (1, 2, 3)
 
     def test_duplicate_transaction_rejected(self):
@@ -33,7 +33,7 @@ class TestEncode:
 
     def test_universe_can_include_unplaced(self):
         m = encode([block(0, [1])], universe=[1, 2])
-        assert m.rows == ((1,), (0,))
+        assert m.blocks == (0, None)
 
 
 class TestCheckConstraints:
@@ -43,13 +43,13 @@ class TestCheckConstraints:
         assert check_constraints(m, inst) == []
 
     def test_row_summing_twice(self):
-        m = AssignmentMatrix(rows=((1, 1), (0, 1)), tx_ids=(1, 2))
-        inst = VrpInstance(fees=(1.0, 2.0), demands=(10, 10), capacity=100)
+        m = AssignmentMatrix(blocks=(0, 1, 1), tx_ids=(1, 1, 2), n_blocks=2)
+        inst = VrpInstance(fees=(1.0, 1.0, 2.0), demands=(10, 10, 10), capacity=100)
         violations = check_constraints(m, inst)
         assert len(violations) == 1 and "packed 2 times" in violations[0]
 
     def test_capacity_breach(self):
-        m = AssignmentMatrix(rows=((1,), (1,)), tx_ids=(1, 2))
+        m = AssignmentMatrix(blocks=(0, 0), tx_ids=(1, 2), n_blocks=1)
         inst = VrpInstance(fees=(1.0, 2.0), demands=(1100, 1001), capacity=2100)
         violations = check_constraints(m, inst)
         assert len(violations) == 1 and "demand 2101 exceeds capacity 2100" in violations[0]
@@ -57,22 +57,22 @@ class TestCheckConstraints:
 
 class TestVarianceObjective:
     def test_equal_blocks_have_zero_variance(self):
-        m = AssignmentMatrix(rows=((1, 0), (0, 1)), tx_ids=(1, 2))
+        m = AssignmentMatrix(blocks=(0, 1), tx_ids=(1, 2), n_blocks=2)
         assert variance_objective(m, [5.0, 5.0]) == 0.0
 
     def test_four_six_split(self):
-        m = AssignmentMatrix(rows=((1, 0), (0, 1)), tx_ids=(1, 2))
+        m = AssignmentMatrix(blocks=(0, 1), tx_ids=(1, 2), n_blocks=2)
         assert variance_objective(m, [4.0, 6.0]) == pytest.approx(1.0)
 
     def test_population_convention(self):
         # Three blocks at 1, 2, 3: population variance is 2/3.
-        m = AssignmentMatrix(rows=((1, 0, 0), (0, 1, 0), (0, 0, 1)), tx_ids=(1, 2, 3))
+        m = AssignmentMatrix(blocks=(0, 1, 2), tx_ids=(1, 2, 3), n_blocks=3)
         assert variance_objective(m, [1.0, 2.0, 3.0]) == pytest.approx(2.0 / 3.0)
 
     def test_column_permutation_invariance(self):
         fees = [3.0, 9.0, 4.0]
-        m1 = AssignmentMatrix(rows=((1, 0), (0, 1), (1, 0)), tx_ids=(1, 2, 3))
-        m2 = AssignmentMatrix(rows=((0, 1), (1, 0), (0, 1)), tx_ids=(1, 2, 3))
+        m1 = AssignmentMatrix(blocks=(0, 1, 0), tx_ids=(1, 2, 3), n_blocks=2)
+        m2 = AssignmentMatrix(blocks=(1, 0, 1), tx_ids=(1, 2, 3), n_blocks=2)
         assert variance_objective(m1, fees) == variance_objective(m2, fees)
 
 
@@ -105,4 +105,4 @@ class TestBruteForce:
         inst = VrpInstance(fees=(2.0, 2.0, 4.0), demands=(10, 10, 10), capacity=100)
         m1, v1 = brute_force_min_variance(inst, block_count=2)
         m2, v2 = brute_force_min_variance(inst, block_count=2)
-        assert m1.rows == m2.rows and v1 == v2
+        assert m1.blocks == m2.blocks and v1 == v2
