@@ -18,6 +18,59 @@ def run_cli(args, env_extra=None):
                           capture_output=True, text=True, env=env)
 
 
+DEFAULTS_TEXT = """\
+[simulation]
+leaf_capacity = 2100
+commission_ratio = 0.002
+arrival_rate_tps = 3.5
+verkle_branching_factor = 5
+seed = 0
+
+[dataset]
+count = 400000
+amount_mu = 10.214608098422191
+amount_sigma = 1.0
+drift_sigma = 0.6
+drift_tau_s = 14400.0
+
+[strategy]
+category = 2
+a1 = 25469
+a6 = 110
+a7 = 6.94
+a8 = 1.0
+
+[optimizer]
+algorithm = pso
+n_pop = 50
+max_gen = 100
+pso_k = 1.0
+pso_phi1 = 2.05
+pso_phi2 = 2.05
+de_f = 0.5
+de_cr = 0.9
+ga_crossover_rate = 0.9
+gbo_escape_prob = 0.5
+
+[irrational]
+rational_fraction = 1.0
+overpaid_fraction = 0.0
+underpaid_fraction = 0.0
+over_multiplier_low = 1.5
+over_multiplier_high = 3.0
+under_multiplier_low = 0.1
+under_multiplier_high = 0.7
+
+"""
+
+
+def test_print_defaults_text_is_pinned(capsys):
+    # Sections, keys, order and values are the config file schema; a manifest's
+    # config_digest hashes this text, so it must not drift.
+    assert main(["--print-defaults"]) == 0
+    assert capsys.readouterr().out == DEFAULTS_TEXT
+
+
 def test_print_defaults_round_trips_through_config(tmp_path):
     proc = run_cli(["--print-defaults"])
     assert proc.returncode == 0
