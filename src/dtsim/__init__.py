@@ -6,6 +6,7 @@ from .core import (
     CATEGORIES,
     DtsStrategy,
     Priority,
+    REFERENCE_STRATEGY,
     SimulationConfig,
     StrategyCategory,
     Transaction,

@@ -3,10 +3,12 @@
 Commands write CSV artifacts plus a JSON manifest that embeds the effective
 configuration verbatim, so every output file is traceable to the exact
 inputs that produced it. Configuration precedence: command-line flags >
-config file > built-in defaults; the DTSIM_SEED environment variable
-overrides the built-in default seed only.
+config file > built-in defaults, which are the library's dataclass
+defaults; the DTSIM_SEED environment variable overrides the built-in
+default seed only.
 
-Exit codes: 0 success, 2 configuration error, 3 data error.
+Exit codes: 0 success, 1 `vrp-check` found a violated constraint or a
+negative oracle gap, 2 configuration error, 3 data error.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -25,29 +26,16 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .core import SimulationConfig, category, strategy_from_category, validate_strategy, write_csv_rows
-from .ingest import (
-    DEFAULT_AMOUNT_MU,
-    DEFAULT_AMOUNT_SIGMA,
-    DEFAULT_DRIFT_SIGMA,
-    DEFAULT_DRIFT_TAU_S,
-    DatasetSpec,
-    IrrationalMix,
-    SchemaError,
-    generate,
-    inject_irrational,
-    load_csv,
-)
+from .core import (REFERENCE_STRATEGY, SimulationConfig, category, strategy_from_category,
+                   validate_strategy, write_csv_rows)
+from .ingest import DatasetSpec, IrrationalMix, SchemaError, generate, inject_irrational, load_csv
 from .metrics import benchmark_check, rolling_volatility, series_volatility
 from .optimize import (
     ALGORITHMS,
     OptimizerConfig,
-    SearchSpace,
-    constriction_params,
-    evaluate,
     experiment_grid,
+    grid_cell,
     grid_rows,
-    run_optimizer,
     write_grid_csv,
     write_trace_csv,
 )
@@ -77,187 +65,135 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULTS = {
-    "simulation": {
-        "leaf_capacity": "2100",
-        "commission_ratio": "0.002",
-        "arrival_rate_tps": "3.5",
-        "verkle_branching_factor": "5",
-        "seed": "0",
-    },
-    "dataset": {
-        "count": "400000",
-        "amount_mu": repr(DEFAULT_AMOUNT_MU),
-        "amount_sigma": repr(DEFAULT_AMOUNT_SIGMA),
-        "drift_sigma": repr(DEFAULT_DRIFT_SIGMA),
-        "drift_tau_s": repr(DEFAULT_DRIFT_TAU_S),
-    },
-    "strategy": {
-        "category": "2",
-        "a1": "25469",
-        "a6": "110",
-        "a7": "6.94",
-        "a8": "1.0",
-    },
-    "optimizer": {
-        "algorithm": "pso",
-        "n_pop": "50",
-        "max_gen": "100",
-        "pso_k": "1.0",
-        "pso_phi1": "2.05",
-        "pso_phi2": "2.05",
-        "de_f": "0.5",
-        "de_cr": "0.9",
-        "ga_crossover_rate": "0.9",
-        "gbo_escape_prob": "0.5",
-    },
-    "irrational": {
-        "rational_fraction": "1.0",
-        "overpaid_fraction": "0.0",
-        "underpaid_fraction": "0.0",
-        "over_multiplier_low": "1.5",
-        "over_multiplier_high": "3.0",
-        "under_multiplier_low": "0.1",
-        "under_multiplier_high": "0.7",
-    },
-}
+def _defaults() -> dict:
+    """The config file schema, valued with the library's defaults."""
+    sim, spec, opt, mix = SimulationConfig(), DatasetSpec(), OptimizerConfig(), IrrationalMix()
+    return {
+        "simulation": {
+            "leaf_capacity": sim.leaf_capacity,
+            "commission_ratio": spec.commission_ratio,
+            "arrival_rate_tps": spec.arrival_rate_tps,
+            "verkle_branching_factor": sim.verkle_branching_factor,
+            "seed": sim.rng_seed,
+        },
+        "dataset": {key: getattr(spec, key) for key in
+                    ("count", "amount_mu", "amount_sigma", "drift_sigma", "drift_tau_s")},
+        "strategy": dict(REFERENCE_STRATEGY),
+        "optimizer": {key: getattr(opt, key) for key in
+                      ("algorithm", "n_pop", "max_gen", "pso_k", "pso_phi1", "pso_phi2",
+                       "de_f", "de_cr", "ga_crossover_rate", "gbo_escape_prob")},
+        "irrational": {
+            "rational_fraction": mix.rational_fraction,
+            "overpaid_fraction": mix.overpaid_fraction,
+            "underpaid_fraction": mix.underpaid_fraction,
+            "over_multiplier_low": mix.over_multiplier[0],
+            "over_multiplier_high": mix.over_multiplier[1],
+            "under_multiplier_low": mix.under_multiplier[0],
+            "under_multiplier_high": mix.under_multiplier[1],
+        },
+    }
+
+
+DEFAULTS = _defaults()
 
 
 def default_config_text() -> str:
     parser = configparser.ConfigParser()
-    for section, values in DEFAULTS.items():
-        parser[section] = dict(values)
+    parser.read_dict(DEFAULTS)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
 
 
-def load_config(path: str | None) -> tuple[dict, str, set]:
-    """Layer a config file over the defaults.
+def _typed(text: str, kind: type, name: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {text!r}") from None
 
-    Returns (values, verbatim text, explicitly-set (section, key) pairs).
+
+def load_config(args) -> tuple[dict, str]:
+    """Typed settings: flags over the config file over the defaults.
+
+    A flag overrides the config key of its own name. DTSIM_SEED replaces
+    the default seed when neither --seed nor the file sets one. Returns
+    (values by section and key, the config text).
     """
-    layered = {section: dict(values) for section, values in DEFAULTS.items()}
-    explicit = set()
-    if path is None:
-        return layered, default_config_text(), explicit
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    for section in parser.sections():
-        if section not in layered:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, value in parser[section].items():
-            if key not in layered[section]:
-                raise ConfigError(f"unknown config key {key!r} in [{section}]")
-            layered[section][key] = value
-            explicit.add((section, key))
-    return layered, Path(path).read_text(encoding="utf-8"), explicit
-
-
-def _pick(flag, config_section, key, cast):
-    if flag is not None:
-        return flag
-    return cast(config_section[key])
-
-
-def _resolve_seed(args, config, explicit) -> int:
-    """Seed precedence: --seed flag > config file > DTSIM_SEED > built-in 0."""
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if ("simulation", "seed") in explicit:
-        return int(config["simulation"]["seed"])
+    config = {section: dict(values) for section, values in DEFAULTS.items()}
+    text = default_config_text()
+    seed_in_file = False
+    path = getattr(args, "config", None)
+    if path is not None:
+        parser = configparser.ConfigParser()
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+        for section in parser.sections():
+            if section not in config:
+                raise ConfigError(f"unknown config section [{section}]")
+            for key, value in parser[section].items():
+                if key not in config[section]:
+                    raise ConfigError(f"unknown config key {key!r} in [{section}]")
+                config[section][key] = _typed(value, type(DEFAULTS[section][key]),
+                                              f"{key} in [{section}]")
+        text = Path(path).read_text(encoding="utf-8")
+        seed_in_file = parser.has_option("simulation", "seed")
     env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from None
-    return int(config["simulation"]["seed"])
+    if env is not None and not seed_in_file and getattr(args, "seed", None) is None:
+        config["simulation"]["seed"] = _typed(env, int, ENV_SEED)
+    for values in config.values():
+        for key in values:
+            if getattr(args, key, None) is not None:
+                values[key] = getattr(args, key)
+    return config, text
 
 
-def _sim_config(args, config, seed) -> SimulationConfig:
+def _sim_config(args, config) -> SimulationConfig:
     sim = config["simulation"]
     return SimulationConfig(
-        leaf_capacity=int(sim["leaf_capacity"]),
-        commission_ratio=float(sim["commission_ratio"]),
-        arrival_rate_tps=float(sim["arrival_rate_tps"]),
-        rng_seed=seed,
-        verkle_branching_factor=int(sim["verkle_branching_factor"]),
+        leaf_capacity=sim["leaf_capacity"],
+        rng_seed=sim["seed"],
+        verkle_branching_factor=sim["verkle_branching_factor"],
         transaction_budget=getattr(args, "budget_txs", None),
         block_count_target=getattr(args, "block_target", None),
     )
 
 
-def _dataset(args, config, cfg: SimulationConfig, seed: int):
+def _dataset(args, config):
     """Load or synthesize the transaction stream per flags and config."""
-    if getattr(args, "dataset", None) and getattr(args, "synthetic", False):
+    sim, irr = config["simulation"], config["irrational"]
+    if args.dataset and getattr(args, "synthetic", False):
         raise ConfigError("--dataset and --synthetic are mutually exclusive")
-    if getattr(args, "dataset", None):
+    if args.dataset:
         try:
-            stream = load_csv(args.dataset, commission_ratio=cfg.commission_ratio)
+            stream = load_csv(args.dataset, commission_ratio=sim["commission_ratio"])
         except OSError as exc:
             raise DataError(f"cannot read dataset: {exc}") from None
         if not stream:
             raise DataError(f"dataset {args.dataset} holds no transactions")
     else:
-        ds = config["dataset"]
-        spec = DatasetSpec(
-            count=_pick(getattr(args, "count", None), ds, "count", int),
-            arrival_rate_tps=cfg.arrival_rate_tps,
-            commission_ratio=cfg.commission_ratio,
-            amount_mu=float(ds["amount_mu"]),
-            amount_sigma=float(ds["amount_sigma"]),
-            drift_sigma=float(ds["drift_sigma"]),
-            drift_tau_s=float(ds["drift_tau_s"]),
-            rng_seed=seed,
-        )
-        stream = generate(spec)
-    mix = _mix_from_config(config)
+        stream = generate(DatasetSpec(**config["dataset"], arrival_rate_tps=sim["arrival_rate_tps"],
+                                      commission_ratio=sim["commission_ratio"],
+                                      rng_seed=sim["seed"]))
+    mix = IrrationalMix(
+        rational_fraction=irr["rational_fraction"],
+        overpaid_fraction=irr["overpaid_fraction"],
+        underpaid_fraction=irr["underpaid_fraction"],
+        over_multiplier=(irr["over_multiplier_low"], irr["over_multiplier_high"]),
+        under_multiplier=(irr["under_multiplier_low"], irr["under_multiplier_high"]),
+    )
     if mix.rational_fraction < 1.0:
-        stream = inject_irrational(stream, mix, seed + 1)
+        stream = inject_irrational(stream, mix, sim["seed"] + 1)
     return stream
 
 
-def _mix_from_config(config) -> IrrationalMix:
-    irr = config["irrational"]
-    return IrrationalMix(
-        rational_fraction=float(irr["rational_fraction"]),
-        overpaid_fraction=float(irr["overpaid_fraction"]),
-        underpaid_fraction=float(irr["underpaid_fraction"]),
-        over_multiplier=(float(irr["over_multiplier_low"]), float(irr["over_multiplier_high"])),
-        under_multiplier=(float(irr["under_multiplier_low"]), float(irr["under_multiplier_high"])),
-    )
-
-
 def _strategy(args, config):
-    st = config["strategy"]
-    cat_id = _pick(getattr(args, "category", None), st, "category", int)
-    try:
-        cat = category(cat_id)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    kwargs = {
-        "a1": _pick(getattr(args, "a1", None), st, "a1", int),
-        "a6": _pick(getattr(args, "a6", None), st, "a6", int),
-        "a7": _pick(getattr(args, "a7", None), st, "a7", float),
-        "a8": _pick(getattr(args, "a8", None), st, "a8", float),
-    }
-    if cat.designated_space:
-        a4 = getattr(args, "a4", None) if getattr(args, "a4", None) is not None else st.get("a4")
-        a5 = getattr(args, "a5", None) if getattr(args, "a5", None) is not None else st.get("a5")
-        if a4 is None or a5 is None:
-            raise ConfigError(f"category {cat.id} needs --a4 and --a5")
-        kwargs["a4"] = float(a4)
-        kwargs["a5"] = int(a5)
-    else:
-        if getattr(args, "a4", None) is not None or getattr(args, "a5", None) is not None:
-            raise ConfigError(f"category {cat.id} has no designated space; drop --a4/--a5")
-    try:
-        return strategy_from_category(cat, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    attrs = dict(config["strategy"])
+    cat = category(attrs.pop("category"))
+    if cat.designated_space and (args.a4 is None or args.a5 is None):
+        raise ConfigError(f"category {cat.id} needs --a4 and --a5")
+    if not cat.designated_space and (args.a4 is not None or args.a5 is not None):
+        raise ConfigError(f"category {cat.id} has no designated space; drop --a4/--a5")
+    return strategy_from_category(cat, **attrs, a4=args.a4, a5=args.a5)
 
 
 def _write_manifest(out_dir: Path, command: str, seed: int, config_text: str,
@@ -285,15 +221,15 @@ def _out_dir(args) -> Path:
     return out
 
 
-def cmd_simulate(args, config, config_text, explicit) -> int:
+def cmd_simulate(args, config, config_text) -> int:
     t0 = time.perf_counter()
-    seed = _resolve_seed(args, config, explicit)
-    cfg = _sim_config(args, config, seed)
+    seed = config["simulation"]["seed"]
+    cfg = _sim_config(args, config)
     strategy = _strategy(args, config)
     problems = validate_strategy(strategy, cfg)
     if problems:
         raise ConfigError("; ".join(problems))
-    stream = _dataset(args, config, cfg, seed)
+    stream = _dataset(args, config)
 
     result = run(stream, strategy, cfg, force_seal=args.force_seal,
                  build_trees=args.verkle_roots)
@@ -336,42 +272,25 @@ def cmd_simulate(args, config, config_text, explicit) -> int:
     return 0
 
 
-def cmd_optimize(args, config, config_text, explicit) -> int:
+def cmd_optimize(args, config, config_text) -> int:
     t0 = time.perf_counter()
-    seed = _resolve_seed(args, config, explicit)
-    cfg = _sim_config(args, config, seed)
-    opt = config["optimizer"]
+    seed = config["simulation"]["seed"]
+    cfg = _sim_config(args, config)
     if args.budget is not None and args.budget < 1:
         raise ConfigError("--budget must be positive")
-    base = OptimizerConfig(
-        algorithm=args.algo or opt["algorithm"],
-        n_pop=_pick(args.n_pop, opt, "n_pop", int),
-        max_gen=_pick(args.max_gen, opt, "max_gen", int),
-        n_eval=args.budget,
-        de_f=float(opt["de_f"]),
-        de_cr=float(opt["de_cr"]),
-        ga_crossover_rate=float(opt["ga_crossover_rate"]),
-        gbo_escape_prob=float(opt["gbo_escape_prob"]),
-        rng_seed=seed,
-    )
-    w, c1, c2 = constriction_params(float(opt["pso_k"]), float(opt["pso_phi1"]),
-                                    float(opt["pso_phi2"]))
-    base = dataclasses.replace(base, w=w, c1=c1, c2=c2)
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be positive")
+    base = OptimizerConfig(**config["optimizer"], n_eval=args.budget, rng_seed=seed)
+    w, c1, c2 = base.pso_coefficients
 
-    stream = _dataset(args, config, cfg, seed)
+    stream = _dataset(args, config)
     out = _out_dir(args)
     outputs = []
 
     if args.grid:
         runs = experiment_grid(stream, cfg, base_config=base, jobs=args.jobs)
     else:
-        cat = category(args.category if args.category is not None else int(config["strategy"]["category"]))
-        space = SearchSpace(category=cat)
-
-        def objective(attrs):
-            return evaluate([attrs[n] for n in space.names], cat, stream, cfg)
-
-        runs = [run_optimizer(base.algorithm, space, objective, base)]
+        runs = [grid_cell(config["strategy"]["category"], base, stream, cfg)]
 
     rows = grid_rows(runs)
     grid_path = out / ("grid.csv" if args.grid else "result.csv")
@@ -410,7 +329,7 @@ def _parse_scenarios(text: str):
     return scenarios
 
 
-def cmd_proofsize(args, config, config_text, explicit) -> int:
+def cmd_proofsize(args, config, config_text) -> int:
     t0 = time.perf_counter()
     if args.scenarios:
         scenarios = _parse_scenarios(args.scenarios)
@@ -445,7 +364,7 @@ def cmd_proofsize(args, config, config_text, explicit) -> int:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         write_bandwidth_csv(rows, out)
-        _write_manifest(out.parent, "proofsize", _resolve_seed(args, config, explicit), config_text,
+        _write_manifest(out.parent, "proofsize", config["simulation"]["seed"], config_text,
                         [out], time.perf_counter() - t0)
     return 0
 
@@ -486,7 +405,7 @@ def _packing(rows, heights, capacity):
     return matrix, instance
 
 
-def cmd_vrp_check(args, config, config_text, explicit) -> int:
+def cmd_vrp_check(args, config, config_text) -> int:
     if not 1 <= args.oracle_max_n <= MAX_ORACLE_TXS:
         raise ConfigError(f"--oracle-max-n must be between 1 and {MAX_ORACLE_TXS}")
     if not 1 <= args.oracle_blocks <= MAX_ORACLE_BLOCKS:
@@ -495,7 +414,7 @@ def cmd_vrp_check(args, config, config_text, explicit) -> int:
     if assignments_path is None:
         assignments_path = Path(args.blocks).with_name("assignments.csv")
     rows = _read_assignments(assignments_path)
-    capacity = int(config["simulation"]["leaf_capacity"])
+    capacity = config["simulation"]["leaf_capacity"]
 
     # Full-chain constraint check.
     block_ids = sorted({block for _, block, _, _ in rows})
@@ -532,10 +451,10 @@ def cmd_vrp_check(args, config, config_text, explicit) -> int:
         if gap < -1e-9:
             print("ERROR: greedy assignment beats exhaustive optimum; invariant broken")
             return 1
-    return 0
+    return 1 if violations else 0
 
 
-def cmd_volatility(args, config, config_text, explicit) -> int:
+def cmd_volatility(args, config, config_text) -> int:
     try:
         with open(args.infile, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -611,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output directory")
 
     opt = sub.add_parser("optimize", parents=[common], help="search strategy attributes")
-    opt.add_argument("--algo", choices=ALGORITHMS)
+    opt.add_argument("--algo", dest="algorithm", choices=ALGORITHMS)
     opt.add_argument("--category", type=int, choices=(1, 2, 3, 4))
     opt.add_argument("--grid", action="store_true", help="run every algorithm x category cell")
     opt.add_argument("--budget", type=int, help="objective evaluation budget")
@@ -665,11 +584,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        config, config_text, explicit = load_config(getattr(args, "config", None))
-        return COMMANDS[args.command](args, config, config_text, explicit)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return COMMANDS[args.command](args, *load_config(args))
     except (DataError, SchemaError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

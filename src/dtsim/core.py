@@ -104,8 +104,6 @@ class DtsStrategy:
 @dataclass(frozen=True)
 class SimulationConfig:
     leaf_capacity: int = 2100
-    commission_ratio: float = 0.002
-    arrival_rate_tps: float = 3.5
     rng_seed: int = 0
     transaction_budget: Optional[int] = None
     block_count_target: Optional[int] = None
@@ -114,8 +112,6 @@ class SimulationConfig:
     def __post_init__(self):
         if self.leaf_capacity < 1:
             raise ValueError("leaf_capacity must be positive")
-        if self.arrival_rate_tps <= 0:
-            raise ValueError("arrival_rate_tps must be positive")
         if self.verkle_branching_factor < 2:
             raise ValueError("verkle_branching_factor must be >= 2")
         if self.transaction_budget is not None and self.transaction_budget < 1:
@@ -175,6 +171,11 @@ def strategy_from_category(cat: StrategyCategory | int, *, a1: int, a6: int,
     if problems:
         raise ValueError("; ".join(problems))
     return strategy
+
+
+# The paper's reference strategy (time-based priority, no small-fee space),
+# keyed like the [strategy] config section: the default of `dtsim simulate`.
+REFERENCE_STRATEGY = {"category": 2, "a1": 25469, "a6": 110, "a7": 6.94, "a8": 1.0}
 
 
 def _intrinsic_violations(s: DtsStrategy) -> list[str]:

@@ -21,11 +21,12 @@ from .core import Transaction, write_csv_rows
 
 MIN_POSITIVE_FEE = sys.float_info.min
 
+DEFAULT_COMMISSION_RATIO = 0.002
 # Median amount chosen so the default commission ratio puts the median fee
 # near e^4, a few log-units below the reference strategy's CDF scale: the
 # bulk of transactions then occupy few leaf slots while the expensive tail
 # engages the space rule, which is the regime the allocation targets.
-DEFAULT_AMOUNT_MU = 4.0 - math.log(0.002)
+DEFAULT_AMOUNT_MU = 4.0 - math.log(DEFAULT_COMMISSION_RATIO)
 DEFAULT_AMOUNT_SIGMA = 1.0
 DEFAULT_DRIFT_SIGMA = 0.6
 DEFAULT_DRIFT_TAU_S = 14400.0
@@ -35,9 +36,9 @@ DEFAULT_DRIFT_TAU_S = 14400.0
 class DatasetSpec:
     """Parameters of a synthetic transaction stream."""
 
-    count: int
+    count: int = 400000
     arrival_rate_tps: float = 3.5
-    commission_ratio: float = 0.002
+    commission_ratio: float = DEFAULT_COMMISSION_RATIO
     amount_mu: float = DEFAULT_AMOUNT_MU
     amount_sigma: float = DEFAULT_AMOUNT_SIGMA
     drift_sigma: float = DEFAULT_DRIFT_SIGMA
@@ -158,7 +159,7 @@ class SchemaError(ValueError):
     """A CSV row or header does not match the transaction schema."""
 
 
-def load_csv(path, commission_ratio: float = 0.002) -> List[Transaction]:
+def load_csv(path, commission_ratio: float = DEFAULT_COMMISSION_RATIO) -> List[Transaction]:
     """Load a transaction stream from CSV.
 
     Expected header: id, amount, arrival_time_ms and optionally fee. When

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,16 +91,17 @@ class OptimizerConfig:
 
     The evaluation budget is n_pop * max_gen (5000 with the defaults) for
     every algorithm, also covering the one algorithm configured directly by
-    evaluation count.
+    evaluation count. PSO's (w, c1, c2) derive from the constriction
+    parameters pso_k, pso_phi1 and pso_phi2.
     """
 
     algorithm: str = "pso"
     n_pop: int = 50
     max_gen: int = 100
     n_eval: Optional[int] = None
-    w: float = 0.73
-    c1: float = 1.50
-    c2: float = 1.50
+    pso_k: float = 1.0
+    pso_phi1: float = 2.05
+    pso_phi2: float = 2.05
     de_f: float = 0.5
     de_cr: float = 0.9
     ga_crossover_rate: float = 0.9
@@ -110,6 +112,11 @@ class OptimizerConfig:
     @property
     def budget(self) -> int:
         return self.n_eval if self.n_eval is not None else self.n_pop * self.max_gen
+
+    @property
+    def pso_coefficients(self) -> Tuple[float, float, float]:
+        """PSO's (w, c1, c2)."""
+        return constriction_params(self.pso_k, self.pso_phi1, self.pso_phi2)
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -168,7 +175,7 @@ def run_optimizer(algo: str, space: SearchSpace, objective: Callable,
 
     budget = config.budget
     if algo == "pso":
-        w, c1, c2 = config.w, config.c1, config.c2
+        w, c1, c2 = config.pso_coefficients
         result = pso(boxed, lb, ub, budget, rng, n_pop=config.n_pop, w=w, c1=c1, c2=c2)
     elif algo == "de":
         result = differential_evolution(boxed, lb, ub, budget, rng, n_pop=config.n_pop,
@@ -202,15 +209,16 @@ def run_optimizer(algo: str, space: SearchSpace, objective: Callable,
 GRID_CATEGORY_ORDER = (2, 1, 4, 3)
 
 
-def _grid_cell(args) -> OptimizationRun:
-    algo, cat_id, bounds, cell_config, dataset, cfg = args
+def grid_cell(cat_id: int, config: OptimizerConfig, dataset, cfg: SimulationConfig,
+              bounds: Optional[Dict[str, Tuple[float, float]]] = None) -> OptimizationRun:
+    """One cell: `config.algorithm` minimizing `evaluate` over category `cat_id`."""
     cat = category(cat_id)
-    space = SearchSpace(category=cat, bounds=bounds)
+    space = SearchSpace(category=cat, bounds=dict(bounds or DEFAULT_BOUNDS))
 
     def objective(attrs):
         return evaluate([attrs[n] for n in space.names], cat, dataset, cfg)
 
-    return run_optimizer(algo, space, objective, cell_config)
+    return run_optimizer(config.algorithm, space, objective, config)
 
 
 def experiment_grid(dataset, cfg: SimulationConfig,
@@ -222,24 +230,25 @@ def experiment_grid(dataset, cfg: SimulationConfig,
 
     Each cell gets a deterministic seed derived from the base seed and its
     grid position, so results are identical no matter how many worker
-    processes (`jobs`) execute the cells.
+    processes (at most `jobs`, one per cell) execute the cells.
     """
     dataset = list(dataset)
     if not dataset:
         raise ValueError("experiment grid needs a non-empty dataset")
-    cells = []
+    cat_ids, configs = [], []
     for a_idx, algo in enumerate(algorithms):
         for c_idx, cat_id in enumerate(GRID_CATEGORY_ORDER):
             cell_seed = base_config.rng_seed + 1000 * a_idx + c_idx
-            cell_config = replace(base_config, algorithm=algo, rng_seed=cell_seed)
-            cells.append((algo, cat_id, dict(bounds) if bounds else dict(DEFAULT_BOUNDS),
-                          cell_config, dataset, cfg))
-    if jobs <= 1:
-        return [_grid_cell(cell) for cell in cells]
+            cat_ids.append(cat_id)
+            configs.append(replace(base_config, algorithm=algo, rng_seed=cell_seed))
+    cells = (cat_ids, configs, repeat(dataset), repeat(cfg), repeat(bounds))
+    workers = min(jobs, len(configs))
+    if workers <= 1:
+        return list(map(grid_cell, *cells))
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_grid_cell, cells))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(grid_cell, *cells))
 
 
 def grid_rows(runs: Sequence[OptimizationRun]) -> List[dict]:

@@ -7,6 +7,11 @@ from pathlib import Path
 import pytest
 
 from dtsim.cli import main
+from dtsim.core import REFERENCE_STRATEGY, SimulationConfig, category, strategy_from_category
+from dtsim.ingest import DatasetSpec, generate
+from dtsim.optimize import (OptimizerConfig, SearchSpace, evaluate, grid_rows, run_optimizer,
+                            write_grid_csv)
+from dtsim.simulator import run, write_blocks_csv
 
 
 def run_cli(args, env_extra=None):
@@ -119,6 +124,12 @@ class TestExitCodes:
         for value in ("0", "-5990"):
             assert main(["vrp-check", "--blocks", str(blocks), flag, value]) == 2
 
+    def test_nonpositive_jobs_rejected_before_any_work(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["optimize", "--grid", "--count", "1500", "--budget", "2", "--n-pop", "2",
+                     "--jobs", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_nonpositive_incentive_is_data_error(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("incentive\n5.0\n0.0\n7.0\n")
@@ -204,6 +215,36 @@ class TestOptimizeCommand:
         assert (out / "result.csv").exists()
 
 
+class TestLibraryDefaults:
+    """A command without flags or config runs the library's own defaults."""
+
+    def test_simulate_matches_library_run(self, tmp_path):
+        assert main(["simulate", "--count", "6000", "--seed", "4",
+                     "--out", str(tmp_path / "cli")]) == 0
+        attrs = dict(REFERENCE_STRATEGY)
+        strategy = strategy_from_category(attrs.pop("category"), **attrs)
+        result = run(generate(DatasetSpec(count=6000, rng_seed=4)), strategy,
+                     SimulationConfig(rng_seed=4))
+        write_blocks_csv(result.blocks, tmp_path / "lib.csv")
+        assert (tmp_path / "cli" / "blocks.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+    def test_optimize_matches_library_run(self, tmp_path):
+        assert main(["optimize", "--algo", "pso", "--category", "2", "--count", "2500",
+                     "--budget", "24", "--n-pop", "8", "--seed", "3",
+                     "--out", str(tmp_path / "cli")]) == 0
+        stream = generate(DatasetSpec(count=2500, rng_seed=3))
+        cat, cfg = category(2), SimulationConfig(rng_seed=3)
+        space = SearchSpace(category=cat)
+
+        def objective(attrs):
+            return evaluate([attrs[n] for n in space.names], cat, stream, cfg)
+
+        result = run_optimizer("pso", space, objective,
+                               OptimizerConfig(n_pop=8, n_eval=24, rng_seed=3))
+        write_grid_csv(grid_rows([result]), tmp_path / "lib.csv")
+        assert (tmp_path / "cli" / "result.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
 class TestVrpCheckCommand:
     def test_clean_run_passes_and_tampering_is_reported(self, tmp_path):
         out = tmp_path / "run"
@@ -223,6 +264,7 @@ class TestVrpCheckCommand:
         check2 = run_cli(["vrp-check", "--blocks", str(out / "blocks.csv"),
                           "--assignments", str(tampered)])
         assert "assigned more than once" in check2.stdout
+        assert check2.returncode == 1
 
 
 def test_main_entry_returns_help_without_command():

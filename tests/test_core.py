@@ -10,6 +10,7 @@ from dtsim.core import (
     strategy_from_category,
     validate_strategy,
 )
+from dtsim.ingest import DatasetSpec
 
 
 def test_category_table_matches_published_rows():
@@ -127,4 +128,4 @@ def test_simulation_config_bounds():
     with pytest.raises(ValueError):
         SimulationConfig(verkle_branching_factor=1)
     with pytest.raises(ValueError):
-        SimulationConfig(arrival_rate_tps=0.0)
+        DatasetSpec(arrival_rate_tps=0.0)

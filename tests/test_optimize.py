@@ -211,6 +211,32 @@ def test_search_never_worse_than_initial_population(stream):
     assert result.best_volatility <= initial_best
 
 
+def test_grid_pool_has_at_most_one_worker_per_cell(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    stream = generate(DatasetSpec(count=1_500, rng_seed=1))
+    runs = experiment_grid(stream, SimulationConfig(), base_config=OptimizerConfig(n_pop=2, max_gen=1),
+                           algorithms=("pso",), jobs=50)
+    assert sizes == [4]
+    assert len(runs) == 4
+
+
 def test_grid_results_independent_of_job_count():
     stream = generate(DatasetSpec(count=1_500, rng_seed=1))
     base = OptimizerConfig(n_pop=3, max_gen=2, rng_seed=4)
