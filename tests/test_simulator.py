@@ -210,11 +210,14 @@ class TestRun:
         assert total == pytest.approx(result.submitted_fees, abs=1e-9)
 
     def test_eviction_happens_under_tight_pool(self):
-        # Alternate cheap/expensive arrivals against a tiny pool under fee
-        # priority: cheap ones pile up and get evicted by richer newcomers.
-        stream = [tx(i, 1.0 + (i % 7 == 0) * 1000.0, t=i) for i in range(2000)]
+        # The pool is full only at the first arrival after warm-up (one
+        # arrival per pick from then on). That arrival, id 5, pays 1001 and
+        # so evicts the cheapest of the five pending transactions.
+        stream = [tx(i, 1.0 + (i % 5 == 0) * 1000.0, t=i) for i in range(2000)]
         s = strategy_from_category(4, a1=5, a6=110, a7=6.94, a8=1.0)
         result = run(stream, s, CFG)
+        assert result.evicted_count == 1
+        assert result.rejected_count == 0
         total = (math.fsum(result.incentives) + result.pending_fees
                  + result.unsealed_fees + result.evicted_fees + result.rejected_fees)
         assert total == pytest.approx(result.submitted_fees, abs=1e-9)
