@@ -8,7 +8,8 @@ defaults; the DTSIM_SEED environment variable overrides the built-in
 default seed only.
 
 Exit codes: 0 success, 1 `vrp-check` found a violated constraint or a
-negative oracle gap, 2 configuration error, 3 data error.
+negative oracle gap, 2 configuration error or an output that cannot be
+written, 3 data error.
 """
 
 from __future__ import annotations
@@ -590,6 +591,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # every input read maps its OSError to a DataError
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

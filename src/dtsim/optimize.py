@@ -106,7 +106,6 @@ class OptimizerConfig:
     de_cr: float = 0.9
     ga_crossover_rate: float = 0.9
     gbo_escape_prob: float = 0.5
-    cmaes_popsize: Optional[int] = None
     rng_seed: int = 0
 
     @property
@@ -185,7 +184,7 @@ def run_optimizer(algo: str, space: SearchSpace, objective: Callable,
                                    crossover_rate=config.ga_crossover_rate,
                                    max_gen=config.max_gen)
     elif algo == "cmaes":
-        result = cma_es(boxed, lb, ub, budget, rng, popsize=config.cmaes_popsize)
+        result = cma_es(boxed, lb, ub, budget, rng)
     elif algo == "gbo":
         result = gbo(boxed, lb, ub, budget, rng, n_pop=config.n_pop,
                      escape_prob=config.gbo_escape_prob)

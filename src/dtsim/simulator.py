@@ -39,30 +39,34 @@ class IncorporateOutcome(enum.Enum):
 
 
 class Mempool:
-    """Bounded holding area with deterministic dual-order selection.
+    """Bounded holding area that yields transactions in one priority order.
 
-    Selection orders:
+    Selection order, fixed at construction by the strategy's priority:
       time-based  (arrival asc, fee desc, id asc)
       fee-based   (fee desc, arrival asc, id asc)
-    Eviction order on overflow: (fee asc, arrival asc, id asc), and only when
-    the newcomer pays strictly more than the cheapest pending transaction.
+    One lazy-deletion heap over a live table holds that order; with a
+    small-fee threshold a second heap in the same order holds the
+    below-threshold subset for reserved-slot selection. A heap is rebuilt
+    from the live table once its dead entries outnumber the pool, so memory
+    stays bounded by the capacity rather than the stream length.
 
-    All orders are kept as lazy-deletion heaps over a shared live table; when
-    a small-fee threshold is configured two more heaps track the
-    below-threshold subset for reserved-slot selection.
+    On overflow the cheapest pending transaction by (fee asc, arrival asc,
+    id asc) is evicted, and only when the newcomer pays strictly more. That
+    is found by scanning the pool rather than kept in an eviction heap:
+    `run` takes one pick per arrival after warm-up, so the pool overflows
+    at most once per run.
     """
 
-    def __init__(self, capacity: int, small_fee_threshold: Optional[float] = None):
+    def __init__(self, capacity: int, priority: Priority = Priority.TIME,
+                 small_fee_threshold: Optional[float] = None):
         if capacity < 1:
             raise ValueError("mempool capacity must be positive")
         self.capacity = capacity
+        self.priority = priority
         self.small_fee_threshold = small_fee_threshold
         self._live: dict[int, Transaction] = {}
-        self._by_time: list = []
-        self._by_fee: list = []
-        self._by_evict: list = []
-        self._small_by_time: list = []
-        self._small_by_fee: list = []
+        self._heap: list = []
+        self._small: list = []
 
     def __len__(self) -> int:
         return len(self._live)
@@ -82,59 +86,48 @@ class Mempool:
             raise ValueError(f"transaction id {tx.id} already pending")
         evicted = None
         if len(self._live) >= self.capacity:
-            cheapest = self._peek_evict()
-            if cheapest is None or tx.fee <= cheapest.fee:
+            cheapest = min(self._live.values(), key=lambda t: (t.fee, t.arrival_time, t.id))
+            if tx.fee <= cheapest.fee:
                 return SubmitOutcome.REJECTED, None
-            self._remove(cheapest.id)
+            del self._live[cheapest.id]
+            self._compact()
             evicted = cheapest
-        self._push(tx)
+        self._live[tx.id] = tx
+        if self.priority is Priority.TIME:
+            entry = (tx.arrival_time, -tx.fee, tx.id)
+        else:
+            entry = (-tx.fee, tx.arrival_time, tx.id)
+        heapq.heappush(self._heap, entry)
+        if self.small_fee_threshold is not None and tx.fee < self.small_fee_threshold:
+            heapq.heappush(self._small, entry)
         if evicted is not None:
             return SubmitOutcome.EVICTED_OTHER, evicted
         return SubmitOutcome.ACCEPTED, None
 
-    def select_next(self, strategy: DtsStrategy) -> Optional[Transaction]:
-        """Pop the next transaction under the strategy's priority order."""
-        heap = self._by_time if strategy.priority is Priority.TIME else self._by_fee
-        tx = self._pop_live(heap)
-        if tx is not None:
-            self._remove(tx.id)
-        return tx
+    def select_next(self) -> Optional[Transaction]:
+        """Pop the next transaction in priority order, or None when empty."""
+        return self._take(self._heap)
 
-    def select_next_small_fee(self, strategy: DtsStrategy) -> Optional[Transaction]:
+    def select_next_small_fee(self) -> Optional[Transaction]:
         """Pop the next below-threshold transaction, or None when there is none."""
-        if self.small_fee_threshold is None:
-            return None
-        heap = self._small_by_time if strategy.priority is Priority.TIME else self._small_by_fee
-        tx = self._pop_live(heap)
-        if tx is not None:
-            self._remove(tx.id)
-        return tx
+        return self._take(self._small)
 
-    def _push(self, tx: Transaction):
-        self._live[tx.id] = tx
-        heapq.heappush(self._by_time, (tx.arrival_time, -tx.fee, tx.id))
-        heapq.heappush(self._by_fee, (-tx.fee, tx.arrival_time, tx.id))
-        heapq.heappush(self._by_evict, (tx.fee, tx.arrival_time, tx.id))
-        if self.small_fee_threshold is not None and tx.fee < self.small_fee_threshold:
-            heapq.heappush(self._small_by_time, (tx.arrival_time, -tx.fee, tx.id))
-            heapq.heappush(self._small_by_fee, (-tx.fee, tx.arrival_time, tx.id))
-
-    def _remove(self, tx_id: int):
-        del self._live[tx_id]
-
-    def _pop_live(self, heap) -> Optional[Transaction]:
+    def _take(self, heap) -> Optional[Transaction]:
         # Lazy deletion: entries whose id is no longer live are discarded.
         while heap:
-            entry = heap[0]
-            tx = self._live.get(entry[-1])
-            if tx is None:
-                heapq.heappop(heap)
-                continue
-            return tx
+            tx = self._live.pop(heapq.heappop(heap)[-1], None)
+            if tx is not None:
+                self._compact()
+                return tx
         return None
 
-    def _peek_evict(self) -> Optional[Transaction]:
-        return self._pop_live(self._by_evict)
+    def _compact(self):
+        # Every live transaction has an entry in the selection heap, so a
+        # heap longer than twice the pool holds more dead entries than live.
+        for heap in (self._heap, self._small):
+            if len(heap) > 2 * len(self._live):
+                heap[:] = [e for e in heap if e[-1] in self._live]
+                heapq.heapify(heap)
 
 
 @dataclass
@@ -276,7 +269,7 @@ def run(dataset: Sequence[Transaction], strategy: DtsStrategy, cfg: SimulationCo
         last = tx.arrival_time
 
     params = AllocationParams(strategy.scale, strategy.shape, strategy.max_trx_nodes)
-    pool = Mempool(strategy.mempool_size, strategy.small_fee_threshold)
+    pool = Mempool(strategy.mempool_size, strategy.priority, strategy.small_fee_threshold)
     miner = MinerState(cfg=cfg, params=params, build_trees=build_trees)
     result = RunResult(blocks=miner.sealed, assignments=miner.assignments)
 
@@ -299,9 +292,9 @@ def run(dataset: Sequence[Transaction], strategy: DtsStrategy, cfg: SimulationCo
         tx = None
         if (strategy.designated_space
                 and miner.current.small_fee_used < strategy.small_fee_count):
-            tx = pool.select_next_small_fee(strategy)
+            tx = pool.select_next_small_fee()
         if tx is None:
-            tx = pool.select_next(strategy)
+            tx = pool.select_next()
         if tx is None:
             return False
         try_incorporate(miner, tx, strategy, cfg)

@@ -1,11 +1,11 @@
 """k-ary commitment tree over block leaf slots, with proof-size analytics.
 
 The tree groups leaf digests into subsets of size k and commits each subset,
-iterating until a single root commitment remains. The default commitment is a
-digest stand-in (hash of the ordered children): real vector commitments with
-constant-size openings can be slotted in behind the same interface, so the
-closed-form proof-size figures below are computed from the k-ary depth rather
-than measured from the stand-in's sibling-set proofs.
+iterating until a single root commitment remains. The commitment is a digest
+stand-in (hash of the ordered children) for a real vector commitment with
+constant-size openings, so the closed-form proof-size figures below are
+computed from the k-ary depth rather than measured from the stand-in's
+sibling-set proofs.
 
 Proof-size formulas come in two rounding modes because the published
 comparison tables were computed without the ceiling that the printed
@@ -27,25 +27,14 @@ HASH_BITS = 256
 _BYTES_PER_LEVEL = HASH_BITS // 8
 
 
-class CommitmentScheme:
-    """Deterministic commitment to an ordered sequence of child digests."""
-
-    def commit(self, children: Sequence[bytes]) -> bytes:
-        raise NotImplementedError
-
-
-class DigestCommitment(CommitmentScheme):
-    """Stand-in scheme: sha256 over the length-prefixed child concatenation."""
-
-    def commit(self, children: Sequence[bytes]) -> bytes:
-        h = hashlib.sha256()
-        h.update(len(children).to_bytes(2, "big"))
-        for child in children:
-            h.update(child)
-        return h.digest()
-
-
-DEFAULT_SCHEME = DigestCommitment()
+def commit(children: Sequence[bytes]) -> bytes:
+    """Commitment to an ordered sequence of child digests: sha256 over the
+    length-prefixed child concatenation."""
+    h = hashlib.sha256()
+    h.update(len(children).to_bytes(2, "big"))
+    for child in children:
+        h.update(child)
+    return h.digest()
 
 
 def slot_digest(tx_id: int, slot: int) -> bytes:
@@ -80,8 +69,7 @@ class VerkleTree:
         return len(self.levels) - 1
 
 
-def build_tree(leaves: Sequence[bytes], k: int,
-               scheme: CommitmentScheme = DEFAULT_SCHEME) -> VerkleTree:
+def build_tree(leaves: Sequence[bytes], k: int) -> VerkleTree:
     """Commit `leaves` bottom-up in groups of `k`.
 
     Depth is ceil(log_k(n)) for n >= 2 and exactly 1 for a single leaf
@@ -95,9 +83,7 @@ def build_tree(leaves: Sequence[bytes], k: int,
     levels = [leaves]
     current = leaves
     while len(current) > 1 or len(levels) == 1:
-        nxt = tuple(
-            scheme.commit(current[i: i + k]) for i in range(0, len(current), k)
-        )
+        nxt = tuple(commit(current[i: i + k]) for i in range(0, len(current), k))
         levels.append(nxt)
         current = nxt
     return VerkleTree(branching_factor=k, levels=tuple(levels))
@@ -119,8 +105,7 @@ def prove(tree: VerkleTree, leaf_index: int) -> MembershipProof:
     return MembershipProof(leaf_index=leaf_index, path=tuple(path))
 
 
-def verify(root: bytes, proof: MembershipProof, leaf: bytes,
-           scheme: CommitmentScheme = DEFAULT_SCHEME) -> bool:
+def verify(root: bytes, proof: MembershipProof, leaf: bytes) -> bool:
     """Recompute commitments along the path; True iff they reach `root`.
 
     Malformed proofs return False rather than raising.
@@ -132,7 +117,7 @@ def verify(root: bytes, proof: MembershipProof, leaf: bytes,
                 return False
             if children[position] != current:
                 return False
-            current = scheme.commit(children)
+            current = commit(children)
         return current == root
     except (IndexError, TypeError, ValueError):
         return False

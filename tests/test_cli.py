@@ -130,6 +130,21 @@ class TestExitCodes:
                      "--jobs", "0", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [["proofsize", "--k", "3", "--scenarios", "100"],
+                                      ["simulate", "--count", "500"]])
+    def test_unwritable_output_is_one_line_error(self, tmp_path, args):
+        # proofsize writes to --out itself (here a directory); simulate
+        # makes --out a directory (here a file).
+        target = tmp_path / "taken"
+        if args[0] == "proofsize":
+            target.mkdir()
+        else:
+            target.write_text("")
+        proc = run_cli([*args, "--out", str(target)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write output: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_nonpositive_incentive_is_data_error(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("incentive\n5.0\n0.0\n7.0\n")

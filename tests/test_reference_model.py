@@ -230,17 +230,15 @@ OPS = st.lists(
 def test_mempool_matches_naive_pool(ops, capacity, priority, threshold):
     # Submits outnumber picks, so a full pool overflows again and again,
     # which `run` itself never reaches.
-    by_priority = strategy_from_category(2 if priority is Priority.TIME else 4,
-                                         a1=capacity, a6=1, a7=0.0, a8=1.0)
-    pool = Mempool(capacity, small_fee_threshold=threshold)
+    pool = Mempool(capacity, priority, threshold)
     naive = NaivePool(capacity, priority, threshold)
     for tx_id, (op, fee, arrival) in enumerate(ops):
         if op == "submit":
             tx = Transaction(id=tx_id, amount=0.0, fee=fee, arrival_time=arrival)
             assert pool.submit(tx) == naive.submit(tx)
         elif op == "select":
-            assert pool.select_next(by_priority) == naive.take()
+            assert pool.select_next() == naive.take()
         else:
-            assert pool.select_next_small_fee(by_priority) == naive.take(small_only=True)
+            assert pool.select_next_small_fee() == naive.take(small_only=True)
         assert len(pool) == len(naive.txs)
         assert pool.pending_fees() == math.fsum(t.fee for t in naive.txs)

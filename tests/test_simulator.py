@@ -64,35 +64,63 @@ class TestMempoolSubmit:
 class TestSelectNext:
     def test_time_priority_is_fifo(self):
         s = strategy_from_category(2, a1=10, a6=110, a7=6.94, a8=1.0)
-        pool = Mempool(capacity=10)
+        pool = Mempool(capacity=10, priority=s.priority)
         pool.submit(tx(1, 9.0, t=1))
         pool.submit(tx(2, 100.0, t=2))
-        assert pool.select_next(s).id == 1
+        assert pool.select_next().id == 1
 
     def test_fee_priority_takes_richest(self):
         s = strategy_from_category(4, a1=10, a6=110, a7=6.94, a8=1.0)
-        pool = Mempool(capacity=10)
+        pool = Mempool(capacity=10, priority=s.priority)
         pool.submit(tx(1, 9.0, t=1))
         pool.submit(tx(2, 100.0, t=2))
-        assert pool.select_next(s).id == 2
+        assert pool.select_next().id == 2
 
     def test_tie_breaks_deterministic(self):
         time_s = strategy_from_category(2, a1=10, a6=110, a7=6.94, a8=1.0)
         fee_s = strategy_from_category(4, a1=10, a6=110, a7=6.94, a8=1.0)
         # same arrival: higher fee first under time priority
-        pool = Mempool(capacity=10)
+        pool = Mempool(capacity=10, priority=time_s.priority)
         pool.submit(tx(1, 2.0, t=5))
         pool.submit(tx(2, 8.0, t=5))
-        assert pool.select_next(time_s).id == 2
+        assert pool.select_next().id == 2
         # same fee and arrival: lower id wins
-        pool = Mempool(capacity=10)
+        pool = Mempool(capacity=10, priority=fee_s.priority)
         pool.submit(tx(7, 3.0, t=5))
         pool.submit(tx(4, 3.0, t=5))
-        assert pool.select_next(fee_s).id == 4
+        assert pool.select_next().id == 4
 
     def test_empty_pool_returns_none(self):
-        s = strategy_from_category(2, a1=10, a6=110, a7=6.94, a8=1.0)
-        assert Mempool(capacity=5).select_next(s) is None
+        assert Mempool(capacity=5).select_next() is None
+
+
+class TestHeapBound:
+    def test_heaps_stay_within_twice_the_pool(self, monkeypatch):
+        # Fee priority with designated space: every reserved small-fee pick
+        # leaves a dead entry in the selection heap, and every ordinary pick
+        # of a below-threshold transaction one in the small-fee heap.
+        peak = {"heap": 0, "small": 0}
+
+        def recorded(method):
+            def wrapper(self, *args):
+                out = method(self, *args)
+                peak["heap"] = max(peak["heap"], len(self._heap))
+                peak["small"] = max(peak["small"], len(self._small))
+                return out
+            return wrapper
+
+        class Recording(Mempool):
+            submit = recorded(Mempool.submit)
+            select_next = recorded(Mempool.select_next)
+            select_next_small_fee = recorded(Mempool.select_next_small_fee)
+
+        monkeypatch.setattr("dtsim.simulator.Mempool", Recording)
+        stream = generate(DatasetSpec(count=50_000, rng_seed=7))
+        s = strategy_from_category(3, a1=2000, a6=110, a7=6.94, a8=1.0, a4=60.0, a5=200)
+        result = run(stream, s, CFG)
+        assert result.included_count > 40_000
+        assert 2000 < peak["heap"] <= 2 * 2000
+        assert 0 < peak["small"] <= 2 * 2000
 
 
 class TestTryIncorporate:

@@ -36,7 +36,7 @@ class TestBuildTree:
         ls = leaves(1)
         tree = build_tree(ls, k=7)
         assert tree.depth == 1
-        assert tree.root == verkle.DEFAULT_SCHEME.commit(ls)
+        assert tree.root == verkle.commit(ls)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
