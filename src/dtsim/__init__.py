@@ -1,6 +1,6 @@
 """Fee-driven dynamic block-space simulation and strategy optimization."""
 
-from .allocation import AllocationParams, block_incentive, erf, fits, leaf_nodes, lognormal_cdf
+from .allocation import AllocationParams, block_incentive, erf, fits, leaf_nodes, leaf_slots, lognormal_cdf
 from .core import (
     BlockRecord,
     CATEGORIES,
@@ -25,7 +25,7 @@ from .metrics import (
     series_volatility,
     volatility,
 )
-from .simulator import Mempool, MinerState, RunResult, fixed_block_baseline, run, try_incorporate
+from .simulator import DataError, Mempool, RunResult, fixed_block_baseline, run
 from .verkle import (
     MembershipProof,
     VerkleTree,

@@ -10,17 +10,27 @@ The run loop interleaves arrivals and mining one-for-one after an initial
 warm-up that fills the mempool, which keeps the selection window at the
 configured pool depth for the whole stream; remaining transactions are
 drained through the miner after the last arrival.
+
+`run` reads the stream's fee, arrival and id columns once, maps all fees to
+slot counts in one vectorized pass and ranks every position once in the
+pool's priority order; pool and miner then handle int positions, and a block
+is a contiguous slice of the pick sequence.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import repeat
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
-from .allocation import AllocationParams, block_incentive, fits, leaf_nodes
+import numpy as np
+
+from .allocation import AllocationParams, block_incentive, leaf_slots
 from .core import (BlockRecord, DtsStrategy, Priority, SimulationConfig, Transaction,
                    validate_strategy, write_csv_rows)
 from .ingest import MIN_POSITIVE_FEE
@@ -33,189 +43,128 @@ class SubmitOutcome(enum.Enum):
     REJECTED = "rejected"
 
 
-class IncorporateOutcome(enum.Enum):
-    INCORPORATED = "incorporated"
-    SEALED_THEN_INCORPORATED = "sealed-then-incorporated"
+class DataError(ValueError):
+    """The input stream violates a precondition of the run."""
+
+
+_ID, _FEE, _ARRIVAL = attrgetter("id"), attrgetter("fee"), attrgetter("arrival_time")
+_ACCEPTED = (SubmitOutcome.ACCEPTED, None)
+_REJECTED = (SubmitOutcome.REJECTED, None)
 
 
 class Mempool:
-    """Bounded holding area that yields transactions in one priority order.
+    """Bounded holding area that admits, evicts and yields positions into
+    a stream's `fees`, `arrivals` and `ids` columns in one priority order.
 
     Selection order, fixed at construction by the strategy's priority:
       time-based  (arrival asc, fee desc, id asc)
       fee-based   (fee desc, arrival asc, id asc)
-    One lazy-deletion heap over a live table holds that order; with a
-    small-fee threshold a second heap in the same order holds the
-    below-threshold subset for reserved-slot selection. A heap is rebuilt
-    from the live table once its dead entries outnumber the pool, so memory
-    stays bounded by the capacity rather than the stream length.
+    Every position is ranked once in that order (a repeated id, which would
+    leave it partial, is a DataError), and a lazy-deletion heap of ranks
+    runs over a bytearray of live positions; with a small-fee threshold a
+    second heap of the same ranks holds the below-threshold subset for
+    reserved-slot selection. A heap that reaches twice the capacity drops
+    its dead ranks before the next push, so memory stays bounded by the
+    capacity, not the stream.
 
     On overflow the cheapest pending transaction by (fee asc, arrival asc,
     id asc) is evicted, and only when the newcomer pays strictly more. That
-    is found by scanning the pool rather than kept in an eviction heap:
-    `run` takes one pick per arrival after warm-up, so the pool overflows
-    at most once per run.
+    is found by scanning the live positions rather than kept in an eviction
+    heap: `run` takes one pick per arrival after warm-up, so the pool
+    overflows at most once per run.
     """
 
-    def __init__(self, capacity: int, priority: Priority = Priority.TIME,
+    def __init__(self, fees, arrivals, ids, capacity: int,
+                 priority: Priority = Priority.TIME,
                  small_fee_threshold: Optional[float] = None):
         if capacity < 1:
             raise ValueError("mempool capacity must be positive")
         self.capacity = capacity
-        self.priority = priority
-        self.small_fee_threshold = small_fee_threshold
-        self._live: dict[int, Transaction] = {}
-        self._heap: list = []
-        self._small: list = []
+        self._fees = np.asarray(fees, dtype=np.float64)
+        self._arrivals = np.asarray(arrivals, dtype=np.int64)
+        self._ids = np.asarray(ids, dtype=np.int64)
+        sorted_ids = np.sort(self._ids)
+        repeated = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
+        if repeated.size:
+            raise DataError(f"transaction id {repeated[0]} appears more than once in the dataset")
+        if priority is Priority.TIME:
+            keys = (self._ids, -self._fees, self._arrivals)
+        else:
+            keys = (self._ids, self._arrivals, -self._fees)
+        # Sort by the primary key, then lexsort only the positions tied on it:
+        # a stream comes in arrival order, so the time order costs about O(n).
+        order = np.argsort(keys[-1], kind="stable")
+        same = np.flatnonzero(keys[-1][order[1:]] == keys[-1][order[:-1]])
+        at = np.union1d(same, same + 1)
+        tied = order[at]
+        order[at] = tied[np.lexsort(tuple(k[tied] for k in keys))]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self._order = array("q", order.astype(np.int64, copy=False).tobytes())
+        self._rank = array("q", rank.astype(np.int64, copy=False).tobytes())
+        self._below = bytes(len(order)) if small_fee_threshold is None else \
+            (self._fees < small_fee_threshold).tobytes()
+        self._live = bytearray(len(order))
+        self._count = 0
+        self._heap: List[int] = []
+        self._small: List[int] = []
 
     def __len__(self) -> int:
-        return len(self._live)
+        return self._count
 
-    def __contains__(self, tx_id: int) -> bool:
-        return tx_id in self._live
+    def __contains__(self, pos: int) -> bool:
+        return bool(self._live[pos])
+
+    def _pending(self) -> np.ndarray:
+        return np.flatnonzero(np.frombuffer(self._live, dtype=np.uint8))
 
     def pending_fees(self) -> float:
-        return math.fsum(t.fee for t in self._live.values())
+        return math.fsum(self._fees[self._pending()].tolist())
 
-    def submit(self, tx: Transaction):
-        """Admit `tx`, evicting the cheapest pending one if needed.
+    def submit(self, pos: int):
+        """Admit position `pos`, evicting the cheapest pending one if needed.
 
-        Returns (SubmitOutcome, evicted transaction or None).
+        Returns (SubmitOutcome, evicted position or None).
         """
-        if tx.id in self._live:
-            raise ValueError(f"transaction id {tx.id} already pending")
-        evicted = None
-        if len(self._live) >= self.capacity:
-            cheapest = min(self._live.values(), key=lambda t: (t.fee, t.arrival_time, t.id))
-            if tx.fee <= cheapest.fee:
-                return SubmitOutcome.REJECTED, None
-            del self._live[cheapest.id]
-            self._compact()
-            evicted = cheapest
-        self._live[tx.id] = tx
-        if self.priority is Priority.TIME:
-            entry = (tx.arrival_time, -tx.fee, tx.id)
-        else:
-            entry = (-tx.fee, tx.arrival_time, tx.id)
-        heapq.heappush(self._heap, entry)
-        if self.small_fee_threshold is not None and tx.fee < self.small_fee_threshold:
-            heapq.heappush(self._small, entry)
-        if evicted is not None:
-            return SubmitOutcome.EVICTED_OTHER, evicted
-        return SubmitOutcome.ACCEPTED, None
+        outcome = _ACCEPTED
+        if self._count >= self.capacity:
+            live = self._pending()
+            cheapest = int(live[np.lexsort((self._ids[live], self._arrivals[live],
+                                            self._fees[live]))[0]])
+            if self._fees[pos] <= self._fees[cheapest]:
+                return _REJECTED
+            self._live[cheapest] = 0
+            self._count -= 1
+            outcome = (SubmitOutcome.EVICTED_OTHER, cheapest)
+        self._live[pos] = 1
+        self._count += 1
+        r = self._rank[pos]
+        for heap in (self._heap, self._small) if self._below[pos] else (self._heap,):
+            if len(heap) >= 2 * self.capacity:
+                # At most `capacity` ranks are live, so at least half are dead.
+                heap[:] = [x for x in heap if self._live[self._order[x]]]
+                heapify(heap)
+            heappush(heap, r)
+        return outcome
 
-    def select_next(self) -> Optional[Transaction]:
-        """Pop the next transaction in priority order, or None when empty."""
+    def select_next(self) -> Optional[int]:
+        """Pop the next position in priority order, or None when empty."""
         return self._take(self._heap)
 
-    def select_next_small_fee(self) -> Optional[Transaction]:
-        """Pop the next below-threshold transaction, or None when there is none."""
+    def select_next_small_fee(self) -> Optional[int]:
+        """Pop the next below-threshold position, or None when there is none."""
         return self._take(self._small)
 
-    def _take(self, heap) -> Optional[Transaction]:
-        # Lazy deletion: entries whose id is no longer live are discarded.
+    def _take(self, heap) -> Optional[int]:
+        # Lazy deletion: ranks whose position is no longer live are discarded.
+        live, order = self._live, self._order
         while heap:
-            tx = self._live.pop(heapq.heappop(heap)[-1], None)
-            if tx is not None:
-                self._compact()
-                return tx
+            pos = order[heappop(heap)]
+            if live[pos]:
+                live[pos] = 0
+                self._count -= 1
+                return pos
         return None
-
-    def _compact(self):
-        # Every live transaction has an entry in the selection heap, so a
-        # heap longer than twice the pool holds more dead entries than live.
-        for heap in (self._heap, self._small):
-            if len(heap) > 2 * len(self._live):
-                heap[:] = [e for e in heap if e[-1] in self._live]
-                heapq.heapify(heap)
-
-
-@dataclass
-class _OpenBlock:
-    txs: List[Transaction] = field(default_factory=list)
-    nodes: List[int] = field(default_factory=list)
-    occupied: int = 0
-    small_fee_used: int = 0
-    last_arrival: int = 0
-
-
-@dataclass
-class MinerState:
-    """In-progress block plus the chain of sealed ones."""
-
-    cfg: SimulationConfig
-    params: AllocationParams
-    build_trees: bool = False
-    current: _OpenBlock = field(default_factory=_OpenBlock)
-    sealed: List[BlockRecord] = field(default_factory=list)
-    assignments: List[Tuple[int, int, float, int]] = field(default_factory=list)
-
-    def seal_current(self) -> Optional[BlockRecord]:
-        """Seal the open block into a BlockRecord; None if it is empty."""
-        blk = self.current
-        if not blk.txs:
-            return None
-        height = len(self.sealed)
-        root = None
-        if self.build_trees:
-            tree = verkle.build_tree(_slot_digests(blk), self.cfg.verkle_branching_factor)
-            root = tree.root
-        record = BlockRecord(
-            height=height,
-            tx_ids=tuple(t.id for t in blk.txs),
-            occupied_nodes=blk.occupied,
-            incentive=block_incentive(t.fee for t in blk.txs),
-            seal_time=blk.last_arrival,
-            verkle_root=root,
-        )
-        self.sealed.append(record)
-        for tx, n in zip(blk.txs, blk.nodes):
-            self.assignments.append((tx.id, height, tx.fee, n))
-        self.current = _OpenBlock()
-        return record
-
-
-def _slot_digests(blk: _OpenBlock) -> List[bytes]:
-    digests = []
-    for tx, n in zip(blk.txs, blk.nodes):
-        digests.extend(verkle.slot_digest(tx.id, slot) for slot in range(n))
-    return digests
-
-
-def try_incorporate(state: MinerState, tx: Transaction, strategy: DtsStrategy,
-                    cfg: SimulationConfig) -> IncorporateOutcome:
-    """Place `tx` in the open block, sealing first when it no longer fits.
-
-    The occupied slot count comes from the fee-to-space rule; a
-    below-threshold transaction consumes one of the block's reserved
-    small-fee slots when any remain (the reservation shares the same
-    capacity budget and resets at each seal). Zero fees - possible only for
-    injected underpayers - are clamped to the minimum positive fee before
-    the space rule.
-    """
-    fee = tx.fee if tx.fee > 0 else MIN_POSITIVE_FEE
-    n = leaf_nodes(fee, state.params)
-    blk = state.current
-    outcome = IncorporateOutcome.INCORPORATED
-    if not fits(blk.occupied, n, cfg.leaf_capacity):
-        if not blk.txs:
-            raise AssertionError("transaction exceeds capacity of an empty block")
-        state.seal_current()
-        blk = state.current
-        outcome = IncorporateOutcome.SEALED_THEN_INCORPORATED
-    reserved = (
-        strategy.designated_space
-        and tx.fee < strategy.small_fee_threshold
-        and blk.small_fee_used < strategy.small_fee_count
-    )
-    if reserved:
-        blk.small_fee_used += 1
-    blk.txs.append(tx)
-    blk.nodes.append(n)
-    blk.occupied += n
-    if tx.arrival_time > blk.last_arrival:
-        blk.last_arrival = tx.arrival_time
-    return outcome
 
 
 @dataclass
@@ -241,10 +190,6 @@ class RunResult:
         return [b.incentive for b in self.blocks]
 
 
-class DataError(ValueError):
-    """The input stream violates a precondition of the run."""
-
-
 def run(dataset: Sequence[Transaction], strategy: DtsStrategy, cfg: SimulationConfig,
         *, force_seal: bool = False, build_trees: bool = False) -> RunResult:
     """Simulate incorporation of `dataset` under `strategy`.
@@ -253,7 +198,9 @@ def run(dataset: Sequence[Transaction], strategy: DtsStrategy, cfg: SimulationCo
     ends up included in exactly one block, pending (in the pool or the
     unsealed tail block), evicted, or rejected, and the per-fate fee sums in
     the result add up to the submitted total. The unsealed tail block is
-    excluded from the block series unless `force_seal` is given.
+    excluded from the block series unless `force_seal` is given. Raises
+    DataError when the stream is not ordered by arrival time or repeats an
+    id.
     """
     problems = validate_strategy(strategy, cfg)
     if problems:
@@ -262,75 +209,124 @@ def run(dataset: Sequence[Transaction], strategy: DtsStrategy, cfg: SimulationCo
     txs = list(dataset)
     if cfg.transaction_budget is not None:
         txs = txs[: cfg.transaction_budget]
-    last = -1
-    for tx in txs:
-        if tx.arrival_time < last:
-            raise DataError("dataset must be ordered by arrival_time")
-        last = tx.arrival_time
+    result = RunResult(blocks=[], assignments=[])
+    # The columns and the pool live only inside _mine, so they are freed
+    # before the block records and assignment rows are built.
+    picks, sealed, slot_of = _mine(txs, strategy, cfg, force_seal, result)
+    begin = 0
+    for height, (end, nodes) in enumerate(sealed):
+        block = list(map(txs.__getitem__, picks[begin:end]))
+        tx_ids = tuple(map(_ID, block))
+        block_fees = list(map(_FEE, block))
+        block_slots = list(map(slot_of.__getitem__, picks[begin:end]))
+        root = None
+        if build_trees:
+            digests = [verkle.slot_digest(tx_id, slot)
+                       for tx_id, n in zip(tx_ids, block_slots) for slot in range(n)]
+            root = verkle.build_tree(digests, cfg.verkle_branching_factor).root
+        result.blocks.append(BlockRecord(
+            height=height,
+            tx_ids=tx_ids,
+            occupied_nodes=nodes,
+            incentive=math.fsum(block_fees),
+            seal_time=max(map(_ARRIVAL, block)),
+            verkle_root=root,
+        ))
+        result.assignments.extend(zip(tx_ids, repeat(height), block_fees, block_slots))
+        begin = end
+    return result
 
+
+def _mine(txs: List[Transaction], strategy: DtsStrategy, cfg: SimulationConfig,
+          force_seal: bool, result: RunResult):
+    """The run loop on positions; fills the fate accounting of `result` and
+    returns the picks, each sealed block as (end index into the picks,
+    occupied slots), and every position's slot count."""
+    n_txs = len(txs)
+    fees = np.fromiter(map(_FEE, txs), np.float64, n_txs)
+    try:
+        arrivals = np.fromiter(map(_ARRIVAL, txs), np.int64, n_txs)
+        ids = np.fromiter(map(_ID, txs), np.int64, n_txs)
+    except OverflowError:
+        raise DataError("transaction ids and arrival times must fit in 64 bits") from None
+    back = np.flatnonzero(np.diff(arrivals) < 0)
+    if back.size:
+        i = int(back[0]) + 1
+        raise DataError(
+            f"dataset must be ordered by arrival_time: transaction {ids[i]} at position {i} "
+            f"arrives at {arrivals[i]}, before {arrivals[i - 1]} at position {i - 1}")
+    # Zero fees (injected underpayers) take the minimum positive fee's slots. Slots
+    # come before the pool, so the mapping's temporaries and the ranks never coexist.
     params = AllocationParams(strategy.scale, strategy.shape, strategy.max_trx_nodes)
-    pool = Mempool(strategy.mempool_size, strategy.priority, strategy.small_fee_threshold)
-    miner = MinerState(cfg=cfg, params=params, build_trees=build_trees)
-    result = RunResult(blocks=miner.sealed, assignments=miner.assignments)
+    slot_of = array("q", leaf_slots(np.where(fees > 0, fees, MIN_POSITIVE_FEE), params).tobytes())
+    pool = Mempool(fees, arrivals, ids, strategy.mempool_size, strategy.priority,
+                   strategy.small_fee_threshold)
+    below = pool._below
+    reserve = strategy.small_fee_count if strategy.designated_space else 0
+    capacity = cfg.leaf_capacity
 
-    fee_submitted: List[float] = []
-    fee_evicted: List[float] = []
-    fee_rejected: List[float] = []
-
-    def absorb(tx: Transaction):
-        result.submitted_count += 1
-        fee_submitted.append(tx.fee)
-        outcome, evicted = pool.submit(tx)
-        if outcome is SubmitOutcome.REJECTED:
-            result.rejected_count += 1
-            fee_rejected.append(tx.fee)
-        elif outcome is SubmitOutcome.EVICTED_OTHER:
-            result.evicted_count += 1
-            fee_evicted.append(evicted.fee)
+    picks = array("q")
+    sealed: List[Tuple[int, int]] = []
+    filled = small_used = 0
+    evicted: List[int] = []
+    rejected: List[int] = []
+    submit, take = pool.submit, pool._take  # one call per pick, not two
+    heap, small_heap = pool._heap, pool._small
 
     def mine_one() -> bool:
-        tx = None
-        if (strategy.designated_space
-                and miner.current.small_fee_used < strategy.small_fee_count):
-            tx = pool.select_next_small_fee()
-        if tx is None:
-            tx = pool.select_next()
-        if tx is None:
-            return False
-        try_incorporate(miner, tx, strategy, cfg)
-        result.included_count += 1
+        # Reserved small-fee slots come first while the block has any left; they
+        # share the block's capacity, and the quota resets at each seal.
+        nonlocal filled, small_used
+        pos = take(small_heap) if small_used < reserve else None
+        if pos is None:
+            pos = take(heap)
+            if pos is None:
+                return False
+        n = slot_of[pos]
+        if filled + n > capacity:
+            sealed.append((len(picks), filled))
+            filled = small_used = 0
+        if below[pos] and small_used < reserve:
+            small_used += 1
+        picks.append(pos)
+        filled += n
         return True
 
+    # Warm-up fills the pool; then one pick per arrival, then the drain.
     target = cfg.block_count_target
-    warm = min(len(txs), strategy.mempool_size)
-    for tx in txs[:warm]:
-        absorb(tx)
-    stopped = False
-    for tx in txs[warm:]:
-        absorb(tx)
-        mine_one()
-        if target is not None and len(miner.sealed) >= target:
-            stopped = True
-            break
-    if not stopped:
+    submitted = n_txs
+    warm = strategy.mempool_size
+    for pos in range(n_txs):
+        outcome = submit(pos)
+        if outcome is _REJECTED:
+            rejected.append(pos)
+        elif outcome is not _ACCEPTED:
+            evicted.append(outcome[1])
+        if pos >= warm:
+            mine_one()
+            if target is not None and len(sealed) >= target:
+                submitted = pos + 1
+                break
+    else:
         while mine_one():
-            if target is not None and len(miner.sealed) >= target:
+            if target is not None and len(sealed) >= target:
                 break
 
-    tail = miner.current
-    if force_seal and tail.txs:
-        miner.seal_current()
-    else:
-        result.unsealed_count = len(tail.txs)
-        result.unsealed_fees = math.fsum(t.fee for t in tail.txs)
-        result.included_count -= len(tail.txs)
+    if force_seal and len(picks) > (sealed[-1][0] if sealed else 0):
+        sealed.append((len(picks), filled))
+    included = sealed[-1][0] if sealed else 0
 
-    result.pending_count = len(pool)
-    result.pending_fees = pool.pending_fees()
-    result.submitted_fees = math.fsum(fee_submitted)
-    result.evicted_fees = math.fsum(fee_evicted)
-    result.rejected_fees = math.fsum(fee_rejected)
-    return result
+    def fee_sum(positions) -> float:
+        return math.fsum(fees[positions].tolist())
+
+    result.submitted_count, result.submitted_fees = submitted, math.fsum(fees[:submitted])
+    result.included_count = included
+    result.evicted_count, result.evicted_fees = len(evicted), fee_sum(evicted)
+    result.rejected_count, result.rejected_fees = len(rejected), fee_sum(rejected)
+    result.pending_count, result.pending_fees = len(pool), pool.pending_fees()
+    result.unsealed_count = len(picks) - included
+    result.unsealed_fees = fee_sum(picks[included:])
+    return picks, sealed, slot_of
 
 
 def fixed_block_baseline(dataset: Sequence[Transaction], txs_per_block: int = 2100) -> List[BlockRecord]:

@@ -10,7 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from dtsim.allocation import AllocationParams, block_incentive, erf, erfc, fits, leaf_nodes, lognormal_cdf
+from dtsim.allocation import (AllocationParams, block_incentive, erf, erfc, fits, leaf_nodes,
+                              leaf_slots, lognormal_cdf)
+from dtsim.ingest import MIN_POSITIVE_FEE
 
 # (x, erf(x)) pairs spanning the series branch, the continued-fraction
 # branch and the sign reflection.
@@ -138,6 +140,43 @@ class TestLeafNodes:
             value = lognormal_cdf(fee, p)
             assert value <= last + 1e-15
             last = value
+
+
+class TestLeafSlots:
+    """The vectorized mapping must give exactly the scalar rule's counts."""
+
+    def test_matches_leaf_nodes_on_the_400k_stream(self, big_stream):
+        # The simulator clamps zero fees to the minimum positive fee.
+        fees = [t.fee if t.fee > 0 else MIN_POSITIVE_FEE for t in big_stream]
+        designated = AllocationParams(scale=6.72, shape=0.91, max_trx_nodes=93)
+        for params in (PARAMS_EXP17, designated):
+            assert leaf_slots(fees, params).tolist() == [leaf_nodes(f, params) for f in fees]
+
+    # (fee, scale, shape) where F(fee) * cap is cap/2 up to float noise.
+    # exp(6.94) round-trips, so F is exactly 1/2. ln(exp(0.03)) exceeds 0.03
+    # by one ulp, which shape 0.01 turns into F = 1/2 + 3 ulps: only the
+    # slack keeps cap/2. numpy's vectorized log puts ln(1.5651786956535216)
+    # one ulp above math.log, so with that scale and a near-zero shape a
+    # mapping through np.log would add a slot.
+    @pytest.mark.parametrize("fee, scale, shape", [
+        (math.exp(6.94), 6.94, 1.0),
+        (math.exp(0.03), 0.03, 0.01),
+        (1.5651786956535216, math.log(1.5651786956535216), 1e-9),
+    ])
+    @pytest.mark.parametrize("cap", [2, 94, 110, 2100])
+    def test_exact_ceil_boundary(self, fee, scale, shape, cap):
+        p = AllocationParams(scale=scale, shape=shape, max_trx_nodes=cap)
+        assert leaf_nodes(fee, p) == cap // 2
+        assert leaf_slots([fee], p).tolist() == [cap // 2]
+
+    def test_floor_and_cap(self):
+        fees = [MIN_POSITIVE_FEE, 1e-300, 2.0, 1e12, 1e300]
+        assert leaf_slots(fees, PARAMS_EXP17).tolist() == [1, 1, 1, 110, 110]
+        assert [leaf_nodes(f, PARAMS_EXP17) for f in fees] == [1, 1, 1, 110, 110]
+
+    def test_rejects_nonpositive_fee(self):
+        with pytest.raises(ValueError):
+            leaf_slots([1.0, 0.0], PARAMS_EXP17)
 
 
 class TestFits:

@@ -145,6 +145,14 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: cannot write output: ")
         assert proc.stderr.count("\n") == 1
 
+    def test_repeated_transaction_id_is_data_error(self, tmp_path):
+        path = tmp_path / "stream.csv"
+        path.write_text("id,amount,arrival_time_ms,fee\n1,100.0,0,0.2\n7,100.0,5,0.2\n"
+                        "7,300.0,9,0.6\n")
+        proc = run_cli(["simulate", "--dataset", str(path), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 3
+        assert proc.stderr == "data error: transaction id 7 appears more than once in the dataset\n"
+
     def test_nonpositive_incentive_is_data_error(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("incentive\n5.0\n0.0\n7.0\n")

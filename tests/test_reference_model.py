@@ -229,16 +229,26 @@ OPS = st.lists(
        threshold=st.sampled_from([None, 0.5, 2.0, 100.0]))
 def test_mempool_matches_naive_pool(ops, capacity, priority, threshold):
     # Submits outnumber picks, so a full pool overflows again and again,
-    # which `run` itself never reaches.
-    pool = Mempool(capacity, priority, threshold)
+    # which `run` itself never reaches. The pool works on positions into
+    # the columns of every transaction the ops submit.
+    txs = [Transaction(id=tx_id, amount=0.0, fee=fee, arrival_time=arrival)
+           for tx_id, (op, fee, arrival) in enumerate(ops) if op == "submit"]
+    pool = Mempool([t.fee for t in txs], [t.arrival_time for t in txs], [t.id for t in txs],
+                   capacity, priority, threshold)
     naive = NaivePool(capacity, priority, threshold)
-    for tx_id, (op, fee, arrival) in enumerate(ops):
+
+    def tx_at(pos):
+        return None if pos is None else txs[pos]
+
+    submitted = iter(range(len(txs)))
+    for op, _fee, _arrival in ops:
         if op == "submit":
-            tx = Transaction(id=tx_id, amount=0.0, fee=fee, arrival_time=arrival)
-            assert pool.submit(tx) == naive.submit(tx)
+            pos = next(submitted)
+            outcome, evicted = pool.submit(pos)
+            assert (outcome, tx_at(evicted)) == naive.submit(txs[pos])
         elif op == "select":
-            assert pool.select_next() == naive.take()
+            assert tx_at(pool.select_next()) == naive.take()
         else:
-            assert pool.select_next_small_fee() == naive.take(small_only=True)
+            assert tx_at(pool.select_next_small_fee()) == naive.take(small_only=True)
         assert len(pool) == len(naive.txs)
         assert pool.pending_fees() == math.fsum(t.fee for t in naive.txs)

@@ -2,18 +2,14 @@ import math
 
 import pytest
 
-from dtsim.allocation import AllocationParams
-from dtsim.core import SimulationConfig, Transaction, strategy_from_category
+from dtsim.core import Priority, SimulationConfig, Transaction, strategy_from_category
 from dtsim.ingest import DatasetSpec, generate
 from dtsim.simulator import (
     DataError,
-    IncorporateOutcome,
     Mempool,
-    MinerState,
     SubmitOutcome,
     fixed_block_baseline,
     run,
-    try_incorporate,
 )
 
 
@@ -22,82 +18,87 @@ def tx(i, fee, t=None, amount=None):
                        fee=fee, arrival_time=t if t is not None else i)
 
 
+def pool_of(txs, capacity, priority=Priority.TIME, threshold=None):
+    """A Mempool over the columns of `txs`; it admits and yields positions."""
+    return Mempool([t.fee for t in txs], [t.arrival_time for t in txs], [t.id for t in txs],
+                   capacity, priority, threshold)
+
+
 CFG = SimulationConfig()
 
 
 class TestMempoolSubmit:
     def test_accept_below_capacity(self):
-        pool = Mempool(capacity=2)
-        outcome, evicted = pool.submit(tx(1, 5.0))
+        pool = pool_of([tx(1, 5.0)], capacity=2)
+        outcome, evicted = pool.submit(0)
         assert outcome is SubmitOutcome.ACCEPTED and evicted is None
 
     def test_overflow_evicts_cheapest_when_newcomer_pays_more(self):
-        pool = Mempool(capacity=2)
-        pool.submit(tx(1, 5.0))
-        pool.submit(tx(2, 9.0))
-        outcome, evicted = pool.submit(tx(3, 7.0))
+        pool = pool_of([tx(1, 5.0), tx(2, 9.0), tx(3, 7.0)], capacity=2)
+        pool.submit(0)
+        pool.submit(1)
+        outcome, evicted = pool.submit(2)
         assert outcome is SubmitOutcome.EVICTED_OTHER
-        assert evicted.id == 1 and evicted.fee == 5.0
-        assert len(pool) == 2 and 3 in pool and 1 not in pool
+        assert evicted == 0
+        assert len(pool) == 2 and 2 in pool and 0 not in pool
 
     def test_overflow_rejects_cheap_newcomer(self):
-        pool = Mempool(capacity=2)
-        pool.submit(tx(1, 5.0))
-        pool.submit(tx(2, 9.0))
-        outcome, evicted = pool.submit(tx(3, 1.0))
+        pool = pool_of([tx(1, 5.0), tx(2, 9.0), tx(3, 1.0)], capacity=2)
+        pool.submit(0)
+        pool.submit(1)
+        outcome, evicted = pool.submit(2)
         assert outcome is SubmitOutcome.REJECTED and evicted is None
-        assert 3 not in pool
+        assert 2 not in pool
 
     def test_equal_fee_newcomer_rejected(self):
-        pool = Mempool(capacity=1)
-        pool.submit(tx(1, 5.0))
-        outcome, _ = pool.submit(tx(2, 5.0))
+        pool = pool_of([tx(1, 5.0), tx(2, 5.0)], capacity=1)
+        pool.submit(0)
+        outcome, _ = pool.submit(1)
         assert outcome is SubmitOutcome.REJECTED
 
     def test_duplicate_id_rejected(self):
-        pool = Mempool(capacity=3)
-        pool.submit(tx(1, 5.0))
-        with pytest.raises(ValueError):
-            pool.submit(tx(1, 6.0))
+        # Ranks need unique ids; the pool refuses a stream that repeats one.
+        with pytest.raises(DataError, match="transaction id 1 appears more than once"):
+            pool_of([tx(1, 5.0), tx(2, 1.0), tx(1, 6.0)], capacity=3)
 
 
 class TestSelectNext:
     def test_time_priority_is_fifo(self):
         s = strategy_from_category(2, a1=10, a6=110, a7=6.94, a8=1.0)
-        pool = Mempool(capacity=10, priority=s.priority)
-        pool.submit(tx(1, 9.0, t=1))
-        pool.submit(tx(2, 100.0, t=2))
-        assert pool.select_next().id == 1
+        pool = pool_of([tx(1, 9.0, t=1), tx(2, 100.0, t=2)], 10, s.priority)
+        pool.submit(0)
+        pool.submit(1)
+        assert pool.select_next() == 0
 
     def test_fee_priority_takes_richest(self):
         s = strategy_from_category(4, a1=10, a6=110, a7=6.94, a8=1.0)
-        pool = Mempool(capacity=10, priority=s.priority)
-        pool.submit(tx(1, 9.0, t=1))
-        pool.submit(tx(2, 100.0, t=2))
-        assert pool.select_next().id == 2
+        pool = pool_of([tx(1, 9.0, t=1), tx(2, 100.0, t=2)], 10, s.priority)
+        pool.submit(0)
+        pool.submit(1)
+        assert pool.select_next() == 1
 
     def test_tie_breaks_deterministic(self):
         time_s = strategy_from_category(2, a1=10, a6=110, a7=6.94, a8=1.0)
         fee_s = strategy_from_category(4, a1=10, a6=110, a7=6.94, a8=1.0)
         # same arrival: higher fee first under time priority
-        pool = Mempool(capacity=10, priority=time_s.priority)
-        pool.submit(tx(1, 2.0, t=5))
-        pool.submit(tx(2, 8.0, t=5))
-        assert pool.select_next().id == 2
+        pool = pool_of([tx(1, 2.0, t=5), tx(2, 8.0, t=5)], 10, time_s.priority)
+        pool.submit(0)
+        pool.submit(1)
+        assert pool.select_next() == 1
         # same fee and arrival: lower id wins
-        pool = Mempool(capacity=10, priority=fee_s.priority)
-        pool.submit(tx(7, 3.0, t=5))
-        pool.submit(tx(4, 3.0, t=5))
-        assert pool.select_next().id == 4
+        pool = pool_of([tx(7, 3.0, t=5), tx(4, 3.0, t=5)], 10, fee_s.priority)
+        pool.submit(0)
+        pool.submit(1)
+        assert pool.select_next() == 1
 
     def test_empty_pool_returns_none(self):
-        assert Mempool(capacity=5).select_next() is None
+        assert pool_of([tx(1, 5.0)], capacity=5).select_next() is None
 
 
 class TestHeapBound:
     def test_heaps_stay_within_twice_the_pool(self, monkeypatch):
         # Fee priority with designated space: every reserved small-fee pick
-        # leaves a dead entry in the selection heap, and every ordinary pick
+        # leaves a dead rank in the selection heap, and every ordinary pick
         # of a below-threshold transaction one in the small-fee heap.
         peak = {"heap": 0, "small": 0}
 
@@ -111,8 +112,7 @@ class TestHeapBound:
 
         class Recording(Mempool):
             submit = recorded(Mempool.submit)
-            select_next = recorded(Mempool.select_next)
-            select_next_small_fee = recorded(Mempool.select_next_small_fee)
+            _take = recorded(Mempool._take)
 
         monkeypatch.setattr("dtsim.simulator.Mempool", Recording)
         stream = generate(DatasetSpec(count=50_000, rng_seed=7))
@@ -124,40 +124,42 @@ class TestHeapBound:
 
 
 class TestTryIncorporate:
+    """Placement of one pick in the open block, observed through `run`."""
+
     def test_empty_block_always_accepts(self):
         s = strategy_from_category(2, a1=10, a6=110, a7=6.94, a8=1.0)
-        miner = MinerState(cfg=CFG, params=AllocationParams(6.94, 1.0, 110))
-        assert try_incorporate(miner, tx(1, 1e9), s, CFG) is IncorporateOutcome.INCORPORATED
-        assert miner.current.occupied == 110
+        result = run([tx(1, 1e9)], s, CFG, force_seal=True)
+        assert result.blocks[0].occupied_nodes == 110
+        assert result.assignments == [(1, 0, 1e9, 110)]
 
     def test_twentieth_max_fee_transaction_seals_at_2090(self):
         s = strategy_from_category(2, a1=100, a6=110, a7=6.94, a8=1.0)
-        miner = MinerState(cfg=CFG, params=AllocationParams(6.94, 1.0, 110))
-        for i in range(19):
-            outcome = try_incorporate(miner, tx(i, 1e9, t=i), s, CFG)
-            assert outcome is IncorporateOutcome.INCORPORATED
-        outcome = try_incorporate(miner, tx(19, 1e9, t=19), s, CFG)
-        assert outcome is IncorporateOutcome.SEALED_THEN_INCORPORATED
-        sealed = miner.sealed[0]
+        stream = [tx(i, 1e9, t=i) for i in range(20)]
+        result = run(stream, s, CFG)
+        assert len(result.blocks) == 1
+        sealed = result.blocks[0]
         assert sealed.occupied_nodes == 2090
-        assert len(sealed.tx_ids) == 19
-        assert miner.current.occupied == 110  # the 20th opened the next block
+        assert sealed.tx_ids == tuple(range(19))
+        # the 20th opened the next block, which stays unsealed
+        assert result.unsealed_count == 1 and result.unsealed_fees == 1e9
+        assert run(stream, s, CFG, force_seal=True).blocks[1].occupied_nodes == 110
 
     def test_reserved_small_fee_accounting(self):
-        # Designated-space attributes: low threshold, generous quota.
-        s = strategy_from_category(1, a1=100, a6=93, a7=6.72, a8=0.91, a4=1.41, a5=110)
-        miner = MinerState(cfg=CFG, params=AllocationParams(6.72, 0.91, 93))
-        try_incorporate(miner, tx(1, 1.00), s, CFG)
-        assert miner.current.small_fee_used == 1
-        try_incorporate(miner, tx(2, 500.0), s, CFG)
-        assert miner.current.small_fee_used == 1  # above threshold: not reserved
+        # Designated-space attributes: low threshold, one reserved slot.
+        # Pool of 2: id 3 evicts id 1 and id 2 is picked, above threshold,
+        # so the reserved slot stays free for id 4, which is picked ahead
+        # of the earlier id 3. Then the slot is used: id 3 precedes id 5.
+        s = strategy_from_category(1, a1=2, a6=93, a7=6.72, a8=0.91, a4=1.41, a5=1)
+        stream = [tx(1, 500.0), tx(2, 600.0), tx(3, 800.0), tx(4, 1.0), tx(5, 1.0)]
+        result = run(stream, s, CFG, force_seal=True)
+        assert result.evicted_count == 1 and result.evicted_fees == 500.0
+        assert result.blocks[0].tx_ids == (2, 4, 3, 5)
 
     def test_reserved_quota_exhausts(self):
-        s = strategy_from_category(1, a1=100, a6=93, a7=6.72, a8=0.91, a4=1.41, a5=1)
-        miner = MinerState(cfg=CFG, params=AllocationParams(6.72, 0.91, 93))
-        try_incorporate(miner, tx(1, 1.0), s, CFG)
-        try_incorporate(miner, tx(2, 1.0), s, CFG)
-        assert miner.current.small_fee_used == 1  # second one came in unreserved
+        stream = [tx(1, 500.0), tx(2, 1.0), tx(3, 1.0)]
+        for quota, order in ((1, (2, 1, 3)), (2, (2, 3, 1))):
+            s = strategy_from_category(1, a1=100, a6=93, a7=6.72, a8=0.91, a4=1.41, a5=quota)
+            assert run(stream, s, CFG, force_seal=True).blocks[0].tx_ids == order
 
 
 def uniform_halfcap_stream(n, fee_for_100_nodes):
@@ -196,8 +198,34 @@ class TestRun:
 
     def test_unordered_stream_rejected(self):
         s = strategy_from_category(2, a1=50, a6=110, a7=6.94, a8=1.0)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="ordered by arrival_time: transaction 2 at "
+                                            "position 1 arrives at 5, before 10 at position 0"):
             run([tx(1, 1.0, t=10), tx(2, 1.0, t=5)], s, CFG)
+        stream = [tx(1, 1.0, t=3), tx(2, 1.0, t=10), tx(9, 1.0, t=10), tx(4, 1.0, t=7),
+                  tx(5, 1.0, t=2)]
+        with pytest.raises(DataError, match="transaction 4 at position 3 arrives at 7, "
+                                            "before 10 at position 2$"):
+            run(stream, s, CFG)
+
+    @pytest.mark.parametrize("a1", [5, 1])
+    def test_repeated_id_rejected(self, a1):
+        # With a1=5 the first copy of id 7 is still pending when the second
+        # arrives; with a1=1 it has already been mined.
+        s = strategy_from_category(2, a1=a1, a6=110, a7=6.94, a8=1.0)
+        stream = [tx(7, 1.0, t=0), tx(2, 1.0, t=1), tx(3, 1.0, t=2), tx(7, 2.0, t=3)]
+        with pytest.raises(DataError, match="^transaction id 7 appears more than once"):
+            run(stream, s, CFG, force_seal=True)
+
+    def test_id_beyond_64_bits_rejected(self):
+        s = strategy_from_category(2, a1=5, a6=110, a7=6.94, a8=1.0)
+        with pytest.raises(DataError, match="must fit in 64 bits"):
+            run([tx(1, 1.0, t=0), tx(2**64, 1.0, t=1)], s, CFG)
+
+    def test_iterator_input_matches_list(self):
+        stream = generate(DatasetSpec(count=5_000, rng_seed=4))
+        s = strategy_from_category(1, a1=300, a6=110, a7=6.94, a8=1.0, a4=200.0, a5=40)
+        cfg = SimulationConfig(transaction_budget=4_000)
+        assert run(iter(stream), s, cfg) == run(stream, s, cfg)
 
     def test_conservation_and_capacity_on_synthetic_stream(self):
         stream = generate(DatasetSpec(count=30_000, rng_seed=11))
