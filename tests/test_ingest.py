@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -154,3 +155,31 @@ class TestCsvRoundTrip:
         assert len(reloaded) == len(stream)
         assert [(t.id, t.amount, t.fee, t.arrival_time) for t in reloaded] == \
                [(t.id, t.amount, t.fee, t.arrival_time) for t in stream]
+
+
+# sha256 of each column's little-endian int64 or float64 bytes, pinned so that
+# any change to how streams are built, perturbed, written or read shows here.
+_ORIGINAL = {
+    "id": "33236cc6bd19fa6b89e06d441d3fcd8eb37dc8540f6a4f2b627b20af10894a41",
+    "arrival_time": "15d1e9487e7731c2e228ce0b519e25c1bd8e0570fb1120e772545838c3f79d73",
+    "amount": "504c97da9fa28d27fb5d64e1c22f931c6cafc3330c50db792b69a1db6b017026",
+    "fee": "89fb5c1d7234440aa9ebc66cc029e011c26eeb692f5f45ef15c4a323c595dd89",
+}
+_PERTURBED = dict(_ORIGINAL, fee="0ab3ffe7fe85530bca2077f72343b8dec53409eec0d8ae98b6bcd4416b3f7f37")
+
+
+def _column_digests(stream):
+    cols = (("id", "<i8"), ("arrival_time", "<i8"), ("amount", "<f8"), ("fee", "<f8"))
+    return {name: hashlib.sha256(np.fromiter((getattr(t, name) for t in stream), dtype,
+                                             len(stream)).tobytes()).hexdigest()
+            for name, dtype in cols}
+
+
+def test_pinned_stream_columns(tmp_path):
+    stream = generate(DatasetSpec(count=50_000, rng_seed=2024))
+    assert _column_digests(stream) == _ORIGINAL
+    perturbed = inject_irrational(stream, IrrationalMix(0.8, 0.1, 0.1), seed=2025)
+    assert _column_digests(perturbed) == _PERTURBED
+    path = tmp_path / "txs.csv"
+    write_csv(perturbed, path)
+    assert _column_digests(load_csv(path)) == _PERTURBED
