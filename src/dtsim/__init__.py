@@ -1,13 +1,15 @@
 """Fee-driven dynamic block-space simulation and strategy optimization."""
 
-from .allocation import AllocationParams, block_incentive, erf, fits, leaf_nodes, leaf_slots, lognormal_cdf
+from .allocation import AllocationParams, block_incentive, erf, leaf_nodes, leaf_slots, lognormal_cdf
 from .core import (
     BlockRecord,
     CATEGORIES,
+    DataError,
     DtsStrategy,
     Priority,
     REFERENCE_STRATEGY,
     SimulationConfig,
+    Stream,
     StrategyCategory,
     Transaction,
     category,
@@ -25,7 +27,7 @@ from .metrics import (
     series_volatility,
     volatility,
 )
-from .simulator import DataError, Mempool, RunResult, fixed_block_baseline, run
+from .simulator import Mempool, RunResult, fixed_block_baseline, run
 from .verkle import (
     MembershipProof,
     VerkleTree,

@@ -3,8 +3,8 @@
 Maps a transaction's fee through the CDF of a log-normal distribution to a
 whole number of occupied leaf slots, so that expensive transactions consume
 more of a block's fixed capacity: one fee at a time (`leaf_nodes`) or a whole
-fee column in one pass (`leaf_slots`). Also provides the capacity test and
-the per-block incentive sum.
+fee column in one pass (`leaf_slots`). Also provides the per-block incentive
+sum.
 """
 
 from __future__ import annotations
@@ -83,15 +83,6 @@ def leaf_slots(fees, params: AllocationParams) -> np.ndarray:
     cdf = _cdf(logs, lambda z: np.fromiter(map(erf, z), np.float64, len(z)), params)
     raw = cdf * params.max_trx_nodes
     return np.clip(np.ceil(raw - _CEIL_SLACK), 1, params.max_trx_nodes).astype(np.int64)
-
-
-def fits(occupied: int, tx_nodes: int, capacity: int) -> bool:
-    """True when `tx_nodes` more slots still fit under the block capacity."""
-    if not 0 <= occupied <= capacity:
-        raise ValueError(f"occupied {occupied} outside [0, {capacity}]")
-    if tx_nodes < 1:
-        raise ValueError("tx_nodes must be >= 1")
-    return occupied + tx_nodes <= capacity
 
 
 def block_incentive(fees) -> float:

@@ -29,7 +29,7 @@ from pathlib import Path
 from . import __version__
 from .core import (REFERENCE_STRATEGY, SimulationConfig, category, strategy_from_category,
                    validate_strategy, write_csv_rows)
-from .ingest import DatasetSpec, IrrationalMix, SchemaError, generate, inject_irrational, load_csv
+from .ingest import DatasetSpec, IrrationalMix, generate, inject_irrational, load_csv
 from .metrics import benchmark_check, rolling_volatility, series_volatility
 from .optimize import (
     ALGORITHMS,
@@ -586,7 +586,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return COMMANDS[args.command](args, *load_config(args))
-    except (DataError, SchemaError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

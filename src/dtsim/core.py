@@ -1,7 +1,7 @@
-"""Shared domain model: transactions, strategies, blocks, run configuration.
+"""Shared domain model: transaction streams, strategies, blocks, run configuration.
 
 Everything here is immutable after construction and safe to share across
-concurrent simulation runs.
+concurrent simulation runs; `Stream` alone decides what a valid stream is.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ import csv
 import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 
 class Priority(enum.Enum):
@@ -29,17 +31,88 @@ class Transaction:
     amount: float
     fee: float
     arrival_time: int  # milliseconds since stream start
-    size_bytes: int = 300
 
     def __post_init__(self):
-        if self.amount < 0:
-            raise ValueError(f"transaction {self.id}: amount must be >= 0")
-        if self.fee < 0:
-            raise ValueError(f"transaction {self.id}: fee must be >= 0")
-        if self.arrival_time < 0:
-            raise ValueError(f"transaction {self.id}: arrival_time must be >= 0")
-        if self.size_bytes <= 0:
-            raise ValueError(f"transaction {self.id}: size_bytes must be > 0")
+        # `not x >= 0` also rejects NaN.
+        for name in ("amount", "fee", "arrival_time"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"transaction {self.id}: {name} must be >= 0")
+
+
+class DataError(ValueError):
+    """A transaction stream violates a precondition of the run."""
+
+
+@dataclass(frozen=True, eq=False)
+class Stream(Sequence):
+    """A transaction stream as four read-only columns: int64 `ids` and
+    `arrivals` (ms since stream start), float64 `amounts` and `fees`.
+
+    Construction raises DataError unless ids are unique, arrivals sorted, ids
+    and arrivals fit in 64 bits, and arrivals, amounts and fees are finite
+    and non-negative. As a Sequence it yields `Transaction` views; a slice
+    is a list of views, not a Stream.
+    """
+
+    ids: np.ndarray
+    arrivals: np.ndarray
+    amounts: np.ndarray
+    fees: np.ndarray
+
+    def __post_init__(self):
+        try:
+            ids, arrivals = (np.array(c, dtype=np.int64) for c in (self.ids, self.arrivals))
+        except OverflowError:
+            raise DataError("transaction ids and arrival times must fit in 64 bits") from None
+        amounts, fees = (np.array(c, dtype=np.float64) for c in (self.amounts, self.fees))
+        for name, col in zip(("ids", "arrivals", "amounts", "fees"),
+                             (ids, arrivals, amounts, fees)):
+            if col.shape != (ids.size,):
+                raise DataError("stream columns must be one-dimensional and of equal length")
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        sorted_ids = np.sort(ids)
+        repeated = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
+        if repeated.size:
+            raise DataError(f"transaction id {repeated[0]} appears more than once in the dataset")
+        back = np.flatnonzero(np.diff(arrivals) < 0)
+        if back.size:
+            i = int(back[0]) + 1
+            raise DataError(
+                f"dataset must be ordered by arrival_time: transaction {ids[i]} at position {i} "
+                f"arrives at {arrivals[i]}, before {arrivals[i - 1]} at position {i - 1}")
+        for name, col in (("arrival_time", arrivals), ("amount", amounts), ("fee", fees)):
+            bad = np.flatnonzero(~((col >= 0) & (col < np.inf)))  # NaN fails both
+            if bad.size:
+                i = bad[0]
+                raise DataError(f"transaction {ids[i]} at position {i} has {name} {col[i]}; "
+                                f"it must be finite and >= 0")
+
+    @classmethod
+    def of(cls, transactions: Iterable[Transaction]) -> "Stream":
+        """`transactions` as a Stream; a Stream is returned unchanged."""
+        if isinstance(transactions, cls):
+            return transactions
+        txs = list(transactions)
+        return cls([t.id for t in txs], [t.arrival_time for t in txs],
+                   [t.amount for t in txs], [t.fee for t in txs])
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return Transaction(int(self.ids[i]), float(self.amounts[i]), float(self.fees[i]),
+                           int(self.arrivals[i]))
+
+    def __iter__(self):
+        return map(Transaction, self.ids.tolist(), self.amounts.tolist(), self.fees.tolist(),
+                   self.arrivals.tolist())
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so the columns stay read-only.
+        return Stream, (self.ids, self.arrivals, self.amounts, self.fees)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Transaction stream loading, synthetic generation, fee perturbation.
+"""Transaction stream loading, synthetic generation, fee perturbation; each
+returns one `core.Stream`.
 
 Synthetic streams follow the benchmark regime: Poisson arrivals at a
 configurable rate and log-normally distributed amounts whose log-level
@@ -13,11 +14,12 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, List
+from itertools import accumulate
+from typing import Iterable
 
 import numpy as np
 
-from .core import Transaction, write_csv_rows
+from .core import DataError, Stream, Transaction, write_csv_rows
 
 MIN_POSITIVE_FEE = sys.float_info.min
 
@@ -75,7 +77,7 @@ class IrrationalMix:
                 raise ValueError("fractions must be non-negative")
 
 
-def generate(spec: DatasetSpec) -> List[Transaction]:
+def generate(spec: DatasetSpec) -> Stream:
     """Deterministic synthetic stream of `spec.count` transactions.
 
     Interarrival times are exponential with mean 1/rate. Log-amounts are
@@ -91,83 +93,64 @@ def generate(spec: DatasetSpec) -> List[Transaction]:
     arrivals = np.floor(np.cumsum(gaps_ms)).astype(np.int64)
 
     noise = rng.standard_normal(n)
+    drift = np.zeros(n)
     if spec.drift_sigma > 0:
         alpha = math.exp(-(1.0 / spec.arrival_rate_tps) / spec.drift_tau_s)
         innov_scale = spec.drift_sigma * math.sqrt(1.0 - alpha * alpha)
         eps = rng.standard_normal(n)
-        drift = np.empty(n)
-        level = spec.drift_sigma * eps[0]
-        drift[0] = level
-        for i in range(1, n):
-            level = alpha * level + innov_scale * eps[i]
-            drift[i] = level
-    else:
-        drift = np.zeros(n)
+        # d_0 = drift_sigma*eps_0, then d_i = alpha*d_(i-1) + innov_scale*eps_i.
+        drift = np.fromiter(accumulate(innov_scale * eps[1:], lambda d, shock: alpha * d + shock,
+                                       initial=spec.drift_sigma * eps[0]), np.float64, n)
 
     amounts = np.exp(spec.amount_mu + drift + spec.amount_sigma * noise)
-    fees = amounts * spec.commission_ratio
-
-    return [
-        Transaction(id=i, amount=float(amounts[i]), fee=float(fees[i]),
-                    arrival_time=int(arrivals[i]))
-        for i in range(n)
-    ]
+    return Stream(np.arange(n), arrivals, amounts, amounts * spec.commission_ratio)
 
 
 def inject_irrational(stream: Iterable[Transaction], mix: IrrationalMix,
-                      seed: int) -> List[Transaction]:
+                      seed: int) -> Stream:
     """Replace a seeded random slice of fees with over/under-paid ones.
 
     Exactly round(fraction * n) transactions fall in each irrational group;
-    multipliers are drawn uniformly from the configured ranges. Amounts,
-    ids and arrival order are untouched. A fee that would underflow to zero
-    is clamped to the smallest positive float, with a warning.
+    multipliers are drawn uniformly from the configured ranges, one per
+    perturbed transaction in stream order. Amounts, ids and arrival order
+    are untouched. A fee that would underflow to zero is clamped to the
+    smallest positive float, with a warning.
     """
-    txs = list(stream)
-    n = len(txs)
+    stream = Stream.of(stream)
+    n = len(stream)
     rng = np.random.default_rng(seed)
 
     n_over = round(mix.overpaid_fraction * n)
     n_under = round(mix.underpaid_fraction * n)
     perm = rng.permutation(n)
-    over_ids = set(perm[:n_over].tolist())
-    under_ids = set(perm[n_over:n_over + n_under].tolist())
-
-    out = []
-    clamped = 0
-    for idx, tx in enumerate(txs):
-        if idx in over_ids:
-            mult = rng.uniform(*mix.over_multiplier)
-        elif idx in under_ids:
-            mult = rng.uniform(*mix.under_multiplier)
-        else:
-            out.append(tx)
-            continue
-        fee = tx.fee * mult
-        if fee <= 0.0:
-            fee = MIN_POSITIVE_FEE
-            clamped += 1
-        out.append(Transaction(id=tx.id, amount=tx.amount, fee=fee,
-                               arrival_time=tx.arrival_time, size_bytes=tx.size_bytes))
-    if clamped:
-        warnings.warn(f"{clamped} perturbed fees hit zero and were clamped to "
-                      f"the minimum positive fee", stacklevel=2)
-    return out
+    chosen = np.sort(perm[:n_over + n_under])
+    over = np.isin(chosen, perm[:n_over])
+    lows, highs = np.where(over[:, None], mix.over_multiplier, mix.under_multiplier).T
+    perturbed = stream.fees[chosen] * rng.uniform(lows, highs)
+    clamped = perturbed <= 0.0
+    perturbed[clamped] = MIN_POSITIVE_FEE
+    if clamped.any():
+        warnings.warn(f"{np.count_nonzero(clamped)} perturbed fees hit zero and were clamped "
+                      f"to the minimum positive fee", stacklevel=2)
+    fees = stream.fees.copy()
+    fees[chosen] = perturbed
+    return Stream(stream.ids, stream.arrivals, stream.amounts, fees)
 
 
-class SchemaError(ValueError):
-    """A CSV row or header does not match the transaction schema."""
+class SchemaError(DataError):
+    """A transaction CSV has a malformed row or header, or fails the `Stream` checks."""
 
 
-def load_csv(path, commission_ratio: float = DEFAULT_COMMISSION_RATIO) -> List[Transaction]:
+def load_csv(path, commission_ratio: float = DEFAULT_COMMISSION_RATIO) -> Stream:
     """Load a transaction stream from CSV.
 
     Expected header: id, amount, arrival_time_ms and optionally fee. When
     the fee column is absent it is derived as amount * commission_ratio.
-    Raises SchemaError with the offending line number on malformed rows and
-    on arrival times that go backwards.
+    Raises SchemaError with the offending line number on malformed rows, and
+    with the `Stream` check's own message when the columns fail it (arrival
+    order, repeated ids, 64-bit range, finite non-negative values).
     """
-    txs: List[Transaction] = []
+    ids, amounts, arrivals, fees = [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -180,31 +163,25 @@ def load_csv(path, commission_ratio: float = DEFAULT_COMMISSION_RATIO) -> List[T
                 raise SchemaError(f"{path}: missing required column {required!r}")
         fee_col = cols.get("fee")
 
-        prev_arrival = -1
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:
-                tx_id = int(row[cols["id"]])
-                amount = float(row[cols["amount"]])
-                arrival = int(row[cols["arrival_time_ms"]])
-                if fee_col is not None and row[fee_col].strip() != "":
-                    fee = float(row[fee_col])
-                else:
-                    fee = amount * commission_ratio
-                tx = Transaction(id=tx_id, amount=amount, fee=fee, arrival_time=arrival)
+                ids.append(int(row[cols["id"]]))
+                amounts.append(float(row[cols["amount"]]))
+                arrivals.append(int(row[cols["arrival_time_ms"]]))
+                fee = row[fee_col].strip() if fee_col is not None else ""
+                fees.append(float(fee) if fee else amounts[-1] * commission_ratio)
             except (ValueError, IndexError) as exc:
                 raise SchemaError(f"{path}:{lineno}: malformed row: {exc}") from None
-            if arrival < prev_arrival:
-                raise SchemaError(
-                    f"{path}:{lineno}: arrival_time_ms {arrival} precedes previous "
-                    f"{prev_arrival}; stream must be ordered by arrival")
-            prev_arrival = arrival
-            txs.append(tx)
-    return txs
+    try:
+        return Stream(ids, arrivals, amounts, fees)
+    except DataError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def write_csv(stream: Iterable[Transaction], path) -> int:
     """Write a stream as CSV (id, amount, arrival_time_ms, fee); returns rows."""
+    s = Stream.of(stream)
     return write_csv_rows(path, ("id", "amount", "arrival_time_ms", "fee"),
-                          ((tx.id, tx.amount, tx.arrival_time, tx.fee) for tx in stream))
+                          zip(*(col.tolist() for col in (s.ids, s.amounts, s.arrivals, s.fees))))

@@ -17,8 +17,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (SimulationConfig, StrategyCategory, category, strategy_from_category,
-                   validate_strategy, write_csv_rows)
+from .core import (DataError, SimulationConfig, Stream, StrategyCategory, category,
+                   strategy_from_category, validate_strategy, write_csv_rows)
 from .metrics import series_volatility
 from .optimizers import cma_es, differential_evolution, genetic_algorithm, gbo, pso
 from .simulator import run
@@ -231,9 +231,9 @@ def experiment_grid(dataset, cfg: SimulationConfig,
     grid position, so results are identical no matter how many worker
     processes (at most `jobs`, one per cell) execute the cells.
     """
-    dataset = list(dataset)
+    dataset = Stream.of(dataset)
     if not dataset:
-        raise ValueError("experiment grid needs a non-empty dataset")
+        raise DataError("experiment grid needs a non-empty dataset")
     cat_ids, configs = [], []
     for a_idx, algo in enumerate(algorithms):
         for c_idx, cat_id in enumerate(GRID_CATEGORY_ORDER):

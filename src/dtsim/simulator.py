@@ -11,10 +11,10 @@ warm-up that fills the mempool, which keeps the selection window at the
 configured pool depth for the whole stream; remaining transactions are
 drained through the miner after the last arrival.
 
-`run` reads the stream's fee, arrival and id columns once, maps all fees to
-slot counts in one vectorized pass and ranks every position once in the
-pool's priority order; pool and miner then handle int positions, and a block
-is a contiguous slice of the pick sequence.
+`run` reads the fee, arrival and id columns of one checked `core.Stream`,
+maps all fees to slot counts in one vectorized pass and ranks every position
+once in the pool's priority order; pool and miner then handle int positions,
+and a block is a contiguous slice of the pick sequence.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import repeat
-from operator import attrgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .allocation import AllocationParams, block_incentive, leaf_slots
-from .core import (BlockRecord, DtsStrategy, Priority, SimulationConfig, Transaction,
-                   validate_strategy, write_csv_rows)
+from .core import (BlockRecord, DataError, DtsStrategy, Priority, SimulationConfig,  # noqa: F401
+                   Stream, Transaction, validate_strategy, write_csv_rows)
 from .ingest import MIN_POSITIVE_FEE
 from . import verkle
 
@@ -43,29 +42,23 @@ class SubmitOutcome(enum.Enum):
     REJECTED = "rejected"
 
 
-class DataError(ValueError):
-    """The input stream violates a precondition of the run."""
-
-
-_ID, _FEE, _ARRIVAL = attrgetter("id"), attrgetter("fee"), attrgetter("arrival_time")
 _ACCEPTED = (SubmitOutcome.ACCEPTED, None)
 _REJECTED = (SubmitOutcome.REJECTED, None)
 
 
 class Mempool:
     """Bounded holding area that admits, evicts and yields positions into
-    a stream's `fees`, `arrivals` and `ids` columns in one priority order.
+    `stream` in one priority order.
 
     Selection order, fixed at construction by the strategy's priority:
       time-based  (arrival asc, fee desc, id asc)
       fee-based   (fee desc, arrival asc, id asc)
-    Every position is ranked once in that order (a repeated id, which would
-    leave it partial, is a DataError), and a lazy-deletion heap of ranks
-    runs over a bytearray of live positions; with a small-fee threshold a
-    second heap of the same ranks holds the below-threshold subset for
-    reserved-slot selection. A heap that reaches twice the capacity drops
-    its dead ranks before the next push, so memory stays bounded by the
-    capacity, not the stream.
+    Every position is ranked once in that order (total, as a stream's ids
+    are unique), and a lazy-deletion heap of ranks runs over a bytearray of
+    live positions; with a small-fee threshold a second heap of the same
+    ranks holds the below-threshold subset for reserved-slot selection. A
+    heap that reaches twice the capacity drops its dead ranks before the
+    next push, so memory stays bounded by the capacity, not the stream.
 
     On overflow the cheapest pending transaction by (fee asc, arrival asc,
     id asc) is evicted, and only when the newcomer pays strictly more. That
@@ -74,23 +67,16 @@ class Mempool:
     overflows at most once per run.
     """
 
-    def __init__(self, fees, arrivals, ids, capacity: int,
+    def __init__(self, stream: Stream, capacity: int,
                  priority: Priority = Priority.TIME,
                  small_fee_threshold: Optional[float] = None):
         if capacity < 1:
             raise ValueError("mempool capacity must be positive")
         self.capacity = capacity
-        self._fees = np.asarray(fees, dtype=np.float64)
-        self._arrivals = np.asarray(arrivals, dtype=np.int64)
-        self._ids = np.asarray(ids, dtype=np.int64)
-        sorted_ids = np.sort(self._ids)
-        repeated = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
-        if repeated.size:
-            raise DataError(f"transaction id {repeated[0]} appears more than once in the dataset")
-        if priority is Priority.TIME:
-            keys = (self._ids, -self._fees, self._arrivals)
-        else:
-            keys = (self._ids, self._arrivals, -self._fees)
+        self.stream = stream
+        fees = stream.fees
+        keys = ((stream.ids, -fees, stream.arrivals) if priority is Priority.TIME
+                else (stream.ids, stream.arrivals, -fees))
         # Sort by the primary key, then lexsort only the positions tied on it:
         # a stream comes in arrival order, so the time order costs about O(n).
         order = np.argsort(keys[-1], kind="stable")
@@ -103,7 +89,7 @@ class Mempool:
         self._order = array("q", order.astype(np.int64, copy=False).tobytes())
         self._rank = array("q", rank.astype(np.int64, copy=False).tobytes())
         self._below = bytes(len(order)) if small_fee_threshold is None else \
-            (self._fees < small_fee_threshold).tobytes()
+            (fees < small_fee_threshold).tobytes()
         self._live = bytearray(len(order))
         self._count = 0
         self._heap: List[int] = []
@@ -119,7 +105,7 @@ class Mempool:
         return np.flatnonzero(np.frombuffer(self._live, dtype=np.uint8))
 
     def pending_fees(self) -> float:
-        return math.fsum(self._fees[self._pending()].tolist())
+        return math.fsum(self.stream.fees[self._pending()].tolist())
 
     def submit(self, pos: int):
         """Admit position `pos`, evicting the cheapest pending one if needed.
@@ -128,10 +114,9 @@ class Mempool:
         """
         outcome = _ACCEPTED
         if self._count >= self.capacity:
-            live = self._pending()
-            cheapest = int(live[np.lexsort((self._ids[live], self._arrivals[live],
-                                            self._fees[live]))[0]])
-            if self._fees[pos] <= self._fees[cheapest]:
+            live, s = self._pending(), self.stream
+            cheapest = int(live[np.lexsort((s.ids[live], s.arrivals[live], s.fees[live]))[0]])
+            if s.fees[pos] <= s.fees[cheapest]:
                 return _REJECTED
             self._live[cheapest] = 0
             self._count -= 1
@@ -190,77 +175,61 @@ class RunResult:
         return [b.incentive for b in self.blocks]
 
 
-def run(dataset: Sequence[Transaction], strategy: DtsStrategy, cfg: SimulationConfig,
+def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationConfig,
         *, force_seal: bool = False, build_trees: bool = False) -> RunResult:
-    """Simulate incorporation of `dataset` under `strategy`.
+    """Simulate incorporation of `dataset` (a Stream, or transactions that
+    `Stream.of` turns into one) under `strategy`.
 
     Deterministic: all randomness lives in the dataset. Every transaction
     ends up included in exactly one block, pending (in the pool or the
     unsealed tail block), evicted, or rejected, and the per-fate fee sums in
     the result add up to the submitted total. The unsealed tail block is
     excluded from the block series unless `force_seal` is given. Raises
-    DataError when the stream is not ordered by arrival time or repeats an
-    id.
+    DataError when the transactions do not form a valid Stream.
     """
     problems = validate_strategy(strategy, cfg)
     if problems:
         raise ValueError("invalid strategy: " + "; ".join(problems))
 
-    txs = list(dataset)
-    if cfg.transaction_budget is not None:
-        txs = txs[: cfg.transaction_budget]
+    stream = Stream.of(dataset)
+    if cfg.transaction_budget is not None and cfg.transaction_budget < len(stream):
+        stream = Stream(*(col[:cfg.transaction_budget] for col in
+                          (stream.ids, stream.arrivals, stream.amounts, stream.fees)))
     result = RunResult(blocks=[], assignments=[])
-    # The columns and the pool live only inside _mine, so they are freed
-    # before the block records and assignment rows are built.
-    picks, sealed, slot_of = _mine(txs, strategy, cfg, force_seal, result)
+    # The pool lives only inside _mine, so it is freed before the block
+    # records and assignment rows are built.
+    picks, sealed, slot_of = _mine(stream, strategy, cfg, force_seal, result)
+    picks, slots = (np.frombuffer(a, dtype=np.int64) for a in (picks, slot_of))
     begin = 0
     for height, (end, nodes) in enumerate(sealed):
-        block = list(map(txs.__getitem__, picks[begin:end]))
-        tx_ids = tuple(map(_ID, block))
-        block_fees = list(map(_FEE, block))
-        block_slots = list(map(slot_of.__getitem__, picks[begin:end]))
+        block = picks[begin:end]
+        tx_ids = tuple(stream.ids[block].tolist())
+        block_fees = stream.fees[block].tolist()
+        block_slots = slots[block].tolist()
         root = None
         if build_trees:
             digests = [verkle.slot_digest(tx_id, slot)
                        for tx_id, n in zip(tx_ids, block_slots) for slot in range(n)]
             root = verkle.build_tree(digests, cfg.verkle_branching_factor).root
         result.blocks.append(BlockRecord(
-            height=height,
-            tx_ids=tx_ids,
-            occupied_nodes=nodes,
-            incentive=math.fsum(block_fees),
-            seal_time=max(map(_ARRIVAL, block)),
-            verkle_root=root,
-        ))
+            height=height, tx_ids=tx_ids, occupied_nodes=nodes, incentive=math.fsum(block_fees),
+            seal_time=int(stream.arrivals[block].max()), verkle_root=root))
         result.assignments.extend(zip(tx_ids, repeat(height), block_fees, block_slots))
         begin = end
     return result
 
 
-def _mine(txs: List[Transaction], strategy: DtsStrategy, cfg: SimulationConfig,
+def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
           force_seal: bool, result: RunResult):
     """The run loop on positions; fills the fate accounting of `result` and
     returns the picks, each sealed block as (end index into the picks,
     occupied slots), and every position's slot count."""
-    n_txs = len(txs)
-    fees = np.fromiter(map(_FEE, txs), np.float64, n_txs)
-    try:
-        arrivals = np.fromiter(map(_ARRIVAL, txs), np.int64, n_txs)
-        ids = np.fromiter(map(_ID, txs), np.int64, n_txs)
-    except OverflowError:
-        raise DataError("transaction ids and arrival times must fit in 64 bits") from None
-    back = np.flatnonzero(np.diff(arrivals) < 0)
-    if back.size:
-        i = int(back[0]) + 1
-        raise DataError(
-            f"dataset must be ordered by arrival_time: transaction {ids[i]} at position {i} "
-            f"arrives at {arrivals[i]}, before {arrivals[i - 1]} at position {i - 1}")
+    fees = stream.fees
     # Zero fees (injected underpayers) take the minimum positive fee's slots. Slots
     # come before the pool, so the mapping's temporaries and the ranks never coexist.
     params = AllocationParams(strategy.scale, strategy.shape, strategy.max_trx_nodes)
     slot_of = array("q", leaf_slots(np.where(fees > 0, fees, MIN_POSITIVE_FEE), params).tobytes())
-    pool = Mempool(fees, arrivals, ids, strategy.mempool_size, strategy.priority,
-                   strategy.small_fee_threshold)
+    pool = Mempool(stream, strategy.mempool_size, strategy.priority, strategy.small_fee_threshold)
     below = pool._below
     reserve = strategy.small_fee_count if strategy.designated_space else 0
     capacity = cfg.leaf_capacity
@@ -294,7 +263,7 @@ def _mine(txs: List[Transaction], strategy: DtsStrategy, cfg: SimulationConfig,
 
     # Warm-up fills the pool; then one pick per arrival, then the drain.
     target = cfg.block_count_target
-    submitted = n_txs
+    n_txs = submitted = len(stream)
     warm = strategy.mempool_size
     for pos in range(n_txs):
         outcome = submit(pos)
@@ -329,7 +298,7 @@ def _mine(txs: List[Transaction], strategy: DtsStrategy, cfg: SimulationConfig,
     return picks, sealed, slot_of
 
 
-def fixed_block_baseline(dataset: Sequence[Transaction], txs_per_block: int = 2100) -> List[BlockRecord]:
+def fixed_block_baseline(dataset: Iterable[Transaction], txs_per_block: int = 2100) -> List[BlockRecord]:
     """Reference chain that packs a fixed transaction count per block.
 
     Consecutive arrival-order chunks of `txs_per_block` transactions become
@@ -338,18 +307,11 @@ def fixed_block_baseline(dataset: Sequence[Transaction], txs_per_block: int = 21
     """
     if txs_per_block < 1:
         raise ValueError("txs_per_block must be positive")
-    blocks = []
-    txs = list(dataset)
-    for height, start in enumerate(range(0, len(txs) - txs_per_block + 1, txs_per_block)):
-        chunk = txs[start: start + txs_per_block]
-        blocks.append(BlockRecord(
-            height=height,
-            tx_ids=tuple(t.id for t in chunk),
-            occupied_nodes=txs_per_block,
-            incentive=block_incentive(t.fee for t in chunk),
-            seal_time=max(t.arrival_time for t in chunk),
-        ))
-    return blocks
+    stream, n = Stream.of(dataset), txs_per_block
+    return [BlockRecord(height=height, tx_ids=tuple(stream.ids[at:at + n].tolist()),
+                        occupied_nodes=n, seal_time=int(stream.arrivals[at + n - 1]),
+                        incentive=block_incentive(stream.fees[at:at + n].tolist()))
+            for height, at in enumerate(range(0, len(stream) - n + 1, n))]
 
 
 def write_blocks_csv(blocks: Sequence[BlockRecord], path) -> int:

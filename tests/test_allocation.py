@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from dtsim.allocation import (AllocationParams, block_incentive, erf, erfc, fits, leaf_nodes,
+from dtsim.allocation import (AllocationParams, block_incentive, erf, erfc, leaf_nodes,
                               leaf_slots, lognormal_cdf)
 from dtsim.ingest import MIN_POSITIVE_FEE
 
@@ -177,28 +177,6 @@ class TestLeafSlots:
     def test_rejects_nonpositive_fee(self):
         with pytest.raises(ValueError):
             leaf_slots([1.0, 0.0], PARAMS_EXP17)
-
-
-class TestFits:
-    def test_exact_fill(self):
-        assert fits(0, 2100, 2100) is True
-
-    def test_overflow_rejected(self):
-        assert fits(2090, 110, 2100) is False
-
-    def test_nineteen_max_transactions_fill_2090(self):
-        occupied = 0
-        for _ in range(19):
-            assert fits(occupied, 110, 2100)
-            occupied += 110
-        assert occupied == 2090
-        assert not fits(occupied, 110, 2100)
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            fits(-1, 5, 2100)
-        with pytest.raises(ValueError):
-            fits(0, 0, 2100)
 
 
 class TestBlockIncentive:

@@ -153,6 +153,17 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stderr == "data error: transaction id 7 appears more than once in the dataset\n"
 
+    @pytest.mark.parametrize("fee", ["nan", "inf", "-1"])
+    def test_nonfinite_or_negative_fee_is_data_error(self, tmp_path, fee):
+        path = tmp_path / "stream.csv"
+        path.write_text(f"id,amount,arrival_time_ms,fee\n1,100.0,0,0.2\n2,100.0,5,{fee}\n")
+        proc = run_cli(["simulate", "--dataset", str(path), "--a1", "2",
+                        "--out", str(tmp_path / "o")])
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("data error: ") and proc.stderr.count("\n") == 1
+        assert "fee" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_nonpositive_incentive_is_data_error(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("incentive\n5.0\n0.0\n7.0\n")

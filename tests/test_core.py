@@ -1,16 +1,22 @@
+import math
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dtsim.core import (
     CATEGORIES,
+    DataError,
     Priority,
     SimulationConfig,
+    Stream,
     Transaction,
     category,
     strategy_from_category,
     validate_strategy,
 )
-from dtsim.ingest import DatasetSpec
+from dtsim.ingest import DatasetSpec, generate
 
 
 def test_category_table_matches_published_rows():
@@ -114,14 +120,100 @@ def test_round_trip_reproduces_inputs(cat_id, a1, a6, a7, a8, a4, a5):
 
 
 def test_transaction_invariants():
-    tx = Transaction(id=1, amount=100.0, fee=0.2, arrival_time=5)
-    assert tx.size_bytes == 300
+    Transaction(id=1, amount=100.0, fee=0.2, arrival_time=5)
     with pytest.raises(ValueError):
         Transaction(id=2, amount=-1.0, fee=0.0, arrival_time=0)
     with pytest.raises(ValueError):
         Transaction(id=3, amount=1.0, fee=-0.1, arrival_time=0)
     with pytest.raises(ValueError):
         Transaction(id=4, amount=1.0, fee=0.1, arrival_time=-2)
+
+
+@pytest.mark.parametrize("field", ["amount", "fee"])
+@pytest.mark.parametrize("value", [math.nan, -0.5])
+def test_transaction_rejects_nan_and_negative_values(field, value):
+    values = {"amount": 1.0, "fee": 0.1, field: value}
+    with pytest.raises(ValueError, match=field):
+        Transaction(id=1, arrival_time=0, **values)
+
+
+def txs_of(*rows):
+    """Transactions from (id, fee, arrival) rows."""
+    return [Transaction(id=i, amount=fee * 500.0, fee=fee, arrival_time=t) for i, fee, t in rows]
+
+
+class TestStream:
+    def test_round_trip_of_transactions(self):
+        txs = txs_of((3, 0.5, 0), (1, 2.0, 0), (2, 0.0, 7))
+        stream = Stream.of(txs)
+        assert list(stream) == txs
+        assert len(stream) == 3 and stream[-1] == txs[-1]
+        assert stream[::-1] == txs[::-1]
+        assert Stream.of(stream) is stream
+
+    def test_columns_are_typed_and_read_only(self):
+        stream = generate(DatasetSpec(count=100, rng_seed=1))
+        for col, dtype in ((stream.ids, np.int64), (stream.arrivals, np.int64),
+                           (stream.amounts, np.float64), (stream.fees, np.float64)):
+            assert col.dtype == dtype
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 1
+
+    def test_columns_are_copied_from_caller_arrays(self):
+        fees = np.array([0.1, 0.2])
+        stream = Stream([1, 2], [0, 1], [1.0, 1.0], fees)
+        fees[0] = 9.0
+        assert stream.fees[0] == 0.1 and fees.flags.writeable
+
+    @pytest.mark.parametrize("rows,message", [
+        (((1, 0.1, 5), (2, 0.1, 4)), "dataset must be ordered by arrival_time: transaction 2 "
+                                     "at position 1 arrives at 4, before 5 at position 0"),
+        (((1, 0.1, -4), (2, 0.1, 3)), "transaction 1 at position 0 has arrival_time -4"),
+        (((1, 0.1, 0), (1, 0.2, 3)), "transaction id 1 appears more than once in the dataset"),
+        (((2**63, 0.1, 0),), "transaction ids and arrival times must fit in 64 bits"),
+        (((1, 0.1, 2**63),), "transaction ids and arrival times must fit in 64 bits"),
+    ])
+    def test_rejections(self, rows, message):
+        ids, fees, arrivals = zip(*rows)
+        with pytest.raises(DataError) as info:
+            Stream(ids, arrivals, [1.0] * len(ids), fees)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("column", ["amounts", "fees"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_nonfinite_or_negative_values_rejected(self, column, value):
+        cols = {"ids": [1, 2], "arrivals": [0, 1], "amounts": [1.0, 1.0], "fees": [0.1, 0.1]}
+        cols[column] = [1.0, value]
+        with pytest.raises(DataError, match="transaction 2 at position 1 has"):
+            Stream(**cols)
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(DataError, match="equal length"):
+            Stream([1, 2], [0], [1.0, 1.0], [0.1, 0.1])
+
+    def test_empty_stream_is_valid_but_not_for_the_grid(self):
+        from dtsim.optimize import experiment_grid
+
+        empty = Stream.of([])
+        assert len(empty) == 0 and list(empty) == []
+        with pytest.raises(DataError, match="non-empty"):
+            experiment_grid(empty, SimulationConfig())
+
+    def test_pickle_round_trip(self):
+        stream = generate(DatasetSpec(count=500, rng_seed=2))
+        again = pickle.loads(pickle.dumps(stream))
+        assert list(again) == list(stream)
+        assert not again.fees.flags.writeable and not again.ids.flags.writeable
+
+    @pytest.mark.parametrize("cat", [1, 2, 3, 4])
+    def test_run_reads_a_stream_like_its_transactions(self, cat):
+        from dtsim.simulator import run
+
+        stream = generate(DatasetSpec(count=5000, rng_seed=11))
+        extra = {"a4": 40.0, "a5": 5} if cat in (1, 3) else {}
+        strategy = strategy_from_category(cat, a1=400, a6=110, a7=6.94, a8=1.0, **extra)
+        cfg = SimulationConfig(leaf_capacity=600)
+        assert run(stream, strategy, cfg) == run(list(stream), strategy, cfg)
 
 
 def test_simulation_config_bounds():

@@ -11,7 +11,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from dtsim.allocation import AllocationParams, block_incentive, leaf_nodes
-from dtsim.core import (BlockRecord, Priority, SimulationConfig, Transaction,
+from dtsim.core import (BlockRecord, Priority, SimulationConfig, Stream, Transaction,
                         strategy_from_category)
 from dtsim.ingest import MIN_POSITIVE_FEE
 from dtsim.simulator import Mempool, SubmitOutcome, run
@@ -230,11 +230,12 @@ OPS = st.lists(
 def test_mempool_matches_naive_pool(ops, capacity, priority, threshold):
     # Submits outnumber picks, so a full pool overflows again and again,
     # which `run` itself never reaches. The pool works on positions into
-    # the columns of every transaction the ops submit.
-    txs = [Transaction(id=tx_id, amount=0.0, fee=fee, arrival_time=arrival)
-           for tx_id, (op, fee, arrival) in enumerate(ops) if op == "submit"]
-    pool = Mempool([t.fee for t in txs], [t.arrival_time for t in txs], [t.id for t in txs],
-                   capacity, priority, threshold)
+    # the columns of every transaction the ops submit; a stream's arrivals are
+    # sorted, so the drawn arrival times are handed out in order.
+    arrivals = iter(sorted(arrival for op, _fee, arrival in ops if op == "submit"))
+    txs = [Transaction(id=tx_id, amount=0.0, fee=fee, arrival_time=next(arrivals))
+           for tx_id, (op, fee, _arrival) in enumerate(ops) if op == "submit"]
+    pool = Mempool(Stream.of(txs), capacity, priority, threshold)
     naive = NaivePool(capacity, priority, threshold)
 
     def tx_at(pos):

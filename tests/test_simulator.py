@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from dtsim.core import Priority, SimulationConfig, Transaction, strategy_from_category
+from dtsim.core import Priority, SimulationConfig, Stream, Transaction, strategy_from_category
 from dtsim.ingest import DatasetSpec, generate
 from dtsim.simulator import (
     DataError,
@@ -19,9 +19,8 @@ def tx(i, fee, t=None, amount=None):
 
 
 def pool_of(txs, capacity, priority=Priority.TIME, threshold=None):
-    """A Mempool over the columns of `txs`; it admits and yields positions."""
-    return Mempool([t.fee for t in txs], [t.arrival_time for t in txs], [t.id for t in txs],
-                   capacity, priority, threshold)
+    """A Mempool over the stream of `txs`; it admits and yields positions."""
+    return Mempool(Stream.of(txs), capacity, priority, threshold)
 
 
 CFG = SimulationConfig()
