@@ -126,14 +126,13 @@ def inject_irrational(stream: Iterable[Transaction], mix: IrrationalMix,
     chosen = np.sort(perm[:n_over + n_under])
     over = np.isin(chosen, perm[:n_over])
     lows, highs = np.where(over[:, None], mix.over_multiplier, mix.under_multiplier).T
-    perturbed = stream.fees[chosen] * rng.uniform(lows, highs)
-    clamped = perturbed <= 0.0
-    perturbed[clamped] = MIN_POSITIVE_FEE
-    if clamped.any():
-        warnings.warn(f"{np.count_nonzero(clamped)} perturbed fees hit zero and were clamped "
-                      f"to the minimum positive fee", stacklevel=2)
     fees = stream.fees.copy()
-    fees[chosen] = perturbed
+    fees[chosen] *= rng.uniform(lows, highs)
+    clamped = chosen[fees[chosen] <= 0.0]
+    if clamped.size:
+        fees[clamped] = MIN_POSITIVE_FEE
+        warnings.warn(f"{clamped.size} perturbed fees hit zero and were clamped "
+                      f"to the minimum positive fee", stacklevel=2)
     return Stream(stream.ids, stream.arrivals, stream.amounts, fees)
 
 
@@ -146,8 +145,8 @@ def load_csv(path, commission_ratio: float = DEFAULT_COMMISSION_RATIO) -> Stream
 
     Expected header: id, amount, arrival_time_ms and optionally fee. When
     the fee column is absent it is derived as amount * commission_ratio.
-    Raises SchemaError with the offending line number on malformed rows, and
-    with the `Stream` check's own message when the columns fail it (arrival
+    Raises SchemaError naming the file, plus the line of a malformed row or
+    the `Stream` check's own message when the columns fail it (arrival
     order, repeated ids, 64-bit range, finite non-negative values).
     """
     ids, amounts, arrivals, fees = [], [], [], []
@@ -177,7 +176,7 @@ def load_csv(path, commission_ratio: float = DEFAULT_COMMISSION_RATIO) -> Stream
     try:
         return Stream(ids, arrivals, amounts, fees)
     except DataError as exc:
-        raise SchemaError(str(exc)) from None
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def write_csv(stream: Iterable[Transaction], path) -> int:

@@ -151,7 +151,7 @@ class TestExitCodes:
                         "7,300.0,9,0.6\n")
         proc = run_cli(["simulate", "--dataset", str(path), "--out", str(tmp_path / "o")])
         assert proc.returncode == 3
-        assert proc.stderr == "data error: transaction id 7 appears more than once in the dataset\n"
+        assert proc.stderr == f"data error: {path}: transaction id 7 appears more than once in the dataset\n"
 
     @pytest.mark.parametrize("fee", ["nan", "inf", "-1"])
     def test_nonfinite_or_negative_fee_is_data_error(self, tmp_path, fee):

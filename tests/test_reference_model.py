@@ -7,8 +7,9 @@ with the package; both have their own oracle tests in test_allocation.py.
 """
 
 import math
+from itertools import accumulate
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dtsim.allocation import AllocationParams, block_incentive, leaf_nodes
 from dtsim.core import (BlockRecord, Priority, SimulationConfig, Stream, Transaction,
@@ -223,18 +224,42 @@ OPS = st.lists(
 )
 
 
+# Ties that each ordering rule settles against the id order, in a pool of 2:
+# a pick and an overflow between equal fees (earlier arrival first, then
+# lower id), and time-order picks between equal arrivals (higher fee first,
+# then lower id).
+_SWAPPED_IDS = [1, 0, *range(2, 80)]
+_FEE_TIE_PICK = [("submit", 1.0, 0), ("submit", 1.0, 2), ("select", None, None)]
+_FEE_TIE_EVICT = [("submit", 1.0, 0), ("submit", 1.0, 2), ("submit", 2.0, 0)]
+_FEE_AND_ARRIVAL_TIE_EVICT = [("submit", 1.0, 0), ("submit", 1.0, 0), ("submit", 2.0, 0)]
+_ARRIVAL_TIE_PICK = [("submit", 1.0, 0), ("submit", 2.0, 0), ("select", None, None)]
+_FEE_AND_ARRIVAL_TIE_PICK = [("submit", 1.0, 0), ("submit", 1.0, 0), ("select", None, None)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(ops=OPS, capacity=st.integers(min_value=1, max_value=4),
        priority=st.sampled_from(list(Priority)),
-       threshold=st.sampled_from([None, 0.5, 2.0, 100.0]))
-def test_mempool_matches_naive_pool(ops, capacity, priority, threshold):
+       threshold=st.sampled_from([None, 0.5, 2.0, 100.0]), ids=st.permutations(range(80)))
+@example(ops=_FEE_TIE_PICK, capacity=2, priority=Priority.FEE, threshold=None, ids=_SWAPPED_IDS)
+@example(ops=_FEE_TIE_EVICT, capacity=2, priority=Priority.FEE, threshold=None, ids=_SWAPPED_IDS)
+@example(ops=_FEE_AND_ARRIVAL_TIE_EVICT, capacity=2, priority=Priority.FEE, threshold=None,
+         ids=_SWAPPED_IDS)
+@example(ops=_ARRIVAL_TIE_PICK, capacity=2, priority=Priority.TIME, threshold=None,
+         ids=list(range(80)))
+@example(ops=_FEE_AND_ARRIVAL_TIE_PICK, capacity=2, priority=Priority.TIME, threshold=None,
+         ids=_SWAPPED_IDS)
+def test_mempool_matches_naive_pool(ops, capacity, priority, threshold, ids):
     # Submits outnumber picks, so a full pool overflows again and again,
     # which `run` itself never reaches. The pool works on positions into
-    # the columns of every transaction the ops submit; a stream's arrivals are
-    # sorted, so the drawn arrival times are handed out in order.
-    arrivals = iter(sorted(arrival for op, _fee, arrival in ops if op == "submit"))
-    txs = [Transaction(id=tx_id, amount=0.0, fee=fee, arrival_time=next(arrivals))
-           for tx_id, (op, fee, _arrival) in enumerate(ops) if op == "submit"]
+    # the columns of every transaction the ops submit. A stream's arrivals are
+    # sorted, so each submit's number, halved, is its gap to the previous
+    # arrival (a tie one time in three); the ids, unique and shuffled, are
+    # independent of arrival order (80 covers the longest ops list), so the
+    # two tie-breaks stay distinct.
+    fees = [fee for op, fee, _gap in ops if op == "submit"]
+    arrivals = accumulate(gap // 2 for op, _fee, gap in ops if op == "submit")
+    txs = [Transaction(id=tx_id, amount=0.0, fee=fee, arrival_time=arrival)
+           for tx_id, fee, arrival in zip(ids, fees, arrivals)]
     pool = Mempool(Stream.of(txs), capacity, priority, threshold)
     naive = NaivePool(capacity, priority, threshold)
 
