@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -10,6 +11,8 @@ from dtsim.simulator import (
     SubmitOutcome,
     fixed_block_baseline,
     run,
+    write_assignments_csv,
+    write_blocks_csv,
 )
 
 
@@ -345,3 +348,62 @@ class TestGoldenRun:
             capacity=2100,
         )
         assert check_constraints(matrix, instance) == []
+
+
+# Outputs of categories 2 and 4, and of 1 and 3 with a threshold but no
+# reserved slots (a5 = 0), on the 50k seed-2024 stream: (cat, a1, target,
+# force_seal) -> (sha256 of blocks.csv, of assignments.csv, first 16 hex
+# digits each; (blocks, submitted, included, evicted, rejected, pending,
+# unsealed); sha256 of the repr of the submitted, evicted, rejected, pending
+# and unsealed fee sums). a1 = 80000 exceeds the stream: no overflow, a pure drain.
+_PINNED_RUNS = {
+    (1, 1000, 7, False): ('8a18eb75025303f6', '09d48de4fb083ec1', (7, 4731, 3730, 1, 0, 999, 1), '39f322683950d168'),
+    (1, 1000, None, True): ('497292022e953f7f', 'e042bdd7a08bb958', (106, 50000, 49999, 1, 0, 0, 0), '6b3498a6c88a290c'),
+    (1, 25469, 7, False): ('148baffdc8b15b78', '75bfbf836d8f082e', (7, 29200, 3730, 1, 0, 25468, 1), '68dbbc59604f6c7e'),
+    (1, 25469, None, True): ('aa93d45fb60bdf04', '9884a34dc7ebdc45', (106, 50000, 49999, 1, 0, 0, 0), 'dabb18e3493aba4f'),
+    (1, 80000, 7, False): ('4bd17be83b7237ba', '56f7a374b0b0fb4e', (7, 50000, 3731, 0, 0, 46268, 1), '29a3e6ccd0db9b43'),
+    (1, 80000, None, True): ('36aa7d32a634117f', 'fa8520968e9f675d', (106, 50000, 50000, 0, 0, 0, 0), '6cb47dd5c59cb7f5'),
+    (2, 1000, 7, False): ('8a18eb75025303f6', '09d48de4fb083ec1', (7, 4731, 3730, 1, 0, 999, 1), '39f322683950d168'),
+    (2, 1000, None, True): ('497292022e953f7f', 'e042bdd7a08bb958', (106, 50000, 49999, 1, 0, 0, 0), '6b3498a6c88a290c'),
+    (2, 25469, 7, False): ('148baffdc8b15b78', '75bfbf836d8f082e', (7, 29200, 3730, 1, 0, 25468, 1), '68dbbc59604f6c7e'),
+    (2, 25469, None, True): ('aa93d45fb60bdf04', '9884a34dc7ebdc45', (106, 50000, 49999, 1, 0, 0, 0), 'dabb18e3493aba4f'),
+    (2, 80000, 7, False): ('4bd17be83b7237ba', '56f7a374b0b0fb4e', (7, 50000, 3731, 0, 0, 46268, 1), '29a3e6ccd0db9b43'),
+    (2, 80000, None, True): ('36aa7d32a634117f', 'fa8520968e9f675d', (106, 50000, 50000, 0, 0, 0, 0), '6cb47dd5c59cb7f5'),
+    (3, 1000, 7, False): ('f741e8c2fa092d39', 'f518e437c49b2a57', (7, 3931, 2930, 1, 0, 999, 1), '682386f8619e3492'),
+    (3, 1000, None, True): ('fc1967d9cf60db19', '760a277805ec10d5', (106, 50000, 49999, 1, 0, 0, 0), '6b3498a6c88a290c'),
+    (3, 25469, 7, False): ('54cba14274f730cd', '783f3d2269b74385', (7, 25668, 198, 1, 0, 25468, 1), '40460626593d67a0'),
+    (3, 25469, None, True): ('8701676d92aec8c1', 'cbdb18c78ff66f9a', (106, 50000, 49999, 1, 0, 0, 0), 'dabb18e3493aba4f'),
+    (3, 80000, 7, False): ('bd0404be2c95daee', 'd2a987e02448cb9a', (7, 50000, 194, 0, 0, 49805, 1), '5a18c4f40d23b165'),
+    (3, 80000, None, True): ('f21abdd1c581c1d0', '21dfb8bcdf311ce9', (106, 50000, 50000, 0, 0, 0, 0), '6cb47dd5c59cb7f5'),
+    (4, 1000, 7, False): ('f741e8c2fa092d39', 'f518e437c49b2a57', (7, 3931, 2930, 1, 0, 999, 1), '682386f8619e3492'),
+    (4, 1000, None, True): ('fc1967d9cf60db19', '760a277805ec10d5', (106, 50000, 49999, 1, 0, 0, 0), '6b3498a6c88a290c'),
+    (4, 25469, 7, False): ('54cba14274f730cd', '783f3d2269b74385', (7, 25668, 198, 1, 0, 25468, 1), '40460626593d67a0'),
+    (4, 25469, None, True): ('8701676d92aec8c1', 'cbdb18c78ff66f9a', (106, 50000, 49999, 1, 0, 0, 0), 'dabb18e3493aba4f'),
+    (4, 80000, 7, False): ('bd0404be2c95daee', 'd2a987e02448cb9a', (7, 50000, 194, 0, 0, 49805, 1), '5a18c4f40d23b165'),
+    (4, 80000, None, True): ('f21abdd1c581c1d0', '21dfb8bcdf311ce9', (106, 50000, 50000, 0, 0, 0, 0), '6cb47dd5c59cb7f5'),
+}
+
+
+@pytest.fixture(scope="module")
+def stream_50k():
+    return generate(DatasetSpec(count=50_000, rng_seed=2024))
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_RUNS, key=repr), ids=repr)
+def test_pinned_unreserved_runs(case, stream_50k, tmp_path):
+    cat, a1, target, force_seal = case
+    small = {"a4": 60.0, "a5": 0} if cat in (1, 3) else {}
+    s = strategy_from_category(cat, a1=a1, a6=110, a7=6.94, a8=1.0, **small)
+    r = run(stream_50k, s, SimulationConfig(block_count_target=target), force_seal=force_seal)
+    write_blocks_csv(r.blocks, tmp_path / "blocks.csv")
+    write_assignments_csv(r.assignments, tmp_path / "assignments.csv")
+
+    def digest(data):
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    counts = (len(r.blocks), r.submitted_count, r.included_count, r.evicted_count,
+              r.rejected_count, r.pending_count, r.unsealed_count)
+    fees = (r.submitted_fees, r.evicted_fees, r.rejected_fees, r.pending_fees, r.unsealed_fees)
+    assert (digest((tmp_path / "blocks.csv").read_bytes()),
+            digest((tmp_path / "assignments.csv").read_bytes()),
+            counts, digest(repr(fees).encode())) == _PINNED_RUNS[case]
