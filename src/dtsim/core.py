@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -65,12 +66,7 @@ class Stream(Sequence):
         except OverflowError:
             raise DataError("transaction ids and arrival times must fit in 64 bits") from None
         amounts, fees = (np.array(c, dtype=np.float64) for c in (self.amounts, self.fees))
-        for name, col in zip(("ids", "arrivals", "amounts", "fees"),
-                             (ids, arrivals, amounts, fees)):
-            if col.shape != (ids.size,):
-                raise DataError("stream columns must be one-dimensional and of equal length")
-            col.flags.writeable = False
-            object.__setattr__(self, name, col)
+        _set_columns(self, ids, arrivals, amounts, fees)
         sorted_ids = np.sort(ids)
         repeated = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
         if repeated.size:
@@ -82,11 +78,24 @@ class Stream(Sequence):
                 f"dataset must be ordered by arrival_time: transaction {ids[i]} at position {i} "
                 f"arrives at {arrivals[i]}, before {arrivals[i - 1]} at position {i - 1}")
         for name, col in (("arrival_time", arrivals), ("amount", amounts), ("fee", fees)):
-            bad = np.flatnonzero(~((col >= 0) & (col < np.inf)))  # NaN fails both
-            if bad.size:
-                i = bad[0]
-                raise DataError(f"transaction {ids[i]} at position {i} has {name} {col[i]}; "
-                                f"it must be finite and >= 0")
+            _check_values(ids, name, col)
+
+    def prefix(self, n: int) -> "Stream":
+        """The first `n` transactions, as read-only views of these columns;
+        a prefix of a valid stream is valid, so nothing is checked again."""
+        stream = object.__new__(Stream)
+        _set_columns(stream, self.ids[:n], self.arrivals[:n], self.amounts[:n], self.fees[:n])
+        return stream
+
+    def with_fees(self, fees) -> "Stream":
+        """This stream with a copy of `fees` as its fee column. Only the new
+        fees are checked: DataError unless finite, >= 0 and one per
+        transaction."""
+        fees = np.array(fees, dtype=np.float64)
+        stream = object.__new__(Stream)
+        _set_columns(stream, self.ids, self.arrivals, self.amounts, fees)
+        _check_values(self.ids, "fee", fees)
+        return stream
 
     @classmethod
     def of(cls, transactions: Iterable[Transaction]) -> "Stream":
@@ -113,6 +122,23 @@ class Stream(Sequence):
     def __reduce__(self):
         # Rebuilt through the constructor, so the columns stay read-only.
         return Stream, (self.ids, self.arrivals, self.amounts, self.fees)
+
+
+def _set_columns(stream: Stream, *columns: np.ndarray) -> None:
+    """Set `stream`'s columns, read-only; they must be one-dimensional and of equal length."""
+    for name, col in zip(("ids", "arrivals", "amounts", "fees"), columns):
+        if col.shape != (columns[0].size,):
+            raise DataError("stream columns must be one-dimensional and of equal length")
+        col.flags.writeable = False
+        object.__setattr__(stream, name, col)
+
+
+def _check_values(ids: np.ndarray, name: str, col: np.ndarray) -> None:
+    bad = np.flatnonzero(~((col >= 0) & (col < np.inf)))  # NaN fails both
+    if bad.size:
+        i = bad[0]
+        raise DataError(f"transaction {ids[i]} at position {i} has {name} {col[i]}; "
+                        f"it must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -279,18 +305,29 @@ def validate_strategy(s: DtsStrategy, cfg: SimulationConfig) -> list[str]:
     return problems
 
 
+CSV_CHUNK_ROWS = 4096
+
+
 def write_csv_rows(path, header: Sequence, rows: Iterable[Sequence]) -> int:
     """Stream `rows` under `header` into a CSV file; returns the row count.
 
     The one output format of the package: utf-8, LF line ends, and values
     written by the csv module, so a float appears as its shortest
     round-trip form (str equals repr for Python floats) and a bool as
-    True/False.
+    True/False. Rows are taken in chunks; a chunk of tuples of the header's
+    width that hold only exact ints and floats is joined with `%s`, which
+    gives the same text, and any other chunk goes through `csv.writer`.
     """
-    count = 0
+    line = ",".join(["%s"] * len(header)) + "\n"
+    rows, count = iter(rows), 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for count, row in enumerate(rows, start=1):
-            writer.writerow(row)
+        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+            count += len(chunk)
+            if (set(map(type, chunk)) == {tuple} and set(map(len, chunk)) == {len(header)}
+                    and set(map(type, chain.from_iterable(chunk))) <= {int, float}):
+                fh.write("".join(map(line.__mod__, chunk)))
+            else:
+                writer.writerows(chunk)
     return count

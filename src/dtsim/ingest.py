@@ -133,7 +133,7 @@ def inject_irrational(stream: Iterable[Transaction], mix: IrrationalMix,
         fees[clamped] = MIN_POSITIVE_FEE
         warnings.warn(f"{clamped.size} perturbed fees hit zero and were clamped "
                       f"to the minimum positive fee", stacklevel=2)
-    return Stream(stream.ids, stream.arrivals, stream.amounts, fees)
+    return stream.with_fees(fees)
 
 
 class SchemaError(DataError):

@@ -15,6 +15,19 @@ drained through the miner after the last arrival.
 maps all fees to slot counts in one vectorized pass and ranks every position
 once in the pool's priority order; pool and miner then handle int positions,
 and a block is a contiguous slice of the pick sequence.
+
+Mining takes one of two branches. With reserved small-fee slots (a5 > 0)
+each pick depends on a quota that resets at every seal, so the pool and
+miner step once per pick. Without them (categories 2 and 4, and 1 and 3
+with a5 = 0) the run is computed from whole arrays, and exactly: the pool
+holds a1 positions after warm-up and loses one to every pick, so it
+overflows once, at position a1, where the cheapest pending transaction is
+evicted or the newcomer rejected. From then on each arrival is one
+`heappushpop` on the rank heap, and the drain is the rest of the heap in
+rank order. Every slot count is at least 1, so the running slot total of
+the picks rises strictly and each next-fit seal is one `searchsorted` on it;
+the block-count target, `force_seal` and the fate of every transaction
+follow from the same indices.
 """
 
 from __future__ import annotations
@@ -23,8 +36,8 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
-from itertools import repeat
+from heapq import heapify, heappop, heappush, heappushpop
+from itertools import chain, repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,6 +78,10 @@ class Mempool:
     is found by scanning the live positions rather than kept in an eviction
     heap: `run` takes one pick per arrival after warm-up, so the pool
     overflows at most once per run.
+
+    `run` steps through `submit` and `_take` only when slots are reserved.
+    Otherwise it uses just the ranks and the eviction rule (`_evictee`) of
+    the pool, and replays the heap itself (see the module docstring).
     """
 
     def __init__(self, stream: Stream, capacity: int,
@@ -114,9 +131,8 @@ class Mempool:
         """
         outcome = _ACCEPTED
         if self._count >= self.capacity:
-            live, s = self._pending(), self.stream
-            cheapest = int(live[np.lexsort((s.ids[live], s.arrivals[live], s.fees[live]))[0]])
-            if s.fees[pos] <= s.fees[cheapest]:
+            cheapest = self._evictee(self._pending(), pos)
+            if cheapest is None:
                 return _REJECTED
             self._live[cheapest] = 0
             self._count -= 1
@@ -131,6 +147,15 @@ class Mempool:
                 heapify(heap)
             heappush(heap, r)
         return outcome
+
+    def _evictee(self, pending: np.ndarray, pos: int) -> Optional[int]:
+        """The position among `pending` that newcomer `pos` evicts: the
+        cheapest by (fee, arrival, id), when `pos` pays strictly more than
+        it; None when `pos` is rejected."""
+        s = self.stream
+        cheapest = int(pending[np.lexsort((s.ids[pending], s.arrivals[pending],
+                                           s.fees[pending]))[0]])
+        return cheapest if s.fees[pos] > s.fees[cheapest] else None
 
     def select_next(self) -> Optional[int]:
         """Pop the next position in priority order, or None when empty."""
@@ -192,14 +217,12 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
         raise ValueError("invalid strategy: " + "; ".join(problems))
 
     stream = Stream.of(dataset)
-    if cfg.transaction_budget is not None and cfg.transaction_budget < len(stream):
-        stream = Stream(*(col[:cfg.transaction_budget] for col in
-                          (stream.ids, stream.arrivals, stream.amounts, stream.fees)))
+    if cfg.transaction_budget is not None:
+        stream = stream.prefix(cfg.transaction_budget)
     result = RunResult(blocks=[], assignments=[])
     # The pool lives only inside _mine, so it is freed before the block
     # records and assignment rows are built.
-    picks, sealed, slot_of = _mine(stream, strategy, cfg, force_seal, result)
-    picks, slots = (np.frombuffer(a, dtype=np.int64) for a in (picks, slot_of))
+    picks, sealed, slots = _mine(stream, strategy, cfg, force_seal, result)
     begin = 0
     for height, (end, nodes) in enumerate(sealed):
         block = picks[begin:end]
@@ -223,63 +246,111 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
           force_seal: bool, result: RunResult):
     """The run loop on positions; fills the fate accounting of `result` and
     returns the picks, each sealed block as (end index into the picks,
-    occupied slots), and every position's slot count."""
+    occupied slots), and every position's slot count; picks and slot counts
+    are int64 arrays. Without reserved slots the picks and seals come from
+    whole-array operations; with them, from one step per pick."""
     fees = stream.fees
     # Zero fees (injected underpayers) take the minimum positive fee's slots. Slots
     # come before the pool, so the mapping's temporaries and the ranks never coexist.
     params = AllocationParams(strategy.scale, strategy.shape, strategy.max_trx_nodes)
-    slot_of = array("q", leaf_slots(np.where(fees > 0, fees, MIN_POSITIVE_FEE), params).tobytes())
+    slot_of = leaf_slots(np.where(fees > 0, fees, MIN_POSITIVE_FEE), params)
     pool = Mempool(stream, strategy.mempool_size, strategy.priority, strategy.small_fee_threshold)
-    below = pool._below
     reserve = strategy.small_fee_count if strategy.designated_space else 0
     capacity = cfg.leaf_capacity
-
-    picks = array("q")
-    sealed: List[Tuple[int, int]] = []
-    filled = small_used = 0
-    evicted: List[int] = []
-    rejected: List[int] = []
-    submit, take = pool.submit, pool._take  # one call per pick, not two
-    heap, small_heap = pool._heap, pool._small
-
-    def mine_one() -> bool:
-        # Reserved small-fee slots come first while the block has any left; they
-        # share the block's capacity, and the quota resets at each seal.
-        nonlocal filled, small_used
-        pos = take(small_heap) if small_used < reserve else None
-        if pos is None:
-            pos = take(heap)
-            if pos is None:
-                return False
-        n = slot_of[pos]
-        if filled + n > capacity:
-            sealed.append((len(picks), filled))
-            filled = small_used = 0
-        if below[pos] and small_used < reserve:
-            small_used += 1
-        picks.append(pos)
-        filled += n
-        return True
-
-    # Warm-up fills the pool; then one pick per arrival, then the drain.
     target = cfg.block_count_target
     n_txs = submitted = len(stream)
     warm = strategy.mempool_size
-    for pos in range(n_txs):
-        outcome = submit(pos)
-        if outcome is _REJECTED:
-            rejected.append(pos)
-        elif outcome is not _ACCEPTED:
-            evicted.append(outcome[1])
-        if pos >= warm:
-            mine_one()
-            if target is not None and len(sealed) >= target:
-                submitted = pos + 1
+    sealed: List[Tuple[int, int]] = []
+    evicted: List[int] = []
+    rejected: List[int] = []
+
+    if reserve == 0:
+        # The one overflow, at position `warm`; then one push-pop per arrival
+        # on the rank heap, then the drain in rank order.
+        rank = pool._rank
+        heap = rank[:warm].tolist()
+        heapify(heap)
+        first, start = (), warm
+        if warm < n_txs:
+            cheapest = pool._evictee(np.arange(warm), warm)
+            if cheapest is None:
+                rejected.append(warm)
+                first, start = (heappop(heap),), warm + 1
+            else:
+                evicted.append(cheapest)
+                heap.remove(rank[cheapest])
+                heapify(heap)
+        count = len(first) + max(n_txs - start, 0) + len(heap)
+        ranks = np.fromiter(chain(first, map(heappushpop, repeat(heap), rank[start:]),
+                                  map(heappop, repeat(heap, len(heap)))), np.int64, count=count)
+        picks = np.frombuffer(pool._order, dtype=np.int64)[ranks]
+        del ranks, heap
+        # Next-fit sealing: every slot count is at least 1, so the running
+        # total rises strictly and a block ends where it passes base + capacity.
+        cum = np.cumsum(slot_of[picks])
+        base = 0
+        while target is None or len(sealed) < target:
+            end = int(np.searchsorted(cum, base + capacity, side="right"))
+            if end == len(picks):
                 break
+            sealed.append((end, int(cum[end - 1]) - base))
+            base = int(cum[end - 1])
+        else:
+            # Pick `end` opened the block past the target and was taken at
+            # arrival warm + end, or in the drain.
+            picks = picks[:end + 1]
+            if end < n_txs - warm:
+                submitted = warm + end + 1
+        filled = int(cum[len(picks) - 1]) - base if len(picks) else 0
+        del cum
+        live = np.ones(submitted, dtype=bool)
+        live[picks] = False
+        live[evicted + rejected] = False
+        pending = np.flatnonzero(live)
     else:
-        while mine_one():
-            if target is not None and len(sealed) >= target:
-                break
+        below, slots = pool._below, memoryview(slot_of)
+        picks = array("q")
+        filled = small_used = 0
+        submit, take = pool.submit, pool._take  # one call per pick, not two
+        heap, small_heap = pool._heap, pool._small
+
+        def mine_one() -> bool:
+            # Reserved small-fee slots come first while the block has any left; they
+            # share the block's capacity, and the quota resets at each seal.
+            nonlocal filled, small_used
+            pos = take(small_heap) if small_used < reserve else None
+            if pos is None:
+                pos = take(heap)
+                if pos is None:
+                    return False
+            n = slots[pos]
+            if filled + n > capacity:
+                sealed.append((len(picks), filled))
+                filled = small_used = 0
+            if below[pos] and small_used < reserve:
+                small_used += 1
+            picks.append(pos)
+            filled += n
+            return True
+
+        # Warm-up fills the pool; then one pick per arrival, then the drain.
+        for pos in range(n_txs):
+            outcome = submit(pos)
+            if outcome is _REJECTED:
+                rejected.append(pos)
+            elif outcome is not _ACCEPTED:
+                evicted.append(outcome[1])
+            if pos >= warm:
+                mine_one()
+                if target is not None and len(sealed) >= target:
+                    submitted = pos + 1
+                    break
+        else:
+            while mine_one():
+                if target is not None and len(sealed) >= target:
+                    break
+        picks = np.frombuffer(picks, dtype=np.int64)
+        pending = pool._pending()
 
     if force_seal and len(picks) > (sealed[-1][0] if sealed else 0):
         sealed.append((len(picks), filled))
@@ -292,7 +363,7 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
     result.included_count = included
     result.evicted_count, result.evicted_fees = len(evicted), fee_sum(evicted)
     result.rejected_count, result.rejected_fees = len(rejected), fee_sum(rejected)
-    result.pending_count, result.pending_fees = len(pool), pool.pending_fees()
+    result.pending_count, result.pending_fees = len(pending), fee_sum(pending)
     result.unsealed_count = len(picks) - included
     result.unsealed_fees = fee_sum(picks[included:])
     return picks, sealed, slot_of

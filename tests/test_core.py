@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import pickle
 
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from dtsim.core import (
     CATEGORIES,
+    CSV_CHUNK_ROWS,
     DataError,
     Priority,
     SimulationConfig,
@@ -15,6 +18,7 @@ from dtsim.core import (
     category,
     strategy_from_category,
     validate_strategy,
+    write_csv_rows,
 )
 from dtsim.ingest import DatasetSpec, generate
 
@@ -205,6 +209,32 @@ class TestStream:
         assert list(again) == list(stream)
         assert not again.fees.flags.writeable and not again.ids.flags.writeable
 
+    def test_prefix_views_equal_a_checked_stream(self):
+        stream = generate(DatasetSpec(count=500, rng_seed=3))
+        prefix = stream.prefix(120)
+        built = Stream(*(col[:120] for col in (stream.ids, stream.arrivals, stream.amounts,
+                                               stream.fees)))
+        assert list(prefix) == list(built)
+        for name in ("ids", "arrivals", "amounts", "fees"):
+            col = getattr(prefix, name)
+            assert col.dtype == getattr(built, name).dtype and not col.flags.writeable
+            assert np.shares_memory(col, getattr(stream, name))
+        assert len(stream.prefix(900)) == 500
+
+    def test_with_fees_checks_only_the_new_fees(self):
+        stream = generate(DatasetSpec(count=50, rng_seed=3))
+        fees = stream.fees * 2.0
+        doubled = stream.with_fees(fees)
+        fees[0] = 7.0
+        assert doubled.fees[0] == 2.0 * stream.fees[0] and not doubled.fees.flags.writeable
+        assert doubled.ids is stream.ids and list(doubled) == list(Stream(
+            stream.ids, stream.arrivals, stream.amounts, stream.fees * 2.0))
+        fees[3] = math.nan
+        with pytest.raises(DataError, match=f"transaction {stream.ids[3]} at position 3 has fee nan"):
+            stream.with_fees(fees)
+        with pytest.raises(DataError, match="equal length"):
+            stream.with_fees(fees[:-1])
+
     @pytest.mark.parametrize("cat", [1, 2, 3, 4])
     def test_run_reads_a_stream_like_its_transactions(self, cat):
         from dtsim.simulator import run
@@ -221,3 +251,26 @@ def test_simulation_config_bounds():
         SimulationConfig(verkle_branching_factor=1)
     with pytest.raises(ValueError):
         DatasetSpec(arrival_rate_tps=0.0)
+
+
+@pytest.mark.parametrize("n", [0, CSV_CHUNK_ROWS, 7 * CSV_CHUNK_ROWS + 5])
+def test_write_csv_rows_matches_csv_writer_across_chunks(tmp_path, n):
+    # Plain int/float tuples, with special floats and a large int, and one
+    # row per chunk that leaves the fast path (a quoted str, a bool, None,
+    # an np.float64, a list, a short tuple) at a chunk's last row, its first
+    # row or mid-chunk. Chunk 6 and the tail are plain.
+    rows = [(i, 10**30 + i, i / 3, (math.inf, -0.0, 1e-300, math.nan)[i % 4]) for i in range(n)]
+    odd = {CSV_CHUNK_ROWS - 1: (1, "a,b", 2.5, 3), CSV_CHUNK_ROWS + 17: (True, 0, False, 1),
+           2 * CSV_CHUNK_ROWS: (None, 1, 2.0, 3), 4 * CSV_CHUNK_ROWS - 1: (1, 2, np.float64(0.1), 4),
+           4 * CSV_CHUNK_ROWS: [1, 2, 3.5, 4], 5 * CSV_CHUNK_ROWS + 100: (1, 2, 3)}
+    for at, row in odd.items():
+        if at < n:
+            rows[at] = row
+    header = ("a", "b", "c", "d")
+    path = tmp_path / "rows.csv"
+    assert write_csv_rows(path, header, iter(rows)) == n
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")

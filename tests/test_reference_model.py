@@ -9,6 +9,7 @@ with the package; both have their own oracle tests in test_allocation.py.
 import math
 from itertools import accumulate
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dtsim.allocation import AllocationParams, block_incentive, leaf_nodes
@@ -278,3 +279,102 @@ def test_mempool_matches_naive_pool(ops, capacity, priority, threshold, ids):
             assert tx_at(pool.select_next_small_fee()) == naive.take(small_only=True)
         assert len(pool) == len(naive.txs)
         assert pool.pending_fees() == math.fsum(t.fee for t in naive.txs)
+
+
+# Explicit cases of the loop-free path that `run` takes when no slots are
+# reserved (categories 2 and 4, and 1 and 3 with a5 = 0), each checked
+# against the naive miner.
+SMALL_BLOCKS = SimulationConfig(leaf_capacity=8)
+
+
+def check_unreserved(txs, priority, a1, cfg=SMALL_BLOCKS, force_seal=True):
+    """`run` equals `naive_run` for both unreserved strategies of `priority`,
+    which agree with each other; returns their result."""
+    cats = (2, 1) if priority is Priority.TIME else (4, 3)
+    results = []
+    for cat, small in zip(cats, ({}, {"a4": 2.0, "a5": 0})):
+        strategy = strategy_from_category(cat, a1=a1, a6=3, a7=0.5, a8=1.0, **small)
+        result = run(txs, strategy, cfg, force_seal=force_seal)
+        assert observed(result) == naive_run(txs, strategy, cfg, force_seal)
+        results.append(result)
+    assert results[0] == results[1]
+    return results[0]
+
+
+def picked_ids(result):
+    return [tx_id for tx_id, _block, _fee, _nodes in result.assignments]
+
+
+def mixed_stream(n):
+    """Fees from 0.7 to 7.7 with repeats, three arrivals per millisecond, shuffled ids."""
+    return [Transaction(id=(i * 7) % n, amount=1.0, fee=((i * 37) % 11 + 1) * 0.7,
+                        arrival_time=i // 3) for i in range(n)]
+
+
+@pytest.mark.parametrize("priority", list(Priority))
+@pytest.mark.parametrize("fee,evicted", [(9.0, True), (1.0, False), (2.0, False)])
+def test_unreserved_overflow_at_a1(priority, fee, evicted):
+    # The pool of 4 is full when id 9 arrives. Its cheapest by (fee,
+    # arrival, id) is id 4: it ties id 7 on fee and arrival and has the
+    # lower id, and ties id 1 on fee and arrives earlier. A newcomer paying
+    # more evicts it; one paying less, or the same 2.0, is rejected.
+    txs = [Transaction(3, 1.0, 5.0, 0), Transaction(7, 1.0, 2.0, 1), Transaction(4, 1.0, 2.0, 1),
+           Transaction(1, 1.0, 2.0, 2), Transaction(9, 1.0, fee, 2)] + \
+        [Transaction(10 + i, 1.0, 1.0 + i, 3 + i) for i in range(6)]
+    result = check_unreserved(txs, priority, a1=4)
+    assert (result.evicted_count, result.rejected_count) == ((1, 0) if evicted else (0, 1))
+    assert (result.evicted_fees or result.rejected_fees) == (2.0 if evicted else fee)
+    assert set(picked_ids(result)) == {t.id for t in txs} - {4 if evicted else 9}
+
+
+@pytest.mark.parametrize("priority,order", [(Priority.TIME, [8, 2, 6, 9]),
+                                            (Priority.FEE, [8, 2, 9, 6])])
+def test_unreserved_newcomer_outranks_heap_minimum_on_tie(priority, order):
+    # Id 8 evicts id 5 and, arriving with id 6, outranks it: by fee in both
+    # orders. Id 2 ties id 6 on fee and arrival and outranks it by id.
+    txs = [Transaction(5, 1.0, 1.0, 0), Transaction(6, 1.0, 3.0, 1), Transaction(8, 1.0, 4.0, 1),
+           Transaction(2, 1.0, 3.0, 1), Transaction(9, 1.0, 9.0, 2)]
+    result = check_unreserved(txs, priority, a1=2, cfg=SimulationConfig(leaf_capacity=100))
+    assert picked_ids(result) == order and result.evicted_fees == 1.0
+
+
+@pytest.mark.parametrize("priority", list(Priority))
+@pytest.mark.parametrize("first_fee", [0.1, 50.0])
+def test_unreserved_pool_of_one(priority, first_fee):
+    txs = mixed_stream(40)
+    txs[0] = Transaction(txs[0].id, 1.0, first_fee, 0)
+    result = check_unreserved(txs, priority, a1=1)
+    assert (result.evicted_count, result.rejected_count) == \
+        ((1, 0) if first_fee < txs[1].fee else (0, 1))
+    assert result.included_count == 39
+
+
+@pytest.mark.parametrize("priority", list(Priority))
+@pytest.mark.parametrize("extra", [0, 5])
+def test_unreserved_pool_larger_than_stream(priority, extra):
+    # No overflow: every transaction waits for the drain, in priority order.
+    txs = mixed_stream(30)
+    result = check_unreserved(txs, priority, a1=30 + extra)
+    assert result.evicted_count == result.rejected_count == 0
+    key = time_key if priority is Priority.TIME else fee_key
+    assert picked_ids(result) == [t.id for t in sorted(txs, key=key)]
+
+
+@pytest.mark.parametrize("force_seal", [False, True])
+@pytest.mark.parametrize("priority,a1,target,sealed_at", [
+    (Priority.TIME, 5, 2, "arrival"), (Priority.FEE, 5, 2, "arrival"),
+    (Priority.TIME, 52, 3, "first drain pick"), (Priority.FEE, 52, 4, "first drain pick"),
+    (Priority.TIME, 55, 3, "drain"), (Priority.FEE, 55, 3, "drain")])
+def test_unreserved_block_target(force_seal, priority, a1, target, sealed_at):
+    # The pick that seals the target block opens the next one, which stays
+    # unsealed unless force_seal; after an arrival's pick the rest of the
+    # stream is never submitted. The 60 - a1 arrivals after the overflow
+    # each make one pick.
+    txs = mixed_stream(60)
+    cfg = SimulationConfig(leaf_capacity=8, block_count_target=target)
+    result = check_unreserved(txs, priority, a1=a1, cfg=cfg, force_seal=force_seal)
+    assert len(result.blocks) == target + force_seal
+    assert (result.submitted_count < 60) == (sealed_at == "arrival")
+    picks = result.included_count + result.unsealed_count
+    assert (picks == 60 - a1 + 1) == (sealed_at == "first drain pick")
+    assert result.pending_count > 0
