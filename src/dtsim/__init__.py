@@ -27,7 +27,7 @@ from .metrics import (
     series_volatility,
     volatility,
 )
-from .simulator import Mempool, RunResult, fixed_block_baseline, run
+from .simulator import RunResult, fixed_block_baseline, run
 from .verkle import (
     MembershipProof,
     VerkleTree,

@@ -120,6 +120,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
+        if self.n_pop < 1:
+            raise ValueError("n_pop must be positive")
         if self.budget < 1:
             raise ValueError("evaluation budget must be positive")
 

@@ -16,23 +16,24 @@ maps all fees to slot counts in one vectorized pass and ranks every position
 once in the pool's priority order; pool and miner then handle int positions,
 and a block is a contiguous slice of the pick sequence.
 
-Mining takes one of two branches. With reserved small-fee slots (a5 > 0)
-each pick depends on a quota that resets at every seal, so the pool and
-miner step once per pick. Without them (categories 2 and 4, and 1 and 3
-with a5 = 0) the run is computed from whole arrays, and exactly: the pool
-holds a1 positions after warm-up and loses one to every pick, so it
-overflows once, at position a1, where the cheapest pending transaction is
-evicted or the newcomer rejected. From then on each arrival is one
-`heappushpop` on the rank heap, and the drain is the rest of the heap in
-rank order. Every slot count is at least 1, so the running slot total of
-the picks rises strictly and each next-fit seal is one `searchsorted` on it;
-the block-count target, `force_seal` and the fate of every transaction
-follow from the same indices.
+The pool holds a1 positions after warm-up and loses one to every pick, so
+it overflows exactly once, at position a1, before the first pick: the
+cheapest pending transaction by (fee, arrival, id) is evicted when the
+newcomer pays strictly more, else the newcomer is rejected. `_mine` settles
+that once and then takes one of two branches. With reserved small-fee slots
+(a5 > 0) each pick depends on a quota that resets at every seal, so the
+miner steps once per pick over two lazy-deletion heaps of ranks: the
+selection heap and its below-threshold subset. Without them (categories 2
+and 4, and 1 and 3 with a5 = 0) the run is computed from whole arrays, and
+exactly: each arrival after the overflow is one `heappushpop` on the rank
+heap, and the drain is the rest of the heap in rank order. Every slot count
+is at least 1, so the running slot total of the picks rises strictly and
+each next-fit seal is one `searchsorted` on it; the block-count target,
+`force_seal` and the fate of every transaction follow from the same indices.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from array import array
 from dataclasses import dataclass
@@ -49,132 +50,26 @@ from .ingest import MIN_POSITIVE_FEE
 from . import verkle
 
 
-class SubmitOutcome(enum.Enum):
-    ACCEPTED = "accepted"
-    EVICTED_OTHER = "evicted-other"
-    REJECTED = "rejected"
-
-
-_ACCEPTED = (SubmitOutcome.ACCEPTED, None)
-_REJECTED = (SubmitOutcome.REJECTED, None)
-
-
-class Mempool:
-    """Bounded holding area that admits, evicts and yields positions into
-    `stream` in one priority order.
-
-    Selection order, fixed at construction by the strategy's priority:
+def _ranks(stream: Stream, priority: Priority) -> Tuple[array, array]:
+    """Every position's rank in `priority` order, and the positions in rank
+    order, as array('q')s:
       time-based  (arrival asc, fee desc, id asc)
       fee-based   (fee desc, arrival asc, id asc)
-    Every position is ranked once in that order (total, as a stream's ids
-    are unique), and a lazy-deletion heap of ranks runs over a bytearray of
-    live positions; with a small-fee threshold a second heap of the same
-    ranks holds the below-threshold subset for reserved-slot selection. A
-    heap that reaches twice the capacity drops its dead ranks before the
-    next push, so memory stays bounded by the capacity, not the stream.
-
-    On overflow the cheapest pending transaction by (fee asc, arrival asc,
-    id asc) is evicted, and only when the newcomer pays strictly more. That
-    is found by scanning the live positions rather than kept in an eviction
-    heap: `run` takes one pick per arrival after warm-up, so the pool
-    overflows at most once per run.
-
-    `run` steps through `submit` and `_take` only when slots are reserved.
-    Otherwise it uses just the ranks and the eviction rule (`_evictee`) of
-    the pool, and replays the heap itself (see the module docstring).
-    """
-
-    def __init__(self, stream: Stream, capacity: int,
-                 priority: Priority = Priority.TIME,
-                 small_fee_threshold: Optional[float] = None):
-        if capacity < 1:
-            raise ValueError("mempool capacity must be positive")
-        self.capacity = capacity
-        self.stream = stream
-        fees = stream.fees
-        keys = ((stream.ids, -fees, stream.arrivals) if priority is Priority.TIME
-                else (stream.ids, stream.arrivals, -fees))
-        # Sort by the primary key, then lexsort only the positions tied on it:
-        # a stream comes in arrival order, so the time order costs about O(n).
-        order = np.argsort(keys[-1], kind="stable")
-        same = np.flatnonzero(keys[-1][order[1:]] == keys[-1][order[:-1]])
-        at = np.union1d(same, same + 1)
-        tied = order[at]
-        order[at] = tied[np.lexsort(tuple(k[tied] for k in keys))]
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        self._order = array("q", order.astype(np.int64, copy=False).tobytes())
-        self._rank = array("q", rank.astype(np.int64, copy=False).tobytes())
-        self._below = bytes(len(order)) if small_fee_threshold is None else \
-            (fees < small_fee_threshold).tobytes()
-        self._live = bytearray(len(order))
-        self._count = 0
-        self._heap: List[int] = []
-        self._small: List[int] = []
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __contains__(self, pos: int) -> bool:
-        return bool(self._live[pos])
-
-    def _pending(self) -> np.ndarray:
-        return np.flatnonzero(np.frombuffer(self._live, dtype=np.uint8))
-
-    def pending_fees(self) -> float:
-        return math.fsum(self.stream.fees[self._pending()].tolist())
-
-    def submit(self, pos: int):
-        """Admit position `pos`, evicting the cheapest pending one if needed.
-
-        Returns (SubmitOutcome, evicted position or None).
-        """
-        outcome = _ACCEPTED
-        if self._count >= self.capacity:
-            cheapest = self._evictee(self._pending(), pos)
-            if cheapest is None:
-                return _REJECTED
-            self._live[cheapest] = 0
-            self._count -= 1
-            outcome = (SubmitOutcome.EVICTED_OTHER, cheapest)
-        self._live[pos] = 1
-        self._count += 1
-        r = self._rank[pos]
-        for heap in (self._heap, self._small) if self._below[pos] else (self._heap,):
-            if len(heap) >= 2 * self.capacity:
-                # At most `capacity` ranks are live, so at least half are dead.
-                heap[:] = [x for x in heap if self._live[self._order[x]]]
-                heapify(heap)
-            heappush(heap, r)
-        return outcome
-
-    def _evictee(self, pending: np.ndarray, pos: int) -> Optional[int]:
-        """The position among `pending` that newcomer `pos` evicts: the
-        cheapest by (fee, arrival, id), when `pos` pays strictly more than
-        it; None when `pos` is rejected."""
-        s = self.stream
-        cheapest = int(pending[np.lexsort((s.ids[pending], s.arrivals[pending],
-                                           s.fees[pending]))[0]])
-        return cheapest if s.fees[pos] > s.fees[cheapest] else None
-
-    def select_next(self) -> Optional[int]:
-        """Pop the next position in priority order, or None when empty."""
-        return self._take(self._heap)
-
-    def select_next_small_fee(self) -> Optional[int]:
-        """Pop the next below-threshold position, or None when there is none."""
-        return self._take(self._small)
-
-    def _take(self, heap) -> Optional[int]:
-        # Lazy deletion: ranks whose position is no longer live are discarded.
-        live, order = self._live, self._order
-        while heap:
-            pos = order[heappop(heap)]
-            if live[pos]:
-                live[pos] = 0
-                self._count -= 1
-                return pos
-        return None
+    The order is total, as a stream's ids are unique."""
+    fees = stream.fees
+    keys = ((stream.ids, -fees, stream.arrivals) if priority is Priority.TIME
+            else (stream.ids, stream.arrivals, -fees))
+    # Sort by the primary key, then lexsort only the positions tied on it:
+    # a stream comes in arrival order, so the time order costs about O(n).
+    order = np.argsort(keys[-1], kind="stable")
+    same = np.flatnonzero(keys[-1][order[1:]] == keys[-1][order[:-1]])
+    at = np.union1d(same, same + 1)
+    tied = order[at]
+    order[at] = tied[np.lexsort(tuple(k[tied] for k in keys))]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return (array("q", rank.astype(np.int64, copy=False).tobytes()),
+            array("q", order.astype(np.int64, copy=False).tobytes()))
 
 
 @dataclass
@@ -220,8 +115,8 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
     if cfg.transaction_budget is not None:
         stream = stream.prefix(cfg.transaction_budget)
     result = RunResult(blocks=[], assignments=[])
-    # The pool lives only inside _mine, so it is freed before the block
-    # records and assignment rows are built.
+    # The ranks and heaps live only inside _mine, so they are freed before
+    # the block records and assignment rows are built.
     picks, sealed, slots = _mine(stream, strategy, cfg, force_seal, result)
     begin = 0
     for height, (end, nodes) in enumerate(sealed):
@@ -247,14 +142,18 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
     """The run loop on positions; fills the fate accounting of `result` and
     returns the picks, each sealed block as (end index into the picks,
     occupied slots), and every position's slot count; picks and slot counts
-    are int64 arrays. Without reserved slots the picks and seals come from
-    whole-array operations; with them, from one step per pick."""
+    are int64 arrays.
+
+    The one overflow, at position a1, is settled before any pick, so its
+    victim never enters the pool. Without reserved slots the picks and seals
+    then come from whole-array operations; with them, from one step per
+    pick over the selection and below-threshold heaps."""
     fees = stream.fees
     # Zero fees (injected underpayers) take the minimum positive fee's slots. Slots
-    # come before the pool, so the mapping's temporaries and the ranks never coexist.
+    # come before the ranks, so the mapping's temporaries and the ranks never coexist.
     params = AllocationParams(strategy.scale, strategy.shape, strategy.max_trx_nodes)
     slot_of = leaf_slots(np.where(fees > 0, fees, MIN_POSITIVE_FEE), params)
-    pool = Mempool(stream, strategy.mempool_size, strategy.priority, strategy.small_fee_threshold)
+    rank, order = _ranks(stream, strategy.priority)
     reserve = strategy.small_fee_count if strategy.designated_space else 0
     capacity = cfg.leaf_capacity
     target = cfg.block_count_target
@@ -263,25 +162,27 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
     sealed: List[Tuple[int, int]] = []
     evicted: List[int] = []
     rejected: List[int] = []
+    victim = None
+    if warm < n_txs:
+        # Position warm evicts the cheapest of the full pool by (fee, arrival,
+        # id) when it pays strictly more, and is rejected otherwise.
+        cheapest = int(np.lexsort((stream.ids[:warm], stream.arrivals[:warm], fees[:warm]))[0])
+        victim = cheapest if fees[warm] > fees[cheapest] else warm
+        (rejected if victim == warm else evicted).append(victim)
 
     if reserve == 0:
-        # The pool after the one overflow, at position `warm`, if the stream
-        # gets that far: the newcomer is rejected or evicts the cheapest.
-        rank = pool._rank
+        # From the pool after the overflow: the pick at the overflow, one
+        # push-pop per later arrival, the drain.
+        overflow = victim is not None
         heap = rank[:warm + 1].tolist()
-        overflow = warm < n_txs
         if overflow:
-            cheapest = pool._evictee(np.arange(warm), warm)
-            victim = warm if cheapest is None else cheapest
-            (rejected if cheapest is None else evicted).append(victim)
             heap.remove(rank[victim])
         heapify(heap)
-        # The pick at the overflow, one push-pop per later arrival, the drain.
         ranks = np.fromiter(chain(map(heappop, repeat(heap, overflow)),
                                   map(heappushpop, repeat(heap), rank[warm + 1:]),
                                   map(heappop, repeat(heap, len(heap) - overflow))),
                             np.int64, count=n_txs - overflow)
-        picks = np.frombuffer(pool._order, dtype=np.int64)[ranks]
+        picks = np.frombuffer(order, dtype=np.int64)[ranks]
         del ranks, heap
         # Next-fit sealing: every slot count is at least 1, so the running
         # total rises strictly and a block ends where it passes base + capacity.
@@ -306,11 +207,25 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
         # column through it instead raised the peak RSS of a 200k run by
         # 4 MB, with the same traced peak.
         slot_of = array("q", slot_of.tobytes())
-        below = pool._below
+        below = (fees < strategy.small_fee_threshold).tobytes()
+        # Lazy-deletion heaps of ranks over the live positions: the selection
+        # heap and its below-threshold subset for the reserved slots. A heap
+        # that reaches 2·a1 drops its dead ranks before the next push, as at
+        # most a1 are live, so memory stays bounded by the pool, not the stream.
+        live = bytearray(n_txs)
+        heap: List[int] = []
+        small_heap: List[int] = []
+        bound = 2 * warm
         picks = array("q")
         filled = small_used = 0
-        submit, take = pool.submit, pool._take  # one call per pick, not two
-        heap, small_heap = pool._heap, pool._small
+
+        def take(heap) -> Optional[int]:
+            while heap:
+                pos = order[heappop(heap)]
+                if live[pos]:
+                    live[pos] = 0
+                    return pos
+            return None
 
         def mine_one() -> bool:
             # Reserved small-fee slots come first while the block has any left; they
@@ -333,11 +248,14 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
 
         # Warm-up fills the pool; then one pick per arrival, then the drain.
         for pos in range(n_txs):
-            outcome = submit(pos)
-            if outcome is _REJECTED:
-                rejected.append(pos)
-            elif outcome is not _ACCEPTED:
-                evicted.append(outcome[1])
+            if pos != victim:
+                live[pos] = 1
+                r = rank[pos]
+                for h in (heap, small_heap) if below[pos] else (heap,):
+                    if len(h) >= bound:
+                        h[:] = [x for x in h if live[order[x]]]
+                        heapify(h)
+                    heappush(h, r)
             if pos >= warm:
                 mine_one()
                 if target is not None and len(sealed) >= target:
@@ -356,9 +274,9 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
     def fee_sum(positions) -> float:
         return math.fsum(fees[positions].tolist())
 
-    live = np.ones(submitted, dtype=bool)
-    live[picks] = live[evicted + rejected] = False
-    pending = np.flatnonzero(live)
+    waiting = np.ones(submitted, dtype=bool)
+    waiting[picks] = waiting[evicted + rejected] = False
+    pending = np.flatnonzero(waiting)
 
     result.submitted_count, result.submitted_fees = submitted, math.fsum(fees[:submitted])
     result.included_count = included

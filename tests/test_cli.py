@@ -96,6 +96,15 @@ class TestExitCodes:
                         "--budget", "0", "--out", str(tmp_path / "o")])
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("algo", ["pso", "de", "ga", "cmaes", "gbo"])
+    @pytest.mark.parametrize("n_pop", ["0", "-3"])
+    def test_nonpositive_population_is_config_error(self, tmp_path, capsys, algo, n_pop):
+        out = tmp_path / "o"
+        assert main(["optimize", "--algo", algo, "--n-pop", n_pop, "--budget", "12",
+                     "--count", "3000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: n_pop must be positive\n"
+        assert not out.exists()
+
     def test_missing_dataset_is_data_error(self, tmp_path):
         proc = run_cli(["simulate", "--dataset", str(tmp_path / "nope.csv"),
                         "--out", str(tmp_path / "o")])

@@ -7,16 +7,15 @@ with the package; both have their own oracle tests in test_allocation.py.
 """
 
 import math
-from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dtsim.allocation import AllocationParams, block_incentive, leaf_nodes
-from dtsim.core import (BlockRecord, Priority, SimulationConfig, Stream, Transaction,
+from dtsim.core import (BlockRecord, Priority, SimulationConfig, Transaction,
                         strategy_from_category)
 from dtsim.ingest import MIN_POSITIVE_FEE
-from dtsim.simulator import Mempool, SubmitOutcome, run
+from dtsim.simulator import run
 
 
 def time_key(tx):
@@ -39,18 +38,17 @@ class NaivePool:
         self.txs = []
 
     def submit(self, tx):
-        """(outcome, evicted transaction or None), as Mempool.submit."""
-        evicted = None
-        if len(self.txs) >= self.capacity:
-            cheapest = min(self.txs, key=evict_key)
-            if tx.fee <= cheapest.fee:
-                return SubmitOutcome.REJECTED, None
-            self.txs.remove(cheapest)
-            evicted = cheapest
+        """("accepted", None), ("evicted", the evicted transaction) or
+        ("rejected", None)."""
+        if len(self.txs) < self.capacity:
+            self.txs.append(tx)
+            return "accepted", None
+        cheapest = min(self.txs, key=evict_key)
+        if tx.fee <= cheapest.fee:
+            return "rejected", None
+        self.txs.remove(cheapest)
         self.txs.append(tx)
-        if evicted is None:
-            return SubmitOutcome.ACCEPTED, None
-        return SubmitOutcome.EVICTED_OTHER, evicted
+        return "evicted", cheapest
 
     def take(self, small_only=False):
         candidates = self.txs
@@ -91,9 +89,9 @@ def naive_run(txs, strategy, cfg, force_seal):
     def absorb(tx):
         fates["submitted"].append(tx.fee)
         outcome, evicted = pool.submit(tx)
-        if outcome is SubmitOutcome.REJECTED:
+        if outcome == "rejected":
             fates["rejected"].append(tx.fee)
-        elif outcome is SubmitOutcome.EVICTED_OTHER:
+        elif outcome == "evicted":
             fates["evicted"].append(evicted.fee)
 
     def mine_one():
@@ -207,78 +205,33 @@ def setups(draw):
     return strategy, cfg
 
 
-@settings(max_examples=300, deadline=None)
-@given(txs=streams(), setup=setups(), force_seal=st.booleans())
-def test_run_matches_naive_miner(txs, setup, force_seal):
-    strategy, cfg = setup
-    result = run(txs, strategy, cfg, force_seal=force_seal)
-    assert observed(result) == naive_run(txs, strategy, cfg, force_seal)
-
-
-OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("submit"), FEES, st.integers(min_value=0, max_value=5)),
-        st.tuples(st.just("select"), st.none(), st.none()),
-        st.tuples(st.just("small"), st.none(), st.none()),
-    ),
-    max_size=80,
-)
+def pair(cat, a1=2, **small):
+    """A strategy of `cat` with pool a1 and a config whose blocks hold every
+    pick of the small examples below."""
+    return (strategy_from_category(cat, a1=a1, a6=3, a7=0.5, a8=1.0, **small),
+            SimulationConfig(leaf_capacity=60))
 
 
 # Ties that each ordering rule settles against the id order, in a pool of 2:
 # a pick and an overflow between equal fees (earlier arrival first, then
 # lower id), and time-order picks between equal arrivals (higher fee first,
-# then lower id).
-_SWAPPED_IDS = [1, 0, *range(2, 80)]
-_FEE_TIE_PICK = [("submit", 1.0, 0), ("submit", 1.0, 2), ("select", None, None)]
-_FEE_TIE_EVICT = [("submit", 1.0, 0), ("submit", 1.0, 2), ("submit", 2.0, 0)]
-_FEE_AND_ARRIVAL_TIE_EVICT = [("submit", 1.0, 0), ("submit", 1.0, 0), ("submit", 2.0, 0)]
-_ARRIVAL_TIE_PICK = [("submit", 1.0, 0), ("submit", 2.0, 0), ("select", None, None)]
-_FEE_AND_ARRIVAL_TIE_PICK = [("submit", 1.0, 0), ("submit", 1.0, 0), ("select", None, None)]
-
-
+# then lower id). The overflow examples run the reserved (stepwise) branch.
 @settings(max_examples=300, deadline=None)
-@given(ops=OPS, capacity=st.integers(min_value=1, max_value=4),
-       priority=st.sampled_from(list(Priority)),
-       threshold=st.sampled_from([None, 0.5, 2.0, 100.0]), ids=st.permutations(range(80)))
-@example(ops=_FEE_TIE_PICK, capacity=2, priority=Priority.FEE, threshold=None, ids=_SWAPPED_IDS)
-@example(ops=_FEE_TIE_EVICT, capacity=2, priority=Priority.FEE, threshold=None, ids=_SWAPPED_IDS)
-@example(ops=_FEE_AND_ARRIVAL_TIE_EVICT, capacity=2, priority=Priority.FEE, threshold=None,
-         ids=_SWAPPED_IDS)
-@example(ops=_ARRIVAL_TIE_PICK, capacity=2, priority=Priority.TIME, threshold=None,
-         ids=list(range(80)))
-@example(ops=_FEE_AND_ARRIVAL_TIE_PICK, capacity=2, priority=Priority.TIME, threshold=None,
-         ids=_SWAPPED_IDS)
-def test_mempool_matches_naive_pool(ops, capacity, priority, threshold, ids):
-    # Submits outnumber picks, so a full pool overflows again and again,
-    # which `run` itself never reaches. The pool works on positions into
-    # the columns of every transaction the ops submit. A stream's arrivals are
-    # sorted, so each submit's number, halved, is its gap to the previous
-    # arrival (a tie one time in three); the ids, unique and shuffled, are
-    # independent of arrival order (80 covers the longest ops list), so the
-    # two tie-breaks stay distinct.
-    fees = [fee for op, fee, _gap in ops if op == "submit"]
-    arrivals = accumulate(gap // 2 for op, _fee, gap in ops if op == "submit")
-    txs = [Transaction(id=tx_id, amount=0.0, fee=fee, arrival_time=arrival)
-           for tx_id, fee, arrival in zip(ids, fees, arrivals)]
-    pool = Mempool(Stream.of(txs), capacity, priority, threshold)
-    naive = NaivePool(capacity, priority, threshold)
-
-    def tx_at(pos):
-        return None if pos is None else txs[pos]
-
-    submitted = iter(range(len(txs)))
-    for op, _fee, _arrival in ops:
-        if op == "submit":
-            pos = next(submitted)
-            outcome, evicted = pool.submit(pos)
-            assert (outcome, tx_at(evicted)) == naive.submit(txs[pos])
-        elif op == "select":
-            assert tx_at(pool.select_next()) == naive.take()
-        else:
-            assert tx_at(pool.select_next_small_fee()) == naive.take(small_only=True)
-        assert len(pool) == len(naive.txs)
-        assert pool.pending_fees() == math.fsum(t.fee for t in naive.txs)
+@given(txs=streams(), setup=setups(), force_seal=st.booleans())
+@example(txs=[Transaction(1, 1.0, 1.0, 0), Transaction(0, 1.0, 1.0, 1)],
+         setup=pair(4), force_seal=True)
+@example(txs=[Transaction(1, 1.0, 1.0, 0), Transaction(0, 1.0, 1.0, 1),
+              Transaction(2, 1.0, 2.0, 1)], setup=pair(3, a4=0.5, a5=1), force_seal=True)
+@example(txs=[Transaction(1, 1.0, 1.0, 0), Transaction(0, 1.0, 1.0, 0),
+              Transaction(2, 1.0, 2.0, 0)], setup=pair(3, a4=0.5, a5=1), force_seal=True)
+@example(txs=[Transaction(0, 1.0, 1.0, 0), Transaction(1, 1.0, 2.0, 0)],
+         setup=pair(2), force_seal=True)
+@example(txs=[Transaction(1, 1.0, 1.0, 0), Transaction(0, 1.0, 1.0, 0)],
+         setup=pair(2), force_seal=True)
+def test_run_matches_naive_miner(txs, setup, force_seal):
+    strategy, cfg = setup
+    result = run(txs, strategy, cfg, force_seal=force_seal)
+    assert observed(result) == naive_run(txs, strategy, cfg, force_seal)
 
 
 # Explicit cases of the loop-free path that `run` takes when no slots are

@@ -1,14 +1,13 @@
 import hashlib
 import math
+from heapq import heappush
 
 import pytest
 
-from dtsim.core import Priority, SimulationConfig, Stream, Transaction, strategy_from_category
+from dtsim.core import Priority, SimulationConfig, Transaction, strategy_from_category
 from dtsim.ingest import DatasetSpec, generate
 from dtsim.simulator import (
     DataError,
-    Mempool,
-    SubmitOutcome,
     fixed_block_baseline,
     run,
     write_assignments_csv,
@@ -21,80 +20,96 @@ def tx(i, fee, t=None, amount=None):
                        fee=fee, arrival_time=t if t is not None else i)
 
 
-def pool_of(txs, capacity, priority=Priority.TIME, threshold=None):
-    """A Mempool over the stream of `txs`; it admits and yields positions."""
-    return Mempool(Stream.of(txs), capacity, priority, threshold)
-
-
 CFG = SimulationConfig()
+
+# The unreserved and a reserved strategy of each priority (time: categories
+# 2 and 1, fee: 4 and 3). No fee below falls under the reserve's threshold,
+# so both pick alike, through the loop-free and the stepwise branch of `run`.
+POOLS = [(Priority.TIME, 2, {}), (Priority.TIME, 1, {"a4": 0.01, "a5": 2}),
+         (Priority.FEE, 4, {}), (Priority.FEE, 3, {"a4": 0.01, "a5": 2})]
+
+
+def mined(txs, a1):
+    """(priority, `run` result) for each of POOLS with pool a1, every pick
+    in one force-sealed block, so the assignments list the picks in order."""
+    for priority, cat, small in POOLS:
+        s = strategy_from_category(cat, a1=a1, a6=110, a7=6.94, a8=1.0, **small)
+        yield priority, run(txs, s, CFG, force_seal=True)
+
+
+def pick_order(result):
+    return [tx_id for tx_id, _block, _fee, _nodes in result.assignments]
 
 
 class TestMempoolSubmit:
+    """The pool's one overflow, at the arrival of position a1, seen through `run`."""
+
     def test_accept_below_capacity(self):
-        pool = pool_of([tx(1, 5.0)], capacity=2)
-        outcome, evicted = pool.submit(0)
-        assert outcome is SubmitOutcome.ACCEPTED and evicted is None
+        for _, result in mined([tx(1, 5.0)], a1=2):
+            assert (result.evicted_count, result.rejected_count) == (0, 0)
+            assert pick_order(result) == [1]
 
     def test_overflow_evicts_cheapest_when_newcomer_pays_more(self):
-        pool = pool_of([tx(1, 5.0), tx(2, 9.0), tx(3, 7.0)], capacity=2)
-        pool.submit(0)
-        pool.submit(1)
-        outcome, evicted = pool.submit(2)
-        assert outcome is SubmitOutcome.EVICTED_OTHER
-        assert evicted == 0
-        assert len(pool) == 2 and 2 in pool and 0 not in pool
+        for _, result in mined([tx(1, 5.0), tx(2, 9.0), tx(3, 7.0)], a1=2):
+            assert (result.evicted_count, result.evicted_fees, result.rejected_count) == \
+                (1, 5.0, 0)
+            assert sorted(pick_order(result)) == [2, 3]
 
     def test_overflow_rejects_cheap_newcomer(self):
-        pool = pool_of([tx(1, 5.0), tx(2, 9.0), tx(3, 1.0)], capacity=2)
-        pool.submit(0)
-        pool.submit(1)
-        outcome, evicted = pool.submit(2)
-        assert outcome is SubmitOutcome.REJECTED and evicted is None
-        assert 2 not in pool
+        for _, result in mined([tx(1, 5.0), tx(2, 9.0), tx(3, 1.0)], a1=2):
+            assert (result.rejected_count, result.rejected_fees, result.evicted_count) == \
+                (1, 1.0, 0)
+            assert sorted(pick_order(result)) == [1, 2]
 
     def test_equal_fee_newcomer_rejected(self):
-        pool = pool_of([tx(1, 5.0), tx(2, 5.0)], capacity=1)
-        pool.submit(0)
-        outcome, _ = pool.submit(1)
-        assert outcome is SubmitOutcome.REJECTED
+        for _, result in mined([tx(1, 5.0), tx(2, 5.0)], a1=1):
+            assert (result.rejected_count, result.rejected_fees, result.evicted_count) == \
+                (1, 5.0, 0)
+            assert pick_order(result) == [1]
+
+    @pytest.mark.parametrize("arrivals,victim", [((0, 1), 2), ((0, 0), 1)])
+    def test_eviction_tie_breaks_by_arrival_then_id(self, arrivals, victim):
+        # Ids 2 and 1 tie on fee: the earlier arrival goes first, and on
+        # equal arrivals the lower id.
+        txs = [tx(2, 1.0, t=arrivals[0]), tx(1, 1.0, t=arrivals[1]), tx(3, 2.0, t=1)]
+        for _, result in mined(txs, a1=2):
+            assert (result.evicted_count, result.evicted_fees) == (1, 1.0)
+            assert sorted(pick_order(result)) == sorted({1, 2, 3} - {victim})
 
     def test_duplicate_id_rejected(self):
-        # Ranks need unique ids; the pool refuses a stream that repeats one.
+        # Ranks need unique ids; `run` refuses a stream that repeats one.
         with pytest.raises(DataError, match="transaction id 1 appears more than once"):
-            pool_of([tx(1, 5.0), tx(2, 1.0), tx(1, 6.0)], capacity=3)
+            list(mined([tx(1, 5.0), tx(2, 1.0), tx(1, 6.0)], a1=3))
 
 
 class TestSelectNext:
+    """Drain order of a pool larger than the stream, seen through `run`."""
+
     def test_time_priority_is_fifo(self):
-        s = strategy_from_category(2, a1=10, a6=110, a7=6.94, a8=1.0)
-        pool = pool_of([tx(1, 9.0, t=1), tx(2, 100.0, t=2)], 10, s.priority)
-        pool.submit(0)
-        pool.submit(1)
-        assert pool.select_next() == 0
+        for priority, result in mined([tx(1, 9.0, t=1), tx(2, 100.0, t=2)], a1=10):
+            if priority is Priority.TIME:
+                assert pick_order(result) == [1, 2]
 
     def test_fee_priority_takes_richest(self):
-        s = strategy_from_category(4, a1=10, a6=110, a7=6.94, a8=1.0)
-        pool = pool_of([tx(1, 9.0, t=1), tx(2, 100.0, t=2)], 10, s.priority)
-        pool.submit(0)
-        pool.submit(1)
-        assert pool.select_next() == 1
+        for priority, result in mined([tx(1, 9.0, t=1), tx(2, 100.0, t=2)], a1=10):
+            if priority is Priority.FEE:
+                assert pick_order(result) == [2, 1]
 
     def test_tie_breaks_deterministic(self):
-        time_s = strategy_from_category(2, a1=10, a6=110, a7=6.94, a8=1.0)
-        fee_s = strategy_from_category(4, a1=10, a6=110, a7=6.94, a8=1.0)
-        # same arrival: higher fee first under time priority
-        pool = pool_of([tx(1, 2.0, t=5), tx(2, 8.0, t=5)], 10, time_s.priority)
-        pool.submit(0)
-        pool.submit(1)
-        assert pool.select_next() == 1
-        # same fee and arrival: lower id wins
-        pool = pool_of([tx(7, 3.0, t=5), tx(4, 3.0, t=5)], 10, fee_s.priority)
-        pool.submit(0)
-        pool.submit(1)
-        assert pool.select_next() == 1
+        # Same arrival: higher fee first (fee order agrees). Same fee:
+        # earlier arrival first (time order agrees). Same fee and arrival:
+        # lower id first.
+        for txs, order in (([tx(1, 2.0, t=5), tx(2, 8.0, t=5)], [2, 1]),
+                           ([tx(2, 3.0, t=5), tx(1, 3.0, t=6)], [2, 1]),
+                           ([tx(7, 3.0, t=5), tx(4, 3.0, t=5)], [4, 7])):
+            for _, result in mined(txs, a1=10):
+                assert pick_order(result) == order
 
     def test_empty_pool_returns_none(self):
-        assert pool_of([tx(1, 5.0)], capacity=5).select_next() is None
+        # The drain ends when the pool runs empty.
+        for txs in ([], [tx(1, 5.0)]):
+            for _, result in mined(txs, a1=5):
+                assert pick_order(result) == [t.id for t in txs]
 
 
 class TestHeapBound:
@@ -102,27 +117,20 @@ class TestHeapBound:
         # Fee priority with designated space: every reserved small-fee pick
         # leaves a dead rank in the selection heap, and every ordinary pick
         # of a below-threshold transaction one in the small-fee heap.
-        peak = {"heap": 0, "small": 0}
+        peaks = {}
 
-        def recorded(method):
-            def wrapper(self, *args):
-                out = method(self, *args)
-                peak["heap"] = max(peak["heap"], len(self._heap))
-                peak["small"] = max(peak["small"], len(self._small))
-                return out
-            return wrapper
+        def recording_push(heap, item):
+            heappush(heap, item)
+            peaks[id(heap)] = max(peaks.get(id(heap), 0), len(heap))
 
-        class Recording(Mempool):
-            submit = recorded(Mempool.submit)
-            _take = recorded(Mempool._take)
-
-        monkeypatch.setattr("dtsim.simulator.Mempool", Recording)
+        monkeypatch.setattr("dtsim.simulator.heappush", recording_push)
         stream = generate(DatasetSpec(count=50_000, rng_seed=7))
         s = strategy_from_category(3, a1=2000, a6=110, a7=6.94, a8=1.0, a4=60.0, a5=200)
         result = run(stream, s, CFG)
         assert result.included_count > 40_000
-        assert 2000 < peak["heap"] <= 2 * 2000
-        assert 0 < peak["small"] <= 2 * 2000
+        assert len(peaks) == 2
+        assert all(0 < peak <= 2 * 2000 for peak in peaks.values())
+        assert max(peaks.values()) > 2000
 
 
 class TestTryIncorporate:
