@@ -331,3 +331,56 @@ def test_unreserved_block_target(force_seal, priority, a1, target, sealed_at):
     picks = result.included_count + result.unsealed_count
     assert (picks == 60 - a1 + 1) == (sealed_at == "first drain pick")
     assert result.pending_count > 0
+
+
+# Explicit cases of the stepwise path that `run` takes when slots are
+# reserved (categories 1 and 3 with a5 > 0), each checked against the naive
+# miner. Every transaction takes one slot, and a fee below 2.0 is small.
+def check_reserved(fees, cat, a1, a5, cfg=SimulationConfig(leaf_capacity=60), force_seal=True):
+    """`run` equals `naive_run` on transactions with ids 0, 1, ... and the
+    given fees, arriving one per millisecond; returns the blocks' tx ids."""
+    txs = [Transaction(i, 1.0, fee, i) for i, fee in enumerate(fees)]
+    strategy = strategy_from_category(cat, a1=a1, a6=1, a7=0.5, a8=1.0, a4=2.0, a5=a5)
+    result = run(txs, strategy, cfg, force_seal=force_seal)
+    assert observed(result) == naive_run(txs, strategy, cfg, force_seal)
+    return [b.tx_ids for b in result.blocks]
+
+
+def test_reserved_pick_falls_through_when_no_small_fee_waits():
+    # The quota is open at the first pick, but the pool holds no small fee,
+    # so id 1 is picked by fee; id 3 then takes the reserved slot ahead of
+    # id 0, and the quota's second slot again falls through to id 4.
+    # Id 2 is rejected at the overflow.
+    assert check_reserved([5.0, 6.0, 4.0, 1.0, 7.0], cat=3, a1=2, a5=2) == [(1, 3, 4, 0)]
+
+
+def test_small_fee_wins_in_rank_order_once_the_quota_is_full():
+    # Time order. Id 0 takes the one reserved slot; id 1 is small too, but
+    # arrived before id 2, so it is picked next by rank, not held back.
+    # Id 3 is rejected at the overflow.
+    fees = [1.0, 1.5, 5.0, 0.5, 8.0, 1.2, 9.0]
+    assert check_reserved(fees, cat=1, a1=3, a5=1) == [(0, 1, 2, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("fees,a1,blocks", [
+    # The quota of block 0 is still open when id 4 is picked, from the small
+    # fees; it does not fit and opens block 1, where it fills the new quota,
+    # so id 0 outranks the small id 5.
+    ([5.0, 6.0, 4.0, 7.0, 1.5, 1.0, 3.0], 2, [(1, 3), (4, 0), (6, 5)]),
+    # The quota of block 0 is full when id 3 is picked by fee; it opens
+    # block 1 although the small id 0 waits and the new quota is open.
+    ([1.0, 1.5, 5.0, 6.0, 0.5, 7.0, 4.0, 3.0], 4, [(1, 5), (3, 0), (2, 6), (7,)]),
+])
+def test_pick_that_opens_a_block_follows_the_old_quota(fees, a1, blocks):
+    assert check_reserved(fees, cat=3, a1=a1, a5=1, cfg=SimulationConfig(leaf_capacity=2)) == blocks
+
+
+@pytest.mark.parametrize("cat", [1, 3])
+@pytest.mark.parametrize("extra", [0, 5])
+def test_reserved_pool_larger_than_stream(cat, extra):
+    # No overflow: every pick is made in the drain, two small fees per block
+    # of four slots first, while any wait.
+    fees = [((i * 37) % 11 + 1) * 0.35 for i in range(30)]
+    blocks = check_reserved(fees, cat=cat, a1=30 + extra, a5=2,
+                            cfg=SimulationConfig(leaf_capacity=4))
+    assert sum(map(len, blocks)) == 30
