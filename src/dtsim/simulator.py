@@ -22,14 +22,16 @@ cheapest pending transaction by (fee, arrival, id) is evicted when the
 newcomer pays strictly more, else the newcomer is rejected. `_mine` settles
 that once and then takes one of two branches. With reserved small-fee slots
 (a5 > 0) each pick depends on a quota that resets at every seal, so the
-miner steps once per pick over two lazy-deletion heaps of ranks: the
-selection heap and its below-threshold subset. Without them (categories 2
-and 4, and 1 and 3 with a5 = 0) the run is computed from whole arrays, and
-exactly: each arrival after the overflow is one `heappushpop` on the rank
-heap, and the drain is the rest of the heap in rank order. Every slot count
-is at least 1, so the running slot total of the picks rises strictly and
-each next-fit seal is one `searchsorted` on it; the block-count target,
-`force_seal` and the fate of every transaction follow from the same indices.
+miner steps once per pick over two disjoint heaps of pending ranks, one for
+the fees below the small-fee threshold and one for the rest: it pops the
+small heap while the block's quota is open, else the lower of the two heads,
+which is the lowest pending rank. Without them (categories 2 and 4, and 1
+and 3 with a5 = 0) the run is computed from whole arrays, and exactly: each
+arrival after the overflow is one `heappushpop` on the rank heap, and the
+drain is the rest of the heap in rank order. Every slot count is at least
+1, so the running slot total of the picks rises strictly and each next-fit
+seal is one `searchsorted` on it; the block-count target, `force_seal` and
+the fate of every transaction follow from the same indices.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heappushpop
 from itertools import chain, repeat
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -147,7 +149,8 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
     The one overflow, at position a1, is settled before any pick, so its
     victim never enters the pool. Without reserved slots the picks and seals
     then come from whole-array operations; with them, from one step per
-    pick over the selection and below-threshold heaps."""
+    pick over the disjoint small-fee and other heaps, which together hold
+    at most a1 ranks."""
     fees = stream.fees
     # Zero fees (injected underpayers) take the minimum positive fee's slots. Slots
     # come before the ranks, so the mapping's temporaries and the ranks never coexist.
@@ -208,34 +211,25 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
         # 4 MB, with the same traced peak.
         slot_of = array("q", slot_of.tobytes())
         below = (fees < strategy.small_fee_threshold).tobytes()
-        # Lazy-deletion heaps of ranks over the live positions: the selection
-        # heap and its below-threshold subset for the reserved slots. A heap
-        # that reaches 2·a1 drops its dead ranks before the next push, as at
-        # most a1 are live, so memory stays bounded by the pool, not the stream.
-        live = bytearray(n_txs)
-        heap: List[int] = []
-        small_heap: List[int] = []
-        bound = 2 * warm
+        # Two disjoint heaps of the pending ranks, split by the small-fee
+        # threshold. Every pick pops the heap it read, so together they hold
+        # at most a1 ranks.
+        small: List[int] = []
+        large: List[int] = []
         picks = array("q")
         filled = small_used = 0
 
-        def take(heap) -> Optional[int]:
-            while heap:
-                pos = order[heappop(heap)]
-                if live[pos]:
-                    live[pos] = 0
-                    return pos
-            return None
-
         def mine_one() -> bool:
-            # Reserved small-fee slots come first while the block has any left; they
+            # While the block's quota is open a waiting small fee comes first;
+            # otherwise the lower of the two heads by rank. Reserved slots
             # share the block's capacity, and the quota resets at each seal.
             nonlocal filled, small_used
-            pos = take(small_heap) if small_used < reserve else None
-            if pos is None:
-                pos = take(heap)
-                if pos is None:
-                    return False
+            if small and (small_used < reserve or not large or small[0] < large[0]):
+                pos = order[heappop(small)]
+            elif large:
+                pos = order[heappop(large)]
+            else:
+                return False
             n = slot_of[pos]
             if filled + n > capacity:
                 sealed.append((len(picks), filled))
@@ -249,13 +243,7 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
         # Warm-up fills the pool; then one pick per arrival, then the drain.
         for pos in range(n_txs):
             if pos != victim:
-                live[pos] = 1
-                r = rank[pos]
-                for h in (heap, small_heap) if below[pos] else (heap,):
-                    if len(h) >= bound:
-                        h[:] = [x for x in h if live[order[x]]]
-                        heapify(h)
-                    heappush(h, r)
+                heappush(small if below[pos] else large, rank[pos])
             if pos >= warm:
                 mine_one()
                 if target is not None and len(sealed) >= target:
