@@ -305,7 +305,9 @@ def cmd_optimize(args, config, config_text) -> int:
     manifest = _write_manifest(
         out, "optimize", seed, config_text, outputs, time.perf_counter() - t0,
         {"pso_derived": {"w": round(w, 6), "c1": round(c1, 6), "c2": round(c2, 6)},
-         "budget": base.budget})
+         "budget": base.budget,
+         "cells": [{"algorithm": r.algorithm, "category": r.category_id,
+                    "evaluations": r.evaluations, "simulations": r.simulations} for r in runs]})
     for row in rows:
         print(f"{row['algorithm']} experiment {row['experiment']} "
               f"cat ({row['a2']}, space={row['a3']}): volatility {row['volatility']:.6f}")

@@ -79,10 +79,8 @@ class SearchSpace:
 
     def decode(self, x: Sequence[float]) -> Dict[str, float]:
         """Vector -> attribute dict, rounding integer attributes."""
-        attrs = {}
-        for name, value in zip(self.names, x):
-            attrs[name] = int(round(value)) if name in INTEGER_ATTRS else float(value)
-        return attrs
+        return {name: int(round(value)) if name in INTEGER_ATTRS else float(value)
+                for name, value in zip(self.names, x)}
 
 
 @dataclass(frozen=True)
@@ -135,6 +133,7 @@ class OptimizationRun:
     trace: List[float]
     evaluations: int
     seed: int
+    simulations: int = 0  # objective calls: the evaluations less repeated candidates
 
 
 def evaluate(candidate: Sequence[float], cat: StrategyCategory,
@@ -145,8 +144,12 @@ def evaluate(candidate: Sequence[float], cat: StrategyCategory,
     score +inf instead of raising, so optimizers can rank them out. Data
     errors of the stream (DataError from `run`) propagate.
     """
-    space = SearchSpace(category=cat)
-    attrs = space.decode(candidate)
+    return evaluate_attrs(SearchSpace(category=cat).decode(candidate), cat, dataset, cfg)
+
+
+def evaluate_attrs(attrs: Dict[str, float], cat: StrategyCategory,
+                   dataset, cfg: SimulationConfig) -> float:
+    """`evaluate` of an already decoded attribute dict."""
     try:
         strategy = strategy_from_category(cat, **attrs)
     except ValueError:
@@ -163,16 +166,24 @@ def run_optimizer(algo: str, space: SearchSpace, objective: Callable,
                   config: OptimizerConfig) -> OptimizationRun:
     """Spend the configured budget minimizing `objective` over `space`.
 
-    `objective` receives the decoded attribute dict. Deterministic per
-    config seed; the returned generation trace is non-increasing.
+    `objective` receives the decoded attribute dict and must be
+    deterministic, as common random numbers make `evaluate`: a candidate
+    that decodes like an earlier one gets the earlier value without a new
+    call, yet still counts against the budget. Deterministic per config
+    seed; the returned generation trace is non-increasing.
     """
     lb, ub = space.lb, space.ub
     if lb.size == 0:
         raise ValueError("empty search space")
     rng = np.random.default_rng(config.rng_seed)
+    memo: Dict[tuple, float] = {}  # decoded values in `space.names` order -> objective
 
     def boxed(x: np.ndarray) -> float:
-        return objective(space.decode(x))
+        attrs = space.decode(x)
+        key = tuple(attrs.values())
+        if key not in memo:
+            memo[key] = objective(attrs)
+        return memo[key]
 
     budget = config.budget
     if algo == "pso":
@@ -201,6 +212,7 @@ def run_optimizer(algo: str, space: SearchSpace, objective: Callable,
         trace=result.trace,
         evaluations=result.evaluations,
         seed=config.rng_seed,
+        simulations=len(memo),
     )
 
 
@@ -215,11 +227,8 @@ def grid_cell(cat_id: int, config: OptimizerConfig, dataset, cfg: SimulationConf
     """One cell: `config.algorithm` minimizing `evaluate` over category `cat_id`."""
     cat = category(cat_id)
     space = SearchSpace(category=cat, bounds=dict(bounds or DEFAULT_BOUNDS))
-
-    def objective(attrs):
-        return evaluate([attrs[n] for n in space.names], cat, dataset, cfg)
-
-    return run_optimizer(config.algorithm, space, objective, config)
+    return run_optimizer(config.algorithm, space,
+                         lambda attrs: evaluate_attrs(attrs, cat, dataset, cfg), config)
 
 
 def experiment_grid(dataset, cfg: SimulationConfig,

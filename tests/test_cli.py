@@ -257,6 +257,17 @@ class TestOptimizeCommand:
         assert (out / "trace_pso_cat2.csv").exists()
         assert (out / "result.csv").exists()
 
+    def test_manifest_records_evaluations_and_simulations_per_cell(self, tmp_path):
+        # GA re-evaluates its elite in every later generation: no simulation
+        # is run for those repeats, but each counts as an evaluation.
+        out = tmp_path / "opt"
+        proc = run_cli(["optimize", "--algo", "ga", "--category", "2", "--count", "2500",
+                        "--budget", "24", "--n-pop", "8", "--seed", "3", "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        (cell,) = json.loads((out / "manifest.json").read_text())["cells"]
+        assert (cell["algorithm"], cell["category"], cell["evaluations"]) == ("ga", 2, 24)
+        assert 1 <= cell["simulations"] <= 24 - 2
+
 
 class TestLibraryDefaults:
     """A command without flags or config runs the library's own defaults."""

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dtsim.core import SimulationConfig, category
@@ -14,6 +15,7 @@ from dtsim.optimize import (
     grid_rows,
     run_optimizer,
 )
+from dtsim.optimizers import cma_es, differential_evolution, gbo, genetic_algorithm, pso
 from dtsim.simulator import DataError
 
 
@@ -246,3 +248,50 @@ def test_grid_results_independent_of_job_count():
                                algorithms=("pso", "de"), jobs=2)
     assert [r.best_volatility for r in serial] == [r.best_volatility for r in parallel]
     assert [r.best_attrs for r in serial] == [r.best_attrs for r in parallel]
+
+
+def _direct(algo, space, objective, config):
+    """The optimizer behind `algo` driven with `objective(space.decode(x))`,
+    with no memo in between."""
+    def f(x):
+        return objective(space.decode(x))
+
+    lb, ub, budget = space.lb, space.ub, config.budget
+    rng = np.random.default_rng(config.rng_seed)
+    n_pop = config.n_pop
+    if algo == "pso":
+        w, c1, c2 = config.pso_coefficients
+        return pso(f, lb, ub, budget, rng, n_pop=n_pop, w=w, c1=c1, c2=c2)
+    if algo == "de":
+        return differential_evolution(f, lb, ub, budget, rng, n_pop=n_pop,
+                                      f_weight=config.de_f, cr=config.de_cr)
+    if algo == "ga":
+        return genetic_algorithm(f, lb, ub, budget, rng, n_pop=n_pop,
+                                 crossover_rate=config.ga_crossover_rate, max_gen=config.max_gen)
+    if algo == "cmaes":
+        return cma_es(f, lb, ub, budget, rng)
+    return gbo(f, lb, ub, budget, rng, n_pop=n_pop, escape_prob=config.gbo_escape_prob)
+
+
+@pytest.mark.parametrize("algo", ["pso", "de", "ga", "cmaes", "gbo"])
+def test_memo_changes_no_result_and_skips_repeated_candidates(algo):
+    # Sixteen integer points and fixed float attributes: every algorithm
+    # repeats candidates within its 60 evaluations.
+    bounds = {**DEFAULT_BOUNDS, "a1": (1, 4), "a6": (1, 4), "a7": (5.0, 5.0), "a8": (0.5, 0.5)}
+    space = SearchSpace(category=category(2), bounds=bounds)
+    config = OptimizerConfig(algorithm=algo, n_pop=6, max_gen=10, rng_seed=3)
+    calls = []
+
+    def counting(attrs):
+        calls.append(tuple(attrs.values()))
+        return (attrs["a1"] - 2.6) ** 2 + abs(attrs["a6"] - 3.2) + attrs["a7"] * attrs["a8"]
+
+    memoized = run_optimizer(algo, space, counting, config)
+    distinct = len(set(calls))
+    assert len(calls) == distinct == memoized.simulations
+    calls.clear()
+    direct = _direct(algo, space, counting, config)
+    assert (memoized.best_attrs, memoized.best_volatility, memoized.trace,
+            memoized.evaluations) == (space.decode(direct.best_x), direct.best_f,
+                                      direct.trace, direct.evaluations)
+    assert len(set(calls)) == distinct < len(calls) == direct.evaluations
