@@ -220,9 +220,10 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
         filled = small_used = 0
 
         def mine_one() -> bool:
-            # While the block's quota is open a waiting small fee comes first;
-            # otherwise the lower of the two heads by rank. Reserved slots
-            # share the block's capacity, and the quota resets at each seal.
+            # While the block holds fewer than a5 small fees a waiting one
+            # comes first; otherwise the lower of the two heads by rank.
+            # Reserved slots share the block's capacity; the count resets at
+            # each seal.
             nonlocal filled, small_used
             if small and (small_used < reserve or not large or small[0] < large[0]):
                 pos = order[heappop(small)]
@@ -234,8 +235,7 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
             if filled + n > capacity:
                 sealed.append((len(picks), filled))
                 filled = small_used = 0
-            if below[pos] and small_used < reserve:
-                small_used += 1
+            small_used += below[pos]
             picks.append(pos)
             filled += n
             return True

@@ -275,9 +275,9 @@ def _direct(algo, space, objective, config):
 
 @pytest.mark.parametrize("algo", ["pso", "de", "ga", "cmaes", "gbo"])
 def test_memo_changes_no_result_and_skips_repeated_candidates(algo):
-    # Sixteen integer points and fixed float attributes: every algorithm
+    # Sixteen integer points, and a8 pushed to its bound: every algorithm
     # repeats candidates within its 60 evaluations.
-    bounds = {**DEFAULT_BOUNDS, "a1": (1, 4), "a6": (1, 4), "a7": (5.0, 5.0), "a8": (0.5, 0.5)}
+    bounds = {**DEFAULT_BOUNDS, "a1": (1, 4), "a6": (1, 4), "a7": (5.0, 5.0), "a8": (0.5, 1.0)}
     space = SearchSpace(category=category(2), bounds=bounds)
     config = OptimizerConfig(algorithm=algo, n_pop=6, max_gen=10, rng_seed=3)
     calls = []
