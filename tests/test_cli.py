@@ -133,6 +133,21 @@ class TestExitCodes:
         for value in ("0", "-5990"):
             assert main(["vrp-check", "--blocks", str(blocks), flag, value]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["volatility", "--in", "{tmp}/series.csv", "--window", "1", "--out", "{tmp}/rolling.csv"],
+        ["proofsize", "--scenarios", "1"],
+        ["proofsize", "--k", "1", "--out", "{tmp}/x.csv"],
+        ["optimize", "--budget", "-3", "--count", "500", "--out", "{tmp}/o"],
+    ])
+    def test_out_of_range_value_is_one_line_config_error_before_any_output(
+            self, tmp_path, capsys, args):
+        (tmp_path / "series.csv").write_text("incentive\n5.0\n6.0\n7.0\n")
+        assert main([a.format(tmp=tmp_path) for a in args]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["series.csv"]
+
     def test_nonpositive_jobs_rejected_before_any_work(self, tmp_path):
         out = tmp_path / "o"
         assert main(["optimize", "--grid", "--count", "1500", "--budget", "2", "--n-pop", "2",
