@@ -197,11 +197,11 @@ def _strategy(args, config):
     return strategy_from_category(cat, **attrs, a4=args.a4, a5=args.a5)
 
 
-def _write_manifest(out_dir: Path, command: str, seed: int, config_text: str,
+def _write_manifest(out_dir: Path, args, seed: int, config_text: str,
                     outputs: list, wall_time: float, extras: dict | None = None):
     manifest = {
-        "command": command,
-        "argv": sys.argv[1:],
+        "command": args.command,
+        "argv": args.argv,
         "package_version": __version__,
         "seed": seed,
         "config_digest": hashlib.sha256(config_text.encode()).hexdigest(),
@@ -264,7 +264,7 @@ def cmd_simulate(args, config, config_text) -> int:
     write_csv_rows(summary_path, ("key", "value"), summary.items())
     outputs.append(summary_path)
 
-    manifest = _write_manifest(out, "simulate", seed, config_text, outputs,
+    manifest = _write_manifest(out, args, seed, config_text, outputs,
                                time.perf_counter() - t0,
                                {"strategy": strategy.attributes()})
     for key, value in summary.items():
@@ -303,7 +303,7 @@ def cmd_optimize(args, config, config_text) -> int:
         outputs.append(trace_path)
 
     manifest = _write_manifest(
-        out, "optimize", seed, config_text, outputs, time.perf_counter() - t0,
+        out, args, seed, config_text, outputs, time.perf_counter() - t0,
         {"pso_derived": {"w": round(w, 6), "c1": round(c1, 6), "c2": round(c2, 6)},
          "budget": base.budget,
          "cells": [{"algorithm": r.algorithm, "category": r.category_id,
@@ -367,7 +367,7 @@ def cmd_proofsize(args, config, config_text) -> int:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         write_bandwidth_csv(rows, out)
-        _write_manifest(out.parent, "proofsize", config["simulation"]["seed"], config_text,
+        _write_manifest(out.parent, args, config["simulation"]["seed"], config_text,
                         [out], time.perf_counter() - t0)
     return 0
 
@@ -579,7 +579,9 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv  # the manifest records what was parsed, not the host's sys.argv
     if args.print_defaults:
         print(default_config_text(), end="")
         return 0

@@ -228,6 +228,16 @@ class TestSimulateCommand:
         assert manifest["command"] == "simulate"
         assert manifest["config_digest"]
 
+    def test_manifest_records_the_parsed_argv(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["host", "--unrelated"])
+        args = ["simulate", "--count", "1500", "--seed", "5", "--out", str(tmp_path / "a")]
+        assert main(args) == 0
+        assert json.loads((tmp_path / "a" / "manifest.json").read_text())["argv"] == args
+        args[-1] = str(tmp_path / "b")
+        monkeypatch.setattr(sys, "argv", ["dtsim", *args])
+        assert main() == 0
+        assert json.loads((tmp_path / "b" / "manifest.json").read_text())["argv"] == args
+
     def test_seed_repeat_reproduces_blocks_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
