@@ -17,16 +17,7 @@ from .core import (
     validate_strategy,
 )
 from .ingest import DatasetSpec, IrrationalMix, generate, inject_irrational, load_csv
-from .metrics import (
-    BENCHMARK,
-    ReturnSeries,
-    VolatilityBenchmark,
-    benchmark_check,
-    log_returns,
-    rolling_volatility,
-    series_volatility,
-    volatility,
-)
+from .metrics import benchmark_check, log_returns, rolling_volatility, series_volatility, volatility
 from .simulator import RunResult, fixed_block_baseline, run
 from .verkle import (
     MembershipProof,

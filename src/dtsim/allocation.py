@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import erf, erfc  # noqa: F401  erfc is re-exported
+from math import erf
 
 import numpy as np
 

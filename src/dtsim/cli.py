@@ -42,6 +42,8 @@ from .optimize import (
 )
 from .simulator import DataError, run, write_assignments_csv, write_blocks_csv
 from .verkle import (
+    BRANCHING_FACTORS,
+    INTEGRATION_SCENARIO,
     PUBLISHED_SCENARIOS,
     bandwidth_report,
     check_published_cells,
@@ -277,8 +279,6 @@ def cmd_optimize(args, config, config_text) -> int:
     t0 = time.perf_counter()
     seed = config["simulation"]["seed"]
     cfg = _sim_config(args, config)
-    if args.budget is not None and args.budget < 1:
-        raise ConfigError("--budget must be positive")
     if args.jobs < 1:
         raise ConfigError("--jobs must be positive")
     base = OptimizerConfig(**config["optimizer"], n_eval=args.budget, rng_seed=seed)
@@ -337,14 +337,8 @@ def cmd_proofsize(args, config, config_text) -> int:
     if args.scenarios:
         scenarios = _parse_scenarios(args.scenarios)
     else:
-        scenarios = list(PUBLISHED_SCENARIOS) + [("Graphene-DTS", 540000)]
-    ks = [int(k) for k in args.k.split(",")] if args.k else [3, 5, 10, 1024]
-    for k in ks:
-        if k < 2:
-            raise ConfigError(f"branching factor must be >= 2, got {k}")
-    for _name, n_t in scenarios:
-        if n_t < 2:
-            raise ConfigError(f"scenario size must be >= 2, got {n_t}")
+        scenarios = [*PUBLISHED_SCENARIOS, INTEGRATION_SCENARIO]
+    ks = [int(k) for k in args.k.split(",")] if args.k else BRANCHING_FACTORS
     modes = ("smooth", "ceil") if args.mode == "both" else (args.mode,)
 
     rows = bandwidth_report(scenarios, ks, modes)
@@ -487,8 +481,6 @@ def cmd_volatility(args, config, config_text) -> int:
         raise DataError("need at least two incentives")
 
     if args.window is not None:
-        if args.window < 2:
-            raise ConfigError("--window must be >= 2")
         series = rolling_volatility(values, args.window)
         print(f"rolling volatility, window {args.window}: {len(series)} values")
         print(f"first {series[0]!r}, last {series[-1]!r}")
@@ -547,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     proof = sub.add_parser("proofsize", parents=[common], help="closed-form proof-size tables")
     proof.add_argument("--scenarios", help="comma list of name=n_t (default: published set)")
-    proof.add_argument("--k", help="comma list of branching factors (default 3,5,10,1024)")
+    proof.add_argument("--k", help="comma list of branching factors (default "
+                       f"{','.join(map(str, BRANCHING_FACTORS))})")
     proof.add_argument("--mode", choices=("smooth", "ceil", "both"), default="both")
     proof.add_argument("--out", help="write the report CSV here")
 

@@ -18,12 +18,8 @@ import numpy as np
 class Priority(enum.Enum):
     """Transaction incorporation order: first-come-first-served or by fee."""
 
-    TIME = "time-based"
-    FEE = "fee-based"
-
-    @property
-    def label(self) -> str:
-        return "Time-based" if self is Priority.TIME else "Fee-based"
+    TIME = "Time-based"
+    FEE = "Fee-based"
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,7 +184,7 @@ class DtsStrategy:
         """Attribute-vector view keyed a1..a8 (a4/a5 omitted when absent)."""
         attrs = {
             "a1": self.mempool_size,
-            "a2": self.priority.label,
+            "a2": self.priority.value,
             "a3": self.designated_space,
             "a6": self.max_trx_nodes,
             "a7": self.scale,

@@ -10,8 +10,6 @@ source data is not redistributable.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 from typing import List, Sequence
 
 # Yearly historical volatility of average daily block incentives, as
@@ -29,63 +27,22 @@ HISTORICAL_VOLATILITY = {
     2020: 0.059485,
 }
 
-BENCHMARK_MIN = 0.037647
-BENCHMARK_MAX = 0.238111
+BENCHMARK_MIN = min(HISTORICAL_VOLATILITY.values())
+BENCHMARK_MAX = max(HISTORICAL_VOLATILITY.values())
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Log returns plus a tag for where the underlying series came from."""
-
-    values: tuple
-    source: str = "block"
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-
-@dataclass(frozen=True)
-class VolatilityBenchmark:
-    """Reference range of historical yearly volatilities."""
-
-    yearly: dict
-    minimum: float
-    maximum: float
-
-
-BENCHMARK = VolatilityBenchmark(
-    yearly=dict(HISTORICAL_VOLATILITY),
-    minimum=BENCHMARK_MIN,
-    maximum=BENCHMARK_MAX,
-)
-
-
-def log_returns(incentives: Sequence[float], source: str = "block",
-                drop_nonpositive: bool = False) -> ReturnSeries:
+def log_returns(incentives: Sequence[float]) -> tuple:
     """R_n = ln(I_n / I_{n-1}) over consecutive incentives.
 
-    Requires at least two strictly positive values. With `drop_nonpositive`
-    the offending entries are skipped with a warning instead of raising
-    (useful for force-sealed empty tail blocks).
+    Requires at least two strictly positive values.
     """
     values = list(incentives)
-    if drop_nonpositive:
-        kept = [v for v in values if v > 0]
-        if len(kept) != len(values):
-            warnings.warn(
-                f"dropped {len(values) - len(kept)} non-positive incentives "
-                f"before computing returns", stacklevel=2)
-        values = kept
     if len(values) < 2:
         raise ValueError("need at least two incentives to form returns")
     for i, v in enumerate(values):
         if v <= 0:
             raise ValueError(f"incentive at index {i} is {v}; returns need positive values")
-    rets = tuple(math.log(values[i] / values[i - 1]) for i in range(1, len(values)))
-    return ReturnSeries(values=rets, source=source)
+    return tuple(math.log(values[i] / values[i - 1]) for i in range(1, len(values)))
 
 
 def volatility(returns) -> float:
@@ -113,7 +70,7 @@ def rolling_volatility(incentives: Sequence[float], window: int) -> List[float]:
     """
     if window < 2:
         raise ValueError("window must be >= 2")
-    rets = log_returns(incentives).values
+    rets = log_returns(incentives)
     if window > len(rets):
         raise ValueError(
             f"window {window} exceeds the {len(rets)} available returns")
@@ -123,12 +80,12 @@ def rolling_volatility(incentives: Sequence[float], window: int) -> List[float]:
     ]
 
 
-def benchmark_check(vol: float, benchmark: VolatilityBenchmark = BENCHMARK) -> str:
+def benchmark_check(vol: float) -> str:
     """Classify a volatility against the historical range: below/within/above."""
     if vol < 0:
         raise ValueError("volatility cannot be negative")
-    if vol < benchmark.minimum:
+    if vol < BENCHMARK_MIN:
         return "below"
-    if vol > benchmark.maximum:
+    if vol > BENCHMARK_MAX:
         return "above"
     return "within"

@@ -222,19 +222,16 @@ def run_optimizer(algo: str, space: SearchSpace, objective: Callable,
 GRID_CATEGORY_ORDER = (2, 1, 4, 3)
 
 
-def grid_cell(cat_id: int, config: OptimizerConfig, dataset, cfg: SimulationConfig,
-              bounds: Optional[Dict[str, Tuple[float, float]]] = None) -> OptimizationRun:
+def grid_cell(cat_id: int, config: OptimizerConfig, dataset, cfg: SimulationConfig) -> OptimizationRun:
     """One cell: `config.algorithm` minimizing `evaluate` over category `cat_id`."""
     cat = category(cat_id)
-    space = SearchSpace(category=cat, bounds=dict(bounds or DEFAULT_BOUNDS))
-    return run_optimizer(config.algorithm, space,
+    return run_optimizer(config.algorithm, SearchSpace(category=cat),
                          lambda attrs: evaluate_attrs(attrs, cat, dataset, cfg), config)
 
 
 def experiment_grid(dataset, cfg: SimulationConfig,
                     base_config: OptimizerConfig = OptimizerConfig(),
                     algorithms: Sequence[str] = ALGORITHMS,
-                    bounds: Optional[Dict[str, Tuple[float, float]]] = None,
                     jobs: int = 1) -> List[OptimizationRun]:
     """All algorithm-by-category optimization runs (20 with the defaults).
 
@@ -251,7 +248,7 @@ def experiment_grid(dataset, cfg: SimulationConfig,
             cell_seed = base_config.rng_seed + 1000 * a_idx + c_idx
             cat_ids.append(cat_id)
             configs.append(replace(base_config, algorithm=algo, rng_seed=cell_seed))
-    cells = (cat_ids, configs, repeat(dataset), repeat(cfg), repeat(bounds))
+    cells = (cat_ids, configs, repeat(dataset), repeat(cfg))
     workers = min(jobs, len(configs))
     if workers <= 1:
         return list(map(grid_cell, *cells))
@@ -271,7 +268,7 @@ def grid_rows(runs: Sequence[OptimizationRun]) -> List[dict]:
             "algorithm": r.algorithm,
             "experiment": i,
             "a1": attrs["a1"],
-            "a2": cat.priority.label,
+            "a2": cat.priority.value,
             "a3": cat.designated_space,
             "a4": attrs.get("a4", "-"),
             "a5": attrs.get("a5", "-"),

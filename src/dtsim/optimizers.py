@@ -128,12 +128,10 @@ def differential_evolution(objective: Objective, lb, ub, budget: int,
 
 def genetic_algorithm(objective: Objective, lb, ub, budget: int,
                       rng: np.random.Generator, n_pop: int = 50,
-                      crossover_rate: float = 0.9,
-                      mutation_sigma0: float = 0.1,
-                      mutation_sigma_final: float = 1e-3,
-                      max_gen: int = 100) -> OptTrace:
+                      crossover_rate: float = 0.9, max_gen: int = 100) -> OptTrace:
     """Generational GA: tournament-2 parents, uniform crossover, Gaussian
-    mutation at rate 1/dim with a geometrically decaying step, one elite."""
+    mutation at rate 1/dim with a step decaying geometrically from 0.1 to
+    0.001 of the box width, one elite."""
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     dim = lb.size
@@ -149,8 +147,8 @@ def genetic_algorithm(objective: Objective, lb, ub, budget: int,
     total_gens = max(1, min(max_gen, budget // max(n_pop, 1)))
     while tally.remaining() >= n_pop:
         gen += 1
-        decay = (mutation_sigma_final / mutation_sigma0) ** (gen / total_gens)
-        sigma = mutation_sigma0 * decay * span
+        decay = (1e-3 / 0.1) ** (gen / total_gens)
+        sigma = 0.1 * decay * span
 
         def tournament():
             a, b = rng.integers(n_pop), rng.integers(n_pop)
@@ -178,18 +176,16 @@ def genetic_algorithm(objective: Objective, lb, ub, budget: int,
     return OptTrace(tally.best_x, tally.best_f, trace, tally.used)
 
 
-def cma_es(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
-           popsize: int | None = None, sigma0_frac: float = 0.3) -> OptTrace:
-    """Covariance matrix adaptation evolution strategy (standard weights and
-    cumulation constants), started at the box centre with step size
-    `sigma0_frac` of the box width per dimension."""
+def cma_es(objective: Objective, lb, ub, budget: int, rng: np.random.Generator) -> OptTrace:
+    """Covariance matrix adaptation evolution strategy (standard population
+    size, weights and cumulation constants), started at the box centre with
+    step size 0.3 of the mean box width."""
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     dim = lb.size
     tally = _Budget(objective, budget)
 
-    lam = popsize or (4 + int(3 * math.log(dim)))
-    lam = max(4, min(lam, budget))
+    lam = max(4, min(4 + int(3 * math.log(dim)), budget))
     mu = lam // 2
     raw = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
     weights = raw / raw.sum()
@@ -204,7 +200,7 @@ def cma_es(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
 
     span = ub - lb
     mean = (lb + ub) / 2.0
-    sigma = sigma0_frac * float(np.mean(span))
+    sigma = 0.3 * float(np.mean(span))
     pc = np.zeros(dim)
     ps = np.zeros(dim)
     cov = np.eye(dim)
@@ -253,10 +249,10 @@ def cma_es(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
 
 
 def gbo(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
-        n_pop: int = 50, escape_prob: float = 0.5,
-        beta_min: float = 0.2, beta_max: float = 1.2) -> OptTrace:
-    """Gradient-based optimizer: gradient search rule plus local escaping
-    operator applied with probability `escape_prob`."""
+        n_pop: int = 50, escape_prob: float = 0.5) -> OptTrace:
+    """Gradient-based optimizer: gradient search rule, whose step scale beta
+    decays from 1.2 to 0.2, plus local escaping operator applied with
+    probability `escape_prob`."""
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     dim = lb.size
@@ -277,7 +273,7 @@ def gbo(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
     it = 0
     while tally.remaining() >= n_pop:
         it += 1
-        beta = beta_min + (beta_max - beta_min) * (1 - (it / max_gen) ** 3) ** 2
+        beta = 0.2 + (1.2 - 0.2) * (1 - (it / max_gen) ** 3) ** 2
         alpha = abs(beta * math.sin(3 * math.pi / 2 + math.sin(3 * math.pi / 2 * beta)))
 
         for i in range(n_pop):

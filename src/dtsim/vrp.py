@@ -34,9 +34,6 @@ class VrpInstance:
         if self.capacity < 1:
             raise ValueError("capacity must be positive")
 
-    def infeasible_transactions(self) -> List[int]:
-        return [i for i, d in enumerate(self.demands) if d > self.capacity]
-
 
 @dataclass(frozen=True)
 class AssignmentMatrix:
@@ -143,7 +140,7 @@ def brute_force_min_variance(instance: VrpInstance, block_count: int) -> Tuple[A
         raise ValueError(f"oracle limited to {MAX_ORACLE_TXS} transactions, got {n}")
     if not 1 <= block_count <= MAX_ORACLE_BLOCKS:
         raise ValueError(f"oracle limited to {MAX_ORACLE_BLOCKS} blocks, got {block_count}")
-    bad = instance.infeasible_transactions()
+    bad = [i for i, d in enumerate(instance.demands) if d > instance.capacity]
     if bad:
         raise ValueError(
             f"transactions {bad} have demands above capacity {instance.capacity}; "

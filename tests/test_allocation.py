@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from dtsim.allocation import (AllocationParams, block_incentive, erf, erfc, leaf_nodes,
+from dtsim.allocation import (AllocationParams, block_incentive, erf, leaf_nodes,
                               leaf_slots, lognormal_cdf)
 from dtsim.ingest import MIN_POSITIVE_FEE
 
@@ -47,11 +47,6 @@ def test_erf_oracle_table(x, expected):
         assert got == 0.0
     else:
         assert abs(got - expected) / abs(expected) < 1e-12
-
-
-def test_erfc_complements_erf():
-    for x in (-3.0, -0.7, 0.0, 0.4, 1.9, 2.5, 4.0):
-        assert erfc(x) == pytest.approx(1.0 - erf(x), abs=1e-15)
 
 
 def test_erf_is_odd_and_monotone():

@@ -111,7 +111,7 @@ def test_round_trip_reproduces_inputs(cat_id, a1, a6, a7, a8, a4, a5):
     s = strategy_from_category(cat, **kwargs)
     attrs = s.attributes()
     assert attrs["a1"] == a1
-    assert attrs["a2"] == cat.priority.label
+    assert attrs["a2"] == cat.priority.value
     assert attrs["a3"] == cat.designated_space
     assert attrs["a6"] == a6
     assert attrs["a7"] == a7

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dtsim.metrics import (
-    BENCHMARK,
+    BENCHMARK_MAX,
+    BENCHMARK_MIN,
     HISTORICAL_VOLATILITY,
     benchmark_check,
     log_returns,
@@ -16,29 +17,21 @@ from dtsim.metrics import (
 
 class TestLogReturns:
     def test_constant_series(self):
-        assert log_returns([5.0, 5.0, 5.0]).values == (0.0, 0.0)
+        assert log_returns([5.0, 5.0, 5.0]) == (0.0, 0.0)
 
     def test_e_spike(self):
-        rets = log_returns([1.0, math.e, 1.0]).values
+        rets = log_returns([1.0, math.e, 1.0])
         assert rets[0] == pytest.approx(1.0, abs=1e-15)
         assert rets[1] == pytest.approx(-1.0, abs=1e-15)
 
     def test_length_contract(self):
-        assert len(log_returns(range(1, 12)).values) == 10
+        assert len(log_returns(range(1, 12))) == 10
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             log_returns([1.0, 0.0, 2.0])
         with pytest.raises(ValueError):
             log_returns([3.0])
-
-    def test_drop_nonpositive_mode_warns(self):
-        with pytest.warns(UserWarning):
-            rets = log_returns([1.0, 0.0, 1.0, 2.0], drop_nonpositive=True)
-        assert len(rets.values) == 2
-
-    def test_source_tag(self):
-        assert log_returns([1, 2], source="daily-average").source == "daily-average"
 
 
 class TestVolatility:
@@ -88,10 +81,10 @@ class TestRollingVolatility:
 
 class TestBenchmark:
     def test_table_constants(self):
-        assert BENCHMARK.minimum == 0.037647
-        assert BENCHMARK.maximum == 0.238111
-        assert HISTORICAL_VOLATILITY[2019] == BENCHMARK.minimum
-        assert HISTORICAL_VOLATILITY[2012] == BENCHMARK.maximum
+        assert BENCHMARK_MIN == 0.037647
+        assert BENCHMARK_MAX == 0.238111
+        assert HISTORICAL_VOLATILITY[2019] == BENCHMARK_MIN
+        assert HISTORICAL_VOLATILITY[2012] == BENCHMARK_MAX
         assert len(HISTORICAL_VOLATILITY) == 9
 
     @pytest.mark.parametrize("vol,expected", [
