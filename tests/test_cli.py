@@ -148,6 +148,27 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["series.csv"]
 
+    @pytest.mark.parametrize("args, code, phrases", [
+        (["simulate", "--count", "500", "--category", "1", "--out", "{tmp}/o"], 2, ["a4", "a5"]),
+        (["simulate", "--count", "500", "--a6", "5000", "--out", "{tmp}/o"], 2,
+         ["exceeds leaf capacity"]),
+        (["vrp-check", "--blocks", "{tmp}/blocks.csv"], 3, ["{tmp}/assignments.csv"]),
+        (["volatility", "--in", "{tmp}/blocks.csv", "--column", "nope"], 3,
+         ["{tmp}/blocks.csv", "nope"]),
+    ])
+    def test_rejected_input_is_one_stderr_line_before_any_output(
+            self, tmp_path, capsys, args, code, phrases):
+        (tmp_path / "blocks.csv").write_text(
+            "height,tx_count,occupied_nodes,incentive,seal_time\n0,1,1,5.0,9\n")
+        assert main([a.format(tmp=tmp_path) for a in args]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: " if code == 2 else "data error: ")
+        assert err.count("\n") == 1
+        for phrase in phrases:
+            assert phrase.format(tmp=tmp_path) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["blocks.csv"]
+
     def test_nonpositive_jobs_rejected_before_any_work(self, tmp_path):
         out = tmp_path / "o"
         assert main(["optimize", "--grid", "--count", "1500", "--budget", "2", "--n-pop", "2",
