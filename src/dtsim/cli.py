@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import io
 import json
@@ -27,8 +26,8 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .core import (REFERENCE_STRATEGY, SimulationConfig, category, strategy_from_category,
-                   validate_strategy, write_csv_rows)
+from .core import (REFERENCE_STRATEGY, SimulationConfig, read_csv_columns,
+                   strategy_from_category, write_csv_rows)
 from .ingest import DatasetSpec, IrrationalMix, generate, inject_irrational, load_csv
 from .metrics import benchmark_check, rolling_volatility, series_volatility
 from .optimize import (
@@ -164,13 +163,8 @@ def _sim_config(args, config) -> SimulationConfig:
 def _dataset(args, config):
     """Load or synthesize the transaction stream per flags and config."""
     sim, irr = config["simulation"], config["irrational"]
-    if args.dataset and getattr(args, "synthetic", False):
-        raise ConfigError("--dataset and --synthetic are mutually exclusive")
     if args.dataset:
-        try:
-            stream = load_csv(args.dataset, commission_ratio=sim["commission_ratio"])
-        except OSError as exc:
-            raise DataError(f"cannot read dataset: {exc}") from None
+        stream = load_csv(args.dataset, commission_ratio=sim["commission_ratio"])
         if not stream:
             raise DataError(f"dataset {args.dataset} holds no transactions")
     else:
@@ -191,12 +185,7 @@ def _dataset(args, config):
 
 def _strategy(args, config):
     attrs = dict(config["strategy"])
-    cat = category(attrs.pop("category"))
-    if cat.designated_space and (args.a4 is None or args.a5 is None):
-        raise ConfigError(f"category {cat.id} needs --a4 and --a5")
-    if not cat.designated_space and (args.a4 is not None or args.a5 is not None):
-        raise ConfigError(f"category {cat.id} has no designated space; drop --a4/--a5")
-    return strategy_from_category(cat, **attrs, a4=args.a4, a5=args.a5)
+    return strategy_from_category(attrs.pop("category"), **attrs, a4=args.a4, a5=args.a5)
 
 
 def _write_manifest(out_dir: Path, args, seed: int, config_text: str,
@@ -229,9 +218,6 @@ def cmd_simulate(args, config, config_text) -> int:
     seed = config["simulation"]["seed"]
     cfg = _sim_config(args, config)
     strategy = _strategy(args, config)
-    problems = validate_strategy(strategy, cfg)
-    if problems:
-        raise ConfigError("; ".join(problems))
     stream = _dataset(args, config)
 
     result = run(stream, strategy, cfg, force_seal=args.force_seal,
@@ -366,25 +352,24 @@ def cmd_proofsize(args, config, config_text) -> int:
     return 0
 
 
-def _read_assignments(path):
-    rows = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            needed = {"tx_id", "block", "fee", "nodes"}
-            if not needed.issubset(reader.fieldnames or ()):
-                raise DataError(f"{path}: expected columns {sorted(needed)}")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    rows.append((int(row["tx_id"]), int(row["block"]),
-                                 float(row["fee"]), int(row["nodes"])))
-                except (TypeError, ValueError) as exc:
-                    raise DataError(f"{path}:{lineno}: malformed row: {exc}") from None
-    except OSError as exc:
-        raise DataError(f"cannot read assignments: {exc}") from None
-    if not rows:
-        raise DataError(f"{path}: no assignment rows")
-    return rows
+def _block_mismatches(path, rows) -> list[str]:
+    """Heights where blocks.csv disagrees with the (tx_id, block, fee, nodes)
+    rows. `run` writes each block's tx_count, occupied_nodes and the fsum of
+    its fees, and CSV floats round-trip, so the totals must match exactly."""
+    heights, *totals = read_csv_columns(path, {
+        "height": int, "tx_count": int, "occupied_nodes": int, "incentive": float})
+    listed = dict(zip(heights, zip(*totals)))
+    problems = [f"{path} lists a height more than once"] if len(listed) < len(heights) else []
+    packed = {}
+    for _, block, fee, nodes in rows:
+        packed.setdefault(block, []).append((fee, nodes))
+    for height in sorted(listed.keys() | packed.keys()):
+        txs = packed.get(height, [])
+        found = (len(txs), sum(n for _, n in txs), math.fsum(f for f, _ in txs))
+        if listed.get(height) != found:
+            problems.append(f"block {height}: (tx_count, occupied_nodes, incentive) is "
+                            f"{listed.get(height)} in {path}, {found} by its assignments")
+    return problems
 
 
 def _packing(rows, heights, capacity):
@@ -407,16 +392,17 @@ def cmd_vrp_check(args, config, config_text) -> int:
         raise ConfigError(f"--oracle-max-n must be between 1 and {MAX_ORACLE_TXS}")
     if not 1 <= args.oracle_blocks <= MAX_ORACLE_BLOCKS:
         raise ConfigError(f"--oracle-blocks must be between 1 and {MAX_ORACLE_BLOCKS}")
-    assignments_path = args.assignments
-    if assignments_path is None:
-        assignments_path = Path(args.blocks).with_name("assignments.csv")
-    rows = _read_assignments(assignments_path)
+    assignments_path = args.assignments or Path(args.blocks).with_name("assignments.csv")
+    rows = list(zip(*read_csv_columns(
+        assignments_path, {"tx_id": int, "block": int, "fee": float, "nodes": int})))
+    if not rows:
+        raise DataError(f"{assignments_path}: no assignment rows")
     capacity = config["simulation"]["leaf_capacity"]
 
     # Full-chain constraint check.
     block_ids = sorted({block for _, block, _, _ in rows})
     matrix, instance = _packing(rows, block_ids, capacity)
-    violations = check_constraints(matrix, instance)
+    violations = check_constraints(matrix, instance) + _block_mismatches(args.blocks, rows)
     distinct_txs = len(set(matrix.tx_ids))
     print(f"transactions: {distinct_txs}, blocks: {len(block_ids)}, capacity: {capacity}")
     if violations:
@@ -452,27 +438,9 @@ def cmd_vrp_check(args, config, config_text) -> int:
 
 
 def cmd_volatility(args, config, config_text) -> int:
-    try:
-        with open(args.infile, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise DataError(f"{args.infile}: empty file")
-            column = args.column
-            if column not in reader.fieldnames:
-                raise DataError(
-                    f"{args.infile}: no column {column!r}; available: {reader.fieldnames}")
-            values = []
-            bad_rows = []
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    v = float(row[column])
-                except (TypeError, ValueError):
-                    raise DataError(f"{args.infile}:{lineno}: non-numeric value") from None
-                if v <= 0:
-                    bad_rows.append((lineno, v))
-                values.append(v)
-    except OSError as exc:
-        raise DataError(f"cannot read input: {exc}") from None
+    (values,) = read_csv_columns(args.infile, {args.column: float})
+    # Line numbers as if no line were blank.
+    bad_rows = [(lineno, v) for lineno, v in enumerate(values, start=2) if v <= 0]
     if bad_rows:
         listing = ", ".join(f"line {ln} ({v})" for ln, v in bad_rows[:10])
         raise DataError(f"non-positive incentives at: {listing}"
@@ -505,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", parents=[common], help="run one strategy over a stream")
     sim.add_argument("--dataset", help="transaction CSV (default: synthetic stream)")
-    sim.add_argument("--synthetic", action="store_true", help="force synthetic stream")
     sim.add_argument("--count", type=int, help="synthetic stream length")
     sim.add_argument("--category", type=int, choices=(1, 2, 3, 4))
     sim.add_argument("--a1", type=int, help="mempool size")

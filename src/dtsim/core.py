@@ -180,6 +180,28 @@ class DtsStrategy:
     small_fee_threshold: Optional[float] = None
     small_fee_count: Optional[int] = None
 
+    def __post_init__(self):
+        problems = []
+        if self.mempool_size < 1:
+            problems.append("mempool_size (a1) must be positive")
+        if self.max_trx_nodes < 1:
+            problems.append("max_trx_nodes (a6) must be >= 1")
+        if self.shape <= 0:
+            problems.append("shape (a8) must be positive")
+        small_fee = (self.small_fee_threshold, self.small_fee_count)
+        if not self.designated_space:
+            if small_fee != (None, None):
+                problems.append("designated_space (a3) is not set: a4/a5 must not be supplied")
+        elif None in small_fee:
+            problems.append("designated_space (a3) is set: a4 and a5 are required")
+        else:
+            if self.small_fee_threshold <= 0:
+                problems.append("small_fee_threshold (a4) must be positive")
+            if self.small_fee_count < 0:
+                problems.append("small_fee_count (a5) must be >= 0")
+        if problems:
+            raise ValueError("; ".join(problems))
+
     def attributes(self) -> dict:
         """Attribute-vector view keyed a1..a8 (a4/a5 omitted when absent)."""
         attrs = {
@@ -239,20 +261,12 @@ def strategy_from_category(cat: StrategyCategory | int, *, a1: int, a6: int,
 
     The category fixes priority (a2) and designated space (a3). a4/a5 are
     required exactly when the category reserves space for small-fee
-    transactions, and rejected otherwise. Raises ValueError on any violated
-    attribute bound.
+    transactions, and rejected otherwise; `DtsStrategy` raises ValueError
+    listing every violated attribute bound.
     """
     if isinstance(cat, int):
         cat = category(cat)
-    if cat.designated_space:
-        if a4 is None or a5 is None:
-            raise ValueError(
-                f"category {cat.id} reserves small-fee space: a4 and a5 are required")
-    else:
-        if a4 is not None or a5 is not None:
-            raise ValueError(
-                f"category {cat.id} has no designated space: a4/a5 must not be supplied")
-    strategy = DtsStrategy(
+    return DtsStrategy(
         mempool_size=a1,
         priority=cat.priority,
         designated_space=cat.designated_space,
@@ -262,10 +276,6 @@ def strategy_from_category(cat: StrategyCategory | int, *, a1: int, a6: int,
         small_fee_threshold=a4,
         small_fee_count=a5,
     )
-    problems = _intrinsic_violations(strategy)
-    if problems:
-        raise ValueError("; ".join(problems))
-    return strategy
 
 
 # The paper's reference strategy (time-based priority, no small-fee space),
@@ -273,32 +283,56 @@ def strategy_from_category(cat: StrategyCategory | int, *, a1: int, a6: int,
 REFERENCE_STRATEGY = {"category": 2, "a1": 25469, "a6": 110, "a7": 6.94, "a8": 1.0}
 
 
-def _intrinsic_violations(s: DtsStrategy) -> list[str]:
-    problems = []
-    if s.mempool_size < 1:
-        problems.append("mempool_size (a1) must be positive")
-    if s.max_trx_nodes < 1:
-        problems.append("max_trx_nodes (a6) must be >= 1")
-    if s.shape <= 0:
-        problems.append("shape (a8) must be positive")
-    if s.designated_space:
-        if s.small_fee_threshold is None or s.small_fee_threshold <= 0:
-            problems.append("small_fee_threshold (a4) must be positive")
-        if s.small_fee_count is None or s.small_fee_count < 0:
-            problems.append("small_fee_count (a5) must be >= 0")
-    else:
-        if s.small_fee_threshold is not None or s.small_fee_count is not None:
-            problems.append("a4/a5 present despite designated_space=False")
-    return problems
-
-
 def validate_strategy(s: DtsStrategy, cfg: SimulationConfig) -> list[str]:
-    """Every violated invariant of `s` under `cfg`; empty list when valid."""
-    problems = _intrinsic_violations(s)
+    """The violated invariants of `s` that depend on `cfg`; empty list when
+    valid. A `DtsStrategy` has already passed its own checks."""
     if s.max_trx_nodes > cfg.leaf_capacity:
-        problems.append(
-            f"max_trx_nodes (a6) {s.max_trx_nodes} exceeds leaf capacity {cfg.leaf_capacity}")
-    return problems
+        return [f"max_trx_nodes (a6) {s.max_trx_nodes} exceeds leaf capacity {cfg.leaf_capacity}"]
+    return []
+
+
+class SchemaError(DataError):
+    """A CSV input cannot be read, lacks a column or has a malformed row."""
+
+
+def read_csv_columns(path, kinds: dict, optional: Sequence[str] = ()) -> list[list]:
+    """The columns of the CSV file at `path` that `kinds` names, in its order,
+    each cell parsed by the callable that `kinds` maps its column to.
+
+    The one input reader of the package: it streams rows through `csv.reader`,
+    strips header names and skips blank rows. A column in `optional` that the
+    header lacks holds `kind("")` in every row. Raises SchemaError naming the file
+    when it cannot be read, is empty or lacks a column, and its line when a
+    row is short or a cell fails its callable with ValueError.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = {name.strip(): i for i, name in enumerate(next(reader, ()))}
+            if not header:
+                raise SchemaError(f"{path}: empty file")
+            missing = [name for name in kinds if name not in header and name not in optional]
+            if missing:
+                raise SchemaError(f"{path}: missing columns {missing}; available: {list(header)}")
+            columns = [[] for _ in kinds]
+            parsers = [(header[name], kind, col.append)
+                       for (name, kind), col in zip(kinds.items(), columns) if name in header]
+            rows = 0
+            for row in reader:
+                if not any(map(str.strip, row)):
+                    continue
+                rows += 1
+                try:
+                    for i, kind, append in parsers:
+                        append(kind(row[i]))
+                except (ValueError, IndexError) as exc:
+                    raise SchemaError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+    return [col if name in header else [kind("")] * rows
+            for (name, kind), col in zip(kinds.items(), columns)]
 
 
 CSV_CHUNK_ROWS = 4096

@@ -9,7 +9,6 @@ market data does instead of staying i.i.d. flat.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 import warnings
@@ -19,7 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import DataError, Stream, Transaction, write_csv_rows
+from .core import (DataError, SchemaError, Stream, Transaction, read_csv_columns,
+                   write_csv_rows)
 
 MIN_POSITIVE_FEE = sys.float_info.min
 
@@ -136,43 +136,20 @@ def inject_irrational(stream: Iterable[Transaction], mix: IrrationalMix,
     return stream.with_fees(fees)
 
 
-class SchemaError(DataError):
-    """A transaction CSV has a malformed row or header, or fails the `Stream` checks."""
-
-
 def load_csv(path, commission_ratio: float = DEFAULT_COMMISSION_RATIO) -> Stream:
     """Load a transaction stream from CSV.
 
-    Expected header: id, amount, arrival_time_ms and optionally fee. When
-    the fee column is absent it is derived as amount * commission_ratio.
-    Raises SchemaError naming the file, plus the line of a malformed row or
-    the `Stream` check's own message when the columns fail it (arrival
-    order, repeated ids, 64-bit range, finite non-negative values).
+    Expected header: id, amount, arrival_time_ms and optionally fee. A fee
+    that is absent or blank is derived as amount * commission_ratio.
+    Raises SchemaError naming the file: `read_csv_columns`' errors, or the
+    `Stream` check's own message when the columns fail it (arrival order,
+    repeated ids, 64-bit range, finite non-negative values).
     """
-    ids, amounts, arrivals, fees = [], [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        cols = {name.strip(): i for i, name in enumerate(header)}
-        for required in ("id", "amount", "arrival_time_ms"):
-            if required not in cols:
-                raise SchemaError(f"{path}: missing required column {required!r}")
-        fee_col = cols.get("fee")
-
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                ids.append(int(row[cols["id"]]))
-                amounts.append(float(row[cols["amount"]]))
-                arrivals.append(int(row[cols["arrival_time_ms"]]))
-                fee = row[fee_col].strip() if fee_col is not None else ""
-                fees.append(float(fee) if fee else amounts[-1] * commission_ratio)
-            except (ValueError, IndexError) as exc:
-                raise SchemaError(f"{path}:{lineno}: malformed row: {exc}") from None
+    ids, amounts, arrivals, fees = read_csv_columns(path, {
+        "id": int, "amount": float, "arrival_time_ms": int,
+        "fee": lambda text: float(text) if text.strip() else None}, optional=("fee",))
+    fees = [amount * commission_ratio if fee is None else fee
+            for amount, fee in zip(amounts, fees)]
     try:
         return Stream(ids, arrivals, amounts, fees)
     except DataError as exc:

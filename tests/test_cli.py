@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -366,6 +367,43 @@ class TestVrpCheckCommand:
         assert "assigned more than once" in check2.stdout
         assert check2.returncode == 1
 
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("vrp") / "run"
+        assert main(["simulate", "--count", "6000", "--seed", "2", "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("field, edit", [
+        (3, lambda v: repr(math.nextafter(float(v), math.inf))),  # incentive, one ulp up
+        (2, lambda v: str(int(v) + 1)),  # occupied_nodes
+        (1, lambda v: str(int(v) - 1)),  # tx_count
+    ])
+    def test_blocks_row_that_disagrees_with_assignments_is_a_violation(
+            self, run_dir, tmp_path, capsys, field, edit):
+        lines = (run_dir / "blocks.csv").read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[field] = edit(cells[field])
+        lines[1] = ",".join(cells)
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("\n".join(lines) + "\n")
+        assert main(["vrp-check", "--blocks", str(blocks),
+                     "--assignments", str(run_dir / "assignments.csv")]) == 1
+        out = capsys.readouterr().out
+        assert "violations (1):" in out
+        assert f"block 0: (tx_count, occupied_nodes, incentive) is (" in out
+
+    @pytest.mark.parametrize("content", [None, b"garbage\n", b"\xff\xfe\x00\x01garbage"])
+    def test_missing_or_unreadable_blocks_file_is_data_error(
+            self, run_dir, tmp_path, capsys, content):
+        blocks = tmp_path / "blocks.csv"
+        if content is not None:
+            blocks.write_bytes(content)
+        assert main(["vrp-check", "--blocks", str(blocks),
+                     "--assignments", str(run_dir / "assignments.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(blocks) in err
+        assert err.count("\n") == 1
+
 
 def test_main_entry_returns_help_without_command():
     assert main([]) == 2
@@ -424,9 +462,3 @@ def test_irrational_mix_config_path(tmp_path):
     mixed = (out_mixed / "blocks.csv").read_bytes()
     plain = (out_plain / "blocks.csv").read_bytes()
     assert mixed != plain  # the perturbation must actually change the run
-
-
-def test_dataset_and_synthetic_conflict(tmp_path):
-    proc = run_cli(["simulate", "--dataset", "x.csv", "--synthetic",
-                    "--out", str(tmp_path / "o")])
-    assert proc.returncode == 2

@@ -88,10 +88,14 @@ class TestValidateStrategy:
     def test_total_function_collects_everything(self):
         from dtsim.core import DtsStrategy
 
-        s = DtsStrategy(mempool_size=0, priority=Priority.TIME, designated_space=False,
+        with pytest.raises(ValueError) as excinfo:
+            DtsStrategy(mempool_size=0, priority=Priority.TIME, designated_space=False,
                         max_trx_nodes=9000, scale=1.0, shape=-1.0)
-        problems = validate_strategy(s, SimulationConfig())
-        assert len(problems) == 3
+        assert "(a1)" in str(excinfo.value) and "(a8)" in str(excinfo.value)
+        s = DtsStrategy(mempool_size=1, priority=Priority.TIME, designated_space=False,
+                        max_trx_nodes=9000, scale=1.0, shape=1.0)
+        (problem,) = validate_strategy(s, SimulationConfig())
+        assert "exceeds leaf capacity" in problem
 
 
 @given(
