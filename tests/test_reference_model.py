@@ -384,3 +384,78 @@ def test_reserved_pool_larger_than_stream(cat, extra):
     blocks = check_reserved(fees, cat=cat, a1=30 + extra, a5=2,
                             cfg=SimulationConfig(leaf_capacity=4))
     assert sum(map(len, blocks)) == 30
+
+
+# Explicit cases of the drain after the last arrival (or of a pool larger
+# than the stream) with reserved slots, where every pick comes from a fixed
+# pending set; each is checked against the naive miner.
+def test_drain_blocks_shorter_than_the_quota():
+    # Two-slot blocks never fill a quota of 3: every block takes the best
+    # small fees first while any wait, then the rest in rank order.
+    fees = [5.0, 1.0, 6.0, 1.5, 0.5, 7.0, 3.0, 1.2]
+    assert check_reserved(fees, cat=3, a1=8, a5=3, cfg=SimulationConfig(leaf_capacity=2)) == \
+        [(3, 7), (1, 4), (5, 2), (0, 6)]
+    assert check_reserved(fees, cat=1, a1=8, a5=3, cfg=SimulationConfig(leaf_capacity=2)) == \
+        [(1, 3), (4, 7), (0, 2), (5, 6)]
+
+
+def test_drain_starts_with_the_quota_the_last_arrival_left():
+    # Id 7 evicts id 6 and its arrival picks the small id 1, which uses one
+    # of the block's two reserved slots; the drain then takes only id 3 as
+    # small before id 0 by rank, and the small id 4 waits for block 1.
+    fees = [5.0, 1.5, 6.0, 1.2, 1.1, 7.0, 0.5, 8.0]
+    assert check_reserved(fees, cat=1, a1=7, a5=2, cfg=SimulationConfig(leaf_capacity=3)) == \
+        [(1, 3, 0), (2, 4, 5), (7,)]
+
+
+@pytest.mark.parametrize("force_seal", [False, True])
+def test_drain_stops_at_the_block_target(force_seal):
+    # Id 0 opens block 2 past the target of 2 and stays unsealed unless
+    # force_seal; ids 1, 4 and 6 are still pending.
+    fees = [5.0, 1.0, 6.0, 1.5, 0.5, 7.0, 3.0, 1.2]
+    cfg = SimulationConfig(leaf_capacity=2, block_count_target=2)
+    assert check_reserved(fees, cat=3, a1=8, a5=1, cfg=cfg, force_seal=force_seal) == \
+        [(3, 5), (2, 7)] + [(0,)] * force_seal
+
+
+@pytest.mark.parametrize("fees,cat,blocks", [
+    # Only small fees wait: the quota of 2 goes to the best two, the third
+    # slot to the next by rank, which is small as well.
+    ([1.0, 1.5, 0.5, 1.9, 1.2, 0.7, 1.1], 3, [(3, 1, 4), (6, 0, 5), (2,)]),
+    ([1.0, 1.5, 0.5, 1.9, 1.2, 0.7, 1.1], 1, [(0, 1, 2), (3, 4, 5), (6,)]),
+    # No small fee waits: every pick is by rank.
+    ([3.0, 2.5, 5.0, 2.0, 4.0, 9.0, 7.0], 3, [(5, 6, 2), (4, 0, 1), (3,)]),
+    ([3.0, 2.5, 5.0, 2.0, 4.0, 9.0, 7.0], 1, [(0, 1, 2), (3, 4, 5), (6,)]),
+])
+def test_drain_with_one_kind_of_fee_pending(fees, cat, blocks):
+    assert check_reserved(fees, cat=cat, a1=7, a5=2, cfg=SimulationConfig(leaf_capacity=3)) == blocks
+
+
+def test_drain_seal_opened_by_a_small_fee_by_rank():
+    # Block 0's quota of 1 is full, so id 2 is picked by rank; it is small
+    # and opens block 1, whose quota it fills, so id 3 outranks the small
+    # id 5 there. Id 4 opens block 2 with its quota open for id 5.
+    fees = [5.0, 1.5, 1.2, 6.0, 7.0, 1.1, 8.0]
+    assert check_reserved(fees, cat=1, a1=7, a5=1, cfg=SimulationConfig(leaf_capacity=2)) == \
+        [(1, 0), (2, 3), (4, 5), (6,)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(txs=streams(max_size=200), data=st.data(), force_seal=st.booleans())
+def test_reserved_multi_block_drain_matches_naive_miner(txs, data, force_seal):
+    # Small blocks and pools up to past the stream length, so most runs end
+    # in a drain of many blocks.
+    leaf_capacity = data.draw(st.integers(min_value=1, max_value=30))
+    strategy = strategy_from_category(
+        data.draw(st.sampled_from([1, 3])),
+        a1=data.draw(st.integers(min_value=1, max_value=len(txs) + 10)),
+        a4=data.draw(st.sampled_from([0.5, 2.0, 100.0])),
+        a5=data.draw(st.integers(min_value=1, max_value=12)),
+        a6=data.draw(st.integers(min_value=1, max_value=leaf_capacity)),
+        a7=data.draw(st.sampled_from([-1.0, 0.5, 3.0])),
+        a8=data.draw(st.sampled_from([0.5, 1.0, 2.5])),
+    )
+    cfg = SimulationConfig(leaf_capacity=leaf_capacity,
+                           block_count_target=data.draw(st.none() | st.integers(1, 40)))
+    result = run(txs, strategy, cfg, force_seal=force_seal)
+    assert observed(result) == naive_run(txs, strategy, cfg, force_seal)
