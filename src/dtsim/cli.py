@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import (REFERENCE_STRATEGY, SimulationConfig, read_csv_columns,
-                   strategy_from_category, write_csv_rows)
+                   strategy_from_category, validate_strategy, write_csv_rows)
 from .ingest import DatasetSpec, IrrationalMix, generate, inject_irrational, load_csv
 from .metrics import benchmark_check, rolling_volatility, series_volatility
 from .optimize import (
@@ -183,9 +183,15 @@ def _dataset(args, config):
     return stream
 
 
-def _strategy(args, config):
+def _strategy(args, config, cfg: SimulationConfig):
+    """The configured strategy, checked against `cfg` before any stream is
+    read or generated."""
     attrs = dict(config["strategy"])
-    return strategy_from_category(attrs.pop("category"), **attrs, a4=args.a4, a5=args.a5)
+    strategy = strategy_from_category(attrs.pop("category"), **attrs, a4=args.a4, a5=args.a5)
+    problems = validate_strategy(strategy, cfg)
+    if problems:
+        raise ConfigError("invalid strategy: " + "; ".join(problems))
+    return strategy
 
 
 def _write_manifest(out_dir: Path, args, seed: int, config_text: str,
@@ -217,7 +223,7 @@ def cmd_simulate(args, config, config_text) -> int:
     t0 = time.perf_counter()
     seed = config["simulation"]["seed"]
     cfg = _sim_config(args, config)
-    strategy = _strategy(args, config)
+    strategy = _strategy(args, config, cfg)
     stream = _dataset(args, config)
 
     result = run(stream, strategy, cfg, force_seal=args.force_seal,

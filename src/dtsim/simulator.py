@@ -21,23 +21,26 @@ it overflows exactly once, at position a1, before the first pick: the
 cheapest pending transaction by (fee, arrival, id) is evicted when the
 newcomer pays strictly more, else the newcomer is rejected. `_mine` settles
 that once and then takes one of two branches. With reserved small-fee slots
-(a5 > 0) each pick depends on a quota that resets at every seal, so the
-miner steps once per pick over two disjoint heaps of pending ranks, one for
-the fees below the small-fee threshold and one for the rest: it pops the
-small heap while the block's quota is open, else the lower of the two heads,
-which is the lowest pending rank. Without them (categories 2 and 4, and 1
-and 3 with a5 = 0) the run is computed from whole arrays, and exactly: each
-arrival after the overflow is one `heappushpop` on the rank heap, and the
-drain is the rest of the heap in rank order. Every slot count is at least
-1, so the running slot total of the picks rises strictly and each next-fit
-seal is one `searchsorted` on it; the block-count target, `force_seal` and
-the fate of every transaction follow from the same indices.
+(a5 > 0) a waiting small fee comes first while the block's quota is open,
+else the lowest pending rank, and the quota resets at every seal. While
+arrivals continue the miner steps once per pick over two disjoint heaps of
+pending ranks, one for the fees below the small-fee threshold and one for
+the rest; after the last arrival the pending ranks are fixed, and `_drain`
+takes each block's picks at once by bisection over the two sorted lists.
+Without them (categories 2 and 4, and 1 and 3 with a5 = 0) the run is
+computed from whole arrays, and exactly: each arrival after the overflow is
+one `heappushpop` on the rank heap, and the drain is the rest of the heap in
+rank order. Every slot count is at least 1, so the running slot total of
+the picks rises strictly and each next-fit seal is one `searchsorted` on it;
+the block-count target, `force_seal` and the fate of every transaction
+follow from the same indices.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heappushpop
 from itertools import chain, repeat
@@ -149,8 +152,8 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
     The one overflow, at position a1, is settled before any pick, so its
     victim never enters the pool. Without reserved slots the picks and seals
     then come from whole-array operations; with them, from one step per
-    pick over the disjoint small-fee and other heaps, which together hold
-    at most a1 ranks."""
+    arrival over the disjoint small-fee and other heaps, which together hold
+    at most a1 ranks, and one step per block segment of the drain."""
     fees = stream.fees
     # Zero fees (injected underpayers) take the minimum positive fee's slots. Slots
     # come before the ranks, so the mapping's temporaries and the ranks never coexist.
@@ -210,49 +213,42 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
         # column through it instead raised the peak RSS of a 200k run by
         # 4 MB, with the same traced peak.
         slot_of = array("q", slot_of.tobytes())
-        below = (fees < strategy.small_fee_threshold).tobytes()
+        is_small = fees < strategy.small_fee_threshold
+        below = is_small.tobytes()
         # Two disjoint heaps of the pending ranks, split by the small-fee
-        # threshold. Every pick pops the heap it read, so together they hold
-        # at most a1 ranks.
-        small: List[int] = []
-        large: List[int] = []
-        picks = array("q")
-        filled = small_used = 0
-
-        def mine_one() -> bool:
-            # While the block holds fewer than a5 small fees a waiting one
-            # comes first; otherwise the lower of the two heads by rank.
-            # Reserved slots share the block's capacity; the count resets at
-            # each seal.
-            nonlocal filled, small_used
+        # threshold: the warm-up pool, less an evicted position. Every pick
+        # pops the heap it read, so together they hold at most a1 ranks.
+        pool = np.frombuffer(rank, dtype=np.int64)[:warm]
+        small, large = pool[is_small[:warm]].tolist(), pool[~is_small[:warm]].tolist()
+        del pool, is_small
+        if victim is not None and victim < warm:
+            (small if below[victim] else large).remove(rank[victim])
+        heapify(small)
+        heapify(large)
+        picks, filled, small_used = array("q"), 0, 0
+        # One pick per arrival from a pool that is never empty: the small heap
+        # while the quota is open, else the lower of the two heads.
+        for pos in range(warm, n_txs):
+            if pos != victim:
+                heappush(small if below[pos] else large, rank[pos])
             if small and (small_used < reserve or not large or small[0] < large[0]):
-                pos = order[heappop(small)]
-            elif large:
-                pos = order[heappop(large)]
+                pick = order[heappop(small)]
             else:
-                return False
-            n = slot_of[pos]
+                pick = order[heappop(large)]
+            n = slot_of[pick]
             if filled + n > capacity:
                 sealed.append((len(picks), filled))
                 filled = small_used = 0
-            small_used += below[pos]
-            picks.append(pos)
+            small_used += below[pick]
+            picks.append(pick)
             filled += n
-            return True
-
-        # Warm-up fills the pool; then one pick per arrival, then the drain.
-        for pos in range(n_txs):
-            if pos != victim:
-                heappush(small if below[pos] else large, rank[pos])
-            if pos >= warm:
-                mine_one()
-                if target is not None and len(sealed) >= target:
-                    submitted = pos + 1
-                    break
+            if len(sealed) == target:
+                submitted = pos + 1
+                break
         else:
-            while mine_one():
-                if target is not None and len(sealed) >= target:
-                    break
+            drain, filled = _drain(small, large, order, slot_of, reserve, capacity, target,
+                                   filled, small_used, len(picks), sealed)
+            picks.frombytes(drain.tobytes())
         picks, slot_of = (np.frombuffer(a, dtype=np.int64) for a in (picks, slot_of))
 
     if force_seal and len(picks) > (sealed[-1][0] if sealed else 0):
@@ -274,6 +270,66 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
     result.unsealed_count = len(picks) - included
     result.unsealed_fees = fee_sum(picks[included:])
     return picks, sealed, slot_of
+
+
+def _drain(S: List[int], L: List[int], order: array, slot_of: array, reserve: int, capacity: int,
+           target, filled: int, small_used: int, done: int, sealed: list) -> Tuple[np.ndarray, int]:
+    """The reserved miner after the last arrival, `done` picks in, with the
+    open block's `filled` slots and `small_used` quota: appends its seals to
+    `sealed` and returns its picks and the last block's slots.
+
+    The pending ranks are fixed, so the heaps of small-fee ranks S and other
+    ranks L are sorted once, in place, with prefix sums PS and PL of their slots.
+    Every pick takes the head of one, so the state is two indices (i, j), and
+    each step takes the picks of one block segment by bisection: S[i:] while
+    the quota is open or only small fees wait, L[j:] when only other fees
+    wait, else the merge of both by rank, whose slots below rank r rise with
+    r. The pick that does not fit opens the next block under the old block's
+    quota. Each step's picks are in rank order, so all of them are the taken
+    ranks sorted by (step, rank)."""
+    S.sort()
+    L.sort()
+    order_np, slots = (np.frombuffer(a, dtype=np.int64) for a in (order, slot_of))
+    PS, PL = (np.concatenate(([0], np.cumsum(slots[order_np[ranks]]))).tolist() for ranks in (S, L))
+    n_small, n_large = len(S), len(L)
+    i, j, ends = 0, 0, []
+    while i < n_small or j < n_large:
+        room = capacity - filled
+        if i < n_small and (small_used < reserve or j == n_large):
+            quota = i + reserve - small_used if small_used < reserve else n_small
+            a, b = min(bisect_right(PS, PS[i] + room, i) - 1, quota), j
+            seal = a < min(quota, n_small)
+        elif i == n_small:
+            a, b = i, bisect_right(PL, PL[j] + room, j) - 1
+            seal = b < n_large
+        elif PS[-1] + PL[-1] <= PS[i] + PL[j] + room:
+            a, b, seal = n_small, n_large, False
+        else:
+            # The first rank whose merged slots overflow the block; at most
+            # `room` picks fit, so the (room + 1)-th rank of either list bounds it.
+            lo = min(S[i], L[j])
+            hi = min(S[i + room:i + room + 1] + L[j + room:j + room + 1] + [max(S[-1], L[-1])])
+            first = lo + bisect_right(range(lo, hi + 1), PS[i] + PL[j] + room, key=lambda r: (
+                PS[bisect_left(S, r + 1, i)] + PL[bisect_left(L, r + 1, j)]))
+            a, b, seal = bisect_left(S, first, i), bisect_left(L, first, j), True
+        filled += PS[a] - PS[i] + PL[b] - PL[j]
+        small_used += a - i
+        done += a - i + b - j
+        i, j = a, b
+        if seal:
+            sealed.append((done, filled))
+            done += 1
+            if i < n_small and (small_used < reserve or j == n_large or S[i] < L[j]):
+                filled, small_used, i = PS[i + 1] - PS[i], 1, i + 1
+            else:
+                filled, small_used, j = PL[j + 1] - PL[j], 0, j + 1
+        ends.append((i, j))
+        if seal and len(sealed) == target:
+            break
+    took = np.diff(np.array(ends, dtype=np.int64).reshape(-1, 2), axis=0, prepend=0)
+    step = np.repeat(np.tile(np.arange(len(took)), 2), took.T.ravel())
+    ranks = np.array(S[:i] + L[:j], dtype=np.int64)
+    return order_np[ranks[np.lexsort((ranks, step))]], filled
 
 
 def fixed_block_baseline(dataset: Iterable[Transaction], txs_per_block: int = 2100) -> List[BlockRecord]:

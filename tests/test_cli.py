@@ -170,6 +170,19 @@ class TestExitCodes:
             assert phrase.format(tmp=tmp_path) in err
         assert [p.name for p in tmp_path.iterdir()] == ["blocks.csv"]
 
+    def test_over_capacity_a6_is_reported_before_the_dataset_is_read(self, tmp_path, capsys):
+        # The strategy is checked against the config first, so a dataset
+        # that would fail its own checks (arrivals out of order) is never read.
+        path = tmp_path / "stream.csv"
+        path.write_text("id,amount,arrival_time_ms,fee\n1,100.0,9,0.2\n2,100.0,5,0.2\n")
+        assert main(["simulate", "--dataset", str(path), "--a6", "5000",
+                     "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "exceeds leaf capacity" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["stream.csv"]
+
     def test_nonpositive_jobs_rejected_before_any_work(self, tmp_path):
         out = tmp_path / "o"
         assert main(["optimize", "--grid", "--count", "1500", "--budget", "2", "--n-pop", "2",
