@@ -184,8 +184,7 @@ def _dataset(args, config):
 
 
 def _strategy(args, config, cfg: SimulationConfig):
-    """The configured strategy, checked against `cfg` before any stream is
-    read or generated."""
+    """The configured strategy, checked against `cfg` before any input is read."""
     attrs = dict(config["strategy"])
     strategy = strategy_from_category(attrs.pop("category"), **attrs, a4=args.a4, a5=args.a5)
     problems = validate_strategy(strategy, cfg)

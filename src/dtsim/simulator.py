@@ -292,7 +292,7 @@ def _drain(S: List[int], L: List[int], order: array, slot_of: array, reserve: in
     order_np, slots = (np.frombuffer(a, dtype=np.int64) for a in (order, slot_of))
     PS, PL = (np.concatenate(([0], np.cumsum(slots[order_np[ranks]]))).tolist() for ranks in (S, L))
     n_small, n_large = len(S), len(L)
-    i, j, ends = 0, 0, []
+    i, j, ends = 0, 0, array("q")
     while i < n_small or j < n_large:
         room = capacity - filled
         if i < n_small and (small_used < reserve or j == n_large):
@@ -323,10 +323,10 @@ def _drain(S: List[int], L: List[int], order: array, slot_of: array, reserve: in
                 filled, small_used, i = PS[i + 1] - PS[i], 1, i + 1
             else:
                 filled, small_used, j = PL[j + 1] - PL[j], 0, j + 1
-        ends.append((i, j))
+        ends.extend((i, j))
         if seal and len(sealed) == target:
             break
-    took = np.diff(np.array(ends, dtype=np.int64).reshape(-1, 2), axis=0, prepend=0)
+    took = np.diff(np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), axis=0, prepend=0)
     step = np.repeat(np.tile(np.arange(len(took)), 2), took.T.ravel())
     ranks = np.array(S[:i] + L[:j], dtype=np.int64)
     return order_np[ranks[np.lexsort((ranks, step))]], filled
