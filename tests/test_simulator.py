@@ -22,6 +22,12 @@ def tx(i, fee, t=None, amount=None):
 
 CFG = SimulationConfig()
 
+
+@pytest.fixture(scope="module")
+def stream_30k():
+    return generate(DatasetSpec(count=30_000, rng_seed=11))
+
+
 # The unreserved and a reserved strategy of each priority (time: categories
 # 2 and 1, fee: 4 and 3). No fee below falls under the reserve's threshold,
 # so both pick alike, through the loop-free and the stepwise branch of `run`.
@@ -265,13 +271,46 @@ class TestRun:
         assert [b.incentive for b in r1.blocks] == [b.incentive for b in r2.blocks]
         assert [b.tx_ids for b in r1.blocks] == [b.tx_ids for b in r2.blocks]
 
-    def test_block_count_target_stops_early(self):
-        stream = generate(DatasetSpec(count=30_000, rng_seed=11))
-        cfg = SimulationConfig(block_count_target=3)
-        s = strategy_from_category(2, a1=1000, a6=110, a7=6.94, a8=1.0)
-        result = run(stream, s, cfg)
-        assert len(result.blocks) == 3
-        assert result.pending_count > 0
+    # A target of k cuts the untargeted run of the same stream at its k-th
+    # seal. The pick that opened block k + 1, index `end` (the transaction
+    # count of the first k blocks), was taken at arrival a1 + end, or in the
+    # drain: with a1 = 1000 the cut falls while transactions arrive, with
+    # a1 = 25000 in the drain after the overflow, and with a1 = 40000 (no
+    # overflow) in a pure drain. Every category, 1 and 3 with and without
+    # reserved slots.
+    @pytest.mark.parametrize("force_seal", [False, True], ids=["open", "forced"])
+    @pytest.mark.parametrize("a1, target", [(1000, 3), (25000, 20), (40000, 3)],
+                             ids=["arrivals", "drain", "pure-drain"])
+    @pytest.mark.parametrize("cat, small", [
+        (1, {"a4": 60.0, "a5": 0}), (1, {"a4": 1.5, "a5": 100}), (2, {}),
+        (3, {"a4": 60.0, "a5": 0}), (3, {"a4": 60.0, "a5": 200}), (4, {}),
+    ], ids=["cat1-a5_0", "cat1-a5_100", "cat2", "cat3-a5_0", "cat3-a5_200", "cat4"])
+    def test_block_count_target_stops_early(self, stream_30k, cat, small, a1, target, force_seal):
+        s = strategy_from_category(cat, a1=a1, a6=110, a7=6.94, a8=1.0, **small)
+        full = run(stream_30k, s, CFG)
+        result = run(stream_30k, s, SimulationConfig(block_count_target=target),
+                     force_seal=force_seal)
+        n = len(stream_30k)
+        assert len(full.blocks) > target
+        included = sum(len(b.tx_ids) for b in full.blocks[:target])
+        assert result.blocks[:target] == full.blocks[:target]
+        assert result.included_count == sum(len(b.tx_ids) for b in result.blocks)
+        assert result.submitted_count == min(a1 + included + 1, n)
+        assert (result.submitted_count < n) == (a1 == 1000)
+        if force_seal:
+            # One more block, holding only the pick that opened block k + 1.
+            opener = full.blocks[target]
+            assert len(result.blocks) == target + 1
+            assert result.blocks[target].tx_ids == opener.tx_ids[:1]
+            assert result.blocks[target].occupied_nodes == full.assignments[included][3]
+            assert result.assignments == full.assignments[:included + 1]
+            assert result.unsealed_count == 0
+        else:
+            assert len(result.blocks) == target
+            assert result.assignments == full.assignments[:included]
+            assert result.unsealed_count == 1
+        assert (result.included_count + result.unsealed_count + result.evicted_count
+                + result.rejected_count + result.pending_count == result.submitted_count)
         total = (math.fsum(result.incentives) + result.pending_fees
                  + result.unsealed_fees + result.evicted_fees + result.rejected_fees)
         assert total == pytest.approx(result.submitted_fees, abs=1e-9)
