@@ -1,6 +1,6 @@
 """Fee-driven dynamic block-space simulation and strategy optimization."""
 
-from .allocation import AllocationParams, block_incentive, erf, leaf_nodes, leaf_slots, lognormal_cdf
+from .allocation import AllocationParams, block_incentive, leaf_nodes, leaf_slots, lognormal_cdf
 from .core import (
     BlockRecord,
     CATEGORIES,

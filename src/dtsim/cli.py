@@ -1,11 +1,12 @@
 """Command-line surface: reproducible simulation, search and analysis runs.
 
-Commands write CSV artifacts plus a JSON manifest that embeds the effective
-configuration verbatim, so every output file is traceable to the exact
-inputs that produced it. Configuration precedence: command-line flags >
-config file > built-in defaults, which are the library's dataclass
-defaults; the DTSIM_SEED environment variable overrides the built-in
-default seed only.
+`simulate` and `optimize` write CSV artifacts plus a `manifest.json`, and
+`proofsize --out X.csv` writes `X.manifest.json` beside its CSV; a manifest
+embeds the effective configuration verbatim, so those outputs are traceable
+to their exact inputs (`volatility --out` writes none). Configuration
+precedence: command-line flags > config file > built-in defaults, which are
+the library's dataclass defaults; the DTSIM_SEED environment variable
+overrides the built-in default seed only.
 
 Exit codes: 0 success, 1 `vrp-check` found a violated constraint or a
 negative oracle gap, 2 configuration error or an output that cannot be
@@ -193,7 +194,7 @@ def _strategy(args, config, cfg: SimulationConfig):
     return strategy
 
 
-def _write_manifest(out_dir: Path, args, seed: int, config_text: str,
+def _write_manifest(path: Path, args, seed: int, config_text: str,
                     outputs: list, wall_time: float, extras: dict | None = None):
     manifest = {
         "command": args.command,
@@ -207,7 +208,6 @@ def _write_manifest(out_dir: Path, args, seed: int, config_text: str,
     }
     if extras:
         manifest.update(extras)
-    path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
@@ -257,7 +257,7 @@ def cmd_simulate(args, config, config_text) -> int:
     write_csv_rows(summary_path, ("key", "value"), summary.items())
     outputs.append(summary_path)
 
-    manifest = _write_manifest(out, args, seed, config_text, outputs,
+    manifest = _write_manifest(out / "manifest.json", args, seed, config_text, outputs,
                                time.perf_counter() - t0,
                                {"strategy": strategy.attributes()})
     for key, value in summary.items():
@@ -294,7 +294,7 @@ def cmd_optimize(args, config, config_text) -> int:
         outputs.append(trace_path)
 
     manifest = _write_manifest(
-        out, args, seed, config_text, outputs, time.perf_counter() - t0,
+        out / "manifest.json", args, seed, config_text, outputs, time.perf_counter() - t0,
         {"pso_derived": {"w": round(w, 6), "c1": round(c1, 6), "c2": round(c2, 6)},
          "budget": base.budget,
          "cells": [{"algorithm": r.algorithm, "category": r.category_id,
@@ -352,8 +352,8 @@ def cmd_proofsize(args, config, config_text) -> int:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         write_bandwidth_csv(rows, out)
-        _write_manifest(out.parent, args, config["simulation"]["seed"], config_text,
-                        [out], time.perf_counter() - t0)
+        _write_manifest(out.with_suffix(".manifest.json"), args, config["simulation"]["seed"],
+                        config_text, [out], time.perf_counter() - t0)
     return 0
 
 

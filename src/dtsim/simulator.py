@@ -31,9 +31,9 @@ Without them (categories 2 and 4, and 1 and 3 with a5 = 0) the run is
 computed from whole arrays, and exactly: each arrival after the overflow is
 one `heappushpop` on the rank heap, and the drain is the rest of the heap in
 rank order. Every slot count is at least 1, so the running slot total of
-the picks rises strictly and each next-fit seal is one `searchsorted` on it;
-the block-count target, `force_seal` and the fate of every transaction
-follow from the same indices.
+the picks rises strictly and each next-fit seal is one `searchsorted` on it.
+Both branches mine the whole stream; the block-count target then cuts the
+run in one place, and `force_seal` and every transaction's fate follow.
 """
 
 from __future__ import annotations
@@ -109,7 +109,8 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
     ends up included in exactly one block, pending (in the pool or the
     unsealed tail block), evicted, or rejected, and the per-fate fee sums in
     the result add up to the submitted total. The unsealed tail block is
-    excluded from the block series unless `force_seal` is given. Raises
+    excluded from the block series unless `force_seal` is given; a
+    `cfg.block_count_target` of k cuts the run at its k-th seal. Raises
     DataError when the transactions do not form a valid Stream.
     """
     problems = validate_strategy(strategy, cfg)
@@ -153,7 +154,12 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
     victim never enters the pool. Without reserved slots the picks and seals
     then come from whole-array operations; with them, from one step per
     arrival over the disjoint small-fee and other heaps, which together hold
-    at most a1 ranks, and one step per block segment of the drain."""
+    at most a1 ranks, and one step per block segment of the drain.
+
+    Both mine the whole stream. A seal depends only on the picks before it,
+    and pick e is taken at arrival a1 + e or in the drain, so a target of k
+    blocks keeps picks[:end + 1], where pick `end` opened block k + 1, and
+    submitted = min(a1 + end + 1, n). `force_seal` then seals the open block."""
     fees = stream.fees
     # Zero fees (injected underpayers) take the minimum positive fee's slots. Slots
     # come before the ranks, so the mapping's temporaries and the ranks never coexist.
@@ -162,8 +168,7 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
     rank, order = _ranks(stream, strategy.priority)
     reserve = strategy.small_fee_count if strategy.designated_space else 0
     capacity = cfg.leaf_capacity
-    target = cfg.block_count_target
-    n_txs = submitted = len(stream)
+    n_txs = len(stream)
     warm = strategy.mempool_size
     sealed: List[Tuple[int, int]] = []
     evicted: List[int] = []
@@ -194,19 +199,9 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
         # total rises strictly and a block ends where it passes base + capacity.
         cum = np.cumsum(slot_of[picks])
         base = 0
-        while target is None or len(sealed) < target:
-            end = int(np.searchsorted(cum, base + capacity, side="right"))
-            if end == len(picks):
-                break
+        while (end := int(np.searchsorted(cum, base + capacity, side="right"))) < len(picks):
             sealed.append((end, int(cum[end - 1]) - base))
             base = int(cum[end - 1])
-        else:
-            # Pick `end` opened the block past the target and was taken at
-            # arrival warm + end, or in the drain.
-            picks = picks[:end + 1]
-            if end < n_txs - warm:
-                submitted = warm + end + 1
-        filled = int(cum[len(picks) - 1]) - base if len(picks) else 0
         del cum
     else:
         # The loop reads slot counts from an array('q'); holding the numpy
@@ -242,18 +237,18 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
             small_used += below[pick]
             picks.append(pick)
             filled += n
-            if len(sealed) == target:
-                submitted = pos + 1
-                break
-        else:
-            drain, filled = _drain(small, large, order, slot_of, reserve, capacity, target,
-                                   filled, small_used, len(picks), sealed)
-            picks.frombytes(drain.tobytes())
+        picks.frombytes(_drain(small, large, order, slot_of, reserve, capacity,
+                               filled, small_used, len(picks), sealed).tobytes())
         picks, slot_of = (np.frombuffer(a, dtype=np.int64) for a in (picks, slot_of))
 
-    if force_seal and len(picks) > (sealed[-1][0] if sealed else 0):
-        sealed.append((len(picks), filled))
+    submitted, target = n_txs, cfg.block_count_target
+    if target is not None and len(sealed) >= target:
+        end = sealed[target - 1][0]
+        picks, sealed, submitted = picks[:end + 1], sealed[:target], min(warm + end + 1, n_txs)
     included = sealed[-1][0] if sealed else 0
+    if force_seal and len(picks) > included:
+        sealed.append((len(picks), int(slot_of[picks[included:]].sum())))
+        included = len(picks)
 
     def fee_sum(positions) -> float:
         return math.fsum(fees[positions].tolist())
@@ -267,16 +262,15 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
     result.evicted_count, result.evicted_fees = len(evicted), fee_sum(evicted)
     result.rejected_count, result.rejected_fees = len(rejected), fee_sum(rejected)
     result.pending_count, result.pending_fees = len(pending), fee_sum(pending)
-    result.unsealed_count = len(picks) - included
-    result.unsealed_fees = fee_sum(picks[included:])
+    result.unsealed_count, result.unsealed_fees = len(picks) - included, fee_sum(picks[included:])
     return picks, sealed, slot_of
 
 
 def _drain(S: List[int], L: List[int], order: array, slot_of: array, reserve: int, capacity: int,
-           target, filled: int, small_used: int, done: int, sealed: list) -> Tuple[np.ndarray, int]:
+           filled: int, small_used: int, done: int, sealed: list) -> np.ndarray:
     """The reserved miner after the last arrival, `done` picks in, with the
     open block's `filled` slots and `small_used` quota: appends its seals to
-    `sealed` and returns its picks and the last block's slots.
+    `sealed` and returns its picks.
 
     The pending ranks are fixed, so the heaps of small-fee ranks S and other
     ranks L are sorted once, in place, with prefix sums PS and PL of their slots.
@@ -324,12 +318,10 @@ def _drain(S: List[int], L: List[int], order: array, slot_of: array, reserve: in
             else:
                 filled, small_used, j = PL[j + 1] - PL[j], 0, j + 1
         ends.extend((i, j))
-        if seal and len(sealed) == target:
-            break
     took = np.diff(np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), axis=0, prepend=0)
     step = np.repeat(np.tile(np.arange(len(took)), 2), took.T.ravel())
     ranks = np.array(S[:i] + L[:j], dtype=np.int64)
-    return order_np[ranks[np.lexsort((ranks, step))]], filled
+    return order_np[ranks[np.lexsort((ranks, step))]]
 
 
 def fixed_block_baseline(dataset: Iterable[Transaction], txs_per_block: int = 2100) -> List[BlockRecord]:

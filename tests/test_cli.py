@@ -273,6 +273,17 @@ class TestSimulateCommand:
         assert main() == 0
         assert json.loads((tmp_path / "b" / "manifest.json").read_text())["argv"] == args
 
+    def test_proofsize_beside_a_run_keeps_the_runs_manifest(self, tmp_path):
+        run_dir = tmp_path / "run"
+        assert main(["simulate", "--count", "3000", "--out", str(run_dir)]) == 0
+        proof = run_dir / "proof.csv"
+        assert main(["proofsize", "--k", "3", "--scenarios", "100", "--out", str(proof)]) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["command"] == "simulate"
+        assert str(run_dir / "blocks.csv") in manifest["outputs"]
+        beside = json.loads((run_dir / "proof.manifest.json").read_text())
+        assert (beside["command"], beside["outputs"]) == ("proofsize", [str(proof)])
+
     def test_seed_repeat_reproduces_blocks_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
