@@ -3,8 +3,8 @@
 Maps a transaction's fee through the CDF of a log-normal distribution to a
 whole number of occupied leaf slots, so that expensive transactions consume
 more of a block's fixed capacity: one fee at a time (`leaf_nodes`) or a whole
-fee column in one pass (`leaf_slots`). Also provides the per-block incentive
-sum.
+fee column in one pass (`leaf_slots`, or `log_slots` of a stream's cached
+`fee_logs`). Also provides the per-block incentive sum.
 """
 
 from __future__ import annotations
@@ -66,20 +66,23 @@ def leaf_nodes(fee: float, params: AllocationParams) -> int:
 
 
 def leaf_slots(fees, params: AllocationParams) -> np.ndarray:
-    """`leaf_nodes` of every fee in `fees`, as one int64 array.
+    """`leaf_nodes` of every fee in `fees`, as one int64 array."""
+    return log_slots(fee_logs(fees), params)
 
-    The same float operations in the same order: numpy for the arithmetic,
-    `math.log` and `math.erf` mapped over the elements (one at a time, so no
-    column of Python floats is ever held). `np.log` is not used: its
-    vectorized loop does not always round like `math.log` (on the seed-2024
-    400k stream the two differ in the last bit for 70 fees), and one ulp of
-    ln(fee) moves the count of a fee whose F * max_trx_nodes sits on a ceil
-    boundary.
-    """
+
+def fee_logs(fees) -> np.ndarray:
+    """`math.log` of every fee (all > 0), one at a time, as a float64 array. Not
+    `np.log`: its loop does not always round like `math.log` (70 of the seed-2024
+    400k fees differ in the last bit), and one ulp of ln(fee) moves the slots of
+    a fee whose F * max_trx_nodes sits on a ceil boundary."""
     fees = np.asarray(fees, dtype=np.float64)
     if not (fees > 0).all():
-        raise ValueError("leaf_slots requires every fee > 0")
-    logs = np.fromiter(map(math.log, fees), np.float64, len(fees))
+        raise ValueError("fee_logs requires every fee > 0")
+    return np.fromiter(map(math.log, fees), np.float64, len(fees))
+
+
+def log_slots(logs, params: AllocationParams) -> np.ndarray:
+    """`leaf_slots` of the fees whose `fee_logs` are `logs`, by the same float operations."""
     cdf = _cdf(logs, lambda z: np.fromiter(map(erf, z), np.float64, len(z)), params)
     raw = cdf * params.max_trx_nodes
     return np.clip(np.ceil(raw - _CEIL_SLACK), 1, params.max_trx_nodes).astype(np.int64)

@@ -8,11 +8,17 @@ from __future__ import annotations
 
 import csv
 import enum
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+from .allocation import fee_logs
+
+MIN_POSITIVE_FEE = sys.float_info.min
 
 
 class Priority(enum.Enum):
@@ -76,11 +82,20 @@ class Stream(Sequence):
         for name, col in (("arrival_time", arrivals), ("amount", amounts), ("fee", fees)):
             _check_values(ids, name, col)
 
+    @cached_property
+    def fee_logs(self) -> np.ndarray:
+        """Read-only `allocation.fee_logs` of the fees, a zero fee as MIN_POSITIVE_FEE."""
+        logs = fee_logs(np.where(self.fees > 0, self.fees, MIN_POSITIVE_FEE))
+        logs.flags.writeable = False
+        return logs
+
     def prefix(self, n: int) -> "Stream":
-        """The first `n` transactions, as read-only views of these columns;
-        a prefix of a valid stream is valid, so nothing is checked again."""
+        """The first `n` transactions, as read-only views of these columns and
+        of cached fee logs; a prefix of a valid stream is valid, so nothing is checked again."""
         stream = object.__new__(Stream)
         _set_columns(stream, self.ids[:n], self.arrivals[:n], self.amounts[:n], self.fees[:n])
+        if "fee_logs" in self.__dict__:
+            stream.__dict__["fee_logs"] = self.fee_logs[:n]
         return stream
 
     def with_fees(self, fees) -> "Stream":

@@ -10,7 +10,6 @@ market data does instead of staying i.i.d. flat.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from itertools import accumulate
@@ -18,10 +17,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import (DataError, SchemaError, Stream, Transaction, read_csv_columns,
-                   write_csv_rows)
-
-MIN_POSITIVE_FEE = sys.float_info.min
+from .core import (MIN_POSITIVE_FEE, DataError, SchemaError, Stream, Transaction,
+                   read_csv_columns, write_csv_rows)
 
 DEFAULT_COMMISSION_RATIO = 0.002
 # Median amount chosen so the default commission ratio puts the median fee

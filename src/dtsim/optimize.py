@@ -21,7 +21,7 @@ from .core import (DataError, SimulationConfig, Stream, StrategyCategory, catego
                    strategy_from_category, validate_strategy, write_csv_rows)
 from .metrics import series_volatility
 from .optimizers import cma_es, differential_evolution, genetic_algorithm, gbo, pso
-from .simulator import run
+from .simulator import incentives
 
 ALGORITHMS = ("pso", "de", "ga", "cmaes", "gbo")
 
@@ -132,17 +132,16 @@ class OptimizationRun:
     best_volatility: float
     trace: List[float]
     evaluations: int
-    seed: int
     simulations: int = 0  # objective calls: the evaluations less repeated candidates
 
 
 def evaluate(candidate: Sequence[float], cat: StrategyCategory,
              dataset, cfg: SimulationConfig) -> float:
-    """Objective: volatility of the simulated incentive series.
+    """Objective: volatility of the simulated incentive series (`simulator.incentives`).
 
     Invalid strategies and degenerate runs (fewer than three sealed blocks)
     score +inf instead of raising, so optimizers can rank them out. Data
-    errors of the stream (DataError from `run`) propagate.
+    errors of the stream (DataError from the simulator) propagate.
     """
     return evaluate_attrs(SearchSpace(category=cat).decode(candidate), cat, dataset, cfg)
 
@@ -156,10 +155,8 @@ def evaluate_attrs(attrs: Dict[str, float], cat: StrategyCategory,
         return math.inf
     if validate_strategy(strategy, cfg):
         return math.inf
-    result = run(dataset, strategy, cfg)
-    if len(result.blocks) < 3:
-        return math.inf
-    return series_volatility(result.incentives)
+    series = incentives(dataset, strategy, cfg)
+    return series_volatility(series) if len(series) >= 3 else math.inf
 
 
 def run_optimizer(algo: str, space: SearchSpace, objective: Callable,
@@ -211,7 +208,6 @@ def run_optimizer(algo: str, space: SearchSpace, objective: Callable,
         best_volatility=result.best_f,
         trace=result.trace,
         evaluations=result.evaluations,
-        seed=config.rng_seed,
         simulations=len(memo),
     )
 

@@ -32,8 +32,8 @@ computed from whole arrays, and exactly: each arrival after the overflow is
 one `heappushpop` on the rank heap, and the drain is the rest of the heap in
 rank order. Every slot count is at least 1, so the running slot total of
 the picks rises strictly and each next-fit seal is one `searchsorted` on it.
-Both branches mine the whole stream; the block-count target then cuts the
-run in one place, and `force_seal` and every transaction's fate follow.
+Both branches mine the whole stream and the block-count target cuts it in
+one place; `run` alone goes on to `force_seal`, block records and fates.
 """
 
 from __future__ import annotations
@@ -44,14 +44,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heappushpop
 from itertools import chain, repeat
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .allocation import AllocationParams, block_incentive, leaf_slots
+from .allocation import AllocationParams, block_incentive, log_slots
 from .core import (BlockRecord, DataError, DtsStrategy, Priority, SimulationConfig,  # noqa: F401
                    Stream, Transaction, validate_strategy, write_csv_rows)
-from .ingest import MIN_POSITIVE_FEE
 from . import verkle
 
 
@@ -113,42 +112,68 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
     `cfg.block_count_target` of k cuts the run at its k-th seal. Raises
     DataError when the transactions do not form a valid Stream.
     """
-    problems = validate_strategy(strategy, cfg)
-    if problems:
-        raise ValueError("invalid strategy: " + "; ".join(problems))
-
-    stream = Stream.of(dataset)
-    if cfg.transaction_budget is not None:
-        stream = stream.prefix(cfg.transaction_budget)
-    result = RunResult(blocks=[], assignments=[])
-    # The ranks and heaps live only inside _mine, so they are freed before
-    # the block records and assignment rows are built.
-    picks, sealed, slots = _mine(stream, strategy, cfg, force_seal, result)
-    begin = 0
-    for height, (end, nodes) in enumerate(sealed):
-        block = picks[begin:end]
-        tx_ids = tuple(stream.ids[block].tolist())
-        block_fees = stream.fees[block].tolist()
-        block_slots = slots[block].tolist()
+    # The ranks and heaps live only inside _mine: freed before the records are built.
+    stream, picks, sealed, slot_of, victim, submitted = _mine(dataset, strategy, cfg)
+    bounds = [0, *(end for end, _ in sealed)]
+    if force_seal and len(picks) > bounds[-1]:
+        sealed.append((len(picks), int(slot_of[picks[bounds[-1]:]].sum())))
+        bounds.append(len(picks))
+    included = bounds[-1]
+    seal_times = np.maximum.reduceat(stream.arrivals[picks[:included]], bounds[:-1]).tolist()
+    blocks, assignments = [], []
+    for height, (tx_ids, block_fees, block_slots, seal_time, (_, nodes)) in enumerate(zip(
+            *(_blocks(column, picks, bounds) for column in (stream.ids, stream.fees, slot_of)),
+            seal_times, sealed)):
+        tx_ids = tuple(tx_ids)
         root = None
         if build_trees:
             digests = [verkle.slot_digest(tx_id, slot)
                        for tx_id, n in zip(tx_ids, block_slots) for slot in range(n)]
             root = verkle.build_tree(digests, cfg.verkle_branching_factor).root
-        result.blocks.append(BlockRecord(
+        blocks.append(BlockRecord(
             height=height, tx_ids=tx_ids, occupied_nodes=nodes, incentive=math.fsum(block_fees),
-            seal_time=int(stream.arrivals[block].max()), verkle_root=root))
-        result.assignments.extend(zip(tx_ids, repeat(height), block_fees, block_slots))
-        begin = end
-    return result
+            seal_time=seal_time, verkle_root=root))
+        assignments.extend(zip(tx_ids, repeat(height), block_fees, block_slots))
+
+    def fee_sum(positions) -> float:
+        # A memoryview yields Python floats one at a time: no numpy scalars, no list.
+        return math.fsum(memoryview(stream.fees[positions]))
+
+    # The overflow's victim is rejected if it is the newcomer at position a1, else evicted.
+    lost = [] if victim is None else [victim]
+    evicted, rejected = ([], lost) if victim == strategy.mempool_size else (lost, [])
+    waiting = np.ones(submitted, dtype=bool)
+    waiting[picks] = waiting[lost] = False
+    pending = np.flatnonzero(waiting)
+    return RunResult(blocks, assignments, submitted, fee_sum(slice(submitted)), included,
+                     len(evicted), fee_sum(evicted), len(rejected), fee_sum(rejected), len(pending),
+                     fee_sum(pending), len(picks) - included, fee_sum(picks[included:]))
 
 
-def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
-          force_seal: bool, result: RunResult):
-    """The run loop on positions; fills the fate accounting of `result` and
-    returns the picks, each sealed block as (end index into the picks,
-    occupied slots), and every position's slot count; picks and slot counts
-    are int64 arrays.
+def incentives(dataset, strategy: DtsStrategy, cfg: SimulationConfig) -> List[float]:
+    """`run(dataset, strategy, cfg).incentives` from the same picks, seals and
+    slicing, but with no block records, assignment rows or fate accounting."""
+    stream, picks, sealed = _mine(dataset, strategy, cfg)[:3]
+    return list(map(math.fsum, _blocks(stream.fees, picks, [0, *(end for end, _ in sealed)])))
+
+
+def _blocks(column: np.ndarray, picks: np.ndarray, bounds: List[int]) -> Iterator[list]:
+    """`column` at picks[bounds[i]:bounds[i + 1]] for each block i: slices of one `tolist`
+    per run of whole blocks that just reaches 4096 picks, so no whole column is held."""
+    at = 0
+    while at < len(bounds) - 1:
+        ends = bounds[at:bisect_left(bounds, bounds[at] + 4096, at) + 1]
+        values = column[picks[ends[0]:ends[-1]]].tolist()
+        yield from (values[begin - ends[0]:end - ends[0]] for begin, end in zip(ends, ends[1:]))
+        at += len(ends) - 1
+
+
+def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationConfig):
+    """The run loop on positions, shared by `run` and `incentives`. Returns
+    `dataset` as a Stream cut to `cfg.transaction_budget`, the picks, each
+    sealed block as (end index into the picks, occupied slots), every
+    position's slot count (picks and slot counts are int64 arrays), the
+    overflow's victim (None without one) and the submitted count.
 
     The one overflow, at position a1, is settled before any pick, so its
     victim never enters the pool. Without reserved slots the picks and seals
@@ -159,27 +184,29 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
     Both mine the whole stream. A seal depends only on the picks before it,
     and pick e is taken at arrival a1 + e or in the drain, so a target of k
     blocks keeps picks[:end + 1], where pick `end` opened block k + 1, and
-    submitted = min(a1 + end + 1, n). `force_seal` then seals the open block."""
+    submitted = min(a1 + end + 1, n)."""
+    problems = validate_strategy(strategy, cfg)
+    if problems:
+        raise ValueError("invalid strategy: " + "; ".join(problems))
+    stream = Stream.of(dataset)
+    if cfg.transaction_budget is not None:
+        stream = stream.prefix(cfg.transaction_budget)
     fees = stream.fees
-    # Zero fees (injected underpayers) take the minimum positive fee's slots. Slots
-    # come before the ranks, so the mapping's temporaries and the ranks never coexist.
+    # Slots come before the ranks, so the mapping's temporaries and the ranks never coexist.
     params = AllocationParams(strategy.scale, strategy.shape, strategy.max_trx_nodes)
-    slot_of = leaf_slots(np.where(fees > 0, fees, MIN_POSITIVE_FEE), params)
+    slot_of = log_slots(stream.fee_logs, params)
     rank, order = _ranks(stream, strategy.priority)
     reserve = strategy.small_fee_count if strategy.designated_space else 0
     capacity = cfg.leaf_capacity
     n_txs = len(stream)
     warm = strategy.mempool_size
     sealed: List[Tuple[int, int]] = []
-    evicted: List[int] = []
-    rejected: List[int] = []
     victim = None
     if warm < n_txs:
         # Position warm evicts the cheapest of the full pool by (fee, arrival,
         # id) when it pays strictly more, and is rejected otherwise.
         cheapest = int(np.lexsort((stream.ids[:warm], stream.arrivals[:warm], fees[:warm]))[0])
         victim = cheapest if fees[warm] > fees[cheapest] else warm
-        (rejected if victim == warm else evicted).append(victim)
 
     if reserve == 0:
         # From the pool after the overflow: the pick at the overflow, one
@@ -245,25 +272,7 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig,
     if target is not None and len(sealed) >= target:
         end = sealed[target - 1][0]
         picks, sealed, submitted = picks[:end + 1], sealed[:target], min(warm + end + 1, n_txs)
-    included = sealed[-1][0] if sealed else 0
-    if force_seal and len(picks) > included:
-        sealed.append((len(picks), int(slot_of[picks[included:]].sum())))
-        included = len(picks)
-
-    def fee_sum(positions) -> float:
-        return math.fsum(fees[positions].tolist())
-
-    waiting = np.ones(submitted, dtype=bool)
-    waiting[picks] = waiting[evicted + rejected] = False
-    pending = np.flatnonzero(waiting)
-
-    result.submitted_count, result.submitted_fees = submitted, math.fsum(fees[:submitted])
-    result.included_count = included
-    result.evicted_count, result.evicted_fees = len(evicted), fee_sum(evicted)
-    result.rejected_count, result.rejected_fees = len(rejected), fee_sum(rejected)
-    result.pending_count, result.pending_fees = len(pending), fee_sum(pending)
-    result.unsealed_count, result.unsealed_fees = len(picks) - included, fee_sum(picks[included:])
-    return picks, sealed, slot_of
+    return stream, picks, sealed, slot_of, victim, submitted
 
 
 def _drain(S: List[int], L: List[int], order: array, slot_of: array, reserve: int, capacity: int,

@@ -1,7 +1,9 @@
 import csv
+import gc
 import io
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, strategies as st
 from dtsim.core import (
     CATEGORIES,
     CSV_CHUNK_ROWS,
+    MIN_POSITIVE_FEE,
     DataError,
     Priority,
     SimulationConfig,
@@ -238,6 +241,50 @@ class TestStream:
             stream.with_fees(fees)
         with pytest.raises(DataError, match="equal length"):
             stream.with_fees(fees[:-1])
+
+    def test_fee_logs_are_math_log_of_the_clamped_fees_taken_once(self):
+        stream = generate(DatasetSpec(count=500, rng_seed=3)).with_fees(
+            np.r_[0.0, np.linspace(1e-3, 1e4, 499)])
+        logs = stream.fee_logs
+        assert logs.tolist() == [math.log(f if f > 0 else MIN_POSITIVE_FEE)
+                                 for f in stream.fees.tolist()]
+        assert stream.fee_logs is logs and not logs.flags.writeable
+        with pytest.raises(ValueError):
+            logs[0] = 1.0
+
+    def test_prefix_hands_on_cached_fee_logs(self):
+        stream = generate(DatasetSpec(count=500, rng_seed=3))
+        assert "fee_logs" not in stream.prefix(120).__dict__
+        logs = stream.fee_logs
+        prefix = stream.prefix(120)
+        assert "fee_logs" in prefix.__dict__ and np.shares_memory(prefix.fee_logs, logs)
+        assert prefix.fee_logs.tolist() == logs[:120].tolist() == Stream(
+            prefix.ids, prefix.arrivals, prefix.amounts, prefix.fees).fee_logs.tolist()
+        assert not prefix.fee_logs.flags.writeable
+
+    def test_with_fees_takes_its_own_fee_logs_and_slots(self):
+        from dtsim.simulator import run
+
+        stream = generate(DatasetSpec(count=5000, rng_seed=11))
+        logs = stream.fee_logs
+        tripled = stream.with_fees(stream.fees * 3.0)
+        assert "fee_logs" not in tripled.__dict__
+        assert tripled.fee_logs.tolist() == [math.log(f) for f in tripled.fees.tolist()]
+        assert stream.fee_logs is logs
+        strategy = strategy_from_category(4, a1=400, a6=110, a7=6.94, a8=1.0)
+        fresh = Stream(stream.ids, stream.arrivals, stream.amounts, stream.fees * 3.0)
+        result = run(tripled, strategy, SimulationConfig())
+        assert result == run(fresh, strategy, SimulationConfig())
+        slots = [nodes for *_, nodes in result.assignments]
+        assert slots != [nodes for *_, nodes in run(stream, strategy, SimulationConfig()).assignments]
+
+    def test_fee_logs_do_not_outlive_their_stream(self):
+        stream = generate(DatasetSpec(count=500, rng_seed=3))
+        logs = weakref.ref(stream.fee_logs)
+        assert logs() is not None
+        del stream
+        gc.collect()
+        assert logs() is None
 
     @pytest.mark.parametrize("cat", [1, 2, 3, 4])
     def test_run_reads_a_stream_like_its_transactions(self, cat):

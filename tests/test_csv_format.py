@@ -49,9 +49,9 @@ def test_assignments_csv(tmp_path):
 def _runs():
     return [
         OptimizationRun("pso", 2, {"a1": 2000, "a6": 110, "a7": LONG, "a8": 1.0},
-                        1e-300, [math.inf, LONG], 2, 0),
+                        1e-300, [math.inf, LONG], 2),
         OptimizationRun("ga", 1, {"a1": 40, "a4": 1.5, "a5": 3, "a6": 7, "a7": 6.94, "a8": 2.5},
-                        math.inf, [math.inf], 1, 0),
+                        math.inf, [math.inf], 1),
     ]
 
 

@@ -4,11 +4,16 @@ from heapq import heappush
 
 import pytest
 
-from dtsim.core import Priority, SimulationConfig, Transaction, strategy_from_category
+import numpy as np
+
+from dtsim.core import Priority, SimulationConfig, Transaction, category, strategy_from_category
 from dtsim.ingest import DatasetSpec, generate
+from dtsim.metrics import series_volatility
+from dtsim.optimize import evaluate_attrs
 from dtsim.simulator import (
     DataError,
     fixed_block_baseline,
+    incentives,
     run,
     write_assignments_csv,
     write_blocks_csv,
@@ -529,3 +534,56 @@ def test_pinned_reserved_runs(case, stream_50k, tmp_path):
     assert (digest((tmp_path / "blocks.csv").read_bytes()),
             digest((tmp_path / "assignments.csv").read_bytes()),
             counts, digest(repr(fees).encode())) == _PINNED_RESERVED_RUNS[case]
+
+
+# The objective's path against `run`: every category, 1 and 3 with and
+# without reserved slots, a pool that overflows (a1 = 1000) and one that
+# never does (a1 = 40000, a pure drain), a block target inside and beyond
+# the run, and a transaction budget.
+INCENTIVE_CATEGORIES = [(1, {"a4": 60.0, "a5": 0}), (1, {"a4": 1.5, "a5": 100}), (2, {}),
+                        (3, {"a4": 60.0, "a5": 0}), (3, {"a4": 60.0, "a5": 200}), (4, {})]
+INCENTIVE_IDS = ["cat1-a5_0", "cat1-a5_100", "cat2", "cat3-a5_0", "cat3-a5_200", "cat4"]
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("cfg", [SimulationConfig(), SimulationConfig(block_count_target=3),
+                                 SimulationConfig(block_count_target=10_000),
+                                 SimulationConfig(transaction_budget=7_000)],
+                         ids=["full", "target-inside", "target-beyond", "budget"])
+@pytest.mark.parametrize("a1", [1000, 40000])
+@pytest.mark.parametrize("cat, small", INCENTIVE_CATEGORIES, ids=INCENTIVE_IDS)
+def test_incentives_equal_the_run_series(stream_30k, cat, small, a1, cfg):
+    s = strategy_from_category(cat, a1=a1, a6=110, a7=6.94, a8=1.0, **small)
+    series = incentives(stream_30k, s, cfg)
+    assert len(series) >= 3
+    assert _bits(series) == _bits(run(stream_30k, s, cfg).incentives)
+    if cfg.block_count_target == 3:
+        assert len(series) == 3
+
+
+@pytest.mark.parametrize("cat, small", INCENTIVE_CATEGORIES, ids=INCENTIVE_IDS)
+def test_incentives_equal_the_run_series_with_zero_fees(stream_30k, cat, small):
+    zeros = stream_30k.with_fees(np.where(np.arange(len(stream_30k)) % 97 == 0, 0.0,
+                                          stream_30k.fees))
+    s = strategy_from_category(cat, a1=1000, a6=110, a7=6.94, a8=1.0, **small)
+    series = incentives(zeros, s, CFG)
+    assert _bits(series) == _bits(run(zeros, s, CFG).incentives)
+    assert _bits(series) != _bits(incentives(stream_30k, s, CFG))
+
+
+@pytest.mark.parametrize("cfg, blocks", [(SimulationConfig(block_count_target=2), 2),
+                                         (SimulationConfig(transaction_budget=1), 0)],
+                         ids=["two-blocks", "no-block"])
+@pytest.mark.parametrize("cat, small", INCENTIVE_CATEGORIES, ids=INCENTIVE_IDS)
+def test_fewer_than_three_blocks_score_inf(stream_30k, cat, small, cfg, blocks):
+    attrs = {"a1": 1000, "a6": 110, "a7": 6.94, "a8": 1.0, **small}
+    s = strategy_from_category(cat, **attrs)
+    series = incentives(stream_30k, s, cfg)
+    assert len(series) == len(run(stream_30k, s, cfg).blocks) == blocks
+    assert evaluate_attrs(attrs, category(cat), stream_30k, cfg) == math.inf
+    full = SimulationConfig()
+    assert evaluate_attrs(attrs, category(cat), stream_30k, full) == series_volatility(
+        run(stream_30k, s, full).incentives)
