@@ -1,9 +1,13 @@
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtsim import verkle
+from dtsim.core import SimulationConfig, strategy_from_category
+from dtsim.ingest import DatasetSpec, generate
+from dtsim.simulator import run
 from dtsim.verkle import (
     MembershipProof,
     bandwidth_report,
@@ -185,3 +189,64 @@ class TestBandwidthReport:
         rows = bandwidth_report([("Bitcoin", 2100)], ks=[5], modes=("smooth", "ceil"))
         assert {r["mode"] for r in rows} == {"smooth", "ceil"}
         assert {r["structure"] for r in rows} == {"merkle", "verkle"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3000), k=st.integers(2, 1100), picks=st.lists(st.integers(0, 10**9),
+                                                                      min_size=1, max_size=5))
+def test_every_group_of_every_level_is_its_commit(n, k, picks):
+    ls = leaves(n)
+    tree = build_tree(ls, k=k)
+    assert tree.levels[0] == tuple(ls) and len(tree.levels[-1]) == 1
+    for below, above in zip(tree.levels, tree.levels[1:]):
+        assert above == tuple(verkle.commit(below[i:i + k]) for i in range(0, len(below), k))
+    for pick in picks:
+        assert verify(tree.root, prove(tree, pick % n), ls[pick % n])
+
+
+# sha256 of the concatenated Verkle roots of every block of a run over a 4k
+# seed-5 stream, a1 = 500, 1000 leaf slots per block, per (category,
+# branching factor, block target, force_seal). At k = 1024 a block's root is
+# its one commit. A target with force_seal cuts the run at that seal and
+# force-seals a tail block that holds the one transaction opening the next.
+_ROOT_PINS = {
+    (1, 2, None, False): 'efe71bcaee50a1ddea6064bcb029154fc390d20ecba67890b0caf5bf43cb288a',
+    (1, 5, None, False): '5b73f85f5af00c63d8d3c2b7958e92c0e49d21ea23dee4bd3af0f82600013b60',
+    (1, 1024, None, False): '71c3ab2b7097e117b8e22c975247781b043df02173092ac13e4bb6e49e24aaf3',
+    (2, 2, None, False): 'a133bdcd31da91c3782a66cbc1b45d755ec64ac849e425af2301aee3df3fb88d',
+    (2, 5, None, False): '159f351a49b4b0cec9d823884db8b0efb936b44d819110eb5a97dbc7a95d5cb3',
+    (2, 1024, None, False): '7b68fa4356d15efe4d9f91ad35ab8652ab935afce40130a045ed811d588aa394',
+    (3, 2, None, False): '0f592864b175706f6a0ade198df7471c1f60cca0f28bb5aa72b3217c791ffa10',
+    (3, 5, None, False): '0a96a189fbf4b4d8f8f1b79247cf4b7e009f60de5c77ca57756dce14d21c6c06',
+    (3, 1024, None, False): '4ca90cdb91b9347b8b3c7f10037748109dbf8d96c0d9b29cc5556eba82865158',
+    (4, 2, None, False): '48caa8db24b0bc90e27412e2bb753321b3f5f55950c137750b3371d69441fc81',
+    (4, 5, None, False): '02dd3acb1752ec97c33d73341ecc027e33422460cc4e4f5a3731ea5b8ba592ad',
+    (4, 1024, None, False): '51e2674260ce5bdf04fca2ef43ee07af25c5f6380210b7feb2a7fac8b72f86c2',
+    (1, 5, 4, True): '013adf1fa5da9462a2852833589099b1f79052aaced1e9026ae717643e40f53c',
+    (2, 5, 4, True): 'cc57a9a7f38d178b70e47d1df6bf14c697546b75307066680cdf11088792c46f',
+    (3, 5, 4, True): '7f1b712f5d159ac58267e946c3c4539027c0f9585462730d4d3a0fb7b4838f6a',
+    (4, 5, 4, True): '76363d7a62f71234a74502467386fa5974763bee6260c34634518010b9026573',
+}
+_SMALL = {1: {"a4": 60.0, "a5": 100}, 3: {"a4": 60.0, "a5": 200}}
+
+
+@pytest.fixture(scope="module")
+def stream_4k():
+    return generate(DatasetSpec(count=4_000, rng_seed=5))
+
+
+@pytest.mark.parametrize("case", sorted(_ROOT_PINS, key=repr), ids=repr)
+def test_pinned_block_roots(case, stream_4k):
+    cat, k, target, force_seal = case
+    s = strategy_from_category(cat, a1=500, a6=110, a7=6.94, a8=1.0, **_SMALL.get(cat, {}))
+    cfg = SimulationConfig(leaf_capacity=1000, verkle_branching_factor=k, block_count_target=target)
+    result = run(stream_4k, s, cfg, force_seal=force_seal, build_trees=True)
+    slots = {tx_id: n for tx_id, _height, _fee, n in result.assignments}
+    for block in result.blocks:
+        digests = [slot_digest(tx_id, slot) for tx_id in block.tx_ids for slot in range(slots[tx_id])]
+        assert k < 1024 or len(digests) <= k
+        assert block.verkle_root == build_tree(digests, k).root
+    if force_seal:
+        assert len(result.blocks) == target + 1 and len(result.blocks[-1].tx_ids) == 1
+    roots = b"".join(block.verkle_root for block in result.blocks)
+    assert hashlib.sha256(roots).hexdigest() == _ROOT_PINS[case]
