@@ -237,6 +237,11 @@ def cmd_simulate(args, config, config_text) -> int:
         assign_path = out / "assignments.csv"
         write_assignments_csv(result.assignments, assign_path)
         outputs.append(assign_path)
+    if args.verkle_roots:
+        roots_path = out / "roots.csv"
+        write_csv_rows(roots_path, ("height", "verkle_root"),
+                       ((b.height, b.verkle_root.hex()) for b in result.blocks))
+        outputs.append(roots_path)
 
     summary = {
         "blocks_sealed": len(result.blocks),
@@ -491,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--force-seal", action="store_true",
                      help="seal the partial tail block at end of stream")
     sim.add_argument("--verkle-roots", action="store_true",
-                     help="build a commitment tree per sealed block")
+                     help="build a commitment tree per sealed block and write roots.csv")
     sim.add_argument("--no-assignments", action="store_true",
                      help="skip writing assignments.csv")
     sim.add_argument("--out", required=True, help="output directory")

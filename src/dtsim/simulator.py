@@ -111,9 +111,23 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
     excluded from the block series unless `force_seal` is given; a
     `cfg.block_count_target` of k cuts the run at its k-th seal. Raises
     DataError when the transactions do not form a valid Stream.
+
+    With `build_trees`, each block's `verkle_root` is `verkle.block_root` of
+    its id and slot-count columns, numpy slices at the block's picks: one
+    12-byte preimage per occupied leaf slot, one sha256 per leaf and per
+    group, and one block's 32-byte leaf digests held at a time. The leaf
+    packing takes ids as unsigned, so a negative id among the first
+    `cfg.transaction_budget` transactions is a DataError, raised before mining.
     """
+    stream = Stream.of(dataset)
+    if build_trees:
+        negative = np.flatnonzero(stream.ids[:cfg.transaction_budget] < 0)
+        if negative.size:
+            at = int(negative[0])
+            raise DataError(f"Verkle roots need non-negative transaction ids: transaction "
+                            f"{stream.ids[at]} at position {at} is negative")
     # The ranks and heaps live only inside _mine: freed before the records are built.
-    stream, picks, sealed, slot_of, victim, submitted = _mine(dataset, strategy, cfg)
+    stream, picks, sealed, slot_of, victim, submitted = _mine(stream, strategy, cfg)
     bounds = [0, *(end for end, _ in sealed)]
     if force_seal and len(picks) > bounds[-1]:
         sealed.append((len(picks), int(slot_of[picks[bounds[-1]:]].sum())))
@@ -127,9 +141,8 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
         tx_ids = tuple(tx_ids)
         root = None
         if build_trees:
-            digests = [verkle.slot_digest(tx_id, slot)
-                       for tx_id, n in zip(tx_ids, block_slots) for slot in range(n)]
-            root = verkle.build_tree(digests, cfg.verkle_branching_factor).root
+            at = picks[bounds[height]:bounds[height + 1]]
+            root = verkle.block_root(stream.ids[at], slot_of[at], cfg.verkle_branching_factor)
         blocks.append(BlockRecord(
             height=height, tx_ids=tx_ids, occupied_nodes=nodes, incentive=math.fsum(block_fees),
             seal_time=seal_time, verkle_root=root))
@@ -189,12 +202,14 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
     if problems:
         raise ValueError("invalid strategy: " + "; ".join(problems))
     stream = Stream.of(dataset)
+    # The logs are cached on the whole stream, so a budgeted search takes them once.
+    logs = stream.fee_logs[:cfg.transaction_budget]
     if cfg.transaction_budget is not None:
         stream = stream.prefix(cfg.transaction_budget)
     fees = stream.fees
     # Slots come before the ranks, so the mapping's temporaries and the ranks never coexist.
     params = AllocationParams(strategy.scale, strategy.shape, strategy.max_trx_nodes)
-    slot_of = log_slots(stream.fee_logs, params)
+    slot_of = log_slots(logs, params)
     rank, order = _ranks(stream, strategy.priority)
     reserve = strategy.small_fee_count if strategy.designated_space else 0
     capacity = cfg.leaf_capacity

@@ -7,6 +7,18 @@ constant-size openings, so the closed-form proof-size figures below are
 computed from the k-ary depth rather than measured from the stand-in's
 sibling-set proofs.
 
+A level is one contiguous `bytes` buffer of 32-byte digests, and
+`commit_level` is the one way to commit it: one sha256 per group of k over
+the 2-byte big-endian child count and the group's slice of the buffer, the
+short last group under its own count. Those are the bytes `commit` hashes
+for the same children. A leaf is `slot_digest(id, slot)`, the sha256 of the
+8-byte big-endian id and the 4-byte big-endian slot number. `block_root`
+packs a block's leaf preimages in one numpy pass, as 12-byte records of a
+`>u8` id and a `>u4` slot, hashes each record once and commits the joined
+digests up to the root, so a block's leaves are never Python ints or
+tuples. `build_tree` commits through the same routine and splits each level
+into 32-byte digests for `prove`.
+
 Proof-size formulas come in two rounding modes because the published
 comparison tables were computed without the ceiling that the printed
 formulas carry:
@@ -20,6 +32,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .core import write_csv_rows
 
@@ -40,6 +54,37 @@ def commit(children: Sequence[bytes]) -> bytes:
 def slot_digest(tx_id: int, slot: int) -> bytes:
     """Digest for one occupied leaf slot of a transaction."""
     return hashlib.sha256(tx_id.to_bytes(8, "big") + slot.to_bytes(4, "big")).digest()
+
+
+def commit_level(level: bytes, k: int) -> bytes:
+    """The level above `level`, a buffer of 32-byte digests: `commit` of each
+    group of `k` children, joined into the same kind of buffer."""
+    n, width = len(level) // _BYTES_PER_LEVEL, k * _BYTES_PER_LEVEL
+    full = n - n % k
+    count = k.to_bytes(2, "big") if full else b""
+    sha256 = hashlib.sha256
+    groups = [sha256(count + level[at:at + width]).digest()
+              for at in range(0, full * _BYTES_PER_LEVEL, width)]
+    if full < n:
+        groups.append(sha256((n - full).to_bytes(2, "big")
+                             + level[full * _BYTES_PER_LEVEL:]).digest())
+    return b"".join(groups)
+
+
+def block_root(ids: np.ndarray, slots: np.ndarray, k: int) -> bytes:
+    """Root of the tree over `slot_digest(id, s)` for s in range(slots[i]) of
+    each transaction ids[i] in order: `build_tree(...).root` without the tree.
+    Ids must be non-negative; the `>u8` packing would wrap a negative one."""
+    ends = np.cumsum(slots)
+    count = int(ends[-1])
+    packed = np.empty(count, dtype=[("id", ">u8"), ("slot", ">u4")])
+    packed["id"] = np.repeat(ids, slots)
+    packed["slot"] = np.arange(count) - np.repeat(ends - slots, slots)
+    sha256 = hashlib.sha256
+    level = commit_level(b"".join([sha256(c).digest() for c in packed.view("V12").tolist()]), k)
+    while len(level) > _BYTES_PER_LEVEL:
+        level = commit_level(level, k)
+    return level
 
 
 @dataclass(frozen=True)
@@ -80,12 +125,14 @@ def build_tree(leaves: Sequence[bytes], k: int) -> VerkleTree:
     leaves = tuple(leaves)
     if not leaves:
         raise ValueError("cannot build a tree over zero leaves")
+    if any(len(leaf) != _BYTES_PER_LEVEL for leaf in leaves):
+        raise ValueError(f"every leaf must be a {_BYTES_PER_LEVEL}-byte digest")
     levels = [leaves]
-    current = leaves
-    while len(current) > 1 or len(levels) == 1:
-        nxt = tuple(commit(current[i: i + k]) for i in range(0, len(current), k))
-        levels.append(nxt)
-        current = nxt
+    level = b"".join(leaves)
+    while len(levels) == 1 or len(level) > _BYTES_PER_LEVEL:
+        level = commit_level(level, k)
+        levels.append(tuple(level[at:at + _BYTES_PER_LEVEL]
+                            for at in range(0, len(level), _BYTES_PER_LEVEL)))
     return VerkleTree(branching_factor=k, levels=tuple(levels))
 
 

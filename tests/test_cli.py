@@ -223,6 +223,17 @@ class TestExitCodes:
         assert "fee" in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    def test_negative_id_with_verkle_roots_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "stream.csv"
+        path.write_text("id,amount,arrival_time_ms,fee\n1,100.0,0,0.2\n-6,100.0,5,0.3\n")
+        args = ["simulate", "--dataset", str(path), "--a1", "2", "--out", str(tmp_path / "o")]
+        assert main([*args, "--verkle-roots"]) == 3
+        assert capsys.readouterr().err == (
+            "data error: Verkle roots need non-negative transaction ids: "
+            "transaction -6 at position 1 is negative\n")
+        assert not (tmp_path / "o").exists()
+        assert main(args) == 0
+
     def test_nonpositive_incentive_is_data_error(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("incentive\n5.0\n0.0\n7.0\n")
@@ -283,6 +294,22 @@ class TestSimulateCommand:
         assert str(run_dir / "blocks.csv") in manifest["outputs"]
         beside = json.loads((run_dir / "proof.manifest.json").read_text())
         assert (beside["command"], beside["outputs"]) == ("proofsize", [str(proof)])
+
+    def test_verkle_roots_are_written_and_leave_blocks_bytes_alone(self, tmp_path, capsys):
+        plain, rooted = tmp_path / "plain", tmp_path / "rooted"
+        args = ["simulate", "--count", "3000", "--seed", "6", "--force-seal", "--out"]
+        assert main([*args, str(plain)]) == 0
+        assert main([*args, str(rooted), "--verkle-roots"]) == 0
+        assert (plain / "blocks.csv").read_bytes() == (rooted / "blocks.csv").read_bytes()
+        assert not (plain / "roots.csv").exists()
+        assert str(rooted / "roots.csv") in json.loads(
+            (rooted / "manifest.json").read_text())["outputs"]
+        attrs = dict(REFERENCE_STRATEGY)
+        strategy = strategy_from_category(attrs.pop("category"), **attrs)
+        result = run(generate(DatasetSpec(count=3000, rng_seed=6)), strategy,
+                     SimulationConfig(rng_seed=6), force_seal=True, build_trees=True)
+        assert (rooted / "roots.csv").read_text().splitlines() == ["height,verkle_root", *(
+            f"{b.height},{b.verkle_root.hex()}" for b in result.blocks)]
 
     def test_seed_repeat_reproduces_blocks_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

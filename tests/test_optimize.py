@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dtsim.core import SimulationConfig, category
+from dtsim import allocation
+from dtsim.core import SimulationConfig, Stream, category
 from dtsim.ingest import DatasetSpec, generate
 from dtsim.optimize import (
     DEFAULT_BOUNDS,
@@ -149,6 +150,19 @@ class TestEvaluate:
         cat = category(2)
         cfg = SimulationConfig(leaf_capacity=100)
         assert evaluate([2000, 110, 6.94, 1.0], cat, stream, cfg) == math.inf
+
+    def test_budgeted_evaluations_log_the_stream_once(self, stream, monkeypatch):
+        cfg = SimulationConfig(transaction_budget=len(stream) - 500)
+        prefix = Stream(*(column[:cfg.transaction_budget] for column in (
+            stream.ids, stream.arrivals, stream.amounts, stream.fees)))
+        vectors = ([2000, 110, 6.94, 1.0], [900, 60, 3.5, 0.8])
+        before = [evaluate(vec, category(2), prefix, SimulationConfig()) for vec in vectors]
+        fresh = Stream(stream.ids, stream.arrivals, stream.amounts, stream.fees)
+        logged = []
+        monkeypatch.setattr("dtsim.core.fee_logs", lambda fees: logged.append(len(fees)) or (
+            allocation.fee_logs(fees)))
+        assert [evaluate(vec, category(2), fresh, cfg) for vec in vectors] == before
+        assert logged == [len(stream)] and "fee_logs" in fresh.__dict__
 
     def test_data_error_propagates_instead_of_scoring_inf(self):
         reversed_stream = generate(DatasetSpec(count=3_000, rng_seed=1))[::-1]

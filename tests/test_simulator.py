@@ -347,6 +347,17 @@ class TestRun:
         assert len(set(roots)) == len(roots)
 
 
+    def test_verkle_roots_reject_a_negative_id_before_mining(self, monkeypatch):
+        stream = [tx(3, 2.0, t=0), tx(-6, 1.0, t=1), tx(-9, 1.0, t=2), tx(4, 3.0, t=3)]
+        s = strategy_from_category(2, a1=2, a6=110, a7=6.94, a8=1.0)
+        assert run(stream, s, CFG, force_seal=True).blocks[0].tx_ids == (3, -6, 4)
+        budget = SimulationConfig(transaction_budget=1)
+        assert run(stream, s, budget, force_seal=True, build_trees=True).blocks[0].verkle_root
+        monkeypatch.setattr("dtsim.simulator._mine", None)  # mining would raise TypeError
+        with pytest.raises(DataError, match="transaction -6 at position 1 is negative"):
+            run(stream, s, CFG, build_trees=True)
+
+
 class TestBaseline:
     def test_chunks_of_fixed_size(self):
         stream = [tx(i, 2.0, t=i) for i in range(5000)]

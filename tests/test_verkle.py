@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -202,6 +203,21 @@ def test_every_group_of_every_level_is_its_commit(n, k, picks):
         assert above == tuple(verkle.commit(below[i:i + k]) for i in range(0, len(below), k))
     for pick in picks:
         assert verify(tree.root, prove(tree, pick % n), ls[pick % n])
+
+
+@settings(max_examples=40, deadline=None)
+@given(block=st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(1, 110)),
+                      min_size=1, max_size=40, unique_by=lambda t: t[0]),
+       k=st.sampled_from([2, 3, 5, 16, 1024]))
+def test_block_root_is_the_root_of_the_slot_digest_tree(block, k):
+    digests = [slot_digest(tx_id, slot) for tx_id, n in block for slot in range(n)]
+    ids, slots = (np.array(column, dtype=np.int64) for column in zip(*block))
+    assert verkle.block_root(ids, slots, k) == build_tree(digests, k).root
+
+
+def test_levels_hold_only_digests():
+    with pytest.raises(ValueError, match="32-byte digest"):
+        build_tree([b"\x00" * 31, b"\x00" * 33], k=2)
 
 
 # sha256 of the concatenated Verkle roots of every block of a run over a 4k
