@@ -159,8 +159,12 @@ class TestEvaluate:
         before = [evaluate(vec, category(2), prefix, SimulationConfig()) for vec in vectors]
         fresh = Stream(stream.ids, stream.arrivals, stream.amounts, stream.fees)
         logged = []
-        monkeypatch.setattr("dtsim.core.fee_logs", lambda fees: logged.append(len(fees)) or (
-            allocation.fee_logs(fees)))
+
+        def fee_logs(fees):
+            logged.append(len(fees))
+            return allocation.fee_logs(fees)
+
+        monkeypatch.setattr("dtsim.core.fee_logs", fee_logs)
         assert [evaluate(vec, category(2), fresh, cfg) for vec in vectors] == before
         assert logged == [len(stream)] and "fee_logs" in fresh.__dict__
 
