@@ -313,3 +313,86 @@ def test_memo_changes_no_result_and_skips_repeated_candidates(algo):
             memoized.evaluations) == (space.decode(direct.best_x), direct.best_f,
                                       direct.trace, direct.evaluations)
     assert len(set(calls)) == distinct < len(calls) == direct.evaluations
+
+
+# Twenty small grid cells (5 algorithms x 4 categories, n_pop 6, max_gen 5,
+# rng seed 3) on a 4k seed-5 stream with leaf capacity 300: best volatility
+# and trace as float.hex, best attributes exactly.
+GRID_PINS = {
+    ("pso", 2): ("0x1.1d826dc466b1dp-4",
+        "0x1.a0ad742abdeadp-4 0x1.215fd7b46bbfap-4 0x1.215fd7b46bbfap-4 0x1.215fd7b46bbfap-4 0x1.1d826dc466b1dp-4",
+        {"a1": 18149, "a6": 197, "a7": 9.335812717891663, "a8": 0.47088332110757636}),
+    ("pso", 1): ("0x1.d750c78067f28p-5",
+        "0x1.325d04f7ed739p-3 0x1.0c0f2ced8ac75p-4 0x1.07755fada7ffbp-4 0x1.07755fada7ffbp-4 0x1.d750c78067f28p-5",
+        {"a1": 80000, "a4": 1.9906093665940923, "a5": 180, "a6": 10, "a7": 7.2638227436935265, "a8": 0.3952902064341729}),
+    ("pso", 4): ("0x1.2353b5ad806b8p-4",
+        "0x1.53a9bfcf7ed8fp-3 0x1.5065ffcc1a608p-4 0x1.5065ffcc1a608p-4 0x1.5065ffcc1a608p-4 0x1.2353b5ad806b8p-4",
+        {"a1": 6655, "a6": 62, "a7": 7.920259122846158, "a8": 0.1}),
+    ("pso", 3): ("0x1.33de1558b6644p-6",
+        "0x1.b43d39b24aa30p-6 0x1.701a4d985b8d8p-6 0x1.33de1558b6644p-6 0x1.33de1558b6644p-6 0x1.33de1558b6644p-6",
+        {"a1": 56057, "a4": 1.1050022526560046, "a5": 134, "a6": 275, "a7": 4.0, "a8": 0.7561679536444861}),
+    ("de", 2): ("0x1.215fd7b46bbfap-4",
+        "0x1.9ffc2318521c0p-2 0x1.9ffc2318521c0p-2 0x1.215fd7b46bbfap-4 0x1.215fd7b46bbfap-4 0x1.215fd7b46bbfap-4",
+        {"a1": 21019, "a6": 243, "a7": 9.441648509096362, "a8": 0.226902714160221}),
+    ("de", 1): ("0x1.4ccb864b96f31p-5",
+        "inf 0x1.eefaee2a239cbp-5 0x1.b6da09122d6fcp-5 0x1.ac47ccb619453p-5 0x1.4ccb864b96f31p-5",
+        {"a1": 1783, "a4": 1.0, "a5": 0, "a6": 10, "a7": 6.806658819075501, "a8": 1.0}),
+    ("de", 4): ("0x1.f7c4a66bedd57p-5",
+        "0x1.4082b6081c5b5p-3 0x1.57d6af0a3d4a2p-4 0x1.f7c4a66bedd57p-5 0x1.f7c4a66bedd57p-5 0x1.f7c4a66bedd57p-5",
+        {"a1": 47996, "a6": 288, "a7": 6.363874398742313, "a8": 0.8844597676637405}),
+    ("de", 3): ("0x1.8df22186c6fc8p-6",
+        "0x1.abfdcbf1be68fp-6 0x1.abfdcbf1be68fp-6 0x1.abfdcbf1be68fp-6 0x1.8df22186c6fc8p-6 0x1.8df22186c6fc8p-6",
+        {"a1": 30880, "a4": 1.3306325137526747, "a5": 66, "a6": 75, "a7": 4.0, "a8": 0.946933171089005}),
+    ("ga", 2): ("0x1.50693ed3ccc0ap-2",
+        "0x1.ef3a16b5bd16ap-2 0x1.ef3a16b5bd16ap-2 0x1.ef3a16b5bd16ap-2 0x1.50693ed3ccc0ap-2 0x1.50693ed3ccc0ap-2",
+        {"a1": 78588, "a6": 122, "a7": 7.040374344718041, "a8": 0.4493493819067135}),
+    ("ga", 1): ("0x1.212aa4bdfbc68p-4",
+        "0x1.3628523dd862ap-4 0x1.3628523dd862ap-4 0x1.3628523dd862ap-4 0x1.212aa4bdfbc68p-4 0x1.212aa4bdfbc68p-4",
+        {"a1": 45554, "a4": 1.941327519200639, "a5": 167, "a6": 63, "a7": 7.071909039582716, "a8": 0.9239066722713871}),
+    ("ga", 4): ("0x1.0b5338a8a2492p-4",
+        "0x1.27ea67cab3549p-2 0x1.27ea67cab3549p-2 0x1.0b5338a8a2492p-4 0x1.0b5338a8a2492p-4 0x1.0b5338a8a2492p-4",
+        {"a1": 26509, "a6": 290, "a7": 8.755901484756128, "a8": 0.5195567464284804}),
+    ("ga", 3): ("0x1.214250cc18194p-5",
+        "0x1.22c168d468e70p-5 0x1.22b2caa8af449p-5 0x1.22b2caa8af449p-5 0x1.214250cc18194p-5 0x1.214250cc18194p-5",
+        {"a1": 69886, "a4": 1.6260114031517943, "a5": 61, "a6": 290, "a7": 5.770964038416346, "a8": 0.9710708077006771}),
+    ("cmaes", 2): ("0x1.215fd7b46bbfap-4",
+        "0x1.215fd7b46bbfap-4 0x1.215fd7b46bbfap-4 0x1.215fd7b46bbfap-4",
+        {"a1": 42410, "a6": 10, "a7": 10.0, "a8": 1.0}),
+    ("cmaes", 1): ("0x1.1ba8528d3de70p-4",
+        "0x1.215fd7b46bbfap-4 0x1.1ba8528d3de70p-4 0x1.1ba8528d3de70p-4",
+        {"a1": 35160, "a4": 2.0, "a5": 200, "a6": 287, "a7": 10.0, "a8": 1.0}),
+    ("cmaes", 4): ("0x1.2a225926196eep-5",
+        "0x1.2a225926196eep-5 0x1.2a225926196eep-5 0x1.2a225926196eep-5",
+        {"a1": 42919, "a6": 212, "a7": 4.0, "a8": 0.1}),
+    ("cmaes", 3): ("0x1.58ba3810a7a65p-4",
+        "0x1.14072a7a4ed22p-3 0x1.58ba3810a7a65p-4 0x1.58ba3810a7a65p-4",
+        {"a1": 42645, "a4": 1.0, "a5": 0, "a6": 10, "a7": 4.0, "a8": 1.0}),
+    ("gbo", 2): ("0x1.17e5997d9163dp-4",
+        "0x1.215fd7b46bbfap-4 0x1.1d826dc466b1dp-4 0x1.1d826dc466b1dp-4 0x1.1d826dc466b1dp-4 0x1.17e5997d9163dp-4",
+        {"a1": 55034, "a6": 174, "a7": 8.72708340103624, "a8": 0.40972455847475264}),
+    ("gbo", 1): ("0x1.065e073637e7ap-4",
+        "0x1.0dba5ccfe99cep-4 0x1.0dba5ccfe99cep-4 0x1.0dba5ccfe99cep-4 0x1.0dba5ccfe99cep-4 0x1.065e073637e7ap-4",
+        {"a1": 46145, "a4": 1.1938881559406536, "a5": 116, "a6": 101, "a7": 8.515588307448217, "a8": 0.486485864355674}),
+    ("gbo", 4): ("0x1.447c1ee562ccbp-6",
+        "0x1.8f1a65bc4cd48p-6 0x1.51ec0ca152758p-6 0x1.51ec0ca152758p-6 0x1.4de6ecf101badp-6 0x1.447c1ee562ccbp-6",
+        {"a1": 44883, "a6": 260, "a7": 4.145447949726417, "a8": 0.7528378235452604}),
+    ("gbo", 3): ("0x1.a5b650ebcfeafp-6",
+        "0x1.4eb4f540588ebp-5 0x1.4eb4f540588ebp-5 0x1.32ad42d0f805ap-5 0x1.12b825ac8833cp-5 0x1.a5b650ebcfeafp-6",
+        {"a1": 30846, "a4": 1.0, "a5": 138, "a6": 70, "a7": 4.143177332968709, "a8": 0.8948520348704715}),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_grid():
+    stream = generate(DatasetSpec(count=4_000, rng_seed=5))
+    runs = experiment_grid(stream, SimulationConfig(leaf_capacity=300),
+                           base_config=OptimizerConfig(n_pop=6, max_gen=5, rng_seed=3))
+    return {(r.algorithm, r.category_id): r for r in runs}
+
+
+@pytest.mark.parametrize("cell", GRID_PINS, ids=lambda cell: f"{cell[0]}-cat{cell[1]}")
+def test_pinned_grid_cells(pinned_grid, cell):
+    best, trace, attrs = GRID_PINS[cell]
+    r = pinned_grid[cell]
+    assert (r.best_volatility.hex(), " ".join(map(float.hex, r.trace)), r.best_attrs) == (
+        best, trace, attrs)
