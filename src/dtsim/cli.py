@@ -30,9 +30,10 @@ from . import __version__
 from .core import (REFERENCE_STRATEGY, SimulationConfig, read_csv_columns,
                    strategy_from_category, validate_strategy, write_csv_rows)
 from .ingest import DatasetSpec, IrrationalMix, generate, inject_irrational, load_csv
-from .metrics import benchmark_check, rolling_volatility, series_volatility
+from .metrics import MIN_INCENTIVES, benchmark_check, rolling_volatility, series_volatility
 from .optimize import (
     ALGORITHMS,
+    PSO_COEFFICIENTS,
     OptimizerConfig,
     experiment_grid,
     grid_cell,
@@ -77,14 +78,13 @@ def _defaults() -> dict:
             "commission_ratio": spec.commission_ratio,
             "arrival_rate_tps": spec.arrival_rate_tps,
             "verkle_branching_factor": sim.verkle_branching_factor,
-            "seed": sim.rng_seed,
+            "seed": spec.rng_seed,
         },
         "dataset": {key: getattr(spec, key) for key in
                     ("count", "amount_mu", "amount_sigma", "drift_sigma", "drift_tau_s")},
         "strategy": dict(REFERENCE_STRATEGY),
         "optimizer": {key: getattr(opt, key) for key in
-                      ("algorithm", "n_pop", "max_gen", "pso_k", "pso_phi1", "pso_phi2",
-                       "de_f", "de_cr", "ga_crossover_rate", "gbo_escape_prob")},
+                      ("algorithm", "n_pop", "max_gen")},
         "irrational": {
             "rational_fraction": mix.rational_fraction,
             "overpaid_fraction": mix.overpaid_fraction,
@@ -150,15 +150,10 @@ def load_config(args) -> tuple[dict, str]:
     return config, text
 
 
-def _sim_config(args, config) -> SimulationConfig:
+def _sim_config(config) -> SimulationConfig:
     sim = config["simulation"]
-    return SimulationConfig(
-        leaf_capacity=sim["leaf_capacity"],
-        rng_seed=sim["seed"],
-        verkle_branching_factor=sim["verkle_branching_factor"],
-        transaction_budget=getattr(args, "budget_txs", None),
-        block_count_target=getattr(args, "block_target", None),
-    )
+    return SimulationConfig(leaf_capacity=sim["leaf_capacity"],
+                            verkle_branching_factor=sim["verkle_branching_factor"])
 
 
 def _dataset(args, config):
@@ -221,7 +216,7 @@ def _out_dir(args) -> Path:
 def cmd_simulate(args, config, config_text) -> int:
     t0 = time.perf_counter()
     seed = config["simulation"]["seed"]
-    cfg = _sim_config(args, config)
+    cfg = _sim_config(config)
     strategy = _strategy(args, config, cfg)
     stream = _dataset(args, config)
 
@@ -254,7 +249,7 @@ def cmd_simulate(args, config, config_text) -> int:
         "submitted_fees": result.submitted_fees,
         "block_fees": math.fsum(result.incentives),
     }
-    if len(result.blocks) >= 3:
+    if len(result.blocks) >= MIN_INCENTIVES:
         vol = series_volatility(result.incentives)
         summary["volatility"] = vol
         summary["benchmark"] = benchmark_check(vol)
@@ -274,11 +269,11 @@ def cmd_simulate(args, config, config_text) -> int:
 def cmd_optimize(args, config, config_text) -> int:
     t0 = time.perf_counter()
     seed = config["simulation"]["seed"]
-    cfg = _sim_config(args, config)
+    cfg = _sim_config(config)
     if args.jobs < 1:
         raise ConfigError("--jobs must be positive")
     base = OptimizerConfig(**config["optimizer"], n_eval=args.budget, rng_seed=seed)
-    w, c1, c2 = base.pso_coefficients
+    w, c1, c2 = PSO_COEFFICIENTS
 
     stream = _dataset(args, config)
     out = _out_dir(args)
@@ -447,14 +442,16 @@ def cmd_vrp_check(args, config, config_text) -> int:
     return 1 if violations else 0
 
 
+def _incentive(text: str) -> float:
+    """A cell of `volatility`'s column: returns need finite values > 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ValueError(f"incentive {value} must be finite and > 0")
+    return value
+
+
 def cmd_volatility(args, config, config_text) -> int:
-    (values,) = read_csv_columns(args.infile, {args.column: float})
-    # Line numbers as if no line were blank.
-    bad_rows = [(lineno, v) for lineno, v in enumerate(values, start=2) if v <= 0]
-    if bad_rows:
-        listing = ", ".join(f"line {ln} ({v})" for ln, v in bad_rows[:10])
-        raise DataError(f"non-positive incentives at: {listing}"
-                        + (" ..." if len(bad_rows) > 10 else ""))
+    (values,) = read_csv_columns(args.infile, {args.column: _incentive})
     if len(values) < 2:
         raise DataError("need at least two incentives")
 
@@ -491,8 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--a6", type=int, help="max leaf nodes per transaction")
     sim.add_argument("--a7", type=float, help="CDF scale")
     sim.add_argument("--a8", type=float, help="CDF shape")
-    sim.add_argument("--block-target", type=int, help="stop after this many sealed blocks")
-    sim.add_argument("--budget-txs", type=int, help="consume at most this many transactions")
     sim.add_argument("--force-seal", action="store_true",
                      help="seal the partial tail block at end of stream")
     sim.add_argument("--verkle-roots", action="store_true",

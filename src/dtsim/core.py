@@ -89,15 +89,6 @@ class Stream(Sequence):
         logs.flags.writeable = False
         return logs
 
-    def prefix(self, n: int) -> "Stream":
-        """The first `n` transactions, as read-only views of these columns and
-        of cached fee logs; a prefix of a valid stream is valid, so nothing is checked again."""
-        stream = object.__new__(Stream)
-        _set_columns(stream, self.ids[:n], self.arrivals[:n], self.amounts[:n], self.fees[:n])
-        if "fee_logs" in self.__dict__:
-            stream.__dict__["fee_logs"] = self.fee_logs[:n]
-        return stream
-
     def with_fees(self, fees) -> "Stream":
         """This stream with a copy of `fees` as its fee column. Only the new
         fees are checked: DataError unless finite, >= 0 and one per
@@ -235,10 +226,11 @@ class DtsStrategy:
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """Leaf slots per block and the Verkle branching factor of a run. No
+    simulation reads `rng_seed`: a stream's seed is `DatasetSpec.rng_seed`."""
+
     leaf_capacity: int = 2100
     rng_seed: int = 0
-    transaction_budget: Optional[int] = None
-    block_count_target: Optional[int] = None
     verkle_branching_factor: int = 5
 
     def __post_init__(self):
@@ -246,10 +238,6 @@ class SimulationConfig:
             raise ValueError("leaf_capacity must be positive")
         if self.verkle_branching_factor < 2:
             raise ValueError("verkle_branching_factor must be >= 2")
-        if self.transaction_budget is not None and self.transaction_budget < 1:
-            raise ValueError("transaction_budget must be positive when set")
-        if self.block_count_target is not None and self.block_count_target < 1:
-            raise ValueError("block_count_target must be positive when set")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,9 @@ HISTORICAL_VOLATILITY = {
 BENCHMARK_MIN = min(HISTORICAL_VOLATILITY.values())
 BENCHMARK_MAX = max(HISTORICAL_VOLATILITY.values())
 
+# The fewest incentives `series_volatility` accepts: two returns.
+MIN_INCENTIVES = 3
+
 
 def log_returns(incentives: Sequence[float]) -> tuple:
     """R_n = ln(I_n / I_{n-1}) over consecutive incentives.
@@ -82,8 +85,8 @@ def rolling_volatility(incentives: Sequence[float], window: int) -> List[float]:
 
 def benchmark_check(vol: float) -> str:
     """Classify a volatility against the historical range: below/within/above."""
-    if vol < 0:
-        raise ValueError("volatility cannot be negative")
+    if not vol >= 0:  # also NaN
+        raise ValueError(f"volatility must be a number >= 0, got {vol}")
     if vol < BENCHMARK_MIN:
         return "below"
     if vol > BENCHMARK_MAX:

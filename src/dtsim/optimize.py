@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (DataError, SimulationConfig, Stream, StrategyCategory, category,
                    strategy_from_category, validate_strategy, write_csv_rows)
-from .metrics import series_volatility
+from .metrics import MIN_INCENTIVES, series_volatility
 from .optimizers import cma_es, differential_evolution, genetic_algorithm, gbo, pso
 from .simulator import incentives
 
@@ -54,6 +54,10 @@ def constriction_params(k: float, phi1: float, phi2: float) -> Tuple[float, floa
     return chi, phi1 * chi, phi2 * chi
 
 
+# PSO's (w, c1, c2) in the search: the constriction of k = 1, phi1 = phi2 = 2.05.
+PSO_COEFFICIENTS = constriction_params(1.0, 2.05, 2.05)
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     """Bounded attribute box for one strategy category."""
@@ -85,35 +89,24 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Hyper-parameters for the search algorithms.
+    """The algorithm, population, budget and seed of a search.
 
     The evaluation budget is n_pop * max_gen (5000 with the defaults) for
     every algorithm, also covering the one algorithm configured directly by
-    evaluation count. PSO's (w, c1, c2) derive from the constriction
-    parameters pso_k, pso_phi1 and pso_phi2.
+    evaluation count, unless n_eval sets it. The algorithms' own constants
+    are fixed: PSO takes PSO_COEFFICIENTS, DE F = 0.5 and CR = 0.9, GA a
+    crossover rate of 0.9 and GBO an escape probability of 0.5.
     """
 
     algorithm: str = "pso"
     n_pop: int = 50
     max_gen: int = 100
     n_eval: Optional[int] = None
-    pso_k: float = 1.0
-    pso_phi1: float = 2.05
-    pso_phi2: float = 2.05
-    de_f: float = 0.5
-    de_cr: float = 0.9
-    ga_crossover_rate: float = 0.9
-    gbo_escape_prob: float = 0.5
     rng_seed: int = 0
 
     @property
     def budget(self) -> int:
         return self.n_eval if self.n_eval is not None else self.n_pop * self.max_gen
-
-    @property
-    def pso_coefficients(self) -> Tuple[float, float, float]:
-        """PSO's (w, c1, c2)."""
-        return constriction_params(self.pso_k, self.pso_phi1, self.pso_phi2)
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -139,9 +132,10 @@ def evaluate(candidate: Sequence[float], cat: StrategyCategory,
              dataset, cfg: SimulationConfig) -> float:
     """Objective: volatility of the simulated incentive series (`simulator.incentives`).
 
-    Invalid strategies and degenerate runs (fewer than three sealed blocks)
-    score +inf instead of raising, so optimizers can rank them out. Data
-    errors of the stream (DataError from the simulator) propagate.
+    Invalid strategies and degenerate runs (fewer than
+    `metrics.MIN_INCENTIVES` sealed blocks) score +inf instead of raising,
+    so optimizers can rank them out. Data errors of the stream (DataError
+    from the simulator) propagate.
     """
     return evaluate_attrs(SearchSpace(category=cat).decode(candidate), cat, dataset, cfg)
 
@@ -156,7 +150,7 @@ def evaluate_attrs(attrs: Dict[str, float], cat: StrategyCategory,
     if validate_strategy(strategy, cfg):
         return math.inf
     series = incentives(dataset, strategy, cfg)
-    return series_volatility(series) if len(series) >= 3 else math.inf
+    return series_volatility(series) if len(series) >= MIN_INCENTIVES else math.inf
 
 
 def run_optimizer(algo: str, space: SearchSpace, objective: Callable,
@@ -184,20 +178,17 @@ def run_optimizer(algo: str, space: SearchSpace, objective: Callable,
 
     budget = config.budget
     if algo == "pso":
-        w, c1, c2 = config.pso_coefficients
+        w, c1, c2 = PSO_COEFFICIENTS
         result = pso(boxed, lb, ub, budget, rng, n_pop=config.n_pop, w=w, c1=c1, c2=c2)
     elif algo == "de":
-        result = differential_evolution(boxed, lb, ub, budget, rng, n_pop=config.n_pop,
-                                        f_weight=config.de_f, cr=config.de_cr)
+        result = differential_evolution(boxed, lb, ub, budget, rng, n_pop=config.n_pop)
     elif algo == "ga":
         result = genetic_algorithm(boxed, lb, ub, budget, rng, n_pop=config.n_pop,
-                                   crossover_rate=config.ga_crossover_rate,
                                    max_gen=config.max_gen)
     elif algo == "cmaes":
         result = cma_es(boxed, lb, ub, budget, rng)
     elif algo == "gbo":
-        result = gbo(boxed, lb, ub, budget, rng, n_pop=config.n_pop,
-                     escape_prob=config.gbo_escape_prob)
+        result = gbo(boxed, lb, ub, budget, rng, n_pop=config.n_pop)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
 

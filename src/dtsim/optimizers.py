@@ -97,9 +97,8 @@ def pso(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
 
 
 def differential_evolution(objective: Objective, lb, ub, budget: int,
-                           rng: np.random.Generator, n_pop: int = 50,
-                           f_weight: float = 0.5, cr: float = 0.9) -> OptTrace:
-    """DE/rand/1/bin with greedy one-to-one selection."""
+                           rng: np.random.Generator, n_pop: int = 50) -> OptTrace:
+    """DE/rand/1/bin (F = 0.5, CR = 0.9) with greedy one-to-one selection."""
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     dim = lb.size
@@ -114,8 +113,8 @@ def differential_evolution(objective: Objective, lb, ub, budget: int,
         for i in range(n_pop):
             choices = [j for j in range(n_pop) if j != i]
             r1, r2, r3 = rng.choice(choices, size=3, replace=False)
-            mutant = x[r1] + f_weight * (x[r2] - x[r3])
-            cross = rng.random(dim) < cr
+            mutant = x[r1] + 0.5 * (x[r2] - x[r3])
+            cross = rng.random(dim) < 0.9
             cross[rng.integers(dim)] = True
             trial = _clamp(np.where(cross, mutant, x[i]), lb, ub)
             ft = tally(trial)
@@ -128,10 +127,10 @@ def differential_evolution(objective: Objective, lb, ub, budget: int,
 
 def genetic_algorithm(objective: Objective, lb, ub, budget: int,
                       rng: np.random.Generator, n_pop: int = 50,
-                      crossover_rate: float = 0.9, max_gen: int = 100) -> OptTrace:
-    """Generational GA: tournament-2 parents, uniform crossover, Gaussian
-    mutation at rate 1/dim with a step decaying geometrically from 0.1 to
-    0.001 of the box width, one elite."""
+                      max_gen: int = 100) -> OptTrace:
+    """Generational GA: tournament-2 parents, uniform crossover at rate 0.9,
+    Gaussian mutation at rate 1/dim with a step decaying geometrically from
+    0.1 to 0.001 of the box width, one elite."""
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     dim = lb.size
@@ -158,7 +157,7 @@ def genetic_algorithm(objective: Objective, lb, ub, budget: int,
         children = [elite]
         while len(children) < n_pop:
             p1, p2 = tournament(), tournament()
-            if rng.random() < crossover_rate:
+            if rng.random() < 0.9:
                 mask = rng.random(dim) < 0.5
                 c1 = np.where(mask, p1, p2)
                 c2 = np.where(mask, p2, p1)
@@ -249,10 +248,10 @@ def cma_es(objective: Objective, lb, ub, budget: int, rng: np.random.Generator) 
 
 
 def gbo(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
-        n_pop: int = 50, escape_prob: float = 0.5) -> OptTrace:
+        n_pop: int = 50) -> OptTrace:
     """Gradient-based optimizer: gradient search rule, whose step scale beta
     decays from 1.2 to 0.2, plus local escaping operator applied with
-    probability `escape_prob`."""
+    probability 0.5."""
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     dim = lb.size
@@ -295,7 +294,7 @@ def gbo(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
             ra, rb = rng.random(dim), rng.random(dim)
             x_new = ra * (rb * x1 + (1 - rb) * x2) + (1 - ra) * x3
 
-            if rng.random() < escape_prob:
+            if rng.random() < 0.5:
                 f1 = rng.uniform(-1, 1)
                 f2 = rng.standard_normal()
                 ro_leo = alpha * (2 * rng.random() - 1)

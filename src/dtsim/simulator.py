@@ -32,8 +32,8 @@ computed from whole arrays, and exactly: each arrival after the overflow is
 one `heappushpop` on the rank heap, and the drain is the rest of the heap in
 rank order. Every slot count is at least 1, so the running slot total of
 the picks rises strictly and each next-fit seal is one `searchsorted` on it.
-Both branches mine the whole stream and the block-count target cuts it in
-one place; `run` alone goes on to `force_seal`, block records and fates.
+Both branches mine the whole stream; `run` alone goes on to `force_seal`,
+block records and fates.
 """
 
 from __future__ import annotations
@@ -107,27 +107,27 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
     Deterministic: all randomness lives in the dataset. Every transaction
     ends up included in exactly one block, pending (in the pool or the
     unsealed tail block), evicted, or rejected, and the per-fate fee sums in
-    the result add up to the submitted total. The unsealed tail block is
-    excluded from the block series unless `force_seal` is given; a
-    `cfg.block_count_target` of k cuts the run at its k-th seal. Raises
-    DataError when the transactions do not form a valid Stream.
+    the result add up to the submitted total, which is the whole stream.
+    The unsealed tail block is excluded from the block series unless
+    `force_seal` is given. Raises DataError when the transactions do not
+    form a valid Stream.
 
     With `build_trees`, each block's `verkle_root` is `verkle.block_root` of
     its id and slot-count columns, numpy slices at the block's picks: one
     12-byte preimage per occupied leaf slot, one sha256 per leaf and per
     group, and one block's 32-byte leaf digests held at a time. The leaf
-    packing takes ids as unsigned, so a negative id among the first
-    `cfg.transaction_budget` transactions is a DataError, raised before mining.
+    packing takes ids as unsigned, so a negative id is a DataError, raised
+    before mining.
     """
     stream = Stream.of(dataset)
     if build_trees:
-        negative = np.flatnonzero(stream.ids[:cfg.transaction_budget] < 0)
+        negative = np.flatnonzero(stream.ids < 0)
         if negative.size:
             at = int(negative[0])
             raise DataError(f"Verkle roots need non-negative transaction ids: transaction "
                             f"{stream.ids[at]} at position {at} is negative")
     # The ranks and heaps live only inside _mine: freed before the records are built.
-    stream, picks, sealed, slot_of, victim, submitted = _mine(stream, strategy, cfg)
+    stream, picks, sealed, slot_of, victim = _mine(stream, strategy, cfg)
     bounds = [0, *(end for end, _ in sealed)]
     if force_seal and len(picks) > bounds[-1]:
         sealed.append((len(picks), int(slot_of[picks[bounds[-1]:]].sum())))
@@ -155,10 +155,10 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
     # The overflow's victim is rejected if it is the newcomer at position a1, else evicted.
     lost = [] if victim is None else [victim]
     evicted, rejected = ([], lost) if victim == strategy.mempool_size else (lost, [])
-    waiting = np.ones(submitted, dtype=bool)
+    waiting = np.ones(len(stream), dtype=bool)
     waiting[picks] = waiting[lost] = False
     pending = np.flatnonzero(waiting)
-    return RunResult(blocks, assignments, submitted, fee_sum(slice(submitted)), included,
+    return RunResult(blocks, assignments, len(stream), fee_sum(slice(None)), included,
                      len(evicted), fee_sum(evicted), len(rejected), fee_sum(rejected), len(pending),
                      fee_sum(pending), len(picks) - included, fee_sum(picks[included:]))
 
@@ -182,34 +182,25 @@ def _blocks(column: np.ndarray, picks: np.ndarray, bounds: List[int]) -> Iterato
 
 
 def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationConfig):
-    """The run loop on positions, shared by `run` and `incentives`. Returns
-    `dataset` as a Stream cut to `cfg.transaction_budget`, the picks, each
-    sealed block as (end index into the picks, occupied slots), every
-    position's slot count (picks and slot counts are int64 arrays), the
-    overflow's victim (None without one) and the submitted count.
+    """The run loop on positions, shared by `run` and `incentives`, over the
+    whole of `dataset`. Returns `dataset` as a Stream, the picks, each sealed
+    block as (end index into the picks, occupied slots), every position's
+    slot count (picks and slot counts are int64 arrays) and the overflow's
+    victim (None without one).
 
     The one overflow, at position a1, is settled before any pick, so its
     victim never enters the pool. Without reserved slots the picks and seals
     then come from whole-array operations; with them, from one step per
     arrival over the disjoint small-fee and other heaps, which together hold
-    at most a1 ranks, and one step per block segment of the drain.
-
-    Both mine the whole stream. A seal depends only on the picks before it,
-    and pick e is taken at arrival a1 + e or in the drain, so a target of k
-    blocks keeps picks[:end + 1], where pick `end` opened block k + 1, and
-    submitted = min(a1 + end + 1, n)."""
+    at most a1 ranks, and one step per block segment of the drain."""
     problems = validate_strategy(strategy, cfg)
     if problems:
         raise ValueError("invalid strategy: " + "; ".join(problems))
     stream = Stream.of(dataset)
-    # The logs are cached on the whole stream, so a budgeted search takes them once.
-    logs = stream.fee_logs[:cfg.transaction_budget]
-    if cfg.transaction_budget is not None:
-        stream = stream.prefix(cfg.transaction_budget)
     fees = stream.fees
     # Slots come before the ranks, so the mapping's temporaries and the ranks never coexist.
     params = AllocationParams(strategy.scale, strategy.shape, strategy.max_trx_nodes)
-    slot_of = log_slots(logs, params)
+    slot_of = log_slots(stream.fee_logs, params)
     rank, order = _ranks(stream, strategy.priority)
     reserve = strategy.small_fee_count if strategy.designated_space else 0
     capacity = cfg.leaf_capacity
@@ -282,12 +273,7 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
         picks.frombytes(_drain(small, large, order, slot_of, reserve, capacity,
                                filled, small_used, len(picks), sealed).tobytes())
         picks, slot_of = (np.frombuffer(a, dtype=np.int64) for a in (picks, slot_of))
-
-    submitted, target = n_txs, cfg.block_count_target
-    if target is not None and len(sealed) >= target:
-        end = sealed[target - 1][0]
-        picks, sealed, submitted = picks[:end + 1], sealed[:target], min(warm + end + 1, n_txs)
-    return stream, picks, sealed, slot_of, victim, submitted
+    return stream, picks, sealed, slot_of, victim
 
 
 def _drain(S: List[int], L: List[int], order: array, slot_of: array, reserve: int, capacity: int,

@@ -50,13 +50,6 @@ a8 = 1.0
 algorithm = pso
 n_pop = 50
 max_gen = 100
-pso_k = 1.0
-pso_phi1 = 2.05
-pso_phi2 = 2.05
-de_f = 0.5
-de_cr = 0.9
-ga_crossover_rate = 0.9
-gbo_escape_prob = 0.5
 
 [irrational]
 rational_fraction = 1.0
@@ -239,7 +232,32 @@ class TestExitCodes:
         path.write_text("incentive\n5.0\n0.0\n7.0\n")
         proc = run_cli(["volatility", "--in", str(path)])
         assert proc.returncode == 3
-        assert "line 3" in proc.stderr
+        assert f"{path}:3:" in proc.stderr
+
+    @pytest.mark.parametrize("text, line", [("incentive\n5\n\n0\n7\n", 4),
+                                            ("incentive\n5\n6\nnan\n7\n", 4),
+                                            ("incentive\n5\n\n6\n-inf\n", 5)])
+    def test_bad_incentive_names_its_file_line(self, tmp_path, capsys, text, line):
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        assert main(["volatility", "--in", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"data error: {path}:{line}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--block-target", "--budget-txs"])
+    def test_removed_run_length_flags_are_usage_errors(self, tmp_path, flag):
+        proc = run_cli(["simulate", "--count", "500", flag, "3", "--out", str(tmp_path / "o")])
+        assert proc.returncode == 2 and "unrecognized arguments" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_removed_search_constant_is_unknown_config_key(self, tmp_path, capsys):
+        config = tmp_path / "dtsim.ini"
+        config.write_text("[optimizer]\nde_f = 0.7\n")
+        out = tmp_path / "o"
+        assert main(["optimize", "--config", str(config), "--count", "500", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: unknown config key 'de_f' in [optimizer]\n"
+        assert not out.exists()
 
 
 class TestVolatilityCommand:

@@ -216,18 +216,6 @@ class TestStream:
         assert list(again) == list(stream)
         assert not again.fees.flags.writeable and not again.ids.flags.writeable
 
-    def test_prefix_views_equal_a_checked_stream(self):
-        stream = generate(DatasetSpec(count=500, rng_seed=3))
-        prefix = stream.prefix(120)
-        built = Stream(*(col[:120] for col in (stream.ids, stream.arrivals, stream.amounts,
-                                               stream.fees)))
-        assert list(prefix) == list(built)
-        for name in ("ids", "arrivals", "amounts", "fees"):
-            col = getattr(prefix, name)
-            assert col.dtype == getattr(built, name).dtype and not col.flags.writeable
-            assert np.shares_memory(col, getattr(stream, name))
-        assert len(stream.prefix(900)) == 500
-
     def test_with_fees_checks_only_the_new_fees(self):
         stream = generate(DatasetSpec(count=50, rng_seed=3))
         fees = stream.fees * 2.0
@@ -251,16 +239,6 @@ class TestStream:
         assert stream.fee_logs is logs and not logs.flags.writeable
         with pytest.raises(ValueError):
             logs[0] = 1.0
-
-    def test_prefix_hands_on_cached_fee_logs(self):
-        stream = generate(DatasetSpec(count=500, rng_seed=3))
-        assert "fee_logs" not in stream.prefix(120).__dict__
-        logs = stream.fee_logs
-        prefix = stream.prefix(120)
-        assert "fee_logs" in prefix.__dict__ and np.shares_memory(prefix.fee_logs, logs)
-        assert prefix.fee_logs.tolist() == logs[:120].tolist() == Stream(
-            prefix.ids, prefix.arrivals, prefix.amounts, prefix.fees).fee_logs.tolist()
-        assert not prefix.fee_logs.flags.writeable
 
     def test_with_fees_takes_its_own_fee_logs_and_slots(self):
         from dtsim.simulator import run

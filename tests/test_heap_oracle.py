@@ -26,8 +26,6 @@ from test_reference_model import observed
 def heap_run(stream, strategy, cfg, force_seal):
     """The run loop with one pick per step; returns what `observed` reads
     off a RunResult."""
-    if cfg.transaction_budget is not None:
-        stream = stream.prefix(cfg.transaction_budget)
     fees, arrivals, ids = (c.tolist() for c in (stream.fees, stream.arrivals, stream.ids))
     n = len(fees)
     if strategy.priority is Priority.TIME:
@@ -41,7 +39,7 @@ def heap_run(stream, strategy, cfg, force_seal):
     slots = leaf_slots(np.where(stream.fees > 0, stream.fees, MIN_POSITIVE_FEE), params).tolist()
     below = [fee < strategy.small_fee_threshold for fee in fees]
     reserve, capacity = strategy.small_fee_count, cfg.leaf_capacity
-    target, warm = cfg.block_count_target, strategy.mempool_size
+    warm = strategy.mempool_size
 
     evicted, rejected, victim = [], [], None
     if warm < n:
@@ -70,21 +68,13 @@ def heap_run(stream, strategy, cfg, force_seal):
         filled += slots[pos]
         return True
 
-    def reached_target():
-        return target is not None and len(seals) >= target
-
-    submitted = n
     for pos in range(n):
         if pos != victim:
             heappush(small if below[pos] else large, rank[pos])
         if pos >= warm:
             mine_one()
-            if reached_target():
-                submitted = pos + 1
-                break
-    else:
-        while mine_one() and not reached_target():
-            pass
+    while mine_one():
+        pass
 
     if force_seal and len(picks) > (seals[-1][0] if seals else 0):
         seals.append((len(picks), filled))
@@ -104,7 +94,7 @@ def heap_run(stream, strategy, cfg, force_seal):
     return {
         "blocks": blocks,
         "assignments": assignments,
-        "submitted": fates(range(submitted)),
+        "submitted": fates(range(n)),
         "included": (begin, math.fsum(b.incentive for b in blocks)),
         "evicted": fates(evicted),
         "rejected": fates(rejected),
@@ -125,16 +115,15 @@ def streams_20k():
 
 @pytest.mark.parametrize("case", range(24))
 def test_reserved_run_matches_heap_miner(case, streams_20k):
-    # Both categories on each stream, half the cases with a block target
-    # and half of each half force-sealed; the rest of the candidate is
-    # drawn from the search box, with pools from a few blocks' worth to
-    # past the stream length.
+    # Both categories on each stream, half the cases force-sealed; the rest
+    # of the candidate is drawn from the search box, with pools from a few
+    # blocks' worth to past the stream length.
     rng = np.random.default_rng(case)
     strategy = strategy_from_category(
         (1, 3)[case % 2], a1=int(rng.integers(100, 25_000)), a4=float(rng.uniform(1.0, 2.0)),
         a5=int(rng.integers(1, 201)), a6=int(rng.integers(10, 801)),
         a7=float(rng.uniform(4.0, 10.0)), a8=float(rng.uniform(0.1, 1.0)))
-    cfg = SimulationConfig(block_count_target=int(rng.integers(1, 40)) if case >= 12 else None)
+    cfg = SimulationConfig()
     force_seal = case // 6 % 2 == 1
     stream = streams_20k[case // 2 % 3]
     result = run(stream, strategy, cfg, force_seal=force_seal)

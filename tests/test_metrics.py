@@ -7,6 +7,7 @@ from dtsim.metrics import (
     BENCHMARK_MAX,
     BENCHMARK_MIN,
     HISTORICAL_VOLATILITY,
+    MIN_INCENTIVES,
     benchmark_check,
     log_returns,
     rolling_volatility,
@@ -101,6 +102,16 @@ class TestBenchmark:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             benchmark_check(-0.1)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="nan"):
+            benchmark_check(math.nan)
+
+
+def test_min_incentives_is_the_shortest_series_with_a_volatility():
+    assert series_volatility([2.0, 3.0, 5.0][:MIN_INCENTIVES]) > 0
+    with pytest.raises(ValueError):
+        series_volatility([2.0, 3.0, 5.0][:MIN_INCENTIVES - 1])
 
 
 @given(st.lists(st.floats(0.001, 1e6), min_size=3, max_size=40),

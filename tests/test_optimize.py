@@ -8,6 +8,7 @@ from dtsim.core import SimulationConfig, Stream, category
 from dtsim.ingest import DatasetSpec, generate
 from dtsim.optimize import (
     DEFAULT_BOUNDS,
+    PSO_COEFFICIENTS,
     OptimizerConfig,
     SearchSpace,
     constriction_params,
@@ -151,12 +152,9 @@ class TestEvaluate:
         cfg = SimulationConfig(leaf_capacity=100)
         assert evaluate([2000, 110, 6.94, 1.0], cat, stream, cfg) == math.inf
 
-    def test_budgeted_evaluations_log_the_stream_once(self, stream, monkeypatch):
-        cfg = SimulationConfig(transaction_budget=len(stream) - 500)
-        prefix = Stream(*(column[:cfg.transaction_budget] for column in (
-            stream.ids, stream.arrivals, stream.amounts, stream.fees)))
+    def test_evaluations_log_the_stream_once(self, stream, monkeypatch):
         vectors = ([2000, 110, 6.94, 1.0], [900, 60, 3.5, 0.8])
-        before = [evaluate(vec, category(2), prefix, SimulationConfig()) for vec in vectors]
+        before = [evaluate(vec, category(2), stream, self.CFG) for vec in vectors]
         fresh = Stream(stream.ids, stream.arrivals, stream.amounts, stream.fees)
         logged = []
 
@@ -165,7 +163,7 @@ class TestEvaluate:
             return allocation.fee_logs(fees)
 
         monkeypatch.setattr("dtsim.core.fee_logs", fee_logs)
-        assert [evaluate(vec, category(2), fresh, cfg) for vec in vectors] == before
+        assert [evaluate(vec, category(2), fresh, self.CFG) for vec in vectors] == before
         assert logged == [len(stream)] and "fee_logs" in fresh.__dict__
 
     def test_data_error_propagates_instead_of_scoring_inf(self):
@@ -278,17 +276,15 @@ def _direct(algo, space, objective, config):
     rng = np.random.default_rng(config.rng_seed)
     n_pop = config.n_pop
     if algo == "pso":
-        w, c1, c2 = config.pso_coefficients
+        w, c1, c2 = PSO_COEFFICIENTS
         return pso(f, lb, ub, budget, rng, n_pop=n_pop, w=w, c1=c1, c2=c2)
     if algo == "de":
-        return differential_evolution(f, lb, ub, budget, rng, n_pop=n_pop,
-                                      f_weight=config.de_f, cr=config.de_cr)
+        return differential_evolution(f, lb, ub, budget, rng, n_pop=n_pop)
     if algo == "ga":
-        return genetic_algorithm(f, lb, ub, budget, rng, n_pop=n_pop,
-                                 crossover_rate=config.ga_crossover_rate, max_gen=config.max_gen)
+        return genetic_algorithm(f, lb, ub, budget, rng, n_pop=n_pop, max_gen=config.max_gen)
     if algo == "cmaes":
         return cma_es(f, lb, ub, budget, rng)
-    return gbo(f, lb, ub, budget, rng, n_pop=n_pop, escape_prob=config.gbo_escape_prob)
+    return gbo(f, lb, ub, budget, rng, n_pop=n_pop)
 
 
 @pytest.mark.parametrize("algo", ["pso", "de", "ga", "cmaes", "gbo"])

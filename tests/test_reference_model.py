@@ -65,8 +65,6 @@ class NaivePool:
 
 def naive_run(txs, strategy, cfg, force_seal):
     """The run loop spelled out: warm-up, one arrival per pick, then drain."""
-    if cfg.transaction_budget is not None:
-        txs = txs[: cfg.transaction_budget]
     params = AllocationParams(strategy.scale, strategy.shape, strategy.max_trx_nodes)
     pool = NaivePool(strategy.mempool_size, strategy.priority, strategy.small_fee_threshold)
     blocks, assignments = [], []
@@ -112,22 +110,14 @@ def naive_run(txs, strategy, cfg, force_seal):
         block.append((tx, n))
         return True
 
-    def reached_target():
-        return cfg.block_count_target is not None and len(blocks) >= cfg.block_count_target
-
     warm = min(len(txs), strategy.mempool_size)
     for tx in txs[:warm]:
         absorb(tx)
-    stopped = False
     for tx in txs[warm:]:
         absorb(tx)
         mine_one()
-        if reached_target():
-            stopped = True
-            break
-    if not stopped:
-        while mine_one() and not reached_target():
-            pass
+    while mine_one():
+        pass
 
     tail = [t for t, _ in block]
     if force_seal and tail:
@@ -197,12 +187,7 @@ def setups(draw):
         a8=draw(st.sampled_from([0.5, 1.0, 2.5])),
         **small,
     )
-    cfg = SimulationConfig(
-        leaf_capacity=leaf_capacity,
-        block_count_target=draw(st.none() | st.integers(min_value=1, max_value=4)),
-        transaction_budget=draw(st.none() | st.integers(min_value=1, max_value=40)),
-    )
-    return strategy, cfg
+    return strategy, SimulationConfig(leaf_capacity=leaf_capacity)
 
 
 def pair(cat, a1=2, **small):
@@ -313,26 +298,6 @@ def test_unreserved_pool_larger_than_stream(priority, extra):
     assert picked_ids(result) == [t.id for t in sorted(txs, key=key)]
 
 
-@pytest.mark.parametrize("force_seal", [False, True])
-@pytest.mark.parametrize("priority,a1,target,sealed_at", [
-    (Priority.TIME, 5, 2, "arrival"), (Priority.FEE, 5, 2, "arrival"),
-    (Priority.TIME, 52, 3, "first drain pick"), (Priority.FEE, 52, 4, "first drain pick"),
-    (Priority.TIME, 55, 3, "drain"), (Priority.FEE, 55, 3, "drain")])
-def test_unreserved_block_target(force_seal, priority, a1, target, sealed_at):
-    # The pick that seals the target block opens the next one, which stays
-    # unsealed unless force_seal; after an arrival's pick the rest of the
-    # stream is never submitted. The 60 - a1 arrivals after the overflow
-    # each make one pick.
-    txs = mixed_stream(60)
-    cfg = SimulationConfig(leaf_capacity=8, block_count_target=target)
-    result = check_unreserved(txs, priority, a1=a1, cfg=cfg, force_seal=force_seal)
-    assert len(result.blocks) == target + force_seal
-    assert (result.submitted_count < 60) == (sealed_at == "arrival")
-    picks = result.included_count + result.unsealed_count
-    assert (picks == 60 - a1 + 1) == (sealed_at == "first drain pick")
-    assert result.pending_count > 0
-
-
 # Explicit cases of the stepwise path that `run` takes when slots are
 # reserved (categories 1 and 3 with a5 > 0), each checked against the naive
 # miner. Every transaction takes one slot, and a fee below 2.0 is small.
@@ -408,16 +373,6 @@ def test_drain_starts_with_the_quota_the_last_arrival_left():
         [(1, 3, 0), (2, 4, 5), (7,)]
 
 
-@pytest.mark.parametrize("force_seal", [False, True])
-def test_drain_stops_at_the_block_target(force_seal):
-    # Id 0 opens block 2 past the target of 2 and stays unsealed unless
-    # force_seal; ids 1, 4 and 6 are still pending.
-    fees = [5.0, 1.0, 6.0, 1.5, 0.5, 7.0, 3.0, 1.2]
-    cfg = SimulationConfig(leaf_capacity=2, block_count_target=2)
-    assert check_reserved(fees, cat=3, a1=8, a5=1, cfg=cfg, force_seal=force_seal) == \
-        [(3, 5), (2, 7)] + [(0,)] * force_seal
-
-
 @pytest.mark.parametrize("fees,cat,blocks", [
     # Only small fees wait: the quota of 2 goes to the best two, the third
     # slot to the next by rank, which is small as well.
@@ -455,7 +410,6 @@ def test_reserved_multi_block_drain_matches_naive_miner(txs, data, force_seal):
         a7=data.draw(st.sampled_from([-1.0, 0.5, 3.0])),
         a8=data.draw(st.sampled_from([0.5, 1.0, 2.5])),
     )
-    cfg = SimulationConfig(leaf_capacity=leaf_capacity,
-                           block_count_target=data.draw(st.none() | st.integers(1, 40)))
+    cfg = SimulationConfig(leaf_capacity=leaf_capacity)
     result = run(txs, strategy, cfg, force_seal=force_seal)
     assert observed(result) == naive_run(txs, strategy, cfg, force_seal)

@@ -222,9 +222,8 @@ def test_levels_hold_only_digests():
 
 # sha256 of the concatenated Verkle roots of every block of a run over a 4k
 # seed-5 stream, a1 = 500, 1000 leaf slots per block, per (category,
-# branching factor, block target, force_seal). At k = 1024 a block's root is
-# its one commit. A target with force_seal cuts the run at that seal and
-# force-seals a tail block that holds the one transaction opening the next.
+# branching factor, None, force_seal). At k = 1024 a block's root is its one
+# commit.
 _ROOT_PINS = {
     (1, 2, None, False): 'efe71bcaee50a1ddea6064bcb029154fc390d20ecba67890b0caf5bf43cb288a',
     (1, 5, None, False): '5b73f85f5af00c63d8d3c2b7958e92c0e49d21ea23dee4bd3af0f82600013b60',
@@ -238,10 +237,6 @@ _ROOT_PINS = {
     (4, 2, None, False): '48caa8db24b0bc90e27412e2bb753321b3f5f55950c137750b3371d69441fc81',
     (4, 5, None, False): '02dd3acb1752ec97c33d73341ecc027e33422460cc4e4f5a3731ea5b8ba592ad',
     (4, 1024, None, False): '51e2674260ce5bdf04fca2ef43ee07af25c5f6380210b7feb2a7fac8b72f86c2',
-    (1, 5, 4, True): '013adf1fa5da9462a2852833589099b1f79052aaced1e9026ae717643e40f53c',
-    (2, 5, 4, True): 'cc57a9a7f38d178b70e47d1df6bf14c697546b75307066680cdf11088792c46f',
-    (3, 5, 4, True): '7f1b712f5d159ac58267e946c3c4539027c0f9585462730d4d3a0fb7b4838f6a',
-    (4, 5, 4, True): '76363d7a62f71234a74502467386fa5974763bee6260c34634518010b9026573',
 }
 _SMALL = {1: {"a4": 60.0, "a5": 100}, 3: {"a4": 60.0, "a5": 200}}
 
@@ -253,16 +248,14 @@ def stream_4k():
 
 @pytest.mark.parametrize("case", sorted(_ROOT_PINS, key=repr), ids=repr)
 def test_pinned_block_roots(case, stream_4k):
-    cat, k, target, force_seal = case
+    cat, k, _, force_seal = case
     s = strategy_from_category(cat, a1=500, a6=110, a7=6.94, a8=1.0, **_SMALL.get(cat, {}))
-    cfg = SimulationConfig(leaf_capacity=1000, verkle_branching_factor=k, block_count_target=target)
+    cfg = SimulationConfig(leaf_capacity=1000, verkle_branching_factor=k)
     result = run(stream_4k, s, cfg, force_seal=force_seal, build_trees=True)
     slots = {tx_id: n for tx_id, _height, _fee, n in result.assignments}
     for block in result.blocks:
         digests = [slot_digest(tx_id, slot) for tx_id in block.tx_ids for slot in range(slots[tx_id])]
         assert k < 1024 or len(digests) <= k
         assert block.verkle_root == build_tree(digests, k).root
-    if force_seal:
-        assert len(result.blocks) == target + 1 and len(result.blocks[-1].tx_ids) == 1
     roots = b"".join(block.verkle_root for block in result.blocks)
     assert hashlib.sha256(roots).hexdigest() == _ROOT_PINS[case]
