@@ -298,6 +298,27 @@ def test_unreserved_pool_larger_than_stream(priority, extra):
     assert picked_ids(result) == [t.id for t in sorted(txs, key=key)]
 
 
+@pytest.mark.parametrize("force_seal", [False, True])
+@pytest.mark.parametrize("priority,a1,target,sealed_at", [
+    (Priority.TIME, 5, 2, "arrival"), (Priority.FEE, 5, 2, "arrival"),
+    (Priority.TIME, 52, 3, "first drain pick"), (Priority.FEE, 52, 4, "first drain pick"),
+    (Priority.TIME, 55, 3, "drain"), (Priority.FEE, 55, 3, "drain")])
+def test_unreserved_block_target(force_seal, priority, a1, target, sealed_at):
+    # The pick after the seal of block `target`, which opens the next one,
+    # is made at an arrival, is the first pick of the drain, or a later one:
+    # the 60 - a1 arrivals after the overflow each make one pick. A head of
+    # the stream that ends at that pick's arrival seals the same first
+    # `target` blocks.
+    txs = mixed_stream(60)
+    full = check_unreserved(txs, priority, a1=a1, force_seal=force_seal)
+    assert len(full.blocks) > target
+    end = sum(len(b.tx_ids) for b in full.blocks[:target])
+    assert (end < 60 - a1) == (sealed_at == "arrival")
+    assert (end == 60 - a1) == (sealed_at == "first drain pick")
+    result = check_unreserved(txs[:a1 + end + 1], priority, a1=a1, force_seal=force_seal)
+    assert result.blocks[:target] == full.blocks[:target]
+
+
 # Explicit cases of the stepwise path that `run` takes when slots are
 # reserved (categories 1 and 3 with a5 > 0), each checked against the naive
 # miner. Every transaction takes one slot, and a fee below 2.0 is small.
@@ -371,6 +392,16 @@ def test_drain_starts_with_the_quota_the_last_arrival_left():
     fees = [5.0, 1.5, 6.0, 1.2, 1.1, 7.0, 0.5, 8.0]
     assert check_reserved(fees, cat=1, a1=7, a5=2, cfg=SimulationConfig(leaf_capacity=3)) == \
         [(1, 3, 0), (2, 4, 5), (7,)]
+
+
+@pytest.mark.parametrize("force_seal", [False, True])
+def test_drain_stops_at_the_block_target(force_seal):
+    # The drain stops when the pool is empty. After ids 3, 5, 2 and 7, id 0
+    # opens block 2 and the small id 1 fills it; ids 6 and 4 fill block 3,
+    # which no later pick seals, so it stays open unless force_seal.
+    fees = [5.0, 1.0, 6.0, 1.5, 0.5, 7.0, 3.0, 1.2]
+    assert check_reserved(fees, cat=3, a1=8, a5=1, cfg=SimulationConfig(leaf_capacity=2),
+                          force_seal=force_seal) == [(3, 5), (2, 7), (0, 1)] + [(6, 4)] * force_seal
 
 
 @pytest.mark.parametrize("fees,cat,blocks", [
