@@ -68,7 +68,11 @@ class Stream(Sequence):
         except OverflowError:
             raise DataError("transaction ids and arrival times must fit in 64 bits") from None
         amounts, fees = (np.array(c, dtype=np.float64) for c in (self.amounts, self.fees))
-        _set_columns(self, ids, arrivals, amounts, fees)
+        for name, col in dict(ids=ids, arrivals=arrivals, amounts=amounts, fees=fees).items():
+            if col.shape != (ids.size,):
+                raise DataError("stream columns must be one-dimensional and of equal length")
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
         sorted_ids = np.sort(ids)
         repeated = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
         if repeated.size:
@@ -80,7 +84,11 @@ class Stream(Sequence):
                 f"dataset must be ordered by arrival_time: transaction {ids[i]} at position {i} "
                 f"arrives at {arrivals[i]}, before {arrivals[i - 1]} at position {i - 1}")
         for name, col in (("arrival_time", arrivals), ("amount", amounts), ("fee", fees)):
-            _check_values(ids, name, col)
+            bad = np.flatnonzero(~((col >= 0) & (col < np.inf)))  # NaN fails both
+            if bad.size:
+                i = bad[0]
+                raise DataError(f"transaction {ids[i]} at position {i} has {name} {col[i]}; "
+                                f"it must be finite and >= 0")
 
     @cached_property
     def fee_logs(self) -> np.ndarray:
@@ -88,16 +96,6 @@ class Stream(Sequence):
         logs = fee_logs(np.where(self.fees > 0, self.fees, MIN_POSITIVE_FEE))
         logs.flags.writeable = False
         return logs
-
-    def with_fees(self, fees) -> "Stream":
-        """This stream with a copy of `fees` as its fee column. Only the new
-        fees are checked: DataError unless finite, >= 0 and one per
-        transaction."""
-        fees = np.array(fees, dtype=np.float64)
-        stream = object.__new__(Stream)
-        _set_columns(stream, self.ids, self.arrivals, self.amounts, fees)
-        _check_values(self.ids, "fee", fees)
-        return stream
 
     @classmethod
     def of(cls, transactions: Iterable[Transaction]) -> "Stream":
@@ -124,23 +122,6 @@ class Stream(Sequence):
     def __reduce__(self):
         # Rebuilt through the constructor, so the columns stay read-only.
         return Stream, (self.ids, self.arrivals, self.amounts, self.fees)
-
-
-def _set_columns(stream: Stream, *columns: np.ndarray) -> None:
-    """Set `stream`'s columns, read-only; they must be one-dimensional and of equal length."""
-    for name, col in zip(("ids", "arrivals", "amounts", "fees"), columns):
-        if col.shape != (columns[0].size,):
-            raise DataError("stream columns must be one-dimensional and of equal length")
-        col.flags.writeable = False
-        object.__setattr__(stream, name, col)
-
-
-def _check_values(ids: np.ndarray, name: str, col: np.ndarray) -> None:
-    bad = np.flatnonzero(~((col >= 0) & (col < np.inf)))  # NaN fails both
-    if bad.size:
-        i = bad[0]
-        raise DataError(f"transaction {ids[i]} at position {i} has {name} {col[i]}; "
-                        f"it must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,7 @@ def inject_irrational(stream: Iterable[Transaction], mix: IrrationalMix,
         fees[clamped] = MIN_POSITIVE_FEE
         warnings.warn(f"{clamped.size} perturbed fees hit zero and were clamped "
                       f"to the minimum positive fee", stacklevel=2)
-    return stream.with_fees(fees)
+    return Stream(stream.ids, stream.arrivals, stream.amounts, fees)
 
 
 def load_csv(path, commission_ratio: float = DEFAULT_COMMISSION_RATIO) -> Stream:

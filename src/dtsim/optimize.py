@@ -20,7 +20,8 @@ import numpy as np
 from .core import (DataError, SimulationConfig, Stream, StrategyCategory, category,
                    strategy_from_category, validate_strategy, write_csv_rows)
 from .metrics import MIN_INCENTIVES, series_volatility
-from .optimizers import cma_es, differential_evolution, genetic_algorithm, gbo, pso
+from .optimizers import (PSO_COEFFICIENTS, cma_es, constriction_params,  # noqa: F401
+                         differential_evolution, genetic_algorithm, gbo, pso)
 from .simulator import incentives
 
 ALGORITHMS = ("pso", "de", "ga", "cmaes", "gbo")
@@ -36,26 +37,6 @@ DEFAULT_BOUNDS: Dict[str, Tuple[float, float]] = {
 }
 
 INTEGER_ATTRS = frozenset({"a1", "a5", "a6"})
-
-
-def constriction_params(k: float, phi1: float, phi2: float) -> Tuple[float, float, float]:
-    """Derive (w, c1, c2) from the constriction coefficient.
-
-    chi = 2k / |2 - phi - sqrt(phi^2 - 4 phi)| with phi = phi1 + phi2 >= 4;
-    the inertia weight is chi itself and the acceleration coefficients are
-    phi1*chi and phi2*chi.
-    """
-    if not 0 <= k <= 1:
-        raise ValueError("k must lie in [0, 1]")
-    phi = phi1 + phi2
-    if phi < 4:
-        raise ValueError(f"phi1 + phi2 must be >= 4, got {phi}")
-    chi = 2.0 * k / abs(2.0 - phi - math.sqrt(phi * phi - 4.0 * phi))
-    return chi, phi1 * chi, phi2 * chi
-
-
-# PSO's (w, c1, c2) in the search: the constriction of k = 1, phi1 = phi2 = 2.05.
-PSO_COEFFICIENTS = constriction_params(1.0, 2.05, 2.05)
 
 
 @dataclass(frozen=True)
@@ -91,11 +72,13 @@ class SearchSpace:
 class OptimizerConfig:
     """The algorithm, population, budget and seed of a search.
 
-    The evaluation budget is n_pop * max_gen (5000 with the defaults) for
-    every algorithm, also covering the one algorithm configured directly by
-    evaluation count, unless n_eval sets it. The algorithms' own constants
-    are fixed: PSO takes PSO_COEFFICIENTS, DE F = 0.5 and CR = 0.9, GA a
-    crossover rate of 0.9 and GBO an escape probability of 0.5.
+    The evaluation budget of every algorithm is n_pop * max_gen (5000 with
+    the defaults) unless n_eval sets it. max_gen sets nothing else: GA and
+    GBO spread their schedules over the budget // n_pop generations that the
+    budget allows, and CMA-ES takes its standard population size, not n_pop.
+    The algorithms' own constants are fixed: PSO takes PSO_COEFFICIENTS, DE
+    F = 0.5 and CR = 0.9, GA a crossover rate of 0.9 and GBO an escape
+    probability of 0.5.
     """
 
     algorithm: str = "pso"
@@ -164,8 +147,6 @@ def run_optimizer(algo: str, space: SearchSpace, objective: Callable,
     seed; the returned generation trace is non-increasing.
     """
     lb, ub = space.lb, space.ub
-    if lb.size == 0:
-        raise ValueError("empty search space")
     rng = np.random.default_rng(config.rng_seed)
     memo: Dict[tuple, float] = {}  # decoded values in `space.names` order -> objective
 
@@ -178,13 +159,11 @@ def run_optimizer(algo: str, space: SearchSpace, objective: Callable,
 
     budget = config.budget
     if algo == "pso":
-        w, c1, c2 = PSO_COEFFICIENTS
-        result = pso(boxed, lb, ub, budget, rng, n_pop=config.n_pop, w=w, c1=c1, c2=c2)
+        result = pso(boxed, lb, ub, budget, rng, n_pop=config.n_pop)
     elif algo == "de":
         result = differential_evolution(boxed, lb, ub, budget, rng, n_pop=config.n_pop)
     elif algo == "ga":
-        result = genetic_algorithm(boxed, lb, ub, budget, rng, n_pop=config.n_pop,
-                                   max_gen=config.max_gen)
+        result = genetic_algorithm(boxed, lb, ub, budget, rng, n_pop=config.n_pop)
     elif algo == "cmaes":
         result = cma_es(boxed, lb, ub, budget, rng)
     elif algo == "gbo":

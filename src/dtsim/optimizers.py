@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -62,13 +62,34 @@ def _init_population(rng, n, lb, ub):
     return lb + rng.random((n, lb.size)) * (ub - lb)
 
 
+def constriction_params(k: float, phi1: float, phi2: float) -> Tuple[float, float, float]:
+    """Derive (w, c1, c2) from the constriction coefficient.
+
+    chi = 2k / |2 - phi - sqrt(phi^2 - 4 phi)| with phi = phi1 + phi2 >= 4;
+    the inertia weight is chi itself and the acceleration coefficients are
+    phi1*chi and phi2*chi.
+    """
+    if not 0 <= k <= 1:
+        raise ValueError("k must lie in [0, 1]")
+    phi = phi1 + phi2
+    if phi < 4:
+        raise ValueError(f"phi1 + phi2 must be >= 4, got {phi}")
+    chi = 2.0 * k / abs(2.0 - phi - math.sqrt(phi * phi - 4.0 * phi))
+    return chi, phi1 * chi, phi2 * chi
+
+
+# pso's (w, c1, c2): the constriction of k = 1, phi1 = phi2 = 2.05.
+PSO_COEFFICIENTS = constriction_params(1.0, 2.05, 2.05)
+
+
 def pso(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
-        n_pop: int = 50, w: float = 0.73, c1: float = 1.50, c2: float = 1.50) -> OptTrace:
-    """Particle swarm with constriction-derived coefficients.
+        n_pop: int = 50) -> OptTrace:
+    """Particle swarm with the constriction-derived PSO_COEFFICIENTS (w, c1, c2).
 
     Velocity update v <- w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x) with
     per-dimension uniform r1, r2; positions clamp to the bounds.
     """
+    w, c1, c2 = PSO_COEFFICIENTS
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     tally = _Budget(objective, budget)
@@ -126,11 +147,11 @@ def differential_evolution(objective: Objective, lb, ub, budget: int,
 
 
 def genetic_algorithm(objective: Objective, lb, ub, budget: int,
-                      rng: np.random.Generator, n_pop: int = 50,
-                      max_gen: int = 100) -> OptTrace:
+                      rng: np.random.Generator, n_pop: int = 50) -> OptTrace:
     """Generational GA: tournament-2 parents, uniform crossover at rate 0.9,
     Gaussian mutation at rate 1/dim with a step decaying geometrically from
-    0.1 to 0.001 of the box width, one elite."""
+    0.1 to 0.001 of the box width over the budget // n_pop generations that
+    the budget allows, one elite."""
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     dim = lb.size
@@ -143,7 +164,7 @@ def genetic_algorithm(objective: Objective, lb, ub, budget: int,
     trace = [tally.best_f]
 
     gen = 0
-    total_gens = max(1, min(max_gen, budget // max(n_pop, 1)))
+    total_gens = max(1, budget // max(n_pop, 1))
     while tally.remaining() >= n_pop:
         gen += 1
         decay = (1e-3 / 0.1) ** (gen / total_gens)

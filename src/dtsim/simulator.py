@@ -78,7 +78,11 @@ def _ranks(stream: Stream, priority: Priority) -> Tuple[array, array]:
 
 @dataclass
 class RunResult:
-    """Sealed blocks plus an accounting of every submitted transaction's fate."""
+    """Sealed blocks plus an accounting of every submitted transaction's fate.
+
+    A run mines its whole stream, so no transaction is left pending:
+    `pending_count` and `pending_fees` keep their 0 and 0.0 for `dtsim
+    simulate`'s summary and the benchmark, which read them."""
 
     blocks: List[BlockRecord]
     assignments: List[Tuple[int, int, float, int]]
@@ -105,9 +109,9 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
     `Stream.of` turns into one) under `strategy`.
 
     Deterministic: all randomness lives in the dataset. Every transaction
-    ends up included in exactly one block, pending (in the pool or the
-    unsealed tail block), evicted, or rejected, and the per-fate fee sums in
-    the result add up to the submitted total, which is the whole stream.
+    ends up included in exactly one block, in the unsealed tail block,
+    evicted, or rejected, and the per-fate fee sums in the result add up to
+    the submitted total, which is the whole stream.
     The unsealed tail block is excluded from the block series unless
     `force_seal` is given. Raises DataError when the transactions do not
     form a valid Stream.
@@ -155,12 +159,9 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
     # The overflow's victim is rejected if it is the newcomer at position a1, else evicted.
     lost = [] if victim is None else [victim]
     evicted, rejected = ([], lost) if victim == strategy.mempool_size else (lost, [])
-    waiting = np.ones(len(stream), dtype=bool)
-    waiting[picks] = waiting[lost] = False
-    pending = np.flatnonzero(waiting)
     return RunResult(blocks, assignments, len(stream), fee_sum(slice(None)), included,
-                     len(evicted), fee_sum(evicted), len(rejected), fee_sum(rejected), len(pending),
-                     fee_sum(pending), len(picks) - included, fee_sum(picks[included:]))
+                     len(evicted), fee_sum(evicted), len(rejected), fee_sum(rejected),
+                     unsealed_count=len(picks) - included, unsealed_fees=fee_sum(picks[included:]))
 
 
 def incentives(dataset, strategy: DtsStrategy, cfg: SimulationConfig) -> List[float]:

@@ -3,7 +3,11 @@ every keyword it passes to one must still be a parameter of it.
 
 perfbench's own tests run in this suite too, but they do not drive every
 call the runner makes, so a cut to the library's surface could still break
-the benchmark silently. The files are read and parsed, never imported.
+the benchmark silently. The files are read and parsed, never imported. A
+keyword passed by `**` expansion counts when the expanded value is a name
+bound to a dict literal, or an attribute whose name some call in the file
+passes as a keyword with a dict literal (`**w.stream` takes the keys of every
+`stream={...}`).
 """
 
 import ast
@@ -17,8 +21,9 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def _dtsim_uses(path):
     """What `path` takes from dtsim: (module, name) pairs, each name of a
     `from dtsim... import` and each attribute read off an imported dtsim
-    module; and (module, name, keyword) triples, each explicit keyword of a
-    call to such a name."""
+    module; and (module, name, keyword) triples, each keyword of a call to
+    such a name, explicit or from a `**` expansion that resolves to dict
+    literals."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     modules = {}  # local name -> dotted dtsim module
     names = {}  # local name -> (dotted dtsim module, name in it)
@@ -36,6 +41,15 @@ def _dtsim_uses(path):
                 if alias.name.split(".")[0] == "dtsim":
                     local = alias.asname or alias.name.split(".")[0]
                     modules[local] = alias.name if alias.asname else "dtsim"
+    bound = {}  # name -> keys of the dict literal assigned to it
+    passed = {}  # keyword -> keys of the dict literals passed as it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+            bound.update((t.id, _keys(node.value)) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.Call):
+            for kw in node.keywords:
+                if kw.arg is not None and isinstance(kw.value, ast.Dict):
+                    passed.setdefault(kw.arg, []).extend(_keys(kw.value))
     keywords = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -50,8 +64,19 @@ def _dtsim_uses(path):
                 callee = (modules[func.value.id], func.attr)
             else:
                 continue
-            keywords.extend((*callee, kw.arg) for kw in node.keywords if kw.arg is not None)
+            for kw in node.keywords:
+                if kw.arg is not None:
+                    keywords.append((*callee, kw.arg))
+                elif isinstance(kw.value, ast.Name):
+                    keywords.extend((*callee, key) for key in bound.get(kw.value.id, ()))
+                elif isinstance(kw.value, ast.Attribute):
+                    keywords.extend((*callee, key) for key in passed.get(kw.value.attr, ()))
     return uses, keywords
+
+
+def _keys(node):
+    """The string keys of the dict literal `node`."""
+    return [k.value for k in node.keys if isinstance(k, ast.Constant) and isinstance(k.value, str)]
 
 
 def _is_module(dotted):
@@ -83,6 +108,10 @@ def test_every_keyword_the_benchmark_passes_to_dtsim_is_a_parameter():
     assert ("run.py", "dtsim.core", "SimulationConfig", "rng_seed") in calls
     assert ("run.py", "dtsim.optimize", "OptimizerConfig", "n_eval") in calls
     assert ("run.py", "dtsim.simulator", "run", "build_trees") in calls
+    # ... and those of `**REFERENCE_ATTRS`, `**w.small_fee` and `**w.stream`.
+    assert {("run.py", "dtsim.core", "strategy_from_category", a)
+            for a in ("a1", "a4", "a5", "a6", "a7", "a8")} <= calls
+    assert ("run.py", "dtsim.ingest", "DatasetSpec", "drift_sigma") in calls
     unknown = []
     for f, module, name, keyword in sorted(calls):
         params = inspect.signature(getattr(importlib.import_module(module), name)).parameters

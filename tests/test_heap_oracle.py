@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dtsim.allocation import AllocationParams, leaf_slots
-from dtsim.core import BlockRecord, Priority, SimulationConfig, strategy_from_category
+from dtsim.core import BlockRecord, Priority, SimulationConfig, Stream, strategy_from_category
 from dtsim.ingest import MIN_POSITIVE_FEE, DatasetSpec, IrrationalMix, generate, inject_irrational
 from dtsim.simulator import run
 
@@ -109,7 +109,8 @@ def streams_20k():
     same with every 97th fee zero."""
     stream = generate(DatasetSpec(count=20_000, rng_seed=31))
     mixed = inject_irrational(stream, IrrationalMix(0.8, 0.1, 0.1), seed=32)
-    zeros = stream.with_fees(np.where(np.arange(len(stream)) % 97 == 0, 0.0, stream.fees))
+    zeros = Stream(stream.ids, stream.arrivals, stream.amounts,
+                   np.where(np.arange(len(stream)) % 97 == 0, 0.0, stream.fees))
     return stream, mixed, zeros
 
 

@@ -8,7 +8,6 @@ from dtsim.core import SimulationConfig, Stream, category
 from dtsim.ingest import DatasetSpec, generate
 from dtsim.optimize import (
     DEFAULT_BOUNDS,
-    PSO_COEFFICIENTS,
     OptimizerConfig,
     SearchSpace,
     constriction_params,
@@ -96,6 +95,17 @@ class TestRunOptimizer:
             config = OptimizerConfig(algorithm=algo, n_pop=10, max_gen=5, rng_seed=2)
             result = run_optimizer(algo, space, sphere_objective, config)
             assert result.evaluations <= 50, algo
+
+    def test_ga_depends_only_on_n_pop_and_the_budget(self):
+        # Both searches spend 60 evaluations in populations of 6, so the GA
+        # step decays over the same 10 generations whatever max_gen says.
+        space = SearchSpace(category=category(1))
+        short = OptimizerConfig(algorithm="ga", n_pop=6, max_gen=5, n_eval=60, rng_seed=3)
+        full = OptimizerConfig(algorithm="ga", n_pop=6, max_gen=10, rng_seed=3)
+        r1 = run_optimizer("ga", space, sphere_objective, short)
+        r2 = run_optimizer("ga", space, sphere_objective, full)
+        assert (r1.trace, r1.best_attrs) == (r2.trace, r2.best_attrs)
+        assert r1.evaluations == r2.evaluations == 60
 
     def test_seed_determinism(self):
         space = SearchSpace(category=category(4))
@@ -276,12 +286,11 @@ def _direct(algo, space, objective, config):
     rng = np.random.default_rng(config.rng_seed)
     n_pop = config.n_pop
     if algo == "pso":
-        w, c1, c2 = PSO_COEFFICIENTS
-        return pso(f, lb, ub, budget, rng, n_pop=n_pop, w=w, c1=c1, c2=c2)
+        return pso(f, lb, ub, budget, rng, n_pop=n_pop)
     if algo == "de":
         return differential_evolution(f, lb, ub, budget, rng, n_pop=n_pop)
     if algo == "ga":
-        return genetic_algorithm(f, lb, ub, budget, rng, n_pop=n_pop, max_gen=config.max_gen)
+        return genetic_algorithm(f, lb, ub, budget, rng, n_pop=n_pop)
     if algo == "cmaes":
         return cma_es(f, lb, ub, budget, rng)
     return gbo(f, lb, ub, budget, rng, n_pop=n_pop)

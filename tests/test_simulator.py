@@ -566,8 +566,8 @@ def test_incentives_equal_the_run_series(stream_30k, cat, small, a1, n):
 
 @pytest.mark.parametrize("cat, small", INCENTIVE_CATEGORIES, ids=INCENTIVE_IDS)
 def test_incentives_equal_the_run_series_with_zero_fees(stream_30k, cat, small):
-    zeros = stream_30k.with_fees(np.where(np.arange(len(stream_30k)) % 97 == 0, 0.0,
-                                          stream_30k.fees))
+    zeros = Stream(stream_30k.ids, stream_30k.arrivals, stream_30k.amounts,
+                   np.where(np.arange(len(stream_30k)) % 97 == 0, 0.0, stream_30k.fees))
     s = strategy_from_category(cat, a1=1000, a6=110, a7=6.94, a8=1.0, **small)
     series = incentives(zeros, s, CFG)
     assert _bits(series) == _bits(run(zeros, s, CFG).incentives)
