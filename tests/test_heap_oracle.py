@@ -129,3 +129,21 @@ def test_reserved_run_matches_heap_miner(case, streams_20k):
     stream = streams_20k[case // 2 % 3]
     result = run(stream, strategy, cfg, force_seal=force_seal)
     assert observed(result) == heap_run(stream, strategy, cfg, force_seal)
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_small_fee_heavy_run_matches_heap_miner(case, streams_20k):
+    # a4 at the 10th or 50th fee percentile of the plain stream, so small
+    # fees arrive often, wait behind a closed quota and fill whole blocks;
+    # a5 of 1, 3 or 200 (a quota that closes at once, soon, or never).
+    stream = streams_20k[0]
+    cat, percentile, a5 = (1, 3)[case % 2], (10, 50)[case // 2 % 2], (1, 3, 200)[case // 4]
+    rng = np.random.default_rng(100 + case)
+    strategy = strategy_from_category(
+        cat, a1=int(rng.integers(100, 25_000)), a4=float(np.percentile(stream.fees, percentile)),
+        a5=a5, a6=int(rng.integers(10, 801)), a7=float(rng.uniform(4.0, 10.0)),
+        a8=float(rng.uniform(0.1, 1.0)))
+    cfg = SimulationConfig()
+    force_seal = case % 3 == 0
+    result = run(stream, strategy, cfg, force_seal=force_seal)
+    assert observed(result) == heap_run(stream, strategy, cfg, force_seal)

@@ -319,6 +319,38 @@ def test_unreserved_block_target(force_seal, priority, a1, target, sealed_at):
     assert result.blocks[:target] == full.blocks[:target]
 
 
+
+def lost_ids(result, txs):
+    """The ids of `txs` that no block or open block took."""
+    return {t.id for t in txs} - set(picked_ids(result))
+
+
+@pytest.mark.parametrize("a1", [1, 2])
+def test_unreserved_time_order_with_a_higher_fee_later_in_a_tie(a1):
+    # Ids 4, 5 and 6 arrive together with rising fees, so id 6 ranks first
+    # of the three but arrives two picks after id 4's turn: the picks are
+    # not the rank order less the overflow's victim.
+    fees = [3.0, 5.0, 1.0, 4.0, 2.0, 3.0, 9.0, 6.0, 1.5, 8.0, 2.5, 7.0]
+    arrivals = [0, 1, 2, 3, 4, 4, 4, 5, 6, 7, 8, 9]
+    txs = [Transaction(i, 1.0, fee, t) for i, (fee, t) in enumerate(zip(fees, arrivals))]
+    result = check_unreserved(txs, Priority.TIME, a1=a1)
+    in_rank_order = [t.id for t in sorted(txs, key=time_key) if t.id not in lost_ids(result, txs)]
+    assert picked_ids(result) != in_rank_order
+
+
+@pytest.mark.parametrize("a1", [1, 2])
+def test_unreserved_time_order_that_is_the_rank_order(a1):
+    # Ties put the higher fee first, so every rank has arrived by its turn
+    # and the picks are the rank order less the overflow's victim.
+    fees = [3.0, 5.0, 1.0, 4.0, 9.0, 3.0, 2.0, 6.0, 8.0, 1.5, 2.5, 7.0]
+    arrivals = [0, 1, 2, 3, 4, 4, 4, 5, 6, 6, 8, 9]
+    txs = [Transaction(i, 1.0, fee, t) for i, (fee, t) in enumerate(zip(fees, arrivals))]
+    result = check_unreserved(txs, Priority.TIME, a1=a1)
+    assert len(lost_ids(result, txs)) == 1
+    assert picked_ids(result) == [t.id for t in sorted(txs, key=time_key)
+                                  if t.id not in lost_ids(result, txs)]
+
+
 # Explicit cases of the stepwise path that `run` takes when slots are
 # reserved (categories 1 and 3 with a5 > 0), each checked against the naive
 # miner. Every transaction takes one slot, and a fee below 2.0 is small.
@@ -444,3 +476,42 @@ def test_reserved_multi_block_drain_matches_naive_miner(txs, data, force_seal):
     cfg = SimulationConfig(leaf_capacity=leaf_capacity)
     result = run(txs, strategy, cfg, force_seal=force_seal)
     assert observed(result) == naive_run(txs, strategy, cfg, force_seal)
+
+
+# Reserved runs whose small fees are rare: long stretches of other fees
+# between small-fee arrivals, each checked against the naive miner. A fee
+# below 2.0 is small; ids rise with arrival, two arrivals per millisecond.
+LARGE, SMALL = 7.0, 1.0
+STRETCH_FEES = st.sampled_from([2.5, 4.0, LARGE, 30.0] * 5 + [0.5, SMALL, 1.5])
+
+
+@pytest.mark.parametrize("cat", [1, 3])
+@settings(max_examples=100, deadline=None)
+@given(fees=st.lists(STRETCH_FEES, max_size=120), a1=st.integers(min_value=1, max_value=20),
+       a5=st.integers(min_value=1, max_value=4), leaf_capacity=st.integers(min_value=3, max_value=30),
+       a6=st.sampled_from([1, 3]))
+# A small fee at position a1 + 1, right after the overflow.
+@example(fees=[4.0, 2.5, LARGE, 30.0, SMALL] + [LARGE] * 20 + [SMALL] + [2.5] * 17,
+         a1=3, a5=2, leaf_capacity=20, a6=3)
+# Two small fees back to back.
+@example(fees=[4.0, LARGE] + [LARGE] * 18 + [SMALL, 0.5] + [LARGE] * 18,
+         a1=2, a5=2, leaf_capacity=12, a6=3)
+# A small fee arriving with the quota of one already used in its block.
+@example(fees=[4.0, LARGE] + [LARGE] * 17 + [SMALL] + [LARGE] * 2 + [0.5] + [LARGE] * 20,
+         a1=2, a5=1, leaf_capacity=8, a6=1)
+# A seal on a stretch's first pick: one-slot picks fill the block of 9
+# exactly when the small fee's pick ends the first stretch.
+@example(fees=[4.0, LARGE] + [LARGE] * 17 + [SMALL] + [LARGE] * 20,
+         a1=2, a5=2, leaf_capacity=9, a6=1)
+# A last stretch that runs to the end of the stream, then the drain.
+@example(fees=[SMALL, 4.0, LARGE, 2.5, 30.0] + [LARGE] * 10 + [SMALL] + [LARGE] * 18,
+         a1=5, a5=1, leaf_capacity=10, a6=3)
+# A small-fee victim: evicted from the warm-up pool, or the rejected newcomer.
+@example(fees=[0.5, 4.0, LARGE, 30.0] + [LARGE] * 20, a1=3, a5=1, leaf_capacity=10, a6=3)
+@example(fees=[4.0, LARGE, 2.5, 0.5] + [LARGE] * 20, a1=3, a5=1, leaf_capacity=10, a6=3)
+def test_reserved_stretches_match_naive_miner(cat, fees, a1, a5, leaf_capacity, a6):
+    txs = [Transaction(i, 1.0, fee, i // 2) for i, fee in enumerate(fees)]
+    strategy = strategy_from_category(cat, a1=a1, a6=a6, a7=0.5, a8=1.0, a4=2.0, a5=a5)
+    cfg = SimulationConfig(leaf_capacity=leaf_capacity)
+    result = run(txs, strategy, cfg, force_seal=True)
+    assert observed(result) == naive_run(txs, strategy, cfg, True)
