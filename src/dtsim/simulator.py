@@ -20,18 +20,28 @@ The pool holds a1 positions after warm-up and loses one to every pick, so
 it overflows exactly once, at position a1, before the first pick: the
 cheapest pending transaction by (fee, arrival, id) is evicted when the
 newcomer pays strictly more, else the newcomer is rejected. `_mine` settles
-that once and then takes one of two branches. With reserved small-fee slots
-(a5 > 0) a waiting small fee comes first while the block's quota is open,
-else the lowest pending rank, and the quota resets at every seal. While
-arrivals continue the miner steps once per pick over two disjoint heaps of
-pending ranks, one for the fees below the small-fee threshold and one for
-the rest; after the last arrival the pending ranks are fixed, and `_drain`
-takes each block's picks at once by bisection over the two sorted lists.
+that once and then takes one of two branches. Every slot count is at least
+1, so the running slot total of a run of picks rises strictly and each
+next-fit seal in it is one `searchsorted` on that total (`_next_fit`).
+
+With reserved small-fee slots (a5 > 0) a waiting small fee comes first
+while the block's quota is open, else the lowest pending rank, and the
+quota resets at every seal. While arrivals continue the pending ranks sit
+in two disjoint heaps, one for the fees below the small-fee threshold and
+one for the rest. Where the small-fee heap is empty and at least STRETCH
+arrivals pass before the next small fee, every pick of that stretch pops
+the other heap, so the stretch is one `heappushpop` chain on it; elsewhere
+the miner steps once per arrival. After the last arrival the pending ranks
+are fixed, and `_drain` takes each block's picks at once by bisection over
+the two sorted lists.
+
 Without them (categories 2 and 4, and 1 and 3 with a5 = 0) the run is
 computed from whole arrays, and exactly: each arrival after the overflow is
 one `heappushpop` on the rank heap, and the drain is the rest of the heap in
-rank order. Every slot count is at least 1, so the running slot total of
-the picks rises strictly and each next-fit seal is one `searchsorted` on it.
+rank order. When every rank arrives by its turn, as under time priority
+unless tied arrivals put a higher fee later, that chain yields the ranks in
+order, and the picks are the rank order less the overflow's victim.
+
 Both branches mine the whole stream; `run` alone goes on to `force_seal`,
 block records and fates.
 """
@@ -52,6 +62,11 @@ from .allocation import AllocationParams, block_incentive, log_slots
 from .core import (BlockRecord, DataError, DtsStrategy, Priority, SimulationConfig,  # noqa: F401
                    Stream, Transaction, validate_strategy, write_csv_rows)
 from . import verkle
+
+
+# The fewest arrivals a `heappushpop` chain takes in the reserved branch: a
+# chain's fixed numpy cost matches about a dozen single steps.
+STRETCH = 16
 
 
 def _ranks(stream: Stream, priority: Priority) -> Tuple[array, array]:
@@ -191,9 +206,13 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
 
     The one overflow, at position a1, is settled before any pick, so its
     victim never enters the pool. Without reserved slots the picks and seals
-    then come from whole-array operations; with them, from one step per
-    arrival over the disjoint small-fee and other heaps, which together hold
-    at most a1 ranks, and one step per block segment of the drain."""
+    then come from whole-array operations. With them they come from the
+    disjoint small-fee and other heaps, which together hold at most a1
+    ranks: one step per arrival while a small fee waits or arrives within
+    STRETCH arrivals, else one `heappushpop` chain per stretch up to the
+    next small-fee arrival, and one step per block segment of the drain.
+    A chain is exact: with the small-fee heap empty the pick rule takes the
+    other heap's head at every step, and the quota changes only at seals."""
     problems = validate_strategy(strategy, cfg)
     if problems:
         raise ValueError("invalid strategy: " + "; ".join(problems))
@@ -216,27 +235,27 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
         victim = cheapest if fees[warm] > fees[cheapest] else warm
 
     if reserve == 0:
-        # From the pool after the overflow: the pick at the overflow, one
-        # push-pop per later arrival, the drain.
-        overflow = victim is not None
-        heap = rank[:warm + 1].tolist()
-        if overflow:
-            heap.remove(rank[victim])
-        heapify(heap)
-        ranks = np.fromiter(chain(map(heappop, repeat(heap, overflow)),
-                                  map(heappushpop, repeat(heap), rank[warm + 1:]),
-                                  map(heappop, repeat(heap, len(heap) - overflow))),
-                            np.int64, count=n_txs - overflow)
-        picks = np.frombuffer(order, dtype=np.int64)[ranks]
-        del ranks, heap
-        # Next-fit sealing: every slot count is at least 1, so the running
-        # total rises strictly and a block ends where it passes base + capacity.
-        cum = np.cumsum(slot_of[picks])
-        base = 0
-        while (end := int(np.searchsorted(cum, base + capacity, side="right"))) < len(picks):
-            sealed.append((end, int(cum[end - 1]) - base))
-            base = int(cum[end - 1])
-        del cum
+        # Pick k is made once positions 0 .. a1 + k have arrived. If the k-th
+        # rank less the victim's has arrived by then, for every k, the picks
+        # are the rank order; otherwise they come from the pool after the
+        # overflow: the pick at the overflow, one push-pop per later
+        # arrival, the drain.
+        picks = np.frombuffer(order, dtype=np.int64)
+        if victim is not None:
+            picks = np.delete(picks, rank[victim])
+        if not (picks <= np.arange(warm, warm + len(picks))).all():
+            overflow = victim is not None
+            heap = rank[:warm + 1].tolist()
+            if overflow:
+                heap.remove(rank[victim])
+            heapify(heap)
+            ranks = np.fromiter(chain(map(heappop, repeat(heap, overflow)),
+                                      map(heappushpop, repeat(heap), rank[warm + 1:]),
+                                      map(heappop, repeat(heap, len(heap) - overflow))),
+                                np.int64, count=n_txs - overflow)
+            picks = np.frombuffer(order, dtype=np.int64)[ranks]
+            del ranks, heap
+        _next_fit(np.cumsum(slot_of[picks]), 0, capacity, 0, sealed)
     else:
         # The loop reads slot counts from an array('q'); holding the numpy
         # column through it instead raised the peak RSS of a 200k run by
@@ -244,6 +263,16 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
         slot_of = array("q", slot_of.tobytes())
         is_small = fees < strategy.small_fee_threshold
         below = is_small.tobytes()
+        # A stretch runs from a position where no small fee waits to the next
+        # small-fee arrival (`stops`, ending in n_txs); `heads` are the first
+        # positions of the gaps between them that hold at least STRETCH
+        # arrivals, past a newcomer rejected at the overflow.
+        stops = np.append(np.flatnonzero(is_small[warm:]) + warm, n_txs)
+        after = np.append(warm + (victim == warm), stops[:-1] + 1)
+        heads = array("q", after[stops - after >= STRETCH].tobytes())
+        heads.append(n_txs)
+        stops = array("q", stops.tobytes())
+        del after
         # Two disjoint heaps of the pending ranks, split by the small-fee
         # threshold: the warm-up pool, less an evicted position. Every pick
         # pops the heap it read, so together they hold at most a1 ranks.
@@ -254,27 +283,61 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
             (small if below[victim] else large).remove(rank[victim])
         heapify(small)
         heapify(large)
+        order_np, slots_np = (np.frombuffer(a, dtype=np.int64) for a in (order, slot_of))
         picks, filled, small_used = array("q"), 0, 0
-        # One pick per arrival from a pool that is never empty: the small heap
-        # while the quota is open, else the lower of the two heads.
-        for pos in range(warm, n_txs):
-            if pos != victim:
-                heappush(small if below[pos] else large, rank[pos])
-            if small and (small_used < reserve or not large or small[0] < large[0]):
-                pick = order[heappop(small)]
+        pos = warm
+        while pos < n_txs:
+            gate = heads[bisect_left(heads, pos)]
+            # One pick per arrival from a pool that is never empty: the small
+            # heap while the quota is open, else the lower of the two heads.
+            for pos in range(pos, n_txs):
+                if not small and pos >= gate:
+                    break
+                if pos != victim:
+                    heappush(small if below[pos] else large, rank[pos])
+                if small and (small_used < reserve or not large or small[0] < large[0]):
+                    pick = order[heappop(small)]
+                else:
+                    pick = order[heappop(large)]
+                n = slot_of[pick]
+                if filled + n > capacity:
+                    sealed.append((len(picks), filled))
+                    filled = small_used = 0
+                small_used += below[pick]
+                picks.append(pick)
+                filled += n
             else:
-                pick = order[heappop(large)]
-            n = slot_of[pick]
-            if filled + n > capacity:
-                sealed.append((len(picks), filled))
-                filled = small_used = 0
-            small_used += below[pick]
-            picks.append(pick)
-            filled += n
+                break
+            stop = stops[bisect_left(stops, pos)]
+            if stop - pos < STRETCH:
+                continue
+            # No small fee waits or arrives before `stop`, so every pick up
+            # to it pops the other heap, and the quota only resets at seals.
+            took = order_np[np.fromiter(map(heappushpop, repeat(large), rank[pos:stop]),
+                                        np.int64, stop - pos)]
+            cum = np.cumsum(slots_np[took])
+            blocks = len(sealed)
+            filled = int(cum[-1]) - _next_fit(cum, -filled, capacity, len(picks), sealed)
+            if len(sealed) > blocks:
+                small_used = 0
+            picks.frombytes(took.tobytes())
+            pos = stop
         picks.frombytes(_drain(small, large, order, slot_of, reserve, capacity,
                                filled, small_used, len(picks), sealed).tobytes())
         picks, slot_of = (np.frombuffer(a, dtype=np.int64) for a in (picks, slot_of))
     return stream, picks, sealed, slot_of, victim
+
+
+def _next_fit(cum: np.ndarray, base: int, capacity: int, done: int, sealed: list) -> int:
+    """Append to `sealed` the next-fit seals of a run of picks, the first
+    `done` picks in, whose running slot totals are `cum`; the open block
+    holds the picks from running total `base` on (-filled: its slots before
+    the run). Returns the base of the block left open."""
+    while (end := int(np.searchsorted(cum, base + capacity, side="right"))) < len(cum):
+        opened = int(cum[end - 1]) if end else 0
+        sealed.append((done + end, opened - base))
+        base = opened
+    return base
 
 
 def _drain(S: List[int], L: List[int], order: array, slot_of: array, reserve: int, capacity: int,
@@ -295,7 +358,8 @@ def _drain(S: List[int], L: List[int], order: array, slot_of: array, reserve: in
     S.sort()
     L.sort()
     order_np, slots = (np.frombuffer(a, dtype=np.int64) for a in (order, slot_of))
-    PS, PL = (np.concatenate(([0], np.cumsum(slots[order_np[ranks]]))).tolist() for ranks in (S, L))
+    ranks = [np.array(heap, dtype=np.int64) for heap in (S, L)]
+    PS, PL = (np.concatenate(([0], np.cumsum(slots[order_np[r]]))).tolist() for r in ranks)
     n_small, n_large = len(S), len(L)
     i, j, ends = 0, 0, array("q")
     while i < n_small or j < n_large:
@@ -329,9 +393,10 @@ def _drain(S: List[int], L: List[int], order: array, slot_of: array, reserve: in
             else:
                 filled, small_used, j = PL[j + 1] - PL[j], 0, j + 1
         ends.extend((i, j))
+    del PS, PL
     took = np.diff(np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), axis=0, prepend=0)
     step = np.repeat(np.tile(np.arange(len(took)), 2), took.T.ravel())
-    ranks = np.array(S[:i] + L[:j], dtype=np.int64)
+    ranks = np.concatenate(ranks)
     return order_np[ranks[np.lexsort((ranks, step))]]
 
 

@@ -1,6 +1,6 @@
 import hashlib
 import math
-from heapq import heappush
+from heapq import heappop, heappush, heappushpop
 
 import pytest
 
@@ -150,6 +150,46 @@ class TestHeapBound:
         assert result.included_count > 40_000
         assert len(heaps) == 2
         assert peak == 2000  # never above a1, and reached when the pool fills
+
+
+class TestWholeStretches:
+    """The arrival loop's picks come from whole stretches, not one heap call
+    per arrival, where no small fee waits (reserved) or every rank arrives
+    by its turn (time priority)."""
+
+    def test_reserved_arrivals_rarely_touch_the_heaps_one_at_a_time(self, monkeypatch):
+        # a4 = 2.0 makes about 0.05% of the 50k seed-2024 fees small, and the
+        # quota of 200 never closes, so each small fee is picked on arrival.
+        calls = 0
+
+        def counted(call):
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                return call(*args)
+            return wrapper
+
+        monkeypatch.setattr("dtsim.simulator.heappush", counted(heappush))
+        monkeypatch.setattr("dtsim.simulator.heappop", counted(heappop))
+        stream = generate(DatasetSpec(count=50_000, rng_seed=2024))
+        s = strategy_from_category(3, a1=25469, a6=110, a7=6.94, a8=1.0, a4=2.0, a5=200)
+        result = run(stream, s, CFG)
+        assert result.included_count > 49_000
+        assert calls < 0.01 * (50_000 - 25469)
+
+    def test_time_order_without_late_ranks_is_the_rank_order(self, monkeypatch):
+        calls = 0
+
+        def counted(heap, item):
+            nonlocal calls
+            calls += 1
+            return heappushpop(heap, item)
+
+        monkeypatch.setattr("dtsim.simulator.heappushpop", counted)
+        stream = generate(DatasetSpec(count=50_000, rng_seed=2024))
+        s = strategy_from_category(2, a1=25469, a6=110, a7=6.94, a8=1.0)
+        assert run(stream, s, CFG).included_count > 49_000
+        assert calls == 0
 
 
 class TestTryIncorporate:
