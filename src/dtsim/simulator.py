@@ -291,7 +291,7 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
             # One pick per arrival from a pool that is never empty: the small
             # heap while the quota is open, else the lower of the two heads.
             for pos in range(pos, n_txs):
-                if not small and pos >= gate:
+                if pos >= gate and not small:
                     break
                 if pos != victim:
                     heappush(small if below[pos] else large, rank[pos])
@@ -333,7 +333,7 @@ def _next_fit(cum: np.ndarray, base: int, capacity: int, done: int, sealed: list
     `done` picks in, whose running slot totals are `cum`; the open block
     holds the picks from running total `base` on (-filled: its slots before
     the run). Returns the base of the block left open."""
-    while (end := int(np.searchsorted(cum, base + capacity, side="right"))) < len(cum):
+    while (end := int(cum.searchsorted(base + capacity, side="right"))) < len(cum):
         opened = int(cum[end - 1]) if end else 0
         sealed.append((done + end, opened - base))
         base = opened
@@ -347,19 +347,20 @@ def _drain(S: List[int], L: List[int], order: array, slot_of: array, reserve: in
     `sealed` and returns its picks.
 
     The pending ranks are fixed, so the heaps of small-fee ranks S and other
-    ranks L are sorted once, in place, with prefix sums PS and PL of their slots.
+    ranks L are sorted once, in place, and taken as int64 arrays once, for
+    the prefix sums PS and PL of their slots and for the final order.
     Every pick takes the head of one, so the state is two indices (i, j), and
     each step takes the picks of one block segment by bisection: S[i:] while
     the quota is open or only small fees wait, L[j:] when only other fees
     wait, else the merge of both by rank, whose slots below rank r rise with
     r. The pick that does not fit opens the next block under the old block's
-    quota. Each step's picks are in rank order, so all of them are the taken
-    ranks sorted by (step, rank)."""
+    quota. Each step's picks are in rank order, and the drain takes every
+    pending rank, so its picks are S and L sorted by (step, rank)."""
     S.sort()
     L.sort()
     order_np, slots = (np.frombuffer(a, dtype=np.int64) for a in (order, slot_of))
-    ranks = [np.array(heap, dtype=np.int64) for heap in (S, L)]
-    PS, PL = (np.concatenate(([0], np.cumsum(slots[order_np[r]]))).tolist() for r in ranks)
+    taken = [np.array(ranks, dtype=np.int64) for ranks in (S, L)]
+    PS, PL = (np.concatenate(([0], np.cumsum(slots[order_np[ranks]]))).tolist() for ranks in taken)
     n_small, n_large = len(S), len(L)
     i, j, ends = 0, 0, array("q")
     while i < n_small or j < n_large:
@@ -396,7 +397,7 @@ def _drain(S: List[int], L: List[int], order: array, slot_of: array, reserve: in
     del PS, PL
     took = np.diff(np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), axis=0, prepend=0)
     step = np.repeat(np.tile(np.arange(len(took)), 2), took.T.ravel())
-    ranks = np.concatenate(ranks)
+    ranks = np.concatenate(taken)
     return order_np[ranks[np.lexsort((ranks, step))]]
 
 
