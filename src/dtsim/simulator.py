@@ -237,22 +237,20 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
     if reserve == 0:
         # Pick k is made once positions 0 .. a1 + k have arrived. If the k-th
         # rank less the victim's has arrived by then, for every k, the picks
-        # are the rank order; otherwise they come from the pool after the
-        # overflow: the pick at the overflow, one push-pop per later
-        # arrival, the drain.
+        # are the rank order, as always without an overflow; otherwise they
+        # come from the pool after the overflow: the pick at the overflow,
+        # one push-pop per later arrival, the drain.
         picks = np.frombuffer(order, dtype=np.int64)
         if victim is not None:
             picks = np.delete(picks, rank[victim])
         if not (picks <= np.arange(warm, warm + len(picks))).all():
-            overflow = victim is not None
             heap = rank[:warm + 1].tolist()
-            if overflow:
-                heap.remove(rank[victim])
+            heap.remove(rank[victim])
             heapify(heap)
-            ranks = np.fromiter(chain(map(heappop, repeat(heap, overflow)),
+            ranks = np.fromiter(chain(map(heappop, repeat(heap, 1)),
                                       map(heappushpop, repeat(heap), rank[warm + 1:]),
-                                      map(heappop, repeat(heap, len(heap) - overflow))),
-                                np.int64, count=n_txs - overflow)
+                                      map(heappop, repeat(heap, len(heap) - 1))),
+                                np.int64, count=n_txs - 1)
             picks = np.frombuffer(order, dtype=np.int64)[ranks]
             del ranks, heap
         _next_fit(np.cumsum(slot_of[picks]), 0, capacity, 0, sealed)
