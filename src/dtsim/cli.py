@@ -200,9 +200,8 @@ def _write_manifest(path: Path, args, seed: int, config_text: str,
         "config_text": config_text,
         "outputs": [str(p) for p in outputs],
         "wall_time_s": round(wall_time, 3),
+        **(extras or {}),
     }
-    if extras:
-        manifest.update(extras)
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
@@ -224,19 +223,15 @@ def cmd_simulate(args, config, config_text) -> int:
                  build_trees=args.verkle_roots)
 
     out = _out_dir(args)
-    outputs = []
-    blocks_path = out / "blocks.csv"
-    write_blocks_csv(result.blocks, blocks_path)
-    outputs.append(blocks_path)
+    outputs = [out / "blocks.csv"]
+    write_blocks_csv(result.blocks, outputs[-1])
     if not args.no_assignments:
-        assign_path = out / "assignments.csv"
-        write_assignments_csv(result.assignments, assign_path)
-        outputs.append(assign_path)
+        outputs.append(out / "assignments.csv")
+        write_assignments_csv(result.assignments, outputs[-1])
     if args.verkle_roots:
-        roots_path = out / "roots.csv"
-        write_csv_rows(roots_path, ("height", "verkle_root"),
+        outputs.append(out / "roots.csv")
+        write_csv_rows(outputs[-1], ("height", "verkle_root"),
                        ((b.height, b.verkle_root.hex()) for b in result.blocks))
-        outputs.append(roots_path)
 
     summary = {
         "blocks_sealed": len(result.blocks),
@@ -253,9 +248,8 @@ def cmd_simulate(args, config, config_text) -> int:
         vol = series_volatility(result.incentives)
         summary["volatility"] = vol
         summary["benchmark"] = benchmark_check(vol)
-    summary_path = out / "summary.csv"
-    write_csv_rows(summary_path, ("key", "value"), summary.items())
-    outputs.append(summary_path)
+    outputs.append(out / "summary.csv")
+    write_csv_rows(outputs[-1], ("key", "value"), summary.items())
 
     manifest = _write_manifest(out / "manifest.json", args, seed, config_text, outputs,
                                time.perf_counter() - t0,
@@ -277,7 +271,6 @@ def cmd_optimize(args, config, config_text) -> int:
 
     stream = _dataset(args, config)
     out = _out_dir(args)
-    outputs = []
 
     if args.grid:
         runs = experiment_grid(stream, cfg, base_config=base, jobs=args.jobs)
@@ -285,13 +278,11 @@ def cmd_optimize(args, config, config_text) -> int:
         runs = [grid_cell(config["strategy"]["category"], base, stream, cfg)]
 
     rows = grid_rows(runs)
-    grid_path = out / ("grid.csv" if args.grid else "result.csv")
-    write_grid_csv(rows, grid_path)
-    outputs.append(grid_path)
+    outputs = [out / ("grid.csv" if args.grid else "result.csv")]
+    write_grid_csv(rows, outputs[-1])
     for r in runs:
-        trace_path = out / f"trace_{r.algorithm}_cat{r.category_id}.csv"
-        write_trace_csv(r, trace_path)
-        outputs.append(trace_path)
+        outputs.append(out / f"trace_{r.algorithm}_cat{r.category_id}.csv")
+        write_trace_csv(r, outputs[-1])
 
     manifest = _write_manifest(
         out / "manifest.json", args, seed, config_text, outputs, time.perf_counter() - t0,
@@ -325,10 +316,8 @@ def _parse_scenarios(text: str):
 
 def cmd_proofsize(args, config, config_text) -> int:
     t0 = time.perf_counter()
-    if args.scenarios:
-        scenarios = _parse_scenarios(args.scenarios)
-    else:
-        scenarios = [*PUBLISHED_SCENARIOS, INTEGRATION_SCENARIO]
+    scenarios = (_parse_scenarios(args.scenarios) if args.scenarios
+                 else [*PUBLISHED_SCENARIOS, INTEGRATION_SCENARIO])
     ks = [int(k) for k in args.k.split(",")] if args.k else BRANCHING_FACTORS
     modes = ("smooth", "ceil") if args.mode == "both" else (args.mode,)
 

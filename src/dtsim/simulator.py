@@ -43,7 +43,8 @@ unless tied arrivals put a higher fee later, that chain yields the ranks in
 order, and the picks are the rank order less the overflow's victim.
 
 Both branches mine the whole stream; `run` alone goes on to `force_seal`,
-block records and fates.
+block records and fates. It stores no assignment row: `Assignments` derives
+the rows from the picks, the block bounds and the slot counts when iterated.
 """
 
 from __future__ import annotations
@@ -91,16 +92,41 @@ def _ranks(stream: Stream, priority: Priority) -> Tuple[array, array]:
             array("q", order.astype(np.int64, copy=False).tobytes()))
 
 
+class Assignments:
+    """A run's (tx_id, block, fee, nodes) rows in block order, each block's in
+    pick order: a sized, re-iterable view that derives them a run of blocks
+    at a time through `_blocks` and holds no row. Its arrays are read-only."""
+
+    def __init__(self, stream: Stream, picks: np.ndarray, bounds: Sequence[int],
+                 slot_of: np.ndarray):
+        picks.flags.writeable = slot_of.flags.writeable = False
+        self.stream, self.picks, self.bounds, self.slot_of = stream, picks, tuple(bounds), slot_of
+
+    def __len__(self) -> int:
+        return self.bounds[-1]
+
+    def __iter__(self) -> Iterator[Tuple[int, int, float, int]]:
+        columns = (self.stream.ids, self.stream.fees, self.slot_of)
+        for height, (ids, fees, slots) in enumerate(zip(
+                *(_blocks(column, self.picks, self.bounds) for column in columns))):
+            yield from zip(ids, repeat(height), fees, slots)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Assignments):
+            return NotImplemented
+        return len(self) == len(other) and all(map(tuple.__eq__, self, other))
+
+
 @dataclass
 class RunResult:
-    """Sealed blocks plus an accounting of every submitted transaction's fate.
+    """Sealed blocks, their assignment rows as a view, and every transaction's fate.
 
     A run mines its whole stream, so no transaction is left pending:
     `pending_count` and `pending_fees` keep their 0 and 0.0 for `dtsim
     simulate`'s summary and the benchmark, which read them."""
 
     blocks: List[BlockRecord]
-    assignments: List[Tuple[int, int, float, int]]
+    assignments: Assignments
     submitted_count: int = 0
     submitted_fees: float = 0.0
     included_count: int = 0
@@ -153,19 +179,13 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
         bounds.append(len(picks))
     included = bounds[-1]
     seal_times = np.maximum.reduceat(stream.arrivals[picks[:included]], bounds[:-1]).tolist()
-    blocks, assignments = [], []
-    for height, (tx_ids, block_fees, block_slots, seal_time, (_, nodes)) in enumerate(zip(
-            *(_blocks(column, picks, bounds) for column in (stream.ids, stream.fees, slot_of)),
-            seal_times, sealed)):
-        tx_ids = tuple(tx_ids)
-        root = None
-        if build_trees:
-            at = picks[bounds[height]:bounds[height + 1]]
-            root = verkle.block_root(stream.ids[at], slot_of[at], cfg.verkle_branching_factor)
-        blocks.append(BlockRecord(
-            height=height, tx_ids=tx_ids, occupied_nodes=nodes, incentive=math.fsum(block_fees),
-            seal_time=seal_time, verkle_root=root))
-        assignments.extend(zip(tx_ids, repeat(height), block_fees, block_slots))
+    roots = ((verkle.block_root(stream.ids[at], slot_of[at], cfg.verkle_branching_factor)
+              for at in (picks[begin:end] for begin, end in zip(bounds, bounds[1:])))
+             if build_trees else repeat(None))
+    blocks = [BlockRecord(height, tuple(tx_ids), nodes, math.fsum(block_fees), seal_time, root)
+              for height, (tx_ids, block_fees, seal_time, (_, nodes), root) in enumerate(zip(
+                  *(_blocks(column, picks, bounds) for column in (stream.ids, stream.fees)),
+                  seal_times, sealed, roots))]
 
     def fee_sum(positions) -> float:
         # A memoryview yields Python floats one at a time: no numpy scalars, no list.
@@ -174,9 +194,10 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
     # The overflow's victim is rejected if it is the newcomer at position a1, else evicted.
     lost = [] if victim is None else [victim]
     evicted, rejected = ([], lost) if victim == strategy.mempool_size else (lost, [])
-    return RunResult(blocks, assignments, len(stream), fee_sum(slice(None)), included,
-                     len(evicted), fee_sum(evicted), len(rejected), fee_sum(rejected),
-                     unsealed_count=len(picks) - included, unsealed_fees=fee_sum(picks[included:]))
+    return RunResult(blocks, Assignments(stream, picks, bounds, slot_of), len(stream),
+                     fee_sum(slice(None)), included, len(evicted), fee_sum(evicted),
+                     len(rejected), fee_sum(rejected), unsealed_count=len(picks) - included,
+                     unsealed_fees=fee_sum(picks[included:]))
 
 
 def incentives(dataset, strategy: DtsStrategy, cfg: SimulationConfig) -> List[float]:
@@ -186,7 +207,7 @@ def incentives(dataset, strategy: DtsStrategy, cfg: SimulationConfig) -> List[fl
     return list(map(math.fsum, _blocks(stream.fees, picks, [0, *(end for end, _ in sealed)])))
 
 
-def _blocks(column: np.ndarray, picks: np.ndarray, bounds: List[int]) -> Iterator[list]:
+def _blocks(column: np.ndarray, picks: np.ndarray, bounds: Sequence[int]) -> Iterator[list]:
     """`column` at picks[bounds[i]:bounds[i + 1]] for each block i: slices of one `tolist`
     per run of whole blocks that just reaches 4096 picks, so no whole column is held."""
     at = 0
@@ -199,20 +220,10 @@ def _blocks(column: np.ndarray, picks: np.ndarray, bounds: List[int]) -> Iterato
 
 def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationConfig):
     """The run loop on positions, shared by `run` and `incentives`, over the
-    whole of `dataset`. Returns `dataset` as a Stream, the picks, each sealed
-    block as (end index into the picks, occupied slots), every position's
-    slot count (picks and slot counts are int64 arrays) and the overflow's
-    victim (None without one).
-
-    The one overflow, at position a1, is settled before any pick, so its
-    victim never enters the pool. Without reserved slots the picks and seals
-    then come from whole-array operations. With them they come from the
-    disjoint small-fee and other heaps, which together hold at most a1
-    ranks: one step per arrival while a small fee waits or arrives within
-    STRETCH arrivals, else one `heappushpop` chain per stretch up to the
-    next small-fee arrival, and one step per block segment of the drain.
-    A chain is exact: with the small-fee heap empty the pick rule takes the
-    other heap's head at every step, and the quota changes only at seals."""
+    whole of `dataset`, in the two branches the module docstring describes.
+    Returns `dataset` as a Stream, the picks, each sealed block as (end index
+    into the picks, occupied slots), every position's slot count (picks and
+    slot counts are int64 arrays) and the overflow's victim (None without one)."""
     problems = validate_strategy(strategy, cfg)
     if problems:
         raise ValueError("invalid strategy: " + "; ".join(problems))

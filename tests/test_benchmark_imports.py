@@ -8,12 +8,20 @@ keyword passed by `**` expansion counts when the expanded value is a name
 bound to a dict literal, or an attribute whose name some call in the file
 passes as a keyword with a dict literal (`**w.stream` takes the keys of every
 `stream={...}`).
+
+The names alone do not guard what the benchmark does with a run's result, so
+one small run's assignment rows are used here the way perfbench uses them.
 """
 
 import ast
 import importlib
 import inspect
+from itertools import groupby
 from pathlib import Path
+
+from dtsim.core import SimulationConfig, strategy_from_category
+from dtsim.ingest import DatasetSpec, generate
+from dtsim.simulator import run, write_assignments_csv
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -118,3 +126,21 @@ def test_every_keyword_the_benchmark_passes_to_dtsim_is_a_parameter():
         if keyword not in params and not any(p.kind is p.VAR_KEYWORD for p in params.values()):
             unknown.append((f, module, name, keyword))
     assert unknown == []
+
+
+def test_a_run_result_serves_the_benchmark_uses_of_its_assignments(tmp_path):
+    strategy = strategy_from_category(2, a1=200, a6=110, a7=6.94, a8=1.0)
+    result = run(generate(DatasetSpec(count=2_000, rng_seed=2024)), strategy, SimulationConfig())
+    assert len(result.blocks) >= 3
+    assignments = result.assignments
+    # A sized view; test_perfbench.py sums over the rows, and harness.py
+    # takes one group of rows per block.
+    assert len(assignments) == result.included_count
+    assert sum(nodes for *_, nodes in assignments) == sum(b.occupied_nodes for b in result.blocks)
+    grouped = [(height, [tx_id for tx_id, *_ in rows])
+               for height, rows in groupby(assignments, key=lambda row: row[1])]
+    assert grouped == [(b.height, list(b.tx_ids)) for b in result.blocks]
+    # run.py: the assignments CSV.
+    path = tmp_path / "assignments.csv"
+    assert write_assignments_csv(assignments, path) == result.included_count
+    assert path.read_text().count("\n") == result.included_count + 1

@@ -138,7 +138,7 @@ def naive_run(txs, strategy, cfg, force_seal):
 def observed(result):
     return {
         "blocks": result.blocks,
-        "assignments": result.assignments,
+        "assignments": list(result.assignments),
         "submitted": (result.submitted_count, result.submitted_fees),
         "included": (result.included_count, math.fsum(result.incentives)),
         "evicted": (result.evicted_count, result.evicted_fees),

@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import math
+import tracemalloc
 from heapq import heappop, heappush, heappushpop
+from itertools import groupby
 
 import pytest
 
@@ -199,7 +202,7 @@ class TestTryIncorporate:
         s = strategy_from_category(2, a1=10, a6=110, a7=6.94, a8=1.0)
         result = run([tx(1, 1e9)], s, CFG, force_seal=True)
         assert result.blocks[0].occupied_nodes == 110
-        assert result.assignments == [(1, 0, 1e9, 110)]
+        assert list(result.assignments) == [(1, 0, 1e9, 110)]
 
     def test_twentieth_max_fee_transaction_seals_at_2090(self):
         s = strategy_from_category(2, a1=100, a6=110, a7=6.94, a8=1.0)
@@ -351,7 +354,7 @@ class TestRun:
         # Both runs make the pick that opens block k + 1; the head may leave
         # that block unsealed, unless force_seal.
         picked = included + force_seal
-        assert result.assignments[:picked] == full.assignments[:picked]
+        assert list(result.assignments)[:picked] == list(full.assignments)[:picked]
         assert result.submitted_count == m
         assert result.included_count == sum(len(b.tx_ids) for b in result.blocks)
         if force_seal:
@@ -502,7 +505,7 @@ def _check_pinned(r, k, pin, tmp_path):
     blocks = r.blocks if k is None else r.blocks[:k]
     included = sum(len(b.tx_ids) for b in blocks)
     write_blocks_csv(blocks, tmp_path / "blocks.csv")
-    write_assignments_csv(r.assignments[:included], tmp_path / "assignments.csv")
+    write_assignments_csv(list(r.assignments)[:included], tmp_path / "assignments.csv")
 
     def digest(data):
         return hashlib.sha256(data).hexdigest()[:16]
@@ -627,3 +630,79 @@ def test_fewer_than_three_blocks_score_inf(stream_30k, cat, small, n, blocks):
     assert evaluate_attrs(attrs, category(cat), first, CFG) == math.inf
     assert evaluate_attrs(attrs, category(cat), stream_30k, CFG) == series_volatility(
         run(stream_30k, s, CFG).incentives)
+
+
+@pytest.fixture(scope="module")
+def stream_100k():
+    return generate(DatasetSpec(count=100_000, rng_seed=2024))
+
+
+# The reference strategy (category 2), and a reserved one with trees: a run
+# retains its blocks and the columns its assignment rows are derived from,
+# not a Python tuple per row, which took about 145 B per included transaction.
+@pytest.mark.parametrize("cat, small, build_trees", [
+    (2, {}, False), (3, {"a4": 2.0, "a5": 200}, True)], ids=["cat2", "cat3-a5_200-trees"])
+def test_a_run_retains_under_80_bytes_per_included_transaction(stream_100k, cat, small,
+                                                               build_trees):
+    s = strategy_from_category(cat, a1=25469, a6=110, a7=6.94, a8=1.0, **small)
+    run(stream_100k, s, CFG, build_trees=build_trees)  # warm: caches, fee logs
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run(stream_100k, s, CFG, build_trees=build_trees)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.included_count > 90_000
+    assert retained / result.included_count < 80
+
+
+class TestAssignmentsView:
+    """`RunResult.assignments` is a view that derives its rows from the picks
+    on every iteration; these are the rows a list of them would hold."""
+
+    @pytest.mark.parametrize("force_seal", [False, True], ids=["open", "forced"])
+    @pytest.mark.parametrize("cat, small", INCENTIVE_CATEGORIES, ids=INCENTIVE_IDS)
+    def test_rows_are_the_blocks_in_order(self, stream_30k, cat, small, force_seal):
+        s = strategy_from_category(cat, a1=1000, a6=110, a7=6.94, a8=1.0, **small)
+        result = run(stream_30k, s, CFG, force_seal=force_seal)
+        rows = list(result.assignments)
+        assert len(result.assignments) == len(rows) == result.included_count
+        assert list(result.assignments) == rows
+        assert (result.unsealed_count == 0) if force_seal else (result.unsealed_count > 0)
+        grouped = [(height, list(block)) for height, block in groupby(rows, key=lambda r: r[1])]
+        assert len(grouped) == len(result.blocks)
+        for (height, block), record in zip(grouped, result.blocks):
+            assert height == record.height
+            assert tuple(tx_id for tx_id, *_ in block) == record.tx_ids
+            assert sum(nodes for *_, nodes in block) == record.occupied_nodes
+            assert math.fsum(fee for _, _, fee, _ in block) == record.incentive
+
+    def test_a_run_that_seals_no_block_yields_no_rows(self):
+        s = strategy_from_category(2, a1=10, a6=110, a7=6.94, a8=1.0)
+        result = run([tx(1, 1e9), tx(2, 5.0)], s, CFG)
+        assert result.blocks == [] and result.unsealed_count == 2
+        assert len(result.assignments) == 0 and list(result.assignments) == []
+
+    def test_blocks_longer_than_a_chunk_are_plain_slices(self, stream_30k):
+        # a6 = 1 maps every fee to one slot, so a block holds 10,000 picks,
+        # more than the 4096 that `_blocks` converts per chunk.
+        s = strategy_from_category(2, a1=1000, a6=1, a7=6.94, a8=1.0)
+        view = run(stream_30k, s, SimulationConfig(leaf_capacity=10_000)).assignments
+        assert view.bounds == (0, 10_000, 20_000)
+        columns = (stream_30k.ids, stream_30k.fees, view.slot_of)
+        plain = [(tx_id, height, fee, nodes)
+                 for height, (begin, end) in enumerate(zip(view.bounds, view.bounds[1:]))
+                 for tx_id, fee, nodes in zip(*(c[view.picks[begin:end]].tolist() for c in columns))]
+        assert list(view) == plain
+        assert {nodes for *_, nodes in plain} == {1}
+
+    def test_view_is_read_only(self, stream_30k):
+        s = strategy_from_category(3, a1=1000, a6=110, a7=6.94, a8=1.0, a4=60.0, a5=200)
+        view = run(stream_30k, s, CFG).assignments
+        rows = list(view)
+        for array in (view.picks, view.slot_of):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
+        assert list(view) == rows
