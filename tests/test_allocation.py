@@ -6,12 +6,15 @@ hermetic. Regenerate with: mpmath.erf(x) at mp.dps=40.
 """
 
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dtsim.allocation import (AllocationParams, block_incentive, erf, leaf_nodes,
-                              leaf_slots, lognormal_cdf)
+                              leaf_slots, log_slots, lognormal_cdf)
 from dtsim.ingest import MIN_POSITIVE_FEE
 
 # (x, erf(x)) pairs spanning the series branch, the continued-fraction
@@ -55,6 +58,19 @@ def test_erf_is_odd_and_monotone():
         assert erf(-x) == -erf(x)
     values = [erf(x) for x in xs]
     assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+def test_erf_is_nondecreasing_across_float_neighbours():
+    # `log_slots` finds each slot threshold by bisection, which is exact only
+    # if erf never steps down from one float to the next. Probe glibc's piece
+    # boundaries (0.84375, 1.25, 1/0.35, 6) on both signs, then random points.
+    rng = np.random.default_rng(20)
+    centres = [0.84375, 1.25, 1 / 0.35, 6.0, *rng.uniform(-7.0, 7.0, 40)]
+    for c in centres + [-c for c in centres]:
+        key = np.float64(c).view(np.int64)
+        xs = np.sort(np.arange(key - 2000, key + 2000, dtype=np.int64).view(np.float64))
+        values = np.array([erf(x) for x in xs.tolist()])
+        assert (np.diff(values) >= 0).all(), c
 
 
 PARAMS_EXP17 = AllocationParams(scale=6.94, shape=1.00, max_trx_nodes=110)
@@ -172,6 +188,95 @@ class TestLeafSlots:
     def test_rejects_nonpositive_fee(self):
         with pytest.raises(ValueError):
             leaf_slots([1.0, 0.0], PARAMS_EXP17)
+
+
+LOG_MIN_FEE = math.log(MIN_POSITIVE_FEE)
+LOG_MAX_FEE = math.log(sys.float_info.max)
+
+
+def scalar_slots(log, params):
+    """`leaf_nodes`' rule after its `math.log`, one float at a time."""
+    cdf = 0.5 + 0.5 * math.erf((log - params.scale) / (params.shape * math.sqrt(2.0)))
+    raw = cdf * params.max_trx_nodes
+    return min(max(math.ceil(raw - 1e-9), 1), params.max_trx_nodes)
+
+
+def _key(x):
+    # Order-preserving int of a float64: its bits, negatives mirrored.
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits ^ 0x7FFF_FFFF_FFFF_FFFF if bits < 0 else bits
+
+
+def _float(key):
+    bits = key ^ 0x7FFF_FFFF_FFFF_FFFF if key < 0 else key
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def threshold(s, params):
+    """The smallest float log whose `scalar_slots` exceed s (1 <= s < cap)."""
+    lo, hi = _key(-800.0), _key(800.0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if scalar_slots(_float(mid), params) > s:
+            hi = mid
+        else:
+            lo = mid
+    return _float(hi)
+
+
+def at_threshold(s, params):
+    t = threshold(s, params)
+    return [t, math.nextafter(t, -math.inf)]
+
+
+@st.composite
+def slot_cases(draw):
+    params = AllocationParams(draw(st.floats(-2.0, 12.0)), draw(st.floats(1e-3, 3.0)),
+                              draw(st.integers(1, 2100)))
+    levels = (draw(st.lists(st.integers(1, params.max_trx_nodes - 1), max_size=4))
+              if params.max_trx_nodes > 1 else [])
+    near = [x for s in levels for x in at_threshold(s, params)]
+    values = st.sampled_from([LOG_MIN_FEE, LOG_MAX_FEE, math.inf, *near]) | st.floats(-750.0, 710.0)
+    logs = draw(st.lists(values, max_size=40))
+    if logs and draw(st.booleans()):
+        logs = logs[:1] * len(logs)
+    return params, logs
+
+
+REFERENCE = AllocationParams(scale=6.94, shape=1.0, max_trx_nodes=110)
+
+
+class TestLogSlots:
+    """`log_slots` must give the scalar rule's count for every float log."""
+
+    @settings(max_examples=150, deadline=None)
+    @example((REFERENCE, []))
+    @example((REFERENCE, [math.log(2000.0)]))
+    @example((REFERENCE, [6.94] * 7))
+    @example((REFERENCE, [LOG_MIN_FEE, 0.0, 1.5, 6.94, 9.2, LOG_MIN_FEE]))
+    @example((AllocationParams(12.0, 1e-3, 2100), [LOG_MAX_FEE, math.inf, 12.0, LOG_MIN_FEE]))
+    @given(slot_cases())
+    def test_matches_the_scalar_rule(self, case):
+        params, logs = case
+        got = log_slots(np.array(logs, dtype=np.float64), params)
+        assert got.dtype == np.int64
+        assert got.tolist() == [scalar_slots(x, params) for x in logs]
+
+    @pytest.mark.parametrize("params", [
+        REFERENCE,
+        AllocationParams(scale=-2.0, shape=1e-3, max_trx_nodes=2100),
+        AllocationParams(scale=4.0, shape=3.0, max_trx_nodes=2),
+        AllocationParams(scale=9.5, shape=0.1, max_trx_nodes=800),
+    ])
+    def test_every_threshold_and_the_float_below_it(self, params):
+        logs = [x for s in range(1, params.max_trx_nodes) for x in at_threshold(s, params)]
+        logs = np.random.default_rng(5).permutation([LOG_MIN_FEE, LOG_MAX_FEE, *logs])
+        assert log_slots(logs, params).tolist() == [scalar_slots(x, params) for x in logs]
+
+    def test_scalar_rule_is_leaf_nodes(self):
+        rng = np.random.default_rng(8)
+        for fee in [MIN_POSITIVE_FEE, 2.0, math.exp(6.94), *rng.lognormal(6.0, 3.0, 200)]:
+            assert leaf_nodes(fee, REFERENCE) == scalar_slots(math.log(fee), REFERENCE)
 
 
 class TestBlockIncentive:
