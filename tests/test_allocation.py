@@ -273,6 +273,17 @@ class TestLogSlots:
         logs = np.random.default_rng(5).permutation([LOG_MIN_FEE, LOG_MAX_FEE, *logs])
         assert log_slots(logs, params).tolist() == [scalar_slots(x, params) for x in logs]
 
+    def test_evaluates_the_formula_only_near_its_steps(self, big_stream, monkeypatch):
+        # A count of work, not a time: at most 2 bracket probes and 64
+        # bisection rounds per threshold, plus the column's two ends. One
+        # erf per fee would be 400,000 calls.
+        import dtsim.allocation as allocation
+        calls = []
+        monkeypatch.setattr(allocation, "erf", lambda z: calls.append(z) or math.erf(z))
+        slots = log_slots(big_stream.fee_logs, REFERENCE)
+        thresholds = int(slots.max() - slots.min())
+        assert 0 < len(calls) <= 66 * thresholds + 2
+
     def test_scalar_rule_is_leaf_nodes(self):
         rng = np.random.default_rng(8)
         for fee in [MIN_POSITIVE_FEE, 2.0, math.exp(6.94), *rng.lognormal(6.0, 3.0, 200)]:
@@ -290,6 +301,10 @@ class TestBlockIncentive:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             block_incentive([1.0, -0.5])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            block_incentive([1.0, float("nan")])
 
     def test_compensated_sum_oracle_400k(self):
         # Oracle: math.fsum IS exactly-rounded summation; cross-check the
