@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dtsim import allocation
 from dtsim.allocation import (AllocationParams, block_incentive, erf, leaf_nodes,
                               leaf_slots, log_slots, lognormal_cdf)
 from dtsim.ingest import MIN_POSITIVE_FEE
@@ -243,17 +244,14 @@ def slot_cases(draw):
     return params, logs
 
 
-REFERENCE = AllocationParams(scale=6.94, shape=1.0, max_trx_nodes=110)
-
-
 class TestLogSlots:
     """`log_slots` must give the scalar rule's count for every float log."""
 
     @settings(max_examples=150, deadline=None)
-    @example((REFERENCE, []))
-    @example((REFERENCE, [math.log(2000.0)]))
-    @example((REFERENCE, [6.94] * 7))
-    @example((REFERENCE, [LOG_MIN_FEE, 0.0, 1.5, 6.94, 9.2, LOG_MIN_FEE]))
+    @example((PARAMS_EXP17, []))
+    @example((PARAMS_EXP17, [math.log(2000.0)]))
+    @example((PARAMS_EXP17, [6.94] * 7))
+    @example((PARAMS_EXP17, [LOG_MIN_FEE, 0.0, 1.5, 6.94, 9.2, LOG_MIN_FEE]))
     @example((AllocationParams(12.0, 1e-3, 2100), [LOG_MAX_FEE, math.inf, 12.0, LOG_MIN_FEE]))
     @given(slot_cases())
     def test_matches_the_scalar_rule(self, case):
@@ -263,7 +261,7 @@ class TestLogSlots:
         assert got.tolist() == [scalar_slots(x, params) for x in logs]
 
     @pytest.mark.parametrize("params", [
-        REFERENCE,
+        PARAMS_EXP17,
         AllocationParams(scale=-2.0, shape=1e-3, max_trx_nodes=2100),
         AllocationParams(scale=4.0, shape=3.0, max_trx_nodes=2),
         AllocationParams(scale=9.5, shape=0.1, max_trx_nodes=800),
@@ -273,21 +271,31 @@ class TestLogSlots:
         logs = np.random.default_rng(5).permutation([LOG_MIN_FEE, LOG_MAX_FEE, *logs])
         assert log_slots(logs, params).tolist() == [scalar_slots(x, params) for x in logs]
 
+    # The first bracket's width sets only the cost. A negative one puts every
+    # probe on the wrong side, so each threshold is bisected from a column
+    # end, across int64 keys from log(MIN_POSITIVE_FEE) to positive logs.
+    @pytest.mark.parametrize("bracket", [-1.0, 0.0, 1e3])
+    def test_exact_whatever_the_first_bracket(self, bracket, monkeypatch):
+        monkeypatch.setattr(allocation, "_BRACKET_SHAPES", bracket)
+        for params in (PARAMS_EXP17, AllocationParams(scale=1.0, shape=0.97, max_trx_nodes=2053)):
+            logs = [x for s in range(1, params.max_trx_nodes, 7) for x in at_threshold(s, params)]
+            logs = [LOG_MIN_FEE, LOG_MAX_FEE, *logs]
+            assert log_slots(logs, params).tolist() == [scalar_slots(x, params) for x in logs]
+
     def test_evaluates_the_formula_only_near_its_steps(self, big_stream, monkeypatch):
         # A count of work, not a time: at most 2 bracket probes and 64
         # bisection rounds per threshold, plus the column's two ends. One
         # erf per fee would be 400,000 calls.
-        import dtsim.allocation as allocation
         calls = []
         monkeypatch.setattr(allocation, "erf", lambda z: calls.append(z) or math.erf(z))
-        slots = log_slots(big_stream.fee_logs, REFERENCE)
+        slots = log_slots(big_stream.fee_logs, PARAMS_EXP17)
         thresholds = int(slots.max() - slots.min())
         assert 0 < len(calls) <= 66 * thresholds + 2
 
     def test_scalar_rule_is_leaf_nodes(self):
         rng = np.random.default_rng(8)
         for fee in [MIN_POSITIVE_FEE, 2.0, math.exp(6.94), *rng.lognormal(6.0, 3.0, 200)]:
-            assert leaf_nodes(fee, REFERENCE) == scalar_slots(math.log(fee), REFERENCE)
+            assert leaf_nodes(fee, PARAMS_EXP17) == scalar_slots(math.log(fee), PARAMS_EXP17)
 
 
 class TestBlockIncentive:
