@@ -2,12 +2,12 @@
 
 Maps a transaction's fee through the CDF of a log-normal distribution to a
 whole number of occupied leaf slots, so that expensive transactions consume
-more of a block's fixed capacity: one fee at a time (`leaf_nodes`) or a whole
-fee column in one pass (`leaf_slots`, or `log_slots` of a stream's cached
-`fee_logs`). The slot count is a step function of the fee's log with at most
-max_trx_nodes levels, so a column is mapped by finding the log at each step
-once and placing every log between them with `searchsorted`. Also provides
-the per-block incentive sum.
+more of a block's fixed capacity: a whole fee column in one pass
+(`log_slots` of its `fee_logs`, which a stream caches) or one fee at a time
+(`leaf_nodes`). The slot count is a step function of the fee's log with at
+most max_trx_nodes levels, so a column is mapped by finding the log at each
+step once and placing every log between them with `searchsorted`. Also
+provides the per-block incentive sum.
 """
 
 from __future__ import annotations
@@ -50,13 +50,6 @@ class AllocationParams:
             raise ValueError("max_trx_nodes must be >= 1")
 
 
-def lognormal_cdf(x: float, params: AllocationParams) -> float:
-    """F(x) = 1/2 + 1/2*erf((ln x - scale) / (shape*sqrt(2))) for x > 0."""
-    if x <= 0:
-        raise ValueError(f"lognormal_cdf requires x > 0, got {x}")
-    return _cdf(math.log(x), erf, params)
-
-
 def _cdf(log_x, erf_fn, params: AllocationParams):
     # The one CDF formula, on a float or elementwise on a float array.
     return 0.5 + 0.5 * erf_fn((log_x - params.scale) / (params.shape * _SQRT2))
@@ -68,17 +61,13 @@ def leaf_nodes(fee: float, params: AllocationParams) -> int:
     Rounds F(fee) * max_trx_nodes up to a whole slot with a floor of one, so
     every transaction occupies at least one slot and none exceeds the cap.
     A 1e-9 slack absorbs float noise when the product lands on an exact
-    integer (e.g. F = 0.5 with an even cap).
+    integer (e.g. F = 0.5 with an even cap). `run` maps columns with
+    `log_slots`; perfbench/run.py calls this per fee until ROADMAP item 12.
     """
     if fee <= 0:
         raise ValueError(f"leaf_nodes requires fee > 0, got {fee}")
-    raw = lognormal_cdf(fee, params) * params.max_trx_nodes
+    raw = _cdf(math.log(fee), erf, params) * params.max_trx_nodes
     return min(max(math.ceil(raw - _CEIL_SLACK), 1), params.max_trx_nodes)
-
-
-def leaf_slots(fees, params: AllocationParams) -> np.ndarray:
-    """`leaf_nodes` of every fee in `fees`, as one int64 array."""
-    return log_slots(fee_logs(fees), params)
 
 
 def fee_logs(fees) -> np.ndarray:
@@ -93,7 +82,7 @@ def fee_logs(fees) -> np.ndarray:
 
 
 def log_slots(logs, params: AllocationParams) -> np.ndarray:
-    """`leaf_slots` of the fees whose `fee_logs` are `logs`, equal to the scalar rule's.
+    """`leaf_nodes` of each fee whose `fee_logs` are `logs`, as one int64 array.
 
     The float formula (`_slots`) is evaluated only near its steps, never once
     per log. Between the slot counts lo_s and hi_s of the column's smallest

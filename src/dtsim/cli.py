@@ -1,12 +1,13 @@
 """Command-line surface: reproducible simulation, search and analysis runs.
 
-`simulate` and `optimize` write CSV artifacts plus a `manifest.json`, and
-`proofsize --out X.csv` writes `X.manifest.json` beside its CSV; a manifest
-embeds the effective configuration verbatim, so those outputs are traceable
-to their exact inputs (`volatility --out` writes none). Configuration
-precedence: command-line flags > config file > built-in defaults, which are
-the library's dataclass defaults; the DTSIM_SEED environment variable
-overrides the built-in default seed only.
+`simulate` and `optimize` take the same stream and output flags (`optimize`
+spends --budget evaluations per cell, n_pop x 100 by default) and write CSV
+artifacts plus a `manifest.json`, and `proofsize --out X.csv` writes
+`X.manifest.json` beside its CSV; a manifest embeds the effective
+configuration verbatim, so those outputs are traceable to their exact inputs
+(`volatility --out` writes none). Configuration precedence: command-line flags
+> config file > built-in defaults, which are the library's dataclass defaults;
+the DTSIM_SEED environment variable overrides the built-in default seed only.
 
 Exit codes: 0 success, 1 `vrp-check` found a violated constraint or a
 negative oracle gap, 2 configuration error or an output that cannot be
@@ -83,8 +84,7 @@ def _defaults() -> dict:
         "dataset": {key: getattr(spec, key) for key in
                     ("count", "amount_mu", "amount_sigma", "drift_sigma", "drift_tau_s")},
         "strategy": dict(REFERENCE_STRATEGY),
-        "optimizer": {key: getattr(opt, key) for key in
-                      ("algorithm", "n_pop", "max_gen")},
+        "optimizer": {"algorithm": opt.algorithm, "n_pop": opt.n_pop},
         "irrational": {
             "rational_fraction": mix.rational_fraction,
             "overpaid_fraction": mix.overpaid_fraction,
@@ -239,7 +239,6 @@ def cmd_simulate(args, config, config_text) -> int:
         "included": result.included_count,
         "evicted": result.evicted_count,
         "rejected": result.rejected_count,
-        "pending": result.pending_count,
         "unsealed": result.unsealed_count,
         "submitted_fees": result.submitted_fees,
         "block_fees": math.fsum(result.incentives),
@@ -396,9 +395,9 @@ def cmd_vrp_check(args, config, config_text) -> int:
     # Full-chain constraint check.
     block_ids = sorted({block for _, block, _, _ in rows})
     matrix, instance = _packing(rows, block_ids, capacity)
-    violations = check_constraints(matrix, instance) + _block_mismatches(args.blocks, rows)
-    distinct_txs = len(set(matrix.tx_ids))
-    print(f"transactions: {distinct_txs}, blocks: {len(block_ids)}, capacity: {capacity}")
+    unpackable = check_constraints(matrix, instance)
+    violations = unpackable + _block_mismatches(args.blocks, rows)
+    print(f"transactions: {len(set(matrix.tx_ids))}, blocks: {len(block_ids)}, capacity: {capacity}")
     if violations:
         print(f"violations ({len(violations)}):")
         for v in violations:
@@ -413,21 +412,23 @@ def cmd_vrp_check(args, config, config_text) -> int:
               f"mean |deviation| {sum(deviations) / len(deviations)!r}, "
               f"max |deviation| {max(deviations)!r}")
 
-    # Oracle gap on a truncated instance: first few blocks, first few txs.
+    # Oracle gap on the first few blocks and txs; meaningless for an unpackable assignment.
+    if unpackable:
+        print("oracle gap: skipped, the assignment violates a packing constraint")
+        return 1
     chosen_blocks = block_ids[: args.oracle_blocks]
     truncated = [row for row in rows if row[1] in chosen_blocks][: args.oracle_max_n]
-    if distinct_txs == len(rows):  # the oracle gap means nothing once a row is duplicated
-        actual, oracle_instance = _packing(truncated, chosen_blocks, capacity)
-        actual_var = variance_objective(actual, oracle_instance.fees)
-        _witness, best_var = brute_force_min_variance(oracle_instance, len(chosen_blocks))
-        gap = actual_var - best_var
-        print(f"oracle instance: {len(truncated)} txs over {len(chosen_blocks)} blocks")
-        print(f"assignment variance: {actual_var!r}")
-        print(f"oracle minimum variance: {best_var!r}")
-        print(f"gap (assignment - optimum, >= 0): {gap!r}")
-        if gap < -1e-9:
-            print("ERROR: greedy assignment beats exhaustive optimum; invariant broken")
-            return 1
+    actual, oracle_instance = _packing(truncated, chosen_blocks, capacity)
+    actual_var = variance_objective(actual, oracle_instance.fees)
+    _witness, best_var = brute_force_min_variance(oracle_instance, len(chosen_blocks))
+    gap = actual_var - best_var
+    print(f"oracle instance: {len(truncated)} txs over {len(chosen_blocks)} blocks")
+    print(f"assignment variance: {actual_var!r}")
+    print(f"oracle minimum variance: {best_var!r}")
+    print(f"gap (assignment - optimum, >= 0): {gap!r}")
+    if gap < -1e-9:
+        print("ERROR: greedy assignment beats exhaustive optimum; invariant broken")
+        return 1
     return 1 if violations else 0
 
 
@@ -465,12 +466,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config file layered over built-in defaults")
     common.add_argument("--seed", type=int, help="run seed (overrides config and DTSIM_SEED)")
+    runs = argparse.ArgumentParser(add_help=False, parents=[common])  # simulate and optimize
+    runs.add_argument("--dataset", help="transaction CSV (default: synthetic stream)")
+    runs.add_argument("--count", type=int, help="synthetic stream length")
+    runs.add_argument("--category", type=int, choices=(1, 2, 3, 4))
+    runs.add_argument("--out", required=True, help="output directory")
     sub = parser.add_subparsers(dest="command")
 
-    sim = sub.add_parser("simulate", parents=[common], help="run one strategy over a stream")
-    sim.add_argument("--dataset", help="transaction CSV (default: synthetic stream)")
-    sim.add_argument("--count", type=int, help="synthetic stream length")
-    sim.add_argument("--category", type=int, choices=(1, 2, 3, 4))
+    sim = sub.add_parser("simulate", parents=[runs], help="run one strategy over a stream")
     sim.add_argument("--a1", type=int, help="mempool size")
     sim.add_argument("--a4", type=float, help="small-fee threshold (categories 1 and 3)")
     sim.add_argument("--a5", type=int, help="small-fee per-block count (categories 1 and 3)")
@@ -483,20 +486,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="build a commitment tree per sealed block and write roots.csv")
     sim.add_argument("--no-assignments", action="store_true",
                      help="skip writing assignments.csv")
-    sim.add_argument("--out", required=True, help="output directory")
 
-    opt = sub.add_parser("optimize", parents=[common], help="search strategy attributes")
+    opt = sub.add_parser("optimize", parents=[runs], help="search strategy attributes")
     opt.add_argument("--algo", dest="algorithm", choices=ALGORITHMS)
-    opt.add_argument("--category", type=int, choices=(1, 2, 3, 4))
     opt.add_argument("--grid", action="store_true", help="run every algorithm x category cell")
-    opt.add_argument("--budget", type=int, help="objective evaluation budget")
+    opt.add_argument("--budget", type=int, help="objective evaluations per cell (default n_pop x 100)")
     opt.add_argument("--n-pop", type=int, dest="n_pop")
-    opt.add_argument("--max-gen", type=int, dest="max_gen")
-    opt.add_argument("--dataset", help="transaction CSV (default: synthetic stream)")
-    opt.add_argument("--count", type=int, help="synthetic stream length")
     opt.add_argument("--jobs", type=int, default=1,
                      help="worker processes for independent grid cells")
-    opt.add_argument("--out", required=True, help="output directory")
 
     proof = sub.add_parser("proofsize", parents=[common], help="closed-form proof-size tables")
     proof.add_argument("--scenarios", help="comma list of name=n_t (default: published set)")

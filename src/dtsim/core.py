@@ -207,8 +207,9 @@ class DtsStrategy:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Leaf slots per block and the Verkle branching factor of a run. No
-    simulation reads `rng_seed`: a stream's seed is `DatasetSpec.rng_seed`."""
+    """Leaf slots per block and the Verkle branching factor of a run. No run
+    reads `rng_seed` (a stream's seed is `DatasetSpec.rng_seed`); acceptance
+    criterion 6 and, until ROADMAP item 12, perfbench/run.py set it."""
 
     leaf_capacity: int = 2100
     rng_seed: int = 0

@@ -24,7 +24,14 @@ from .optimizers import (PSO_COEFFICIENTS, cma_es, constriction_params,  # noqa:
                          differential_evolution, genetic_algorithm, gbo, pso)
 from .simulator import incentives
 
-ALGORITHMS = ("pso", "de", "ga", "cmaes", "gbo")
+# The searches by name, in the grid order from which each cell's seed derives.
+ALGORITHMS: Dict[str, Callable] = {
+    "pso": pso,
+    "de": differential_evolution,
+    "ga": genetic_algorithm,
+    "cmaes": lambda objective, lb, ub, budget, rng, n_pop: cma_es(objective, lb, ub, budget, rng),
+    "gbo": gbo,
+}
 
 # Attribute search bounds: the envelope of published optima, widened.
 DEFAULT_BOUNDS: Dict[str, Tuple[float, float]] = {
@@ -72,10 +79,11 @@ class SearchSpace:
 class OptimizerConfig:
     """The algorithm, population, budget and seed of a search.
 
-    The evaluation budget of every algorithm is n_pop * max_gen (5000 with
-    the defaults) unless n_eval sets it. max_gen sets nothing else: GA and
-    GBO spread their schedules over the budget // n_pop generations that the
-    budget allows, and CMA-ES takes its standard population size, not n_pop.
+    The evaluation budget of every algorithm is n_eval, or n_pop * max_gen
+    (5000 with the defaults) when n_eval is None. max_gen sets nothing else
+    and is no CLI setting; perfbench/run.py passes it until ROADMAP item 12.
+    GA and GBO spread their schedules over the budget // n_pop generations
+    that the budget allows, and CMA-ES takes its standard population size.
     The algorithms' own constants are fixed: PSO takes PSO_COEFFICIENTS, DE
     F = 0.5 and CR = 0.9, GA a crossover rate of 0.9 and GBO an escape
     probability of 0.5.
@@ -93,7 +101,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
+            raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {tuple(ALGORITHMS)}")
         if self.n_pop < 1:
             raise ValueError("n_pop must be positive")
         if self.budget < 1:
@@ -144,7 +152,8 @@ def run_optimizer(algo: str, space: SearchSpace, objective: Callable,
     deterministic, as common random numbers make `evaluate`: a candidate
     that decodes like an earlier one gets the earlier value without a new
     call, yet still counts against the budget. Deterministic per config
-    seed; the returned generation trace is non-increasing.
+    seed; the returned generation trace is non-increasing. `algo` repeats
+    `config.algorithm` for perfbench/run.py until ROADMAP item 12.
     """
     lb, ub = space.lb, space.ub
     rng = np.random.default_rng(config.rng_seed)
@@ -157,20 +166,9 @@ def run_optimizer(algo: str, space: SearchSpace, objective: Callable,
             memo[key] = objective(attrs)
         return memo[key]
 
-    budget = config.budget
-    if algo == "pso":
-        result = pso(boxed, lb, ub, budget, rng, n_pop=config.n_pop)
-    elif algo == "de":
-        result = differential_evolution(boxed, lb, ub, budget, rng, n_pop=config.n_pop)
-    elif algo == "ga":
-        result = genetic_algorithm(boxed, lb, ub, budget, rng, n_pop=config.n_pop)
-    elif algo == "cmaes":
-        result = cma_es(boxed, lb, ub, budget, rng)
-    elif algo == "gbo":
-        result = gbo(boxed, lb, ub, budget, rng, n_pop=config.n_pop)
-    else:
+    if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
-
+    result = ALGORITHMS[algo](boxed, lb, ub, config.budget, rng, config.n_pop)
     return OptimizationRun(
         algorithm=algo,
         category_id=space.category.id,
@@ -197,7 +195,7 @@ def grid_cell(cat_id: int, config: OptimizerConfig, dataset, cfg: SimulationConf
 
 def experiment_grid(dataset, cfg: SimulationConfig,
                     base_config: OptimizerConfig = OptimizerConfig(),
-                    algorithms: Sequence[str] = ALGORITHMS,
+                    algorithms: Sequence[str] = tuple(ALGORITHMS),
                     jobs: int = 1) -> List[OptimizationRun]:
     """All algorithm-by-category optimization runs (20 with the defaults).
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ class OptTrace:
 
 
 class _Budget:
-    """Evaluation counter that also maintains the global best."""
+    """Evaluation counter that also maintains the global best and the trace."""
 
     def __init__(self, objective: Objective, budget: int):
         if budget < 1:
@@ -36,6 +36,7 @@ class _Budget:
         self.used = 0
         self.best_x = None
         self.best_f = math.inf
+        self.trace: List[float] = []
 
     def remaining(self) -> int:
         return self.budget - self.used
@@ -53,13 +54,33 @@ class _Budget:
     def eval_population(self, xs: np.ndarray) -> np.ndarray:
         return np.array([self(x) for x in xs])
 
+    def generations(self, size: int) -> Iterator[int]:
+        """Number 1, 2, ... the generations of `size` evaluations that the
+        budget still allows, recording the best so far after each one."""
+        gen = 0
+        while self.remaining() >= size:
+            gen += 1
+            yield gen
+            self.trace.append(self.best_f)
+
+    def result(self) -> OptTrace:
+        return OptTrace(self.best_x, self.best_f, self.trace, self.used)
+
+
+def _start(objective: Objective, lb, ub, budget: int, rng: np.random.Generator, n_pop: int):
+    """Float bounds, the budget's tally, and a first population of
+    min(n_pop, budget) uniform points in the box, evaluated as generation 0."""
+    lb = np.asarray(lb, dtype=float)
+    ub = np.asarray(ub, dtype=float)
+    tally = _Budget(objective, budget)
+    x = lb + rng.random((min(n_pop, budget), lb.size)) * (ub - lb)
+    f = tally.eval_population(x)
+    tally.trace.append(tally.best_f)
+    return lb, ub, tally, x, f
+
 
 def _clamp(x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, lb), ub)
-
-
-def _init_population(rng, n, lb, ub):
-    return lb + rng.random((n, lb.size)) * (ub - lb)
 
 
 def constriction_params(k: float, phi1: float, phi2: float) -> Tuple[float, float, float]:
@@ -90,20 +111,14 @@ def pso(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
     per-dimension uniform r1, r2; positions clamp to the bounds.
     """
     w, c1, c2 = PSO_COEFFICIENTS
-    lb = np.asarray(lb, dtype=float)
-    ub = np.asarray(ub, dtype=float)
-    tally = _Budget(objective, budget)
-    n_pop = min(n_pop, budget)
-
-    x = _init_population(rng, n_pop, lb, ub)
+    lb, ub, tally, x, f = _start(objective, lb, ub, budget, rng, n_pop)
+    n_pop = len(x)
     v = np.zeros_like(x)
-    f = tally.eval_population(x)
     pbest_x = x.copy()
     pbest_f = f.copy()
     g = int(np.argmin(pbest_f))
-    trace = [tally.best_f]
 
-    while tally.remaining() >= n_pop:
+    for _ in tally.generations(n_pop):
         r1 = rng.random(x.shape)
         r2 = rng.random(x.shape)
         v = w * v + c1 * r1 * (pbest_x - x) + c2 * r2 * (pbest_x[g] - x)
@@ -113,24 +128,17 @@ def pso(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
         pbest_x[improved] = x[improved]
         pbest_f[improved] = f[improved]
         g = int(np.argmin(pbest_f))
-        trace.append(tally.best_f)
-    return OptTrace(tally.best_x, tally.best_f, trace, tally.used)
+    return tally.result()
 
 
 def differential_evolution(objective: Objective, lb, ub, budget: int,
                            rng: np.random.Generator, n_pop: int = 50) -> OptTrace:
     """DE/rand/1/bin (F = 0.5, CR = 0.9) with greedy one-to-one selection."""
-    lb = np.asarray(lb, dtype=float)
-    ub = np.asarray(ub, dtype=float)
-    dim = lb.size
-    tally = _Budget(objective, budget)
-    n_pop = min(max(n_pop, 4), budget)  # rand/1 draws three distinct partners
+    # At least 4: rand/1 draws three partners distinct from the target.
+    lb, ub, tally, x, f = _start(objective, lb, ub, budget, rng, max(n_pop, 4))
+    n_pop, dim = x.shape
 
-    x = _init_population(rng, n_pop, lb, ub)
-    f = tally.eval_population(x)
-    trace = [tally.best_f]
-
-    while tally.remaining() >= n_pop:
+    for _ in tally.generations(n_pop):
         for i in range(n_pop):
             choices = [j for j in range(n_pop) if j != i]
             r1, r2, r3 = rng.choice(choices, size=3, replace=False)
@@ -142,8 +150,7 @@ def differential_evolution(objective: Objective, lb, ub, budget: int,
             if ft < f[i]:
                 x[i] = trial
                 f[i] = ft
-        trace.append(tally.best_f)
-    return OptTrace(tally.best_x, tally.best_f, trace, tally.used)
+    return tally.result()
 
 
 def genetic_algorithm(objective: Objective, lb, ub, budget: int,
@@ -152,21 +159,11 @@ def genetic_algorithm(objective: Objective, lb, ub, budget: int,
     Gaussian mutation at rate 1/dim with a step decaying geometrically from
     0.1 to 0.001 of the box width over the budget // n_pop generations that
     the budget allows, one elite."""
-    lb = np.asarray(lb, dtype=float)
-    ub = np.asarray(ub, dtype=float)
-    dim = lb.size
+    lb, ub, tally, x, f = _start(objective, lb, ub, budget, rng, n_pop)
+    n_pop, dim = x.shape
     span = ub - lb
-    tally = _Budget(objective, budget)
-    n_pop = min(n_pop, budget)
-
-    x = _init_population(rng, n_pop, lb, ub)
-    f = tally.eval_population(x)
-    trace = [tally.best_f]
-
-    gen = 0
     total_gens = max(1, budget // max(n_pop, 1))
-    while tally.remaining() >= n_pop:
-        gen += 1
+    for gen in tally.generations(n_pop):
         decay = (1e-3 / 0.1) ** (gen / total_gens)
         sigma = 0.1 * decay * span
 
@@ -192,8 +189,7 @@ def genetic_algorithm(objective: Objective, lb, ub, budget: int,
                 children.append(_clamp(child, lb, ub))
         x = np.array(children)
         f = tally.eval_population(x)
-        trace.append(tally.best_f)
-    return OptTrace(tally.best_x, tally.best_f, trace, tally.used)
+    return tally.result()
 
 
 def cma_es(objective: Objective, lb, ub, budget: int, rng: np.random.Generator) -> OptTrace:
@@ -226,11 +222,8 @@ def cma_es(objective: Objective, lb, ub, budget: int, rng: np.random.Generator) 
     cov = np.eye(dim)
     b_mat = np.eye(dim)
     d_diag = np.ones(dim)
-    trace: List[float] = []
-    iteration = 0
 
-    while tally.remaining() >= lam:
-        iteration += 1
+    for iteration in tally.generations(lam):
         z = rng.standard_normal((lam, dim))
         y = z @ (b_mat * d_diag).T
         xs = _clamp(mean + sigma * y, lb, ub)
@@ -259,13 +252,12 @@ def cma_es(objective: Objective, lb, ub, budget: int, rng: np.random.Generator) 
         cov = (cov + cov.T) / 2.0
         eigvals, b_mat = np.linalg.eigh(cov)
         d_diag = np.sqrt(np.maximum(eigvals, 1e-30))
-        trace.append(tally.best_f)
-    if not trace:
+    if not tally.trace:
         # Budget below one population: spend what is left on random samples.
         xs = _clamp(mean + sigma * rng.standard_normal((tally.remaining(), dim)), lb, ub)
         tally.eval_population(xs)
-        trace.append(tally.best_f)
-    return OptTrace(tally.best_x, tally.best_f, trace, tally.used)
+        tally.trace.append(tally.best_f)
+    return tally.result()
 
 
 def gbo(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
@@ -273,26 +265,17 @@ def gbo(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
     """Gradient-based optimizer: gradient search rule, whose step scale beta
     decays from 1.2 to 0.2, plus local escaping operator applied with
     probability 0.5."""
-    lb = np.asarray(lb, dtype=float)
-    ub = np.asarray(ub, dtype=float)
-    dim = lb.size
-    tally = _Budget(objective, budget)
-    n_pop = min(n_pop, budget)
-
-    x = _init_population(rng, n_pop, lb, ub)
-    f = tally.eval_population(x)
+    lb, ub, tally, x, f = _start(objective, lb, ub, budget, rng, n_pop)
+    n_pop, dim = x.shape
     best_i = int(np.argmin(f))
     worst_i = int(np.argmax(f))
     best_x = x[best_i].copy()
     best_f = float(f[best_i])
     worst_x = x[worst_i].copy()
     worst_f = float(f[worst_i])
-    trace = [tally.best_f]
 
     max_gen = max(1, budget // max(n_pop, 1))
-    it = 0
-    while tally.remaining() >= n_pop:
-        it += 1
+    for it in tally.generations(n_pop):
         beta = 0.2 + (1.2 - 0.2) * (1 - (it / max_gen) ** 3) ** 2
         alpha = abs(beta * math.sin(3 * math.pi / 2 + math.sin(3 * math.pi / 2 * beta)))
 
@@ -345,8 +328,7 @@ def gbo(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
             if f[i] > worst_f:
                 worst_f = float(f[i])
                 worst_x = x[i].copy()
-        trace.append(tally.best_f)
-    return OptTrace(tally.best_x, tally.best_f, trace, tally.used)
+    return tally.result()
 
 
 def _gradient_search_rule(rng, ro1, best_x, worst_x, xi, xr1, dm, eps, x_mean4):

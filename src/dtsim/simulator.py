@@ -122,8 +122,8 @@ class RunResult:
     """Sealed blocks, their assignment rows as a view, and every transaction's fate.
 
     A run mines its whole stream, so no transaction is left pending:
-    `pending_count` and `pending_fees` keep their 0 and 0.0 for `dtsim
-    simulate`'s summary and the benchmark, which read them."""
+    `pending_count` and `pending_fees` are always 0; they stay while perfbench
+    reads them, until ROADMAP item 12."""
 
     blocks: List[BlockRecord]
     assignments: Assignments

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dtsim import allocation
-from dtsim.allocation import (AllocationParams, block_incentive, erf, leaf_nodes,
-                              leaf_slots, log_slots, lognormal_cdf)
+from dtsim.allocation import (AllocationParams, block_incentive, erf, fee_logs, leaf_nodes,
+                              log_slots)
 from dtsim.ingest import MIN_POSITIVE_FEE
 
 # (x, erf(x)) pairs spanning the series branch, the continued-fraction
@@ -78,25 +78,21 @@ PARAMS_EXP17 = AllocationParams(scale=6.94, shape=1.00, max_trx_nodes=110)
 
 
 class TestLognormalCdf:
+    """The one CDF formula, `allocation._cdf`, of a fee's log."""
+
     def test_median_is_half(self):
         # erf(0) = 0 exactly at the distribution median, for any shape.
         for sigma in (0.1, 0.5, 1.0, 3.0):
             p = AllocationParams(scale=6.94, shape=sigma, max_trx_nodes=100)
-            assert lognormal_cdf(math.exp(6.94), p) == pytest.approx(0.5, abs=1e-13)
+            assert allocation._cdf(6.94, erf, p) == pytest.approx(0.5, abs=1e-13)
 
     def test_limit_toward_one(self):
-        assert lognormal_cdf(1e300, PARAMS_EXP17) == pytest.approx(1.0, abs=1e-15)
+        assert allocation._cdf(math.log(1e300), erf, PARAMS_EXP17) == pytest.approx(1.0, abs=1e-15)
 
     def test_oracle_point(self):
         # mpmath: 0.5 + 0.5*erf((ln 2000 - 6.94)/sqrt(2)) at dps=40
         expected = 0.745662565671609974769
-        assert abs(lognormal_cdf(2000.0, PARAMS_EXP17) - expected) / expected < 1e-12
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            lognormal_cdf(0.0, PARAMS_EXP17)
-        with pytest.raises(ValueError):
-            lognormal_cdf(-5.0, PARAMS_EXP17)
+        assert abs(allocation._cdf(math.log(2000.0), erf, PARAMS_EXP17) - expected) / expected < 1e-12
 
     def test_shape_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -123,8 +119,9 @@ class TestLeafNodes:
         assert leaf_nodes(5000.0, PARAMS_EXP17) == 104
 
     def test_rejects_nonpositive_fee(self):
-        with pytest.raises(ValueError):
-            leaf_nodes(0.0, PARAMS_EXP17)
+        for fee in (0.0, -5.0):
+            with pytest.raises(ValueError):
+                leaf_nodes(fee, PARAMS_EXP17)
 
     def test_monotone_in_fee_quantified(self):
         # Spec-level property: 1e4 random fee pairs per parameter set.
@@ -149,20 +146,21 @@ class TestLeafNodes:
         last = 1.0
         for scale in (5.0, 6.0, 6.94, 8.0, 9.5):
             p = AllocationParams(scale=scale, shape=1.0, max_trx_nodes=110)
-            value = lognormal_cdf(fee, p)
+            value = allocation._cdf(math.log(fee), erf, p)
             assert value <= last + 1e-15
             last = value
 
 
 class TestLeafSlots:
-    """The vectorized mapping must give exactly the scalar rule's counts."""
+    """A fee column's slots, `log_slots(fee_logs(fees))`, must be exactly the
+    scalar rule's counts."""
 
     def test_matches_leaf_nodes_on_the_400k_stream(self, big_stream):
         # The simulator clamps zero fees to the minimum positive fee.
         fees = [t.fee if t.fee > 0 else MIN_POSITIVE_FEE for t in big_stream]
         designated = AllocationParams(scale=6.72, shape=0.91, max_trx_nodes=93)
         for params in (PARAMS_EXP17, designated):
-            assert leaf_slots(fees, params).tolist() == [leaf_nodes(f, params) for f in fees]
+            assert log_slots(fee_logs(fees), params).tolist() == [leaf_nodes(f, params) for f in fees]
 
     # (fee, scale, shape) where F(fee) * cap is cap/2 up to float noise.
     # exp(6.94) round-trips, so F is exactly 1/2. ln(exp(0.03)) exceeds 0.03
@@ -179,16 +177,17 @@ class TestLeafSlots:
     def test_exact_ceil_boundary(self, fee, scale, shape, cap):
         p = AllocationParams(scale=scale, shape=shape, max_trx_nodes=cap)
         assert leaf_nodes(fee, p) == cap // 2
-        assert leaf_slots([fee], p).tolist() == [cap // 2]
+        assert log_slots(fee_logs([fee]), p).tolist() == [cap // 2]
 
     def test_floor_and_cap(self):
         fees = [MIN_POSITIVE_FEE, 1e-300, 2.0, 1e12, 1e300]
-        assert leaf_slots(fees, PARAMS_EXP17).tolist() == [1, 1, 1, 110, 110]
+        assert log_slots(fee_logs(fees), PARAMS_EXP17).tolist() == [1, 1, 1, 110, 110]
         assert [leaf_nodes(f, PARAMS_EXP17) for f in fees] == [1, 1, 1, 110, 110]
 
     def test_rejects_nonpositive_fee(self):
-        with pytest.raises(ValueError):
-            leaf_slots([1.0, 0.0], PARAMS_EXP17)
+        for fees in ([1.0, 0.0], [-5.0]):
+            with pytest.raises(ValueError, match="fee_logs requires every fee > 0"):
+                fee_logs(fees)
 
 
 LOG_MIN_FEE = math.log(MIN_POSITIVE_FEE)

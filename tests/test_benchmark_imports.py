@@ -9,8 +9,9 @@ bound to a dict literal, or an attribute whose name some call in the file
 passes as a keyword with a dict literal (`**w.stream` takes the keys of every
 `stream={...}`).
 
-The names alone do not guard what the benchmark does with a run's result, so
-one small run's assignment rows are used here the way perfbench uses them.
+The names alone do not guard what the benchmark does with a run's result or a
+search's, so one small run's assignment rows and one small search's result
+are used here the way perfbench uses them.
 """
 
 import ast
@@ -19,8 +20,9 @@ import inspect
 from itertools import groupby
 from pathlib import Path
 
-from dtsim.core import SimulationConfig, strategy_from_category
+from dtsim.core import SimulationConfig, category, strategy_from_category
 from dtsim.ingest import DatasetSpec, generate
+from dtsim.optimize import OptimizerConfig, SearchSpace, evaluate, run_optimizer
 from dtsim.simulator import run, write_assignments_csv
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -144,3 +146,21 @@ def test_a_run_result_serves_the_benchmark_uses_of_its_assignments(tmp_path):
     path = tmp_path / "assignments.csv"
     assert write_assignments_csv(assignments, path) == result.included_count
     assert path.read_text().count("\n") == result.included_count + 1
+
+
+def test_a_search_result_serves_the_benchmark_uses_of_it():
+    # run.py sizes its search with max_gen next to n_eval.
+    assert OptimizerConfig(n_pop=10, max_gen=10).budget == 100
+    cat, cfg = category(1), SimulationConfig()
+    stream = generate(DatasetSpec(count=2_000, rng_seed=2024))
+    space = SearchSpace(category=cat)
+    names = space.names
+    config = OptimizerConfig(algorithm="ga", n_pop=4, max_gen=2, n_eval=8, rng_seed=2024)
+    opt = run_optimizer("ga", space, lambda attrs: evaluate([attrs[n] for n in names], cat, stream, cfg),
+                        config)
+    # optimize_once and check_optimization: the trace and evaluation counts,
+    # and the best candidate re-evaluated and rebuilt as a strategy.
+    assert (len(opt.trace), opt.evaluations) == (2, 8)
+    again = evaluate([opt.best_attrs[n] for n in names], cat, stream, cfg)
+    assert again == opt.best_volatility == opt.trace[-1] < float("inf")
+    assert strategy_from_category(cat, **opt.best_attrs).small_fee_count == opt.best_attrs["a5"]

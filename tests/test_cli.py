@@ -49,7 +49,6 @@ a8 = 1.0
 [optimizer]
 algorithm = pso
 n_pop = 50
-max_gen = 100
 
 [irrational]
 rational_fraction = 1.0
@@ -259,6 +258,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == "config error: unknown config key 'de_f' in [optimizer]\n"
         assert not out.exists()
 
+    def test_removed_max_gen_is_a_usage_error_and_an_unknown_config_key(self, tmp_path, capsys):
+        # --budget is the one budget setting.
+        out = tmp_path / "o"
+        proc = run_cli(["optimize", "--max-gen", "5", "--count", "500", "--out", str(out)])
+        assert proc.returncode == 2 and "unrecognized arguments: --max-gen" in proc.stderr
+        config = tmp_path / "dtsim.ini"
+        config.write_text("[optimizer]\nmax_gen = 5\n")
+        assert main(["optimize", "--config", str(config), "--count", "500", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: unknown config key 'max_gen' in [optimizer]\n"
+        assert not out.exists()
+
 
 class TestVolatilityCommand:
     def test_constant_column_is_below_range(self, tmp_path):
@@ -384,6 +394,14 @@ class TestOptimizeCommand:
         assert (cell["algorithm"], cell["category"], cell["evaluations"]) == ("ga", 2, 24)
         assert 1 <= cell["simulations"] <= 24 - 2
 
+    def test_default_budget_is_100_populations(self, tmp_path):
+        out = tmp_path / "opt"
+        assert main(["optimize", "--category", "2", "--count", "1500", "--n-pop", "3",
+                     "--seed", "1", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["budget"] == 300
+        assert [cell["evaluations"] for cell in manifest["cells"]] == [300]
+
 
 class TestLibraryDefaults:
     """A command without flags or config runs the library's own defaults."""
@@ -460,6 +478,23 @@ class TestVrpCheckCommand:
         out = capsys.readouterr().out
         assert "violations (1):" in out
         assert f"block 0: (tx_count, occupied_nodes, incentive) is (" in out
+
+    # One transaction above the capacity, and two that fit only apart: the
+    # exhaustive oracle has no feasible packing of either.
+    @pytest.mark.parametrize("rows, block", [
+        ("1,0,1.0,2200\n", "0,1,2200,1.0,0\n"),
+        ("1,0,1.0,1500\n2,0,2.0,1500\n", "0,2,3000,3.0,0\n"),
+    ])
+    def test_overfull_block_is_a_violation_and_skips_the_oracle(self, tmp_path, capsys, rows, block):
+        (tmp_path / "assignments.csv").write_text("tx_id,block,fee,nodes\n" + rows)
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("height,tx_count,occupied_nodes,incentive,seal_time\n" + block)
+        assert main(["vrp-check", "--blocks", str(blocks)]) == 1
+        out, err = capsys.readouterr()
+        demand = block.split(",")[2]
+        assert f"violations (1):\n  block 0 demand {demand} exceeds capacity 2100\n" in out
+        assert out.endswith("oracle gap: skipped, the assignment violates a packing constraint\n")
+        assert err == ""
 
     @pytest.mark.parametrize("content", [None, b"garbage\n", b"\xff\xfe\x00\x01garbage"])
     def test_missing_or_unreadable_blocks_file_is_data_error(

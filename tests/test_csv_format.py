@@ -99,7 +99,6 @@ def test_simulate_summary_csv(tmp_path, capsys):
         b"included,6\n"
         b"evicted,0\n"
         b"rejected,0\n"
-        b"pending,0\n"
         b"unsealed,1\n"
         b"submitted_fees,1.2\n"
         b"block_fees,1.0\n"

@@ -15,9 +15,9 @@ from heapq import heappop, heappush
 import numpy as np
 import pytest
 
-from dtsim.allocation import AllocationParams, leaf_slots
+from dtsim.allocation import AllocationParams, log_slots
 from dtsim.core import BlockRecord, Priority, SimulationConfig, Stream, strategy_from_category
-from dtsim.ingest import MIN_POSITIVE_FEE, DatasetSpec, IrrationalMix, generate, inject_irrational
+from dtsim.ingest import DatasetSpec, IrrationalMix, generate, inject_irrational
 from dtsim.simulator import run
 
 from test_reference_model import observed
@@ -36,7 +36,7 @@ def heap_run(stream, strategy, cfg, force_seal):
     for r, p in enumerate(order):
         rank[p] = r
     params = AllocationParams(strategy.scale, strategy.shape, strategy.max_trx_nodes)
-    slots = leaf_slots(np.where(stream.fees > 0, stream.fees, MIN_POSITIVE_FEE), params).tolist()
+    slots = log_slots(stream.fee_logs, params).tolist()
     below = [fee < strategy.small_fee_threshold for fee in fees]
     reserve, capacity = strategy.small_fee_count, cfg.leaf_capacity
     warm = strategy.mempool_size
