@@ -3,11 +3,12 @@
 Maps a transaction's fee through the CDF of a log-normal distribution to a
 whole number of occupied leaf slots, so that expensive transactions consume
 more of a block's fixed capacity: a whole fee column in one pass
-(`log_slots` of its `fee_logs`, which a stream caches) or one fee at a time
-(`leaf_nodes`). The slot count is a step function of the fee's log with at
-most max_trx_nodes levels, so a column is mapped by finding the log at each
-step once and placing every log between them with `searchsorted`. Also
-provides the per-block incentive sum.
+(`log_slots` of its `fee_logs` and their ascending order, both of which a
+stream caches) or one fee at a time (`leaf_nodes`). The slot count is a step
+function of the fee's log with at most max_trx_nodes levels, so a column is
+mapped by finding the log at each step once, counting the sorted logs below
+each step with one `searchsorted` per level, and scattering the levels back
+through the order. Also provides the per-block incentive sum.
 """
 
 from __future__ import annotations
@@ -81,14 +82,17 @@ def fee_logs(fees) -> np.ndarray:
     return np.fromiter(map(math.log, fees), np.float64, len(fees))
 
 
-def log_slots(logs, params: AllocationParams) -> np.ndarray:
-    """`leaf_nodes` of each fee whose `fee_logs` are `logs`, as one int64 array.
+def log_slots(logs, order, params: AllocationParams) -> np.ndarray:
+    """`leaf_nodes` of each fee whose `fee_logs` are `logs`, as one int64 array;
+    `order` holds the positions of `logs` in ascending order (`np.argsort`).
 
     The float formula (`_slots`) is evaluated only near its steps, never once
     per log. Between the slot counts lo_s and hi_s of the column's smallest
     and largest log, the threshold of each level s is the smallest float log
     whose count exceeds s; a log's count is lo_s plus the number of thresholds
-    at or below it. Each threshold starts from the inverse CDF at
+    at or below it. So the sorted logs take each count in one run, which
+    starts where its threshold falls among them, and `order` scatters the
+    runs back to the positions. Each threshold starts from the inverse CDF at
     (s + slack) / max_trx_nodes and is bisected, all of them together, on
     order-preserving int64 keys of the floats within the column's [min, max],
     so in at most 64 rounds of one formula call each. That is exact because
@@ -99,7 +103,7 @@ def log_slots(logs, params: AllocationParams) -> np.ndarray:
     logs = np.asarray(logs, dtype=np.float64)
     if len(logs) == 0:
         return np.zeros(0, dtype=np.int64)
-    ends = np.array([logs.min(), logs.max()])
+    ends = logs[order[[0, -1]]]
     lo_s, hi_s = _slots(ends, params).tolist()
     s = np.arange(lo_s, hi_s)
     guess = np.fromiter(map(NormalDist(params.scale, params.shape).inv_cdf,
@@ -121,7 +125,11 @@ def log_slots(logs, params: AllocationParams) -> np.ndarray:
         up = _slots(_floats(mid), params) > s[open_]
         hi[open_] = np.where(up, mid, hi[open_])
         lo[open_] = np.where(up, lo[open_], mid)
-    return lo_s + np.searchsorted(_floats(hi), logs, side="right")
+    starts = np.searchsorted(logs[order], _floats(hi), side="left")
+    runs = np.diff(starts, prepend=0, append=len(logs))
+    slots = np.empty(len(logs), dtype=np.int64)
+    slots[order] = np.repeat(np.arange(lo_s, hi_s + 1), runs)
+    return slots
 
 
 def _slots(logs, params: AllocationParams) -> np.ndarray:

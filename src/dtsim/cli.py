@@ -265,6 +265,11 @@ def cmd_optimize(args, config, config_text) -> int:
     cfg = _sim_config(config)
     if args.jobs < 1:
         raise ConfigError("--jobs must be positive")
+    if args.grid:
+        # A config file's algorithm and category stay defaults; a flag would be ignored.
+        for flag, value in (("--algo", args.algorithm), ("--category", args.category)):
+            if value is not None:
+                raise ConfigError(f"--grid runs every algorithm and category; drop {flag}")
     base = OptimizerConfig(**config["optimizer"], n_eval=args.budget, rng_seed=seed)
     w, c1, c2 = PSO_COEFFICIENTS
 
@@ -489,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("optimize", parents=[runs], help="search strategy attributes")
     opt.add_argument("--algo", dest="algorithm", choices=ALGORITHMS)
-    opt.add_argument("--grid", action="store_true", help="run every algorithm x category cell")
+    opt.add_argument("--grid", action="store_true",
+                     help="run every algorithm x category cell (not with --algo or --category)")
     opt.add_argument("--budget", type=int, help="objective evaluations per cell (default n_pop x 100)")
     opt.add_argument("--n-pop", type=int, dest="n_pop")
     opt.add_argument("--jobs", type=int, default=1,

@@ -2,6 +2,7 @@
 
 Everything here is immutable after construction and safe to share across
 concurrent simulation runs; `Stream` alone decides what a valid stream is.
+A `Stream` fills its caches lazily, but only with values of its own columns.
 """
 
 from __future__ import annotations
@@ -55,6 +56,13 @@ class Stream(Sequence):
     and arrivals fit in 64 bits, and arrivals, amounts and fees are finite
     and non-negative. As a Sequence it yields `Transaction` views; a slice
     is a list of views, not a Stream.
+
+    What a run derives from the columns alone is computed on first use and
+    kept for the stream's life, read-only: `fee_logs` and their ascending
+    `fee_log_order` (8 B per transaction each) and, per priority used, the
+    rank/order pair of `ranks` (16 B per transaction). So every evaluation
+    of a search on one stream reuses one sort per order. A pickled Stream
+    is rebuilt through the constructor and carries no cache.
     """
 
     ids: np.ndarray
@@ -96,6 +104,37 @@ class Stream(Sequence):
         logs = fee_logs(np.where(self.fees > 0, self.fees, MIN_POSITIVE_FEE))
         logs.flags.writeable = False
         return logs
+
+    @cached_property
+    def fee_log_order(self) -> np.ndarray:
+        """Read-only positions in ascending `fee_logs` order (a stable argsort)."""
+        order = np.argsort(self.fee_logs, kind="stable")
+        order.flags.writeable = False
+        return order
+
+    def ranks(self, priority: Priority) -> tuple[np.ndarray, np.ndarray]:
+        """Every position's rank in `priority` order, and the positions in rank
+        order, as read-only int64 arrays, sorted on the first call per priority:
+          time-based  (arrival asc, fee desc, id asc)
+          fee-based   (fee desc, arrival asc, id asc)
+        The order is total, as a stream's ids are unique."""
+        cache = self.__dict__.setdefault("_ranks", {})
+        if priority in cache:
+            return cache[priority]
+        keys = ((self.ids, -self.fees, self.arrivals) if priority is Priority.TIME
+                else (self.ids, self.arrivals, -self.fees))
+        # Sort by the primary key, then lexsort only the positions tied on it:
+        # a stream comes in arrival order, so the time order costs about O(n).
+        order = np.argsort(keys[-1], kind="stable").astype(np.int64, copy=False)
+        same = np.flatnonzero(keys[-1][order[1:]] == keys[-1][order[:-1]])
+        at = np.union1d(same, same + 1)
+        tied = order[at]
+        order[at] = tied[np.lexsort(tuple(k[tied] for k in keys))]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        for column in (rank, order):
+            column.flags.writeable = False
+        return cache.setdefault(priority, (rank, order))
 
     @classmethod
     def of(cls, transactions: Iterable[Transaction]) -> "Stream":

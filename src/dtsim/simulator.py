@@ -11,10 +11,12 @@ warm-up that fills the mempool, which keeps the selection window at the
 configured pool depth for the whole stream; remaining transactions are
 drained through the miner after the last arrival.
 
-`run` reads the fee, arrival and id columns of one checked `core.Stream`,
-maps all fees to slot counts in one vectorized pass and ranks every position
-once in the pool's priority order; pool and miner then handle int positions,
-and a block is a contiguous slice of the pick sequence.
+`run` reads the fee, arrival and id columns of one checked `core.Stream`
+and maps all fees to slot counts in one vectorized pass, through the fee-log
+order the stream keeps. It takes every position's rank in the pool's
+priority order from the stream too, which sorts once per priority and keeps
+the pair for its later runs; pool and miner then handle int positions, and
+a block is a contiguous slice of the pick sequence.
 
 The pool holds a1 positions after warm-up and loses one to every pick, so
 it overflows exactly once, at position a1, before the first pick: the
@@ -28,12 +30,14 @@ With reserved small-fee slots (a5 > 0) a waiting small fee comes first
 while the block's quota is open, else the lowest pending rank, and the
 quota resets at every seal. While arrivals continue the pending ranks sit
 in two disjoint heaps, one for the fees below the small-fee threshold and
-one for the rest. Where the small-fee heap is empty and at least STRETCH
-arrivals pass before the next small fee, every pick of that stretch pops
-the other heap, so the stretch is one `heappushpop` chain on it; elsewhere
-the miner steps once per arrival. After the last arrival the pending ranks
-are fixed, and `_drain` takes each block's picks at once by bisection over
-the two sorted lists.
+one for the rest; both start as ascending lists of the warm-up pool's
+ranks, masked from the rank order, so they need no `heapify`. Where the
+small-fee heap is empty and at least STRETCH arrivals pass before the next
+small fee, every pick of that stretch pops the other heap, so the stretch
+is one `heappushpop` chain on it; elsewhere the miner steps once per
+arrival. After the last arrival the pending ranks are fixed, and `_drain`
+takes each block's picks at once by bisection over the two sorted lists,
+which are still sorted when no arrival came after the warm-up.
 
 Without them (categories 2 and 4, and 1 and 3 with a5 = 0) the run is
 computed from whole arrays, and exactly: each arrival after the overflow is
@@ -68,28 +72,6 @@ from . import verkle
 # The fewest arrivals a `heappushpop` chain takes in the reserved branch: a
 # chain's fixed numpy cost matches about a dozen single steps.
 STRETCH = 16
-
-
-def _ranks(stream: Stream, priority: Priority) -> Tuple[array, array]:
-    """Every position's rank in `priority` order, and the positions in rank
-    order, as array('q')s:
-      time-based  (arrival asc, fee desc, id asc)
-      fee-based   (fee desc, arrival asc, id asc)
-    The order is total, as a stream's ids are unique."""
-    fees = stream.fees
-    keys = ((stream.ids, -fees, stream.arrivals) if priority is Priority.TIME
-            else (stream.ids, stream.arrivals, -fees))
-    # Sort by the primary key, then lexsort only the positions tied on it:
-    # a stream comes in arrival order, so the time order costs about O(n).
-    order = np.argsort(keys[-1], kind="stable")
-    same = np.flatnonzero(keys[-1][order[1:]] == keys[-1][order[:-1]])
-    at = np.union1d(same, same + 1)
-    tied = order[at]
-    order[at] = tied[np.lexsort(tuple(k[tied] for k in keys))]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return (array("q", rank.astype(np.int64, copy=False).tobytes()),
-            array("q", order.astype(np.int64, copy=False).tobytes()))
 
 
 class Assignments:
@@ -171,7 +153,8 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
             at = int(negative[0])
             raise DataError(f"Verkle roots need non-negative transaction ids: transaction "
                             f"{stream.ids[at]} at position {at} is negative")
-    # The ranks and heaps live only inside _mine: freed before the records are built.
+    # The heaps live only inside _mine: freed before the records are built. The
+    # ranks stay with the stream, for its next run.
     stream, picks, sealed, slot_of, victim = _mine(stream, strategy, cfg)
     bounds = [0, *(end for end, _ in sealed)]
     if force_seal and len(picks) > bounds[-1]:
@@ -229,10 +212,13 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
         raise ValueError("invalid strategy: " + "; ".join(problems))
     stream = Stream.of(dataset)
     fees = stream.fees
-    # Slots come before the ranks, so the mapping's temporaries and the ranks never coexist.
+    # Slots come before the ranks, so on a stream's first run the mapping's
+    # temporaries are freed before its ranks are sorted; later runs reuse them.
     params = AllocationParams(strategy.scale, strategy.shape, strategy.max_trx_nodes)
-    slot_of = log_slots(stream.fee_logs, params)
-    rank, order = _ranks(stream, strategy.priority)
+    slot_of = log_slots(stream.fee_logs, stream.fee_log_order, params)
+    rank, order = stream.ranks(strategy.priority)
+    # The Python loops read single ranks and positions as ints through memoryviews.
+    rank_at, order_at = memoryview(rank), memoryview(order)
     reserve = strategy.small_fee_count if strategy.designated_space else 0
     capacity = cfg.leaf_capacity
     n_txs = len(stream)
@@ -251,18 +237,18 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
         # are the rank order, as always without an overflow; otherwise they
         # come from the pool after the overflow: the pick at the overflow,
         # one push-pop per later arrival, the drain.
-        picks = np.frombuffer(order, dtype=np.int64)
+        picks = order
         if victim is not None:
             picks = np.delete(picks, rank[victim])
         if not (picks <= np.arange(warm, warm + len(picks))).all():
             heap = rank[:warm + 1].tolist()
-            heap.remove(rank[victim])
+            heap.remove(rank_at[victim])
             heapify(heap)
             ranks = np.fromiter(chain(map(heappop, repeat(heap, 1)),
-                                      map(heappushpop, repeat(heap), rank[warm + 1:]),
+                                      map(heappushpop, repeat(heap), rank_at[warm + 1:]),
                                       map(heappop, repeat(heap, len(heap) - 1))),
                                 np.int64, count=n_txs - 1)
-            picks = np.frombuffer(order, dtype=np.int64)[ranks]
+            picks = order[ranks]
             del ranks, heap
         _next_fit(np.cumsum(slot_of[picks]), 0, capacity, 0, sealed)
     else:
@@ -283,16 +269,16 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
         stops = array("q", stops.tobytes())
         del after
         # Two disjoint heaps of the pending ranks, split by the small-fee
-        # threshold: the warm-up pool, less an evicted position. Every pick
-        # pops the heap it read, so together they hold at most a1 ranks.
-        pool = np.frombuffer(rank, dtype=np.int64)[:warm]
-        small, large = pool[is_small[:warm]].tolist(), pool[~is_small[:warm]].tolist()
-        del pool, is_small
+        # threshold: the warm-up pool, less an evicted position, taken in
+        # rank order, so each is an ascending list and a heap already. Every
+        # pick pops the heap it read, so together they hold at most a1 ranks.
+        pooled = order < warm
         if victim is not None and victim < warm:
-            (small if below[victim] else large).remove(rank[victim])
-        heapify(small)
-        heapify(large)
-        order_np, slots_np = (np.frombuffer(a, dtype=np.int64) for a in (order, slot_of))
+            pooled[rank[victim]] = False
+        small_at = is_small[order]
+        small, large = (np.flatnonzero(pooled & side).tolist() for side in (small_at, ~small_at))
+        del pooled, small_at, is_small
+        slots_np = np.frombuffer(slot_of, dtype=np.int64)
         picks, filled, small_used = array("q"), 0, 0
         pos = warm
         while pos < n_txs:
@@ -303,11 +289,11 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
                 if pos >= gate and not small:
                     break
                 if pos != victim:
-                    heappush(small if below[pos] else large, rank[pos])
+                    heappush(small if below[pos] else large, rank_at[pos])
                 if small and (small_used < reserve or not large or small[0] < large[0]):
-                    pick = order[heappop(small)]
+                    pick = order_at[heappop(small)]
                 else:
-                    pick = order[heappop(large)]
+                    pick = order_at[heappop(large)]
                 n = slot_of[pick]
                 if filled + n > capacity:
                     sealed.append((len(picks), filled))
@@ -322,8 +308,8 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
                 continue
             # No small fee waits or arrives before `stop`, so every pick up
             # to it pops the other heap, and the quota only resets at seals.
-            took = order_np[np.fromiter(map(heappushpop, repeat(large), rank[pos:stop]),
-                                        np.int64, stop - pos)]
+            took = order[np.fromiter(map(heappushpop, repeat(large), rank_at[pos:stop]),
+                                     np.int64, stop - pos)]
             cum = np.cumsum(slots_np[took])
             blocks = len(sealed)
             filled = int(cum[-1]) - _next_fit(cum, -filled, capacity, len(picks), sealed)
@@ -331,7 +317,7 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
                 small_used = 0
             picks.frombytes(took.tobytes())
             pos = stop
-        picks.frombytes(_drain(small, large, order, slot_of, reserve, capacity,
+        picks.frombytes(_drain(small, large, order, slots_np, reserve, capacity,
                                filled, small_used, len(picks), sealed).tobytes())
         picks, slot_of = (np.frombuffer(a, dtype=np.int64) for a in (picks, slot_of))
     return stream, picks, sealed, slot_of, victim
@@ -349,8 +335,8 @@ def _next_fit(cum: np.ndarray, base: int, capacity: int, done: int, sealed: list
     return base
 
 
-def _drain(S: List[int], L: List[int], order: array, slot_of: array, reserve: int, capacity: int,
-           filled: int, small_used: int, done: int, sealed: list) -> np.ndarray:
+def _drain(S: List[int], L: List[int], order: np.ndarray, slots: np.ndarray, reserve: int,
+           capacity: int, filled: int, small_used: int, done: int, sealed: list) -> np.ndarray:
     """The reserved miner after the last arrival, `done` picks in, with the
     open block's `filled` slots and `small_used` quota: appends its seals to
     `sealed` and returns its picks.
@@ -367,9 +353,8 @@ def _drain(S: List[int], L: List[int], order: array, slot_of: array, reserve: in
     pending rank, so its picks are S and L sorted by (step, rank)."""
     S.sort()
     L.sort()
-    order_np, slots = (np.frombuffer(a, dtype=np.int64) for a in (order, slot_of))
     taken = [np.array(ranks, dtype=np.int64) for ranks in (S, L)]
-    PS, PL = (np.concatenate(([0], np.cumsum(slots[order_np[ranks]]))).tolist() for ranks in taken)
+    PS, PL = (np.concatenate(([0], np.cumsum(slots[order[ranks]]))).tolist() for ranks in taken)
     n_small, n_large = len(S), len(L)
     i, j, ends = 0, 0, array("q")
     while i < n_small or j < n_large:
@@ -407,7 +392,7 @@ def _drain(S: List[int], L: List[int], order: array, slot_of: array, reserve: in
     took = np.diff(np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), axis=0, prepend=0)
     step = np.repeat(np.tile(np.arange(len(took)), 2), took.T.ravel())
     ranks = np.concatenate(taken)
-    return order_np[ranks[np.lexsort((ranks, step))]]
+    return order[ranks[np.lexsort((ranks, step))]]
 
 
 def fixed_block_baseline(dataset: Iterable[Transaction], txs_per_block: int = 2100) -> List[BlockRecord]:

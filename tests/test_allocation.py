@@ -77,6 +77,12 @@ def test_erf_is_nondecreasing_across_float_neighbours():
 PARAMS_EXP17 = AllocationParams(scale=6.94, shape=1.00, max_trx_nodes=110)
 
 
+def column_slots(logs, params):
+    """`log_slots` of `logs` through their stable ascending order, as a Stream keeps it."""
+    logs = np.asarray(logs, dtype=np.float64)
+    return log_slots(logs, np.argsort(logs, kind="stable"), params)
+
+
 class TestLognormalCdf:
     """The one CDF formula, `allocation._cdf`, of a fee's log."""
 
@@ -152,7 +158,7 @@ class TestLeafNodes:
 
 
 class TestLeafSlots:
-    """A fee column's slots, `log_slots(fee_logs(fees))`, must be exactly the
+    """A fee column's slots, `log_slots` of its `fee_logs`, must be exactly the
     scalar rule's counts."""
 
     def test_matches_leaf_nodes_on_the_400k_stream(self, big_stream):
@@ -160,7 +166,8 @@ class TestLeafSlots:
         fees = [t.fee if t.fee > 0 else MIN_POSITIVE_FEE for t in big_stream]
         designated = AllocationParams(scale=6.72, shape=0.91, max_trx_nodes=93)
         for params in (PARAMS_EXP17, designated):
-            assert log_slots(fee_logs(fees), params).tolist() == [leaf_nodes(f, params) for f in fees]
+            assert (column_slots(fee_logs(fees), params).tolist()
+                    == [leaf_nodes(f, params) for f in fees])
 
     # (fee, scale, shape) where F(fee) * cap is cap/2 up to float noise.
     # exp(6.94) round-trips, so F is exactly 1/2. ln(exp(0.03)) exceeds 0.03
@@ -177,11 +184,11 @@ class TestLeafSlots:
     def test_exact_ceil_boundary(self, fee, scale, shape, cap):
         p = AllocationParams(scale=scale, shape=shape, max_trx_nodes=cap)
         assert leaf_nodes(fee, p) == cap // 2
-        assert log_slots(fee_logs([fee]), p).tolist() == [cap // 2]
+        assert column_slots(fee_logs([fee]), p).tolist() == [cap // 2]
 
     def test_floor_and_cap(self):
         fees = [MIN_POSITIVE_FEE, 1e-300, 2.0, 1e12, 1e300]
-        assert log_slots(fee_logs(fees), PARAMS_EXP17).tolist() == [1, 1, 1, 110, 110]
+        assert column_slots(fee_logs(fees), PARAMS_EXP17).tolist() == [1, 1, 1, 110, 110]
         assert [leaf_nodes(f, PARAMS_EXP17) for f in fees] == [1, 1, 1, 110, 110]
 
     def test_rejects_nonpositive_fee(self):
@@ -255,9 +262,13 @@ class TestLogSlots:
     @given(slot_cases())
     def test_matches_the_scalar_rule(self, case):
         params, logs = case
-        got = log_slots(np.array(logs, dtype=np.float64), params)
+        got = column_slots(logs, params)
         assert got.dtype == np.int64
         assert got.tolist() == [scalar_slots(x, params) for x in logs]
+        # Any ascending order will do: here tied logs come last position first.
+        logs = np.array(logs, dtype=np.float64)
+        order = np.lexsort((-np.arange(len(logs)), logs))
+        assert log_slots(logs, order, params).tolist() == got.tolist()
 
     @pytest.mark.parametrize("params", [
         PARAMS_EXP17,
@@ -268,7 +279,7 @@ class TestLogSlots:
     def test_every_threshold_and_the_float_below_it(self, params):
         logs = [x for s in range(1, params.max_trx_nodes) for x in at_threshold(s, params)]
         logs = np.random.default_rng(5).permutation([LOG_MIN_FEE, LOG_MAX_FEE, *logs])
-        assert log_slots(logs, params).tolist() == [scalar_slots(x, params) for x in logs]
+        assert column_slots(logs, params).tolist() == [scalar_slots(x, params) for x in logs]
 
     # The first bracket's width sets only the cost. A negative one puts every
     # probe on the wrong side, so each threshold is bisected from a column
@@ -279,7 +290,7 @@ class TestLogSlots:
         for params in (PARAMS_EXP17, AllocationParams(scale=1.0, shape=0.97, max_trx_nodes=2053)):
             logs = [x for s in range(1, params.max_trx_nodes, 7) for x in at_threshold(s, params)]
             logs = [LOG_MIN_FEE, LOG_MAX_FEE, *logs]
-            assert log_slots(logs, params).tolist() == [scalar_slots(x, params) for x in logs]
+            assert column_slots(logs, params).tolist() == [scalar_slots(x, params) for x in logs]
 
     def test_evaluates_the_formula_only_near_its_steps(self, big_stream, monkeypatch):
         # A count of work, not a time: at most 2 bracket probes and 64
@@ -287,7 +298,7 @@ class TestLogSlots:
         # erf per fee would be 400,000 calls.
         calls = []
         monkeypatch.setattr(allocation, "erf", lambda z: calls.append(z) or math.erf(z))
-        slots = log_slots(big_stream.fee_logs, PARAMS_EXP17)
+        slots = log_slots(big_stream.fee_logs, big_stream.fee_log_order, PARAMS_EXP17)
         thresholds = int(slots.max() - slots.min())
         assert 0 < len(calls) <= 66 * thresholds + 2
 

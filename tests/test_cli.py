@@ -181,6 +181,15 @@ class TestExitCodes:
                      "--jobs", "0", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--algo", "de"), ("--category", "3")])
+    def test_grid_rejects_the_cell_flags_it_would_ignore(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        assert main(["optimize", "--grid", flag, value, "--count", "1500", "--budget", "2",
+                     "--n-pop", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --grid runs every algorithm and category; drop {flag}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("args", [["proofsize", "--k", "3", "--scenarios", "100"],
                                       ["simulate", "--count", "500"]])
     def test_unwritable_output_is_one_line_error(self, tmp_path, args):
@@ -393,6 +402,15 @@ class TestOptimizeCommand:
         (cell,) = json.loads((out / "manifest.json").read_text())["cells"]
         assert (cell["algorithm"], cell["category"], cell["evaluations"]) == ("ga", 2, 24)
         assert 1 <= cell["simulations"] <= 24 - 2
+
+    def test_grid_keeps_a_config_files_algorithm_and_category_as_defaults(self, tmp_path):
+        config = tmp_path / "dtsim.ini"
+        config.write_text("[optimizer]\nalgorithm = de\n[strategy]\ncategory = 3\n")
+        out = tmp_path / "o"
+        assert main(["optimize", "--grid", "--config", str(config), "--count", "1500",
+                     "--budget", "2", "--n-pop", "2", "--out", str(out)]) == 0
+        cells = json.loads((out / "manifest.json").read_text())["cells"]
+        assert len(cells) == 20 and {c["category"] for c in cells} == {1, 2, 3, 4}
 
     def test_default_budget_is_100_populations(self, tmp_path):
         out = tmp_path / "opt"

@@ -263,6 +263,88 @@ class TestStream:
         assert run(stream, strategy, cfg) == run(list(stream), strategy, cfg)
 
 
+def tied_stream(n=3000, seed=9):
+    """About ten arrivals per millisecond, six fee levels including zero, ids shuffled."""
+    rng = np.random.default_rng(seed)
+    return Stream(rng.permutation(n) + 7, np.sort(rng.integers(0, n // 10, n)),
+                  rng.uniform(1.0, 100.0, n), rng.choice([0.0, 0.05, 1.0, 2.0, 40.0, 1e3], n))
+
+
+class TestStreamCaches:
+    """The rank/order pairs and the fee-log order a Stream sorts once and keeps."""
+
+    def test_ranks_are_a_full_lexsort_of_each_prioritys_keys(self):
+        stream = tied_stream()
+        ids, arrivals, fees = stream.ids, stream.arrivals, stream.fees
+        for priority, keys in ((Priority.TIME, (ids, -fees, arrivals)),
+                               (Priority.FEE, (ids, arrivals, -fees))):
+            rank, order = stream.ranks(priority)
+            assert rank.dtype == order.dtype == np.int64
+            assert order.tolist() == np.lexsort(keys).tolist()
+            assert rank[order].tolist() == list(range(len(stream)))
+            assert stream.ranks(priority)[0] is rank and stream.ranks(priority)[1] is order
+
+    def test_fee_log_order_maps_slots_like_the_per_fee_rule(self):
+        from dtsim.allocation import AllocationParams, leaf_nodes, log_slots
+
+        stream = tied_stream()
+        logs, order = stream.fee_logs, stream.fee_log_order
+        assert order.tolist() == np.lexsort((np.arange(len(stream)), logs)).tolist()
+        assert stream.fee_log_order is order
+        clamped = [f if f > 0 else MIN_POSITIVE_FEE for f in stream.fees.tolist()]
+        for params in (AllocationParams(6.94, 1.0, 110), AllocationParams(0.5, 0.3, 800)):
+            assert log_slots(logs, order, params).tolist() == [leaf_nodes(f, params)
+                                                               for f in clamped]
+
+    @pytest.mark.parametrize("stream", [tied_stream(),
+                                        generate(DatasetSpec(count=5000, rng_seed=4))],
+                             ids=["tied", "generated"])
+    def test_alternating_priorities_score_as_on_a_fresh_stream(self, stream):
+        from dtsim.optimize import SearchSpace, evaluate
+        from dtsim.simulator import run
+
+        cfg = SimulationConfig(leaf_capacity=600)
+        # Time and fee priority in turn; the a1 = 8000 candidates only drain.
+        candidates = [(1, [400, 1.5, 5, 110, 6.94, 1.0]), (3, [400, 1.5, 5, 110, 6.94, 1.0]),
+                      (2, [900, 60, 3.5, 0.8]), (4, [900, 60, 3.5, 0.8]),
+                      (3, [8000, 2.0, 40, 300, 4.0, 0.5]), (1, [8000, 2.0, 40, 300, 4.0, 0.5]),
+                      (4, [50, 110, 6.94, 1.0]), (1, [1200, 1.0, 0, 110, 6.94, 1.0])]
+        for cat_id, vec in candidates:
+            fresh = Stream(stream.ids, stream.arrivals, stream.amounts, stream.fees)
+            assert evaluate(vec, category(cat_id), stream, cfg) == evaluate(
+                vec, category(cat_id), fresh, cfg)
+            attrs = SearchSpace(category(cat_id)).decode(vec)
+            strategy = strategy_from_category(cat_id, **attrs)
+            assert run(stream, strategy, cfg) == run(fresh, strategy, cfg)
+        assert set(stream.__dict__["_ranks"]) == {Priority.TIME, Priority.FEE}
+
+    def test_cached_arrays_are_read_only(self):
+        stream = tied_stream()
+        for column in (stream.fee_log_order, *stream.ranks(Priority.TIME),
+                       *stream.ranks(Priority.FEE)):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_a_pickled_stream_carries_no_cache(self):
+        stream = tied_stream()
+        stream.ranks(Priority.FEE), stream.fee_log_order
+        again = pickle.loads(pickle.dumps(stream))
+        assert {"_ranks", "fee_logs", "fee_log_order"} <= stream.__dict__.keys()
+        assert not {"_ranks", "fee_logs", "fee_log_order"} & again.__dict__.keys()
+        assert again.ranks(Priority.FEE)[1].tolist() == stream.ranks(Priority.FEE)[1].tolist()
+
+    def test_caches_do_not_outlive_their_stream(self):
+        stream = tied_stream()
+        cached = [weakref.ref(column) for column in (stream.fee_log_order,
+                                                     *stream.ranks(Priority.TIME),
+                                                     *stream.ranks(Priority.FEE))]
+        assert all(ref() is not None for ref in cached)
+        del stream
+        gc.collect()
+        assert all(ref() is None for ref in cached)
+
+
 def test_simulation_config_bounds():
     with pytest.raises(ValueError):
         SimulationConfig(verkle_branching_factor=1)

@@ -36,7 +36,7 @@ def heap_run(stream, strategy, cfg, force_seal):
     for r, p in enumerate(order):
         rank[p] = r
     params = AllocationParams(strategy.scale, strategy.shape, strategy.max_trx_nodes)
-    slots = log_slots(stream.fee_logs, params).tolist()
+    slots = log_slots(stream.fee_logs, stream.fee_log_order, params).tolist()
     below = [fee < strategy.small_fee_threshold for fee in fees]
     reserve, capacity = strategy.small_fee_count, cfg.leaf_capacity
     warm = strategy.mempool_size
