@@ -222,6 +222,16 @@ def cmd_simulate(args, config, config_text) -> int:
     result = run(stream, strategy, cfg, force_seal=args.force_seal,
                  build_trees=args.verkle_roots)
 
+    # The summary comes first, so the volatility's DataError precedes every output.
+    summary = {"blocks_sealed": len(result.blocks), "submitted": result.submitted_count,
+               "included": result.included_count, "evicted": result.evicted_count,
+               "rejected": result.rejected_count, "unsealed": result.unsealed_count,
+               "submitted_fees": result.submitted_fees, "block_fees": math.fsum(result.incentives)}
+    if len(result.blocks) >= MIN_INCENTIVES:
+        vol = series_volatility(result.incentives)
+        summary["volatility"] = vol
+        summary["benchmark"] = benchmark_check(vol)
+
     out = _out_dir(args)
     outputs = [out / "blocks.csv"]
     write_blocks_csv(result.blocks, outputs[-1])
@@ -232,21 +242,6 @@ def cmd_simulate(args, config, config_text) -> int:
         outputs.append(out / "roots.csv")
         write_csv_rows(outputs[-1], ("height", "verkle_root"),
                        ((b.height, b.verkle_root.hex()) for b in result.blocks))
-
-    summary = {
-        "blocks_sealed": len(result.blocks),
-        "submitted": result.submitted_count,
-        "included": result.included_count,
-        "evicted": result.evicted_count,
-        "rejected": result.rejected_count,
-        "unsealed": result.unsealed_count,
-        "submitted_fees": result.submitted_fees,
-        "block_fees": math.fsum(result.incentives),
-    }
-    if len(result.blocks) >= MIN_INCENTIVES:
-        vol = series_volatility(result.incentives)
-        summary["volatility"] = vol
-        summary["benchmark"] = benchmark_check(vol)
     outputs.append(out / "summary.csv")
     write_csv_rows(outputs[-1], ("key", "value"), summary.items())
 

@@ -12,7 +12,7 @@ import enum
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import groupby, islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -362,26 +362,32 @@ def read_csv_columns(path, kinds: dict, optional: Sequence[str] = ()) -> list[li
 CSV_CHUNK_ROWS = 4096
 
 
-def write_csv_rows(path, header: Sequence, rows: Iterable[Sequence]) -> int:
-    """Stream `rows` under `header` into a CSV file; returns the row count.
+def write_csv_chunks(path, header: Sequence, chunks: Iterable[Sequence]) -> int:
+    """Stream `chunks` under `header` into a CSV file; returns the row count.
 
     The one output format of the package: utf-8, LF line ends, and values
-    written by the csv module, so a float appears as its shortest
-    round-trip form (str equals repr for Python floats) and a bool as
-    True/False. Rows are taken in chunks; a chunk of tuples of the header's
-    width that hold only exact ints and floats is joined with `%s`, which
-    gives the same text, and any other chunk goes through `csv.writer`.
-    """
-    line = ",".join(["%s"] * len(header)) + "\n"
-    rows, count = iter(rows), 0
+    written by the csv module, so a float appears as its shortest round-trip
+    form (str equals repr for Python floats) and a bool as True/False. A chunk
+    is a sequence of equal-length columns; one of int64 or float64 numpy arrays
+    only is joined with `%s` from one `tolist` per column, which gives the same
+    text, and any other goes through `csv.writer`."""
+    count = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
-            count += len(chunk)
-            if (set(map(type, chunk)) == {tuple} and set(map(len, chunk)) == {len(header)}
-                    and set(map(type, chain.from_iterable(chunk))) <= {int, float}):
-                fh.write("".join(map(line.__mod__, chunk)))
+        for columns in chunks:
+            count += len(columns[0])
+            if all(getattr(column, "dtype", None) in (np.int64, np.float64) for column in columns):
+                line = ",".join(["%s"] * len(columns)) + "\n"
+                fh.write("".join(map(line.__mod__, zip(*(c.tolist() for c in columns)))))
             else:
-                writer.writerows(chunk)
+                writer.writerows(zip(*columns))
     return count
+
+
+def write_csv_rows(path, header: Sequence, rows: Iterable[Sequence]) -> int:
+    """`write_csv_chunks` for the small row tables, in one chunk per run of rows of one width
+    among CSV_CHUNK_ROWS: a row of at least one value reads as `csv.writer` writes it."""
+    rows = iter(rows)
+    return write_csv_chunks(path, header, (tuple(zip(*run)) for batch in iter(
+        lambda: list(islice(rows, CSV_CHUNK_ROWS)), []) for _, run in groupby(batch, len)))

@@ -17,8 +17,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import (MIN_POSITIVE_FEE, DataError, SchemaError, Stream, Transaction,
-                   read_csv_columns, write_csv_rows)
+from .core import (CSV_CHUNK_ROWS, MIN_POSITIVE_FEE, DataError, SchemaError, Stream,
+                   Transaction, read_csv_columns, write_csv_chunks)
 
 DEFAULT_COMMISSION_RATIO = 0.002
 # Median amount chosen so the default commission ratio puts the median fee
@@ -154,7 +154,8 @@ def load_csv(path, commission_ratio: float = DEFAULT_COMMISSION_RATIO) -> Stream
 
 
 def write_csv(stream: Iterable[Transaction], path) -> int:
-    """Write a stream as CSV (id, amount, arrival_time_ms, fee); returns rows."""
+    """Write a stream's column slices as CSV (id, amount, arrival_time_ms, fee); returns rows."""
     s = Stream.of(stream)
-    return write_csv_rows(path, ("id", "amount", "arrival_time_ms", "fee"),
-                          zip(*(col.tolist() for col in (s.ids, s.amounts, s.arrivals, s.fees))))
+    return write_csv_chunks(path, ("id", "amount", "arrival_time_ms", "fee"), (
+        tuple(col[at:at + CSV_CHUNK_ROWS] for col in (s.ids, s.amounts, s.arrivals, s.fees))
+        for at in range(0, len(s), CSV_CHUNK_ROWS)))

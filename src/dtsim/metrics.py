@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
+from .core import DataError
+
 # Yearly historical volatility of average daily block incentives, as
 # published; the bolded 2019 minimum and 2012 maximum bound the reference
 # range. (The published table lists these nine years.)
@@ -37,14 +39,14 @@ MIN_INCENTIVES = 3
 def log_returns(incentives: Sequence[float]) -> tuple:
     """R_n = ln(I_n / I_{n-1}) over consecutive incentives.
 
-    Requires at least two strictly positive values.
+    Requires two values or more; one not > 0 is a DataError naming its block, its index.
     """
     values = list(incentives)
     if len(values) < 2:
         raise ValueError("need at least two incentives to form returns")
     for i, v in enumerate(values):
         if v <= 0:
-            raise ValueError(f"incentive at index {i} is {v}; returns need positive values")
+            raise DataError(f"block {i} has incentive {v}; log returns need incentives > 0")
     return tuple(math.log(values[i] / values[i - 1]) for i in range(1, len(values)))
 
 

@@ -48,7 +48,7 @@ order, and the picks are the rank order less the overflow's victim.
 
 Both branches mine the whole stream; `run` alone goes on to `force_seal`,
 block records and fates. It stores no assignment row: `Assignments` derives
-the rows from the picks, the block bounds and the slot counts when iterated.
+the rows' columns a chunk at a time from the picks, bounds and slot counts.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .allocation import AllocationParams, block_incentive, log_slots
-from .core import (BlockRecord, DataError, DtsStrategy, Priority, SimulationConfig,  # noqa: F401
-                   Stream, Transaction, validate_strategy, write_csv_rows)
+from .core import (CSV_CHUNK_ROWS, BlockRecord, DataError, DtsStrategy, SimulationConfig,
+                   Stream, Transaction, validate_strategy, write_csv_chunks, write_csv_rows)
 from . import verkle
 
 
@@ -76,8 +76,8 @@ STRETCH = 16
 
 class Assignments:
     """A run's (tx_id, block, fee, nodes) rows in block order, each block's in
-    pick order: a sized, re-iterable view that derives them a run of blocks
-    at a time through `_blocks` and holds no row. Its arrays are read-only."""
+    pick order: a sized view that holds no row. Iteration yields the rows of
+    `chunks`, the one derivation of their columns. Its arrays are read-only."""
 
     def __init__(self, stream: Stream, picks: np.ndarray, bounds: Sequence[int],
                  slot_of: np.ndarray):
@@ -87,11 +87,16 @@ class Assignments:
     def __len__(self) -> int:
         return self.bounds[-1]
 
+    def chunks(self) -> Iterator[Tuple[np.ndarray, ...]]:
+        """The rows' int64 columns, fee float64, per slice of at most CSV_CHUNK_ROWS picks."""
+        bounds = np.array(self.bounds, dtype=np.int64)
+        for begin in range(0, len(self), CSV_CHUNK_ROWS):
+            at = self.picks[begin:min(begin + CSV_CHUNK_ROWS, len(self))]
+            heights = bounds.searchsorted(np.arange(begin, begin + len(at)), side="right") - 1
+            yield self.stream.ids[at], heights, self.stream.fees[at], self.slot_of[at]
+
     def __iter__(self) -> Iterator[Tuple[int, int, float, int]]:
-        columns = (self.stream.ids, self.stream.fees, self.slot_of)
-        for height, (ids, fees, slots) in enumerate(zip(
-                *(_blocks(column, self.picks, self.bounds) for column in columns))):
-            yield from zip(ids, repeat(height), fees, slots)
+        return chain.from_iterable(zip(*(c.tolist() for c in cols)) for cols in self.chunks())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Assignments):
@@ -418,6 +423,6 @@ def write_blocks_csv(blocks: Sequence[BlockRecord], path) -> int:
                            for b in blocks))
 
 
-def write_assignments_csv(assignments, path) -> int:
-    """Write tx-to-block assignments CSV (tx_id, block, fee, nodes)."""
-    return write_csv_rows(path, ("tx_id", "block", "fee", "nodes"), assignments)
+def write_assignments_csv(assignments: Assignments, path) -> int:
+    """Write tx-to-block assignments CSV (tx_id, block, fee, nodes) from column chunks."""
+    return write_csv_chunks(path, ("tx_id", "block", "fee", "nodes"), assignments.chunks())

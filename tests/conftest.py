@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from dtsim.core import SimulationConfig, strategy_from_category
+from dtsim.core import SimulationConfig, Stream, strategy_from_category
 from dtsim.ingest import DatasetSpec, generate
 
 ACCEPTANCE_SEED = 2024
@@ -21,3 +22,12 @@ def reference_strategy():
 @pytest.fixture(scope="session")
 def default_cfg():
     return SimulationConfig(rng_seed=ACCEPTANCE_SEED)
+
+
+@pytest.fixture(scope="session")
+def zero_incentive_stream():
+    """12k transactions whose fees are 0.0 at positions 3000-7999: under the
+    reference strategy with a1 = 50, block 2 holds only zero fees."""
+    at = np.arange(12_000)
+    fees = np.where((at >= 3000) & (at < 8000), 0.0, 0.2)
+    return Stream(at, at * 300, fees * 500, fees)

@@ -9,7 +9,7 @@ import pytest
 
 from dtsim.cli import main
 from dtsim.core import REFERENCE_STRATEGY, SimulationConfig, category, strategy_from_category
-from dtsim.ingest import DatasetSpec, generate
+from dtsim.ingest import DatasetSpec, generate, write_csv
 from dtsim.optimize import (OptimizerConfig, SearchSpace, evaluate, grid_rows, run_optimizer,
                             write_grid_csv)
 from dtsim.simulator import run, write_blocks_csv
@@ -234,6 +234,17 @@ class TestExitCodes:
             "transaction -6 at position 1 is negative\n")
         assert not (tmp_path / "o").exists()
         assert main(args) == 0
+
+    def test_zero_incentive_block_is_data_error_before_any_output(
+            self, tmp_path, capsys, zero_incentive_stream):
+        path = tmp_path / "stream.csv"
+        write_csv(zero_incentive_stream, path)
+        assert main(["simulate", "--dataset", str(path), "--category", "2", "--a1", "50",
+                     "--out", str(tmp_path / "o")]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("data error: block 2 has incentive 0.0")
+        assert [p.name for p in tmp_path.iterdir()] == ["stream.csv"]
 
     def test_nonpositive_incentive_is_data_error(self, tmp_path):
         path = tmp_path / "series.csv"

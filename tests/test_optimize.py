@@ -221,6 +221,10 @@ class TestEvaluate:
         with pytest.raises(DataError, match="ordered by arrival_time"):
             evaluate([2000, 110, 6.94, 1.0], category(2), reversed_stream, SimulationConfig())
 
+    def test_zero_incentive_block_is_a_data_error(self, zero_incentive_stream):
+        with pytest.raises(DataError, match="block 2 has incentive 0.0"):
+            evaluate([50, 110, 6.94, 1.0], category(2), zero_incentive_stream, SimulationConfig())
+
 
 class TestExperimentGrid:
     def test_empty_dataset_rejected_before_running(self):

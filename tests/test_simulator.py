@@ -15,6 +15,7 @@ from dtsim.ingest import DatasetSpec, generate
 from dtsim.metrics import MIN_INCENTIVES, series_volatility
 from dtsim.optimize import evaluate_attrs
 from dtsim.simulator import (
+    Assignments,
     DataError,
     fixed_block_baseline,
     incentives,
@@ -505,7 +506,10 @@ def _check_pinned(r, k, pin, tmp_path):
     blocks = r.blocks if k is None else r.blocks[:k]
     included = sum(len(b.tx_ids) for b in blocks)
     write_blocks_csv(blocks, tmp_path / "blocks.csv")
-    write_assignments_csv(list(r.assignments)[:included], tmp_path / "assignments.csv")
+    view = r.assignments if k is None else Assignments(
+        r.assignments.stream, r.assignments.picks, r.assignments.bounds[:k + 1],
+        r.assignments.slot_of)
+    write_assignments_csv(view, tmp_path / "assignments.csv")
 
     def digest(data):
         return hashlib.sha256(data).hexdigest()[:16]
