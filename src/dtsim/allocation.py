@@ -6,9 +6,9 @@ more of a block's fixed capacity: a whole fee column in one pass
 (`log_slots` of its `fee_logs` and their ascending order, both of which a
 stream caches) or one fee at a time (`leaf_nodes`). The slot count is a step
 function of the fee's log with at most max_trx_nodes levels, so a column is
-mapped by finding the log at each step once, counting the sorted logs below
-each step with one `searchsorted` per level, and scattering the levels back
-through the order. Also provides the per-block incentive sum.
+mapped by bisecting, for all levels at once, where each level starts among
+the sorted logs, and scattering the levels back through the order. Also
+provides the per-block incentive sum.
 """
 
 from __future__ import annotations
@@ -16,19 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import erf
-from statistics import NormalDist
 
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 _CEIL_SLACK = 1e-9
-# Half-width of the first bracket around a threshold's inverse-CDF estimate:
-# the estimate and the float formula's step differ by under 2e-12 in units of
-# shape (most by under 1e-13), plus a few ulps of rounding in the log itself.
-# A step outside the bracket costs more bisection rounds, never a wrong count.
-_BRACKET_SHAPES = 1e-13
-_BRACKET_ULPS = 1e-15
-_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 
 
 @dataclass(frozen=True)
@@ -72,14 +64,16 @@ def leaf_nodes(fee: float, params: AllocationParams) -> int:
 
 
 def fee_logs(fees) -> np.ndarray:
-    """`math.log` of every fee (all > 0), one at a time, as a float64 array. Not
-    `np.log`: its loop does not always round like `math.log` (70 of the seed-2024
-    400k fees differ in the last bit), and one ulp of ln(fee) moves the slots of
-    a fee whose F * max_trx_nodes sits on a ceil boundary."""
+    """`math.log` of every fee (all > 0), one at a time, as a float64 array. A
+    `memoryview` yields the fees as Python floats, with no `np.float64` boxing
+    and no list of them all. Not `np.log`: its loop does not always round like
+    `math.log` (70 of the seed-2024 400k fees differ in the last bit), and one ulp
+    of ln(fee) moves the slots of a fee whose F * max_trx_nodes sits on a ceil
+    boundary."""
     fees = np.asarray(fees, dtype=np.float64)
     if not (fees > 0).all():
         raise ValueError("fee_logs requires every fee > 0")
-    return np.fromiter(map(math.log, fees), np.float64, len(fees))
+    return np.fromiter(map(math.log, memoryview(fees)), np.float64, len(fees))
 
 
 def log_slots(logs, order, params: AllocationParams) -> np.ndarray:
@@ -87,48 +81,30 @@ def log_slots(logs, order, params: AllocationParams) -> np.ndarray:
     `order` holds the positions of `logs` in ascending order (`np.argsort`).
 
     The float formula (`_slots`) is evaluated only near its steps, never once
-    per log. Between the slot counts lo_s and hi_s of the column's smallest
-    and largest log, the threshold of each level s is the smallest float log
-    whose count exceeds s; a log's count is lo_s plus the number of thresholds
-    at or below it. So the sorted logs take each count in one run, which
-    starts where its threshold falls among them, and `order` scatters the
-    runs back to the positions. Each threshold starts from the inverse CDF at
-    (s + slack) / max_trx_nodes and is bisected, all of them together, on
-    order-preserving int64 keys of the floats within the column's [min, max],
-    so in at most 64 rounds of one formula call each. That is exact because
-    the formula never decreases as the log grows: each IEEE step is monotone,
-    and `math.erf` is nondecreasing across float neighbours (pinned in
-    test_allocation). Logs must not be NaN.
+    per log. The formula never decreases as the log grows (each IEEE step is
+    monotone, and `math.erf` is nondecreasing across float neighbours, pinned
+    in test_allocation), so along the sorted logs `logs[order]` the counts
+    rise from lo_s at the first to hi_s at the last, and each level s in
+    [lo_s, hi_s) ends at one sorted position. All those positions are
+    bisected together, keeping lo < hi with count at lo <= s < count at hi,
+    in one formula call per round on the logs at the midpoints only (the
+    sorted column is never built); after len(logs).bit_length() rounds hi is
+    where level s + 1 starts, and `order` scatters the runs of levels back to
+    the positions. Logs must not be NaN.
     """
     logs = np.asarray(logs, dtype=np.float64)
-    if len(logs) == 0:
+    n = len(logs)
+    if n == 0:
         return np.zeros(0, dtype=np.int64)
-    ends = logs[order[[0, -1]]]
-    lo_s, hi_s = _slots(ends, params).tolist()
+    lo_s, hi_s = _slots(logs[order[[0, -1]]], params).tolist()
     s = np.arange(lo_s, hi_s)
-    guess = np.fromiter(map(NormalDist(params.scale, params.shape).inv_cdf,
-                            (s + _CEIL_SLACK) / params.max_trx_nodes), np.float64, len(s))
-    width = _BRACKET_SHAPES * params.shape + _BRACKET_ULPS * np.abs(guess)
-    kmin, kmax = _keys(ends)
-    lo, hi = (np.clip(_keys(guess + d), kmin, kmax) for d in (-width, width))
-    # The count at kmin is lo_s <= s and at kmax hi_s > s. A probe on the
-    # wrong side of its threshold widens that side to the column's end.
-    lo_up, hi_up = _slots(_floats(np.concatenate([lo, hi])), params).reshape(2, -1) > s
-    lo, hi = (np.where(lo_up, kmin, np.where(hi_up, lo, hi)),
-              np.where(lo_up, lo, np.where(hi_up, hi, kmax)))
-    while True:
-        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # hi - lo can overflow
-        open_ = np.flatnonzero(mid > lo)
-        if len(open_) == 0:
-            break
-        mid = mid[open_]
-        up = _slots(_floats(mid), params) > s[open_]
-        hi[open_] = np.where(up, mid, hi[open_])
-        lo[open_] = np.where(up, lo[open_], mid)
-    starts = np.searchsorted(logs[order], _floats(hi), side="left")
-    runs = np.diff(starts, prepend=0, append=len(logs))
-    slots = np.empty(len(logs), dtype=np.int64)
-    slots[order] = np.repeat(np.arange(lo_s, hi_s + 1), runs)
+    lo, hi = np.zeros_like(s), np.full_like(s, n - 1)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) // 2
+        up = _slots(logs[order[mid]], params) > s
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    slots = np.empty(n, dtype=np.int64)
+    slots[order] = np.repeat(np.arange(lo_s, hi_s + 1), np.diff(hi, prepend=0, append=n))
     return slots
 
 
@@ -137,16 +113,6 @@ def _slots(logs, params: AllocationParams) -> np.ndarray:
     cdf = _cdf(logs, lambda z: np.fromiter(map(erf, z), np.float64, len(z)), params)
     raw = cdf * params.max_trx_nodes
     return np.clip(np.ceil(raw - _CEIL_SLACK), 1, params.max_trx_nodes).astype(np.int64)
-
-
-def _keys(floats: np.ndarray) -> np.ndarray:
-    # int64 keys in the order of the floats: the bits, negatives mirrored.
-    bits = floats.view(np.int64)
-    return bits ^ ((bits >> 63) & _MAGNITUDE)
-
-
-def _floats(keys: np.ndarray) -> np.ndarray:
-    return (keys ^ ((keys >> 63) & _MAGNITUDE)).view(np.float64)
 
 
 def block_incentive(fees) -> float:

@@ -12,7 +12,6 @@ import enum
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby, islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -362,32 +361,33 @@ def read_csv_columns(path, kinds: dict, optional: Sequence[str] = ()) -> list[li
 CSV_CHUNK_ROWS = 4096
 
 
-def write_csv_chunks(path, header: Sequence, chunks: Iterable[Sequence]) -> int:
-    """Stream `chunks` under `header` into a CSV file; returns the row count.
+def write_csv_rows(path, header: Sequence, rows: Iterable[Sequence]) -> int:
+    """Write `rows` under `header` into a CSV file; returns the row count.
 
     The one output format of the package: utf-8, LF line ends, and values
     written by the csv module, so a float appears as its shortest round-trip
-    form (str equals repr for Python floats) and a bool as True/False. A chunk
-    is a sequence of equal-length columns; one of int64 or float64 numpy arrays
-    only is joined with `%s` from one `tolist` per column, which gives the same
-    text, and any other goes through `csv.writer`."""
-    count = 0
+    form (str equals repr for Python floats) and a bool as True/False.
+    `write_csv_chunks` writes the same text from numpy columns."""
+    rows = list(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
+        writer.writerows(rows)
+    return len(rows)
+
+
+def write_csv_chunks(path, header: Sequence, chunks: Iterable[Sequence]) -> int:
+    """`write_csv_rows` of the rows of `chunks`, each a sequence of equal-length
+    int64 or float64 numpy columns, joined with `%s` from one `tolist` per column,
+    which gives the same text; returns the row count. Raises TypeError on a
+    column of any other kind."""
+    count = 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
         for columns in chunks:
+            if not all(getattr(column, "dtype", None) in (np.int64, np.float64) for column in columns):
+                raise TypeError("write_csv_chunks takes int64 or float64 numpy columns")
             count += len(columns[0])
-            if all(getattr(column, "dtype", None) in (np.int64, np.float64) for column in columns):
-                line = ",".join(["%s"] * len(columns)) + "\n"
-                fh.write("".join(map(line.__mod__, zip(*(c.tolist() for c in columns)))))
-            else:
-                writer.writerows(zip(*columns))
+            line = ",".join(["%s"] * len(columns)) + "\n"
+            fh.write("".join(map(line.__mod__, zip(*(c.tolist() for c in columns)))))
     return count
-
-
-def write_csv_rows(path, header: Sequence, rows: Iterable[Sequence]) -> int:
-    """`write_csv_chunks` for the small row tables, in one chunk per run of rows of one width
-    among CSV_CHUNK_ROWS: a row of at least one value reads as `csv.writer` writes it."""
-    rows = iter(rows)
-    return write_csv_chunks(path, header, (tuple(zip(*run)) for batch in iter(
-        lambda: list(islice(rows, CSV_CHUNK_ROWS)), []) for _, run in groupby(batch, len)))

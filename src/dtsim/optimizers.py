@@ -70,6 +70,8 @@ class _Budget:
 def _start(objective: Objective, lb, ub, budget: int, rng: np.random.Generator, n_pop: int):
     """Float bounds, the budget's tally, and a first population of
     min(n_pop, budget) uniform points in the box, evaluated as generation 0."""
+    if n_pop < 1:
+        raise ValueError("n_pop must be positive")
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     tally = _Budget(objective, budget)
@@ -162,7 +164,7 @@ def genetic_algorithm(objective: Objective, lb, ub, budget: int,
     lb, ub, tally, x, f = _start(objective, lb, ub, budget, rng, n_pop)
     n_pop, dim = x.shape
     span = ub - lb
-    total_gens = max(1, budget // max(n_pop, 1))
+    total_gens = max(1, budget // n_pop)
     for gen in tally.generations(n_pop):
         decay = (1e-3 / 0.1) ** (gen / total_gens)
         sigma = 0.1 * decay * span
@@ -274,7 +276,7 @@ def gbo(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
     worst_x = x[worst_i].copy()
     worst_f = float(f[worst_i])
 
-    max_gen = max(1, budget // max(n_pop, 1))
+    max_gen = max(1, budget // n_pop)
     for it in tally.generations(n_pop):
         beta = 0.2 + (1.2 - 0.2) * (1 - (it / max_gen) ** 3) ** 2
         alpha = abs(beta * math.sin(3 * math.pi / 2 + math.sin(3 * math.pi / 2 * beta)))

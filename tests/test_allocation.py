@@ -62,9 +62,10 @@ def test_erf_is_odd_and_monotone():
 
 
 def test_erf_is_nondecreasing_across_float_neighbours():
-    # `log_slots` finds each slot threshold by bisection, which is exact only
-    # if erf never steps down from one float to the next. Probe glibc's piece
-    # boundaries (0.84375, 1.25, 1/0.35, 6) on both signs, then random points.
+    # `log_slots` bisects where each slot level starts among the sorted logs,
+    # which is exact only if erf never steps down from one float to the next.
+    # Probe glibc's piece boundaries (0.84375, 1.25, 1/0.35, 6) on both signs,
+    # then random points.
     rng = np.random.default_rng(20)
     centres = [0.84375, 1.25, 1 / 0.35, 6.0, *rng.uniform(-7.0, 7.0, 40)]
     for c in centres + [-c for c in centres]:
@@ -191,6 +192,10 @@ class TestLeafSlots:
         assert column_slots(fee_logs(fees), PARAMS_EXP17).tolist() == [1, 1, 1, 110, 110]
         assert [leaf_nodes(f, PARAMS_EXP17) for f in fees] == [1, 1, 1, 110, 110]
 
+    def test_logs_are_math_log_of_each_fee(self, big_stream):
+        fees = big_stream.fees
+        assert fee_logs(fees).tolist() == [math.log(f) for f in fees.tolist()]
+
     def test_rejects_nonpositive_fee(self):
         for fees in ([1.0, 0.0], [-5.0]):
             with pytest.raises(ValueError, match="fee_logs requires every fee > 0"):
@@ -275,32 +280,23 @@ class TestLogSlots:
         AllocationParams(scale=-2.0, shape=1e-3, max_trx_nodes=2100),
         AllocationParams(scale=4.0, shape=3.0, max_trx_nodes=2),
         AllocationParams(scale=9.5, shape=0.1, max_trx_nodes=800),
+        AllocationParams(scale=1.0, shape=0.97, max_trx_nodes=2053),
     ])
     def test_every_threshold_and_the_float_below_it(self, params):
         logs = [x for s in range(1, params.max_trx_nodes) for x in at_threshold(s, params)]
         logs = np.random.default_rng(5).permutation([LOG_MIN_FEE, LOG_MAX_FEE, *logs])
         assert column_slots(logs, params).tolist() == [scalar_slots(x, params) for x in logs]
 
-    # The first bracket's width sets only the cost. A negative one puts every
-    # probe on the wrong side, so each threshold is bisected from a column
-    # end, across int64 keys from log(MIN_POSITIVE_FEE) to positive logs.
-    @pytest.mark.parametrize("bracket", [-1.0, 0.0, 1e3])
-    def test_exact_whatever_the_first_bracket(self, bracket, monkeypatch):
-        monkeypatch.setattr(allocation, "_BRACKET_SHAPES", bracket)
-        for params in (PARAMS_EXP17, AllocationParams(scale=1.0, shape=0.97, max_trx_nodes=2053)):
-            logs = [x for s in range(1, params.max_trx_nodes, 7) for x in at_threshold(s, params)]
-            logs = [LOG_MIN_FEE, LOG_MAX_FEE, *logs]
-            assert column_slots(logs, params).tolist() == [scalar_slots(x, params) for x in logs]
-
     def test_evaluates_the_formula_only_near_its_steps(self, big_stream, monkeypatch):
-        # A count of work, not a time: at most 2 bracket probes and 64
-        # bisection rounds per threshold, plus the column's two ends. One
-        # erf per fee would be 400,000 calls.
+        # A count of work, not a time: one formula call per level per
+        # bisection round, plus the column's two ends. One erf per fee would
+        # be 400,000 calls.
         calls = []
         monkeypatch.setattr(allocation, "erf", lambda z: calls.append(z) or math.erf(z))
-        slots = log_slots(big_stream.fee_logs, big_stream.fee_log_order, PARAMS_EXP17)
+        logs = big_stream.fee_logs
+        slots = log_slots(logs, big_stream.fee_log_order, PARAMS_EXP17)
         thresholds = int(slots.max() - slots.min())
-        assert 0 < len(calls) <= 66 * thresholds + 2
+        assert 0 < len(calls) <= len(logs).bit_length() * thresholds + 2
 
     def test_scalar_rule_is_leaf_nodes(self):
         rng = np.random.default_rng(8)

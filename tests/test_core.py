@@ -21,6 +21,7 @@ from dtsim.core import (
     category,
     strategy_from_category,
     validate_strategy,
+    write_csv_chunks,
     write_csv_rows,
 )
 from dtsim.ingest import DatasetSpec, generate
@@ -373,3 +374,11 @@ def test_write_csv_rows_matches_csv_writer_across_chunks(tmp_path, n):
     writer.writerow(header)
     writer.writerows(rows)
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("column", [[1, 2], np.array([1, 2], dtype=np.int32),
+                                    np.array([True, False])])
+def test_write_csv_chunks_takes_only_int64_and_float64_columns(tmp_path, column):
+    chunk = (np.array([1, 2]), column)
+    with pytest.raises(TypeError, match="int64 or float64"):
+        write_csv_chunks(tmp_path / "chunks.csv", ("a", "b"), [chunk])

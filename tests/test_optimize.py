@@ -72,6 +72,12 @@ class TestSearchSpace:
         assert attrs["a4"] == pytest.approx(1.23)
 
 
+@pytest.mark.parametrize("search", [pso, genetic_algorithm, gbo])
+def test_an_empty_first_population_is_rejected(search):
+    with pytest.raises(ValueError, match="n_pop"):
+        search(lambda x: 0.0, [0.0], [1.0], 10, np.random.default_rng(0), n_pop=0)
+
+
 def sphere_objective(attrs):
     # Center of the box is the optimum; pure continuous surrogate.
     space = DEFAULT_BOUNDS
