@@ -86,11 +86,11 @@ def log_slots(logs, order, params: AllocationParams) -> np.ndarray:
     in test_allocation), so along the sorted logs `logs[order]` the counts
     rise from lo_s at the first to hi_s at the last, and each level s in
     [lo_s, hi_s) ends at one sorted position. All those positions are
-    bisected together, keeping lo < hi with count at lo <= s < count at hi,
-    in one formula call per round on the logs at the midpoints only (the
-    sorted column is never built); after len(logs).bit_length() rounds hi is
-    where level s + 1 starts, and `order` scatters the runs of levels back to
-    the positions. Logs must not be NaN.
+    bisected together, keeping lo < hi with count at lo <= s < count at hi.
+    Levels share midpoints until their searches part, so midpoints never fall
+    as s rises, and a round calls the formula once on the distinct ones'
+    logs. After len(logs).bit_length() rounds hi is where level s + 1
+    starts, and `order` scatters the runs back. Logs must not be NaN.
     """
     logs = np.asarray(logs, dtype=np.float64)
     n = len(logs)
@@ -101,7 +101,8 @@ def log_slots(logs, order, params: AllocationParams) -> np.ndarray:
     lo, hi = np.zeros_like(s), np.full_like(s, n - 1)
     for _ in range(n.bit_length()):
         mid = (lo + hi) // 2
-        up = _slots(logs[order[mid]], params) > s
+        first = np.diff(mid, prepend=-1) > 0
+        up = _slots(logs[order[mid[first]]], params)[np.cumsum(first) - 1] > s
         lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
     slots = np.empty(n, dtype=np.int64)
     slots[order] = np.repeat(np.arange(lo_s, hi_s + 1), np.diff(hi, prepend=0, append=n))

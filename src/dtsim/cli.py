@@ -441,6 +441,8 @@ def _incentive(text: str) -> float:
 
 
 def cmd_volatility(args, config, config_text) -> int:
+    if args.out and args.window is None:
+        raise ConfigError("--out writes the rolling series; give --window")
     (values,) = read_csv_columns(args.infile, {args.column: _incentive})
     if len(values) < 2:
         raise DataError("need at least two incentives")
@@ -515,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     vol.add_argument("--in", dest="infile", required=True, help="CSV with an incentive column")
     vol.add_argument("--column", default="incentive")
     vol.add_argument("--window", type=int, help="rolling window in returns")
-    vol.add_argument("--out", help="write rolling series CSV here")
+    vol.add_argument("--out", help="write the rolling series CSV here (needs --window)")
 
     return parser
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,9 +53,9 @@ class Stream(Sequence):
     `arrivals` (ms since stream start), float64 `amounts` and `fees`.
 
     Construction raises DataError unless ids are unique, arrivals sorted, ids
-    and arrivals fit in 64 bits, and arrivals, amounts and fees are finite
-    and non-negative. As a Sequence it yields `Transaction` views; a slice
-    is a list of views, not a Stream.
+    and arrivals fit in 64 bits, arrivals, amounts and fees are finite and
+    non-negative, and the fees have a finite sum. As a Sequence it yields
+    `Transaction` views; a slice is a list of views, not a Stream.
 
     What a run derives from the columns alone is computed on first use and
     kept for the stream's life, read-only: `fee_logs` and their ascending
@@ -96,6 +97,15 @@ class Stream(Sequence):
                 i = bad[0]
                 raise DataError(f"transaction {ids[i]} at position {i} has {name} {col[i]}; "
                                 f"it must be finite and >= 0")
+        # Fees are >= 0, so a finite total bounds every block's and fate's fsum.
+        # numpy's sum is the fast look; math.fsum decides a total near the float max.
+        with np.errstate(over="ignore"):
+            if not fees.sum() < sys.float_info.max / 2:
+                try:
+                    math.fsum(fees)
+                except OverflowError:
+                    raise DataError(f"the fees sum past the largest float, "
+                                    f"{sys.float_info.max!r}") from None
 
     @cached_property
     def fee_logs(self) -> np.ndarray:

@@ -140,7 +140,7 @@ def load_csv(path, commission_ratio: float = DEFAULT_COMMISSION_RATIO) -> Stream
     that is absent or blank is derived as amount * commission_ratio.
     Raises SchemaError naming the file: `read_csv_columns`' errors, or the
     `Stream` check's own message when the columns fail it (arrival order,
-    repeated ids, 64-bit range, finite non-negative values).
+    repeated ids, 64-bit range, finite non-negative values, a finite fee sum).
     """
     ids, amounts, arrivals, fees = read_csv_columns(path, {
         "id": int, "amount": float, "arrival_time_ms": int,

@@ -22,31 +22,29 @@ The pool holds a1 positions after warm-up and loses one to every pick, so
 it overflows exactly once, at position a1, before the first pick: the
 cheapest pending transaction by (fee, arrival, id) is evicted when the
 newcomer pays strictly more, else the newcomer is rejected. `_mine` settles
-that once and then takes one of two branches. Every slot count is at least
-1, so the running slot total of a run of picks rises strictly and each
-next-fit seal in it is one `searchsorted` on that total (`_next_fit`).
+that once. Every slot count is at least 1, so the running slot total of a
+run of picks rises strictly and each next-fit seal in it is one
+`searchsorted` on that total (`_next_fit`).
 
-With reserved small-fee slots (a5 > 0) a waiting small fee comes first
-while the block's quota is open, else the lowest pending rank, and the
-quota resets at every seal. While arrivals continue the pending ranks sit
-in two disjoint heaps, one for the fees below the small-fee threshold and
-one for the rest; both start as ascending lists of the warm-up pool's
-ranks, masked from the rank order, so they need no `heapify`. Where the
-small-fee heap is empty and at least STRETCH arrivals pass before the next
-small fee, every pick of that stretch pops the other heap, so the stretch
-is one `heappushpop` chain on it; elsewhere the miner steps once per
-arrival. After the last arrival the pending ranks are fixed, and `_drain`
-takes each block's picks at once by bisection over the two sorted lists,
-which are still sorted when no arrival came after the warm-up.
+A waiting small fee comes first while the block's quota (a5) is open, else
+the lowest pending rank, and the quota resets at every seal. Without a quota
+(categories 2 and 4, and 1 and 3 with a5 = 0) no fee counts as small. While
+arrivals continue the pending ranks sit in two disjoint heaps, one for the
+fees below the small-fee threshold and one for the rest; both start as
+ascending lists of the warm-up pool's ranks, masked from the rank order, so
+they need no `heapify`. Where the small-fee heap is empty and at least
+STRETCH arrivals pass before the next small fee, every pick of that stretch
+pops the other heap, so the stretch is one `heappushpop` chain on it;
+elsewhere the miner steps once per arrival. After the last arrival the
+pending ranks are fixed, and `_drain` takes each block's picks at once by
+bisection over the two sorted lists, which are still sorted when no arrival
+came after the warm-up.
 
-Without them (categories 2 and 4, and 1 and 3 with a5 = 0) the run is
-computed from whole arrays, and exactly: each arrival after the overflow is
-one `heappushpop` on the rank heap, and the drain is the rest of the heap in
-rank order. When every rank arrives by its turn, as under time priority
-unless tied arrivals put a higher fee later, that chain yields the ranks in
-order, and the picks are the rank order less the overflow's victim.
+Without a quota, when every rank arrives by its turn, as under time priority
+unless tied arrivals put a higher fee later, the picks are the rank order
+less the overflow's victim, and `_mine` returns them with no heap.
 
-Both branches mine the whole stream; `run` alone goes on to `force_seal`,
+`_mine` mines the whole stream; `run` alone goes on to `force_seal`,
 block records and fates. It stores no assignment row: `Assignments` derives
 the rows' columns a chunk at a time from the picks, bounds and slot counts.
 """
@@ -57,7 +55,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush, heappushpop
+from heapq import heappop, heappush, heappushpop
 from itertools import chain, repeat
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
@@ -69,8 +67,8 @@ from .core import (CSV_CHUNK_ROWS, BlockRecord, DataError, DtsStrategy, Simulati
 from . import verkle
 
 
-# The fewest arrivals a `heappushpop` chain takes in the reserved branch: a
-# chain's fixed numpy cost matches about a dozen single steps.
+# The fewest arrivals a `heappushpop` chain takes: a chain's fixed numpy
+# cost matches about a dozen single steps.
 STRETCH = 16
 
 
@@ -208,7 +206,7 @@ def _blocks(column: np.ndarray, picks: np.ndarray, bounds: Sequence[int]) -> Ite
 
 def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationConfig):
     """The run loop on positions, shared by `run` and `incentives`, over the
-    whole of `dataset`, in the two branches the module docstring describes.
+    whole of `dataset`, as the module docstring describes.
     Returns `dataset` as a Stream, the picks, each sealed block as (end index
     into the picks, occupied slots), every position's slot count (picks and
     slot counts are int64 arrays) and the overflow's victim (None without one)."""
@@ -239,92 +237,80 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
     if reserve == 0:
         # Pick k is made once positions 0 .. a1 + k have arrived. If the k-th
         # rank less the victim's has arrived by then, for every k, the picks
-        # are the rank order, as always without an overflow; otherwise they
-        # come from the pool after the overflow: the pick at the overflow,
-        # one push-pop per later arrival, the drain.
-        picks = order
-        if victim is not None:
-            picks = np.delete(picks, rank[victim])
-        if not (picks <= np.arange(warm, warm + len(picks))).all():
-            heap = rank[:warm + 1].tolist()
-            heap.remove(rank_at[victim])
-            heapify(heap)
-            ranks = np.fromiter(chain(map(heappop, repeat(heap, 1)),
-                                      map(heappushpop, repeat(heap), rank_at[warm + 1:]),
-                                      map(heappop, repeat(heap, len(heap) - 1))),
-                                np.int64, count=n_txs - 1)
-            picks = order[ranks]
-            del ranks, heap
-        _next_fit(np.cumsum(slot_of[picks]), 0, capacity, 0, sealed)
-    else:
-        # The loop reads slot counts from an array('q'); holding the numpy
-        # column through it instead raised the peak RSS of a 200k run by
-        # 4 MB, with the same traced peak.
-        slot_of = array("q", slot_of.tobytes())
-        is_small = fees < strategy.small_fee_threshold
-        below = is_small.tobytes()
-        # A stretch runs from a position where no small fee waits to the next
-        # small-fee arrival (`stops`, ending in n_txs); `heads` are the first
-        # positions of the gaps between them that hold at least STRETCH
-        # arrivals, past a newcomer rejected at the overflow.
-        stops = np.append(np.flatnonzero(is_small[warm:]) + warm, n_txs)
-        after = np.append(warm + (victim == warm), stops[:-1] + 1)
-        heads = array("q", after[stops - after >= STRETCH].tobytes())
-        heads.append(n_txs)
-        stops = array("q", stops.tobytes())
-        del after
-        # Two disjoint heaps of the pending ranks, split by the small-fee
-        # threshold: the warm-up pool, less an evicted position, taken in
-        # rank order, so each is an ascending list and a heap already. Every
-        # pick pops the heap it read, so together they hold at most a1 ranks.
-        pooled = order < warm
-        if victim is not None and victim < warm:
-            pooled[rank[victim]] = False
-        small_at = is_small[order]
-        small, large = (np.flatnonzero(pooled & side).tolist() for side in (small_at, ~small_at))
-        del pooled, small_at, is_small
-        slots_np = np.frombuffer(slot_of, dtype=np.int64)
-        picks, filled, small_used = array("q"), 0, 0
-        pos = warm
-        while pos < n_txs:
-            gate = heads[bisect_left(heads, pos)]
-            # One pick per arrival from a pool that is never empty: the small
-            # heap while the quota is open, else the lower of the two heads.
-            for pos in range(pos, n_txs):
-                if pos >= gate and not small:
-                    break
-                if pos != victim:
-                    heappush(small if below[pos] else large, rank_at[pos])
-                if small and (small_used < reserve or not large or small[0] < large[0]):
-                    pick = order_at[heappop(small)]
-                else:
-                    pick = order_at[heappop(large)]
-                n = slot_of[pick]
-                if filled + n > capacity:
-                    sealed.append((len(picks), filled))
-                    filled = small_used = 0
-                small_used += below[pick]
-                picks.append(pick)
-                filled += n
-            else:
+        # are the rank order, as always without an overflow.
+        picks = order if victim is None else np.delete(order, rank[victim])
+        if (picks <= np.arange(warm, warm + len(picks))).all():
+            _next_fit(np.cumsum(slot_of[picks]), 0, capacity, 0, sealed)
+            return stream, picks, sealed, slot_of, victim
+    # The loop reads slot counts from an array('q'); holding the numpy
+    # column through it instead raised the peak RSS of a 200k run by
+    # 4 MB, with the same traced peak.
+    slot_of = array("q", slot_of.tobytes())
+    # Fees are >= 0, so without a quota no fee is small.
+    is_small = fees < (strategy.small_fee_threshold if reserve else 0.0)
+    below = is_small.tobytes()
+    # A stretch runs from a position where no small fee waits to the next
+    # small-fee arrival (`stops`, ending in n_txs); `heads` are the first
+    # positions of the gaps between them that hold at least STRETCH
+    # arrivals, past a newcomer rejected at the overflow.
+    stops = np.append(np.flatnonzero(is_small[warm:]) + warm, n_txs)
+    after = np.append(warm + (victim == warm), stops[:-1] + 1)
+    heads = array("q", after[stops - after >= STRETCH].tobytes())
+    heads.append(n_txs)
+    stops = array("q", stops.tobytes())
+    del after
+    # Two disjoint heaps of the pending ranks, split by the small-fee
+    # threshold: the warm-up pool, less an evicted position, taken in
+    # rank order, so each is an ascending list and a heap already. Every
+    # pick pops the heap it read, so together they hold at most a1 ranks.
+    pooled = order < warm
+    if victim is not None and victim < warm:
+        pooled[rank[victim]] = False
+    small_at = is_small[order]
+    small, large = (np.flatnonzero(pooled & side).tolist() for side in (small_at, ~small_at))
+    del pooled, small_at, is_small
+    slots_np = np.frombuffer(slot_of, dtype=np.int64)
+    picks, filled, small_used = array("q"), 0, 0
+    pos = warm
+    while pos < n_txs:
+        gate = heads[bisect_left(heads, pos)]
+        # One pick per arrival from a pool that is never empty: the small
+        # heap while the quota is open, else the lower of the two heads.
+        for pos in range(pos, n_txs):
+            if pos >= gate and not small:
                 break
-            stop = stops[bisect_left(stops, pos)]
-            if stop - pos < STRETCH:
-                continue
-            # No small fee waits or arrives before `stop`, so every pick up
-            # to it pops the other heap, and the quota only resets at seals.
-            took = order[np.fromiter(map(heappushpop, repeat(large), rank_at[pos:stop]),
-                                     np.int64, stop - pos)]
-            cum = np.cumsum(slots_np[took])
-            blocks = len(sealed)
-            filled = int(cum[-1]) - _next_fit(cum, -filled, capacity, len(picks), sealed)
-            if len(sealed) > blocks:
-                small_used = 0
-            picks.frombytes(took.tobytes())
-            pos = stop
-        picks.frombytes(_drain(small, large, order, slots_np, reserve, capacity,
-                               filled, small_used, len(picks), sealed).tobytes())
-        picks, slot_of = (np.frombuffer(a, dtype=np.int64) for a in (picks, slot_of))
+            if pos != victim:
+                heappush(small if below[pos] else large, rank_at[pos])
+            if small and (small_used < reserve or not large or small[0] < large[0]):
+                pick = order_at[heappop(small)]
+            else:
+                pick = order_at[heappop(large)]
+            n = slot_of[pick]
+            if filled + n > capacity:
+                sealed.append((len(picks), filled))
+                filled = small_used = 0
+            small_used += below[pick]
+            picks.append(pick)
+            filled += n
+        else:
+            break
+        stop = stops[bisect_left(stops, pos)]
+        if stop - pos < STRETCH:
+            continue
+        # No small fee waits or arrives before `stop`, so every pick up
+        # to it pops the other heap, and the quota only resets at seals.
+        took = order[np.fromiter(map(heappushpop, repeat(large), rank_at[pos:stop]),
+                                 np.int64, stop - pos)]
+        cum = np.cumsum(slots_np[took])
+        blocks = len(sealed)
+        filled = int(cum[-1]) - _next_fit(cum, -filled, capacity, len(picks), sealed)
+        if len(sealed) > blocks:
+            small_used = 0
+        picks.frombytes(took.tobytes())
+        pos = stop
+    picks.frombytes(_drain(small, large, order, slots_np, reserve, capacity,
+                           filled, small_used, len(picks), sealed).tobytes())
+    picks, slot_of = (np.frombuffer(a, dtype=np.int64) for a in (picks, slot_of))
     return stream, picks, sealed, slot_of, victim
 
 
@@ -342,7 +328,7 @@ def _next_fit(cum: np.ndarray, base: int, capacity: int, done: int, sealed: list
 
 def _drain(S: List[int], L: List[int], order: np.ndarray, slots: np.ndarray, reserve: int,
            capacity: int, filled: int, small_used: int, done: int, sealed: list) -> np.ndarray:
-    """The reserved miner after the last arrival, `done` picks in, with the
+    """The miner after the last arrival, `done` picks in, with the
     open block's `filled` slots and `small_used` quota: appends its seals to
     `sealed` and returns its picks.
 

@@ -288,15 +288,16 @@ class TestLogSlots:
         assert column_slots(logs, params).tolist() == [scalar_slots(x, params) for x in logs]
 
     def test_evaluates_the_formula_only_near_its_steps(self, big_stream, monkeypatch):
-        # A count of work, not a time: one formula call per level per
-        # bisection round, plus the column's two ends. One erf per fee would
-        # be 400,000 calls.
+        # A count of work, not a time: one formula call per distinct midpoint
+        # per bisection round, at most 2**k in round k and one per level,
+        # plus the column's two ends. One erf per fee would be 400,000 calls.
         calls = []
         monkeypatch.setattr(allocation, "erf", lambda z: calls.append(z) or math.erf(z))
         logs = big_stream.fee_logs
         slots = log_slots(logs, big_stream.fee_log_order, PARAMS_EXP17)
         thresholds = int(slots.max() - slots.min())
-        assert 0 < len(calls) <= len(logs).bit_length() * thresholds + 2
+        rounds = len(logs).bit_length()
+        assert 0 < len(calls) <= sum(min(2**k, thresholds) for k in range(rounds)) + 2
 
     def test_scalar_rule_is_leaf_nodes(self):
         rng = np.random.default_rng(8)

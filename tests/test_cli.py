@@ -128,6 +128,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args", [
         ["volatility", "--in", "{tmp}/series.csv", "--window", "1", "--out", "{tmp}/rolling.csv"],
+        ["volatility", "--in", "{tmp}/missing.csv", "--out", "{tmp}/rolling.csv"],
         ["proofsize", "--scenarios", "1"],
         ["proofsize", "--k", "1", "--out", "{tmp}/x.csv"],
         ["optimize", "--budget", "-3", "--count", "500", "--out", "{tmp}/o"],
@@ -222,6 +223,18 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stderr.startswith("data error: ") and proc.stderr.count("\n") == 1
         assert "fee" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", [["simulate", "--a1", "10"],
+                                      ["optimize", "--budget", "4", "--n-pop", "2"]])
+    def test_fee_total_past_the_float_max_is_data_error(self, tmp_path, capsys, args):
+        path = tmp_path / "stream.csv"
+        path.write_text("id,amount,arrival_time_ms,fee\n" + "".join(
+            f"{i},100.0,{10 * i},{'1e308' if i in (10, 20, 30) else '0.2'}\n"
+            for i in range(50)))
+        assert main([*args, "--dataset", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: the fees sum past the largest float, 1.7976931348623157e+308\n")
         assert not (tmp_path / "o").exists()
 
     def test_negative_id_with_verkle_roots_is_data_error(self, tmp_path, capsys):

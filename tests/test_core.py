@@ -3,6 +3,7 @@ import gc
 import io
 import math
 import pickle
+import sys
 import weakref
 
 import numpy as np
@@ -198,6 +199,14 @@ class TestStream:
         cols[column] = [1.0, value]
         with pytest.raises(DataError, match="transaction 2 at position 1 has"):
             Stream(**cols)
+
+    def test_fees_must_have_a_finite_sum(self):
+        # Every block's and fate's fsum is bounded by the total; one just below
+        # the float max passes.
+        with pytest.raises(DataError, match="the fees sum past the largest float"):
+            Stream([1, 2, 3], [0, 0, 0], [1.0] * 3, [1e308] * 3)
+        top = sys.float_info.max
+        assert Stream([1, 2], [0, 0], [1.0] * 2, [top, top * 2**-54]).fees[0] == top
 
     def test_unequal_columns_rejected(self):
         with pytest.raises(DataError, match="equal length"):

@@ -147,6 +147,14 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError, match="ordered"):
             load_csv(path)
 
+    def test_fee_total_past_the_float_max_rejected(self, tmp_path):
+        path = tmp_path / "txs.csv"
+        path.write_text("id,amount,arrival_time_ms,fee\n" + "".join(
+            f"{i},100.0,{10 * i},{'1e308' if i in (10, 20, 30) else '0.2'}\n"
+            for i in range(50)))
+        with pytest.raises(SchemaError, match=f"{path}: the fees sum past the largest float"):
+            load_csv(path)
+
     def test_large_round_trip_is_exact(self, tmp_path):
         stream = generate(DatasetSpec(count=50_000, rng_seed=123))
         path = tmp_path / "txs.csv"

@@ -1,4 +1,3 @@
-import heapq
 import math
 
 import numpy as np
@@ -186,12 +185,11 @@ class TestEvaluate:
 
     def test_a_cells_evaluations_sort_the_stream_once_per_order(self, stream, monkeypatch):
         # Counts of work, not times, over a GA cell of each priority on one
-        # Stream: every argsort the stream runs, and every heapify of a run
-        # with reserved small-fee slots.
-        from dtsim import core, simulator
+        # Stream: every argsort the stream runs.
+        from dtsim import core
 
         fresh = Stream(stream.ids, stream.arrivals, stream.amounts, stream.fees)
-        sorted_keys, reserved, heapified = [], [], []
+        sorted_keys = []
 
         class CountingNumpy:
             def __getattr__(self, name):
@@ -201,26 +199,14 @@ class TestEvaluate:
                 sorted_keys.append(keys)
                 return np.argsort(keys, *args, **kwargs)
 
-        def mine(dataset, strategy, cfg):
-            reserved.append(bool(strategy.designated_space and strategy.small_fee_count))
-            return _mine(dataset, strategy, cfg)
-
-        def heapify(heap):
-            heapified.append(reserved[-1])
-            return heapq.heapify(heap)
-
-        _mine = simulator._mine
         monkeypatch.setattr(core, "np", CountingNumpy())
-        monkeypatch.setattr(simulator, "_mine", mine)
-        monkeypatch.setattr(simulator, "heapify", heapify)
         config = OptimizerConfig(algorithm="ga", n_pop=6, n_eval=30, rng_seed=3)
         runs = [grid_cell(cat_id, config, fresh, self.CFG) for cat_id in (1, 3)]
-        assert all(r.simulations > 10 for r in runs) and sum(reserved) > 10
+        assert all(r.simulations > 10 for r in runs)
         # The fee-log order, the time order (arrivals first), the fee order (fees descending).
         assert len(sorted_keys) == 3
         assert sorted_keys[0] is fresh.fee_logs and sorted_keys[1] is fresh.arrivals
         assert sorted_keys[2].tolist() == (-fresh.fees).tolist()
-        assert not any(heapified)
 
     def test_data_error_propagates_instead_of_scoring_inf(self):
         reversed_stream = generate(DatasetSpec(count=3_000, rng_seed=1))[::-1]

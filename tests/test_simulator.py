@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import tracemalloc
+from collections import Counter
 from heapq import heappop, heappush, heappushpop
 from itertools import groupby
 
@@ -9,6 +10,7 @@ import pytest
 
 import numpy as np
 
+from dtsim import simulator
 from dtsim.core import (Priority, SimulationConfig, Stream, Transaction, category,
                         strategy_from_category)
 from dtsim.ingest import DatasetSpec, generate
@@ -46,7 +48,7 @@ def head(stream, n):
 
 # The unreserved and a reserved strategy of each priority (time: categories
 # 2 and 1, fee: 4 and 3). No fee below falls under the reserve's threshold,
-# so both pick alike, through the loop-free and the stepwise branch of `run`.
+# so both pick alike, with and without a small-fee quota.
 POOLS = [(Priority.TIME, 2, {}), (Priority.TIME, 1, {"a4": 0.01, "a5": 2}),
          (Priority.FEE, 4, {}), (Priority.FEE, 3, {"a4": 0.01, "a5": 2})]
 
@@ -158,8 +160,8 @@ class TestHeapBound:
 
 class TestWholeStretches:
     """The arrival loop's picks come from whole stretches, not one heap call
-    per arrival, where no small fee waits (reserved) or every rank arrives
-    by its turn (time priority)."""
+    per arrival, where no small fee waits, or every rank arrives by its turn
+    (time priority)."""
 
     def test_reserved_arrivals_rarely_touch_the_heaps_one_at_a_time(self, monkeypatch):
         # a4 = 2.0 makes about 0.05% of the 50k seed-2024 fees small, and the
@@ -194,6 +196,28 @@ class TestWholeStretches:
         s = strategy_from_category(2, a1=25469, a6=110, a7=6.94, a8=1.0)
         assert run(stream, s, CFG).included_count > 49_000
         assert calls == 0
+
+    @pytest.mark.parametrize("cat, small", [(4, {}), (3, {"a4": 60.0, "a5": 0})])
+    @pytest.mark.parametrize("a1", [1000, 25469])
+    def test_fee_order_without_a_quota_is_one_chain(self, stream_50k, cat, small, a1,
+                                                    monkeypatch):
+        # Every arrival from the overflow on is one push-pop of one chain, the
+        # victim is evicted, and the drain bisects the pool's sorted ranks.
+        calls = Counter()
+
+        def counted(call):
+            def wrapper(*args):
+                calls[call.__name__] += 1
+                return call(*args)
+            return wrapper
+
+        for call in (heappush, heappop, heappushpop):
+            monkeypatch.setattr(simulator, call.__name__, counted(call))
+        s = strategy_from_category(cat, a1=a1, a6=110, a7=6.94, a8=1.0, **small)
+        result = run(stream_50k, s, CFG)
+        assert (result.evicted_count, result.rejected_count) == (1, 0)
+        assert calls == {"heappushpop": len(stream_50k) - a1}
+        assert not hasattr(simulator, "heapify")
 
 
 class TestTryIncorporate:
