@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import mmap
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -328,15 +330,35 @@ class SchemaError(DataError):
     """A CSV input cannot be read, lacks a column or has a malformed row."""
 
 
+def optional_float(text: str) -> Optional[float]:
+    """A float cell that may be left blank: None for a blank or whitespace-only cell."""
+    return float(text) if text.strip() else None
+
+
+# The cell kinds that `read_csv_columns` parses in numpy's C pass, and the
+# field type of each; a blank `optional_float` cell fails that pass.
+NUMERIC_FIELDS = {int: np.int64, float: np.float64, optional_float: np.float64}
+
+# What the C pass reads otherwise than the row loop: a quote (`csv.reader`
+# quotes, the pass does not), a NUL (`csv.reader` rejects it before Python
+# 3.11) and \x1c-\x1f (numpy strips them around a number; int and float do not).
+_ROW_LOOP_ONLY = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
 def read_csv_columns(path, kinds: dict, optional: Sequence[str] = ()) -> list[list]:
     """The columns of the CSV file at `path` that `kinds` names, in its order,
     each cell parsed by the callable that `kinds` maps its column to.
 
-    The one input reader of the package: it streams rows through `csv.reader`,
-    strips header names and skips blank rows. A column in `optional` that the
-    header lacks holds `kind("")` in every row. Raises SchemaError naming the file
-    when it cannot be read, is empty or lacks a column, and its line when a
-    row is short or a cell fails its callable with ValueError.
+    The one input reader of the package. `csv.reader` reads the header, whose
+    names are stripped. When every column present is of a `NUMERIC_FIELDS`
+    kind, `_numeric_columns` parses the rest in one C pass; else, or when that
+    pass declines, a row loop reads it through the same `csv.reader`, parses
+    each cell with its callable and skips blank rows. The row loop defines
+    the result: the C pass returns the same lists or declines. A column in
+    `optional` that the header lacks holds `kind("")` in every row. Raises
+    SchemaError naming the file when it cannot be read, is empty or lacks a
+    column, and its line when a row is short or a cell fails its callable
+    with ValueError.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -347,25 +369,67 @@ def read_csv_columns(path, kinds: dict, optional: Sequence[str] = ()) -> list[li
             missing = [name for name in kinds if name not in header and name not in optional]
             if missing:
                 raise SchemaError(f"{path}: missing columns {missing}; available: {list(header)}")
-            columns = [[] for _ in kinds]
-            parsers = [(header[name], kind, col.append)
-                       for (name, kind), col in zip(kinds.items(), columns) if name in header]
-            rows = 0
-            for row in reader:
-                if not any(map(str.strip, row)):
-                    continue
-                rows += 1
-                try:
-                    for i, kind, append in parsers:
-                        append(kind(row[i]))
-                except (ValueError, IndexError) as exc:
-                    raise SchemaError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
+            cells = [(header[name], kind) for name, kind in kinds.items() if name in header]
+            typed = _numeric_columns(fh, reader.line_num, cells)
+            if typed:
+                columns, rows = typed
+            else:
+                columns, rows = [[] for _ in cells], 0
+                parsers = [(i, kind, col.append) for (i, kind), col in zip(cells, columns)]
+                for row in reader:
+                    if not any(map(str.strip, row)):
+                        continue
+                    rows += 1
+                    try:
+                        for i, kind, append in parsers:
+                            append(kind(row[i]))
+                    except (ValueError, IndexError) as exc:
+                        raise SchemaError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
     except csv.Error as exc:
         raise SchemaError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
-    return [col if name in header else [kind("")] * rows
-            for (name, kind), col in zip(kinds.items(), columns)]
+    columns = iter(columns)
+    return [next(columns) if name in header else [kind("")] * rows for name, kind in kinds.items()]
+
+
+def _numeric_columns(fh, header_lines: int, cells) -> Optional[tuple[list[list], int]]:
+    """The columns of `cells`, (header index, kind) pairs of `NUMERIC_FIELDS`
+    kinds, and the row count, parsed from the seekable text file `fh` past its
+    first `header_lines` lines by one `np.loadtxt` pass, numpy's C tokenizer.
+
+    Returns None, with `fh` past its header, to leave the rows to the row
+    loop: when a kind has no field, the file, header included, holds a byte
+    of `_ROW_LOOP_ONLY` or a line that may pass `csv.field_size_limit()`, or
+    the pass raises or warns for any reason (a blank cell, a short row, a
+    value that int64 or float64 cannot hold, a header-only file).
+    """
+    if not cells or not fh.seekable() or not all(kind in NUMERIC_FIELDS for _, kind in cells):
+        return None
+    try:
+        # Scan the file's bytes in place. A line longer than the limit holds
+        # a whole block of `step` bytes, as no character is less than a byte.
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as raw:
+            step = csv.field_size_limit() // 2 + 1
+            if any(raw.find(c) >= 0 for c in _ROW_LOOP_ONLY) or any(
+                    raw.find(b"\n", at, at + step) < 0 and raw.find(b"\r", at, at + step) < 0
+                    for at in range(0, len(raw) - step + 1, step)):
+                return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                fh, dtype=[(f"f{at}", NUMERIC_FIELDS[kind]) for at, (_, kind) in enumerate(cells)],
+                delimiter=",", comments=None, quotechar=None, usecols=[i for i, _ in cells],
+                encoding="utf-8", ndmin=1)
+    except Exception:
+        # Whatever failed, the row loop decides the outcome. It starts past the
+        # header lines read again from offset 0, so it decodes in the chunks of
+        # a first read and a decoding error names the same position.
+        fh.seek(0)
+        for _ in range(header_lines):
+            fh.readline()
+        return None
+    return [table[name].tolist() for name in table.dtype.names], len(table)
 
 
 CSV_CHUNK_ROWS = 4096

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import (CSV_CHUNK_ROWS, MIN_POSITIVE_FEE, DataError, SchemaError, Stream,
-                   Transaction, read_csv_columns, write_csv_chunks)
+                   Transaction, optional_float, read_csv_columns, write_csv_chunks)
 
 DEFAULT_COMMISSION_RATIO = 0.002
 # Median amount chosen so the default commission ratio puts the median fee
@@ -137,14 +137,17 @@ def load_csv(path, commission_ratio: float = DEFAULT_COMMISSION_RATIO) -> Stream
     """Load a transaction stream from CSV.
 
     Expected header: id, amount, arrival_time_ms and optionally fee. A fee
-    that is absent or blank is derived as amount * commission_ratio.
+    that is absent or blank is derived as amount * commission_ratio. Every
+    kind is numeric, so `read_csv_columns` parses a file that `write_csv`
+    wrote in its C pass; a blank fee, as any cell the pass cannot take,
+    leaves the rows to its row loop.
     Raises SchemaError naming the file: `read_csv_columns`' errors, or the
     `Stream` check's own message when the columns fail it (arrival order,
     repeated ids, 64-bit range, finite non-negative values, a finite fee sum).
     """
     ids, amounts, arrivals, fees = read_csv_columns(path, {
-        "id": int, "amount": float, "arrival_time_ms": int,
-        "fee": lambda text: float(text) if text.strip() else None}, optional=("fee",))
+        "id": int, "amount": float, "arrival_time_ms": int, "fee": optional_float},
+        optional=("fee",))
     fees = [amount * commission_ratio if fee is None else fee
             for amount, fee in zip(amounts, fees)]
     try:

@@ -2,36 +2,40 @@
 
 A second hand-written reader would map errors and count lines its own way,
 so the package's sources are parsed and any other use of `csv.reader` or
-`csv.DictReader` fails here.
+`csv.DictReader`, or of numpy's text parsers, fails here. The reader's C
+pass must return what its row loop returns, or decline.
 """
 
 import ast
+import csv
+import warnings
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from dtsim import core
 from dtsim.cli import main
-from dtsim.core import DataError, SchemaError, read_csv_columns
+from dtsim.core import DataError, SchemaError, optional_float, read_csv_columns
+from dtsim.ingest import DatasetSpec, generate, load_csv, write_csv
 from dtsim.ingest import SchemaError as IngestSchemaError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dtsim"
+NUMPY_TEXT_PARSERS = ("loadtxt", "genfromtxt", "fromfile")
 
 
-def _csv_reads(path):
-    """(module, enclosing function, what) for each `csv.reader` or
-    `csv.DictReader` read in `path`, and each import that could hide one."""
+def _reads(path, read_at):
+    """(module, enclosing function, what) for each node of `path` that
+    `read_at` names, as `what`."""
     found = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
-                    and child.value.id == "csv" and child.attr in ("reader", "DictReader")):
-                found.append((path.stem, function, child.attr))
-            elif isinstance(child, ast.ImportFrom) and child.module == "csv":
-                found.append((path.stem, function, "from csv import"))
-            elif isinstance(child, ast.Import) and any(
-                    a.name == "csv" and a.asname not in (None, "csv") for a in child.names):
-                found.append((path.stem, function, "import csv as"))
+            what = read_at(child)
+            if what:
+                found.append((path.stem, function, what))
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
             visit(child, inner or function)
 
@@ -39,9 +43,43 @@ def _csv_reads(path):
     return found
 
 
+def _csv_read(node):
+    """A `csv.reader` or `csv.DictReader` read, or an import that could hide one."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "csv" and node.attr in ("reader", "DictReader")):
+        return node.attr
+    if isinstance(node, ast.ImportFrom) and node.module == "csv":
+        return "from csv import"
+    if isinstance(node, ast.Import) and any(
+            a.name == "csv" and a.asname not in (None, "csv") for a in node.names):
+        return "import csv as"
+    return None
+
+
+def _numpy_text_parser(node):
+    """A numpy text parser read as an attribute of anything, or imported by name."""
+    if isinstance(node, ast.Attribute) and node.attr in NUMPY_TEXT_PARSERS:
+        return node.attr
+    if isinstance(node, ast.ImportFrom) and any(a.name in NUMPY_TEXT_PARSERS for a in node.names):
+        return f"from {node.module} import"
+    return None
+
+
+def _csv_reads(path):
+    """(module, enclosing function, what) for each `csv.reader` or
+    `csv.DictReader` read in `path`, and each import that could hide one."""
+    return _reads(path, _csv_read)
+
+
 def test_csv_is_read_only_in_read_csv_columns():
     found = [read for path in sorted(SRC.glob("*.py")) for read in _csv_reads(path)]
     assert found == [("core", "read_csv_columns", "reader")]
+
+
+def test_numpy_parses_text_only_in_the_readers_c_pass():
+    found = [read for path in sorted(SRC.glob("*.py"))
+             for read in _reads(path, _numpy_text_parser)]
+    assert found == [("core", "_numeric_columns", "loadtxt")]
 
 
 def test_columns_are_parsed_in_the_order_asked():
@@ -95,3 +133,140 @@ def test_malformed_row_after_a_blank_line_reports_its_own_line(tmp_path, capsys,
     assert main([a.format(path=path, tmp=tmp_path) for a in command]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {path}:4: malformed row: ") and err.count("\n") == 1
+
+
+# Differential check of the C pass: files from a cell grammar, read with the
+# pass and by the row loop alone, must give the same columns or the same
+# SchemaError text.
+HEADER = "a,b,c,d"
+KINDS = [
+    ({"a": int, "b": float, "c": optional_float}, ()),
+    ({"c": optional_float, "a": int, "e": optional_float}, ("e",)),
+    ({"d": int}, ()),
+    ({"b": float, "d": str.strip}, ()),
+]
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+NUMBERS = st.one_of(
+    st.integers(-2**70, 2**70).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["007", "+5", "-0", ".5", "5.", "1e3", "1E-400", "1e400", "inf", "-Infinity",
+                     "nan", "NaN"]))
+PADDING = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+                           "\u2003", "\u3000"])
+ODD_CELLS = st.one_of(
+    st.sampled_from(["", " ", "x", "1_000", "1.5_0", "\u0661\u0662", "\uff11", "0x10", "1 2",
+                     "#1", "1,5", "\x00", "\x001", "\xe9", "\ufeff1", "1e", "--1"]),
+    NUMBERS.map(lambda cell: f'"{cell}"'),
+    st.text(max_size=4).map(lambda text: f'"{text}"'),
+    st.text(max_size=4))
+CELLS = st.one_of(NUMBERS, st.tuples(PADDING, NUMBERS, PADDING).map("".join), ODD_CELLS)
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes under HEADER: clean numeric rows, or rows from the whole cell
+    grammar of any length, with blank lines, any line ends and, at times, a
+    byte that is not UTF-8."""
+    end = draw(LINE_ENDS)
+    clean = draw(st.booleans())
+    cells = st.tuples(NUMBERS, NUMBERS, NUMBERS, NUMBERS).map(list) if clean else st.lists(
+        CELLS, max_size=6)
+    rows = draw(st.lists(st.one_of(cells.map(",".join), st.sampled_from(["", "  ", " , ,"])),
+                         max_size=8))
+    lines = [HEADER, *rows]
+    text = "".join(line + (draw(LINE_ENDS) if not clean else end) for line in lines)
+    content = text.encode("utf-8")
+    if not clean and draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(len(HEADER) + 1, len(content)))
+        content = content[:at] + b"\xff" + content[at:]
+    return content
+
+
+def _outcome(path, case):
+    kinds, optional = KINDS[case]
+    try:
+        return repr(read_csv_columns(path, kinds, optional))
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+def test_the_c_pass_returns_what_the_row_loop_returns(tmp_path):
+    path = tmp_path / "t.csv"
+    taken = set()
+    numeric_columns = core._numeric_columns
+
+    def recorded(*args):
+        columns = numeric_columns(*args)
+        taken.add(columns is not None)
+        return columns
+
+    @settings(max_examples=400, deadline=None)
+    @given(content=csv_files(), case=st.integers(0, len(KINDS) - 1))
+    @example(content=f"{HEADER}\n1,{'1.' + '0' * csv.field_size_limit()},3,x\n".encode(), case=0)
+    @example(content=f"{HEADER}\n".encode(), case=0)
+    @example(content=f'{HEADER}\n"1",2.5,3,x\n'.encode(), case=0)
+    @example(content=f"{HEADER}\n1_000,2,3,x\n".encode(), case=0)
+    @example(content=f"{HEADER}\n1,2,3,x\n   \n4,5,6,x\n".encode(), case=0)
+    @example(content=f"{HEADER}\r1,2,3,x\r4,5,6,x\r".encode(), case=0)
+    @example(content=f"{HEADER}\n\x1c1,2,3,x\n".encode(), case=0)
+    @example(content=f'{HEADER}\n1,2,3,"x\n4,5,6,y"\n'.encode(), case=0)
+    @example(content=f"{HEADER}\n1,2,3,x\x00\n".encode(), case=0)
+    @example(content=f"{HEADER}\n1,2,,x\n4,5,6,x\n".encode(), case=1)
+    @example(content=f"{HEADER}\n1,2,3,x\n".encode() + b"\xff\n", case=0)
+    def check(content, case):
+        path.write_bytes(content)
+        with mock.patch.object(core, "_numeric_columns", lambda *args: None):
+            expected = _outcome(path, case)
+        with mock.patch.object(core, "_numeric_columns", recorded), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _outcome(path, case) == expected
+        assert not caught
+
+    check()
+    assert taken == {True, False}
+
+
+@pytest.fixture
+def csv_reader_rows(monkeypatch):
+    """The rows each `csv.reader` made while the test runs yields, one count per reader."""
+    counts = []
+    reader = csv.reader
+
+    class Counting:
+        def __init__(self, *args, **kwargs):
+            self.rows = reader(*args, **kwargs)
+            counts.append(0)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            row = next(self.rows)
+            counts[-1] += 1
+            return row
+
+        @property
+        def line_num(self):
+            return self.rows.line_num
+
+    monkeypatch.setattr(csv, "reader", Counting)
+    return counts
+
+
+def test_a_written_stream_loads_through_the_c_pass(tmp_path, csv_reader_rows):
+    stream = generate(DatasetSpec(count=5000, rng_seed=3))
+    write_csv(stream, tmp_path / "s.csv")
+    loaded = load_csv(tmp_path / "s.csv")
+    assert csv_reader_rows == [1]
+    for column in ("ids", "arrivals", "amounts", "fees"):
+        assert np.array_equal(getattr(loaded, column), getattr(stream, column))
+
+
+def test_vrp_check_reads_a_simulate_output_through_the_c_pass(tmp_path, capsys, csv_reader_rows):
+    out = tmp_path / "run"
+    assert main(["simulate", "--count", "3000", "--seed", "2", "--out", str(out)]) == 0
+    csv_reader_rows.clear()
+    assert main(["vrp-check", "--blocks", str(out / "blocks.csv")]) == 0
+    assert "violations (0): none" in capsys.readouterr().out
+    assert csv_reader_rows == [1, 1]
