@@ -31,9 +31,8 @@ the lowest pending rank, and the quota resets at every seal. Without a quota
 (categories 2 and 4, and 1 and 3 with a5 = 0) no fee counts as small. While
 arrivals continue the pending ranks sit in two disjoint heaps, one for the
 fees below the small-fee threshold and one for the rest; both start as
-ascending lists of the warm-up pool's ranks, so they need no `heapify`:
-masked from the rank order, or without a quota the warm-up positions' ranks
-sorted. Where the small-fee heap is empty and at least
+ascending lists of the warm-up pool's ranks, masked from the rank order, so
+they need no `heapify`. Where the small-fee heap is empty and at least
 STRETCH arrivals pass before the next small fee, every pick of that stretch
 pops the other heap, so the stretch is one `heappushpop` chain on it;
 elsewhere the miner steps once per arrival. After the last arrival the
@@ -247,34 +246,29 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
     # column through it instead raised the peak RSS of a 200k run by
     # 4 MB, with the same traced peak.
     slot_of = array("q", slot_of.tobytes())
-    # Two disjoint heaps of the pending ranks, split by the small-fee
-    # threshold: the warm-up pool, less an evicted position, taken in
-    # rank order, so each is an ascending list and a heap already. Every
-    # pick pops the heap it read, so together they hold at most a1 ranks.
+    # Fees are >= 0, so without a quota no fee is small.
+    is_small = fees < (strategy.small_fee_threshold if reserve else 0.0)
+    below = is_small.tobytes()
     # A stretch runs from a position where no small fee waits to the next
-    # small-fee arrival (`stops`, ending in n_txs).
-    evicted = victim is not None and victim < warm
-    if reserve:
-        is_small = fees < strategy.small_fee_threshold
-        below = is_small.tobytes()
-        stops = np.append(np.flatnonzero(is_small[warm:]) + warm, n_txs)
-        pooled = order < warm
-        if evicted:
-            pooled[rank[victim]] = False
-        small_at = is_small[order]
-        small, large = (np.flatnonzero(pooled & side).tolist() for side in (small_at, ~small_at))
-        del pooled, small_at, is_small
-    else:
-        # Fees are >= 0, so without a quota no fee is small and n_txs is the one stop.
-        below, stops, small = bytes(n_txs), np.array([n_txs]), []
-        large = np.sort(np.delete(rank[:warm], victim) if evicted else rank[:warm]).tolist()
-    # `heads` are the first positions of the gaps between stops that hold
-    # at least STRETCH arrivals, past a newcomer rejected at the overflow.
+    # small-fee arrival (`stops`, ending in n_txs); `heads` are the first
+    # positions of the gaps between them that hold at least STRETCH
+    # arrivals, past a newcomer rejected at the overflow.
+    stops = np.append(np.flatnonzero(is_small[warm:]) + warm, n_txs)
     after = np.append(warm + (victim == warm), stops[:-1] + 1)
     heads = array("q", after[stops - after >= STRETCH].tobytes())
     heads.append(n_txs)
     stops = array("q", stops.tobytes())
     del after
+    # Two disjoint heaps of the pending ranks, split by the small-fee
+    # threshold: the warm-up pool, less an evicted position, taken in
+    # rank order, so each is an ascending list and a heap already. Every
+    # pick pops the heap it read, so together they hold at most a1 ranks.
+    pooled = order < warm
+    if victim is not None and victim < warm:
+        pooled[rank[victim]] = False
+    small_at = is_small[order]
+    small, large = (np.flatnonzero(pooled & side).tolist() for side in (small_at, ~small_at))
+    del pooled, small_at, is_small
     slots_np = np.frombuffer(slot_of, dtype=np.int64)
     picks, filled, small_used = array("q"), 0, 0
     pos = warm

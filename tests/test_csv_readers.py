@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from dtsim import core
 from dtsim.cli import main
 from dtsim.core import DataError, SchemaError, optional_float, read_csv_columns
-from dtsim.ingest import DatasetSpec, generate, load_csv, write_csv
+from dtsim.ingest import DEFAULT_COMMISSION_RATIO, DatasetSpec, generate, load_csv, write_csv
 from dtsim.ingest import SchemaError as IngestSchemaError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dtsim"
@@ -261,6 +261,39 @@ def test_a_written_stream_loads_through_the_c_pass(tmp_path, csv_reader_rows):
     assert csv_reader_rows == [1]
     for column in ("ids", "arrivals", "amounts", "fees"):
         assert np.array_equal(getattr(loaded, column), getattr(stream, column))
+
+
+@pytest.mark.parametrize("blank", ["", " ", "\t "])
+def test_a_blank_fee_is_left_to_the_row_loop_before_the_c_pass(tmp_path, monkeypatch, blank):
+    stream = generate(DatasetSpec(count=300, rng_seed=3))
+    path = tmp_path / "s.csv"
+    write_csv(stream, path)
+    passes = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: passes.append(1) or loadtxt(*args, **kwargs))
+    load_csv(path)
+    assert passes == [1]
+    *rows, last = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(rows) + last.rsplit(",", 1)[0] + f",{blank}\n")
+    loaded = load_csv(path)
+    assert passes == [1]
+    assert np.array_equal(loaded.fees[:-1], stream.fees[:-1])
+    assert loaded.fees[-1] == stream.amounts[-1] * DEFAULT_COMMISSION_RATIO
+
+
+@pytest.mark.parametrize("content, blank", [
+    (b"a,b\n1,2\n\n3,4\n", False),
+    (b",a,b\n1,2\n", False),
+    (b"a,b,", False),
+    (b"a,b\n1,,2\n", True),
+    (b"a,b\r\n,1\r\n", True),
+    (b"a,b\r1,\r", True),
+    (b"a,b\n1,2,", True),
+    (b"a,b\n1, 2\n", True),
+    (b"a\n" + b"1" * (core._BLANK_SCAN_BYTES - 2) + b",,1\n", True),
+])
+def test_blank_field_scan(content, blank):
+    assert core._blank_field(content) is blank
 
 
 def test_vrp_check_reads_a_simulate_output_through_the_c_pass(tmp_path, capsys, csv_reader_rows):
