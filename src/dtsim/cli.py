@@ -66,10 +66,6 @@ from .vrp import (
 ENV_SEED = "DTSIM_SEED"
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _defaults() -> dict:
     """The config file schema, valued with the library's defaults."""
     sim, spec, opt, mix = SimulationConfig(), DatasetSpec(), OptimizerConfig(), IrrationalMix()
@@ -112,7 +108,7 @@ def _typed(text: str, kind: type, name: str):
     try:
         return kind(text)
     except ValueError:
-        raise ConfigError(f"{name} must be of type {kind.__name__}, got {text!r}") from None
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {text!r}") from None
 
 
 def load_config(args) -> tuple[dict, str]:
@@ -127,18 +123,22 @@ def load_config(args) -> tuple[dict, str]:
     seed_in_file = False
     path = getattr(args, "config", None)
     if path is not None:
-        parser = configparser.ConfigParser()
-        if not parser.read(path):
-            raise ConfigError(f"config file not found: {path}")
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+            parser.read_string(text, source=path)
+        except OSError:
+            raise ValueError(f"config file not found: {path}") from None
+        except configparser.Error as exc:  # its messages name the file, some over lines
+            raise ValueError(" ".join(str(exc).split())) from None
         for section in parser.sections():
             if section not in config:
-                raise ConfigError(f"unknown config section [{section}]")
+                raise ValueError(f"unknown config section [{section}]")
             for key, value in parser[section].items():
                 if key not in config[section]:
-                    raise ConfigError(f"unknown config key {key!r} in [{section}]")
+                    raise ValueError(f"unknown config key {key!r} in [{section}]")
                 config[section][key] = _typed(value, type(DEFAULTS[section][key]),
                                               f"{key} in [{section}]")
-        text = Path(path).read_text(encoding="utf-8")
         seed_in_file = parser.has_option("simulation", "seed")
     env = os.environ.get(ENV_SEED)
     if env is not None and not seed_in_file and getattr(args, "seed", None) is None:
@@ -185,21 +185,21 @@ def _strategy(args, config, cfg: SimulationConfig):
     strategy = strategy_from_category(attrs.pop("category"), **attrs, a4=args.a4, a5=args.a5)
     problems = validate_strategy(strategy, cfg)
     if problems:
-        raise ConfigError("invalid strategy: " + "; ".join(problems))
+        raise ValueError("invalid strategy: " + "; ".join(problems))
     return strategy
 
 
-def _write_manifest(path: Path, args, seed: int, config_text: str,
-                    outputs: list, wall_time: float, extras: dict | None = None):
+def _write_manifest(path: Path, args, config, config_text: str, outputs: list,
+                    extras: dict | None = None):
     manifest = {
         "command": args.command,
         "argv": args.argv,
         "package_version": __version__,
-        "seed": seed,
+        "seed": config["simulation"]["seed"],
         "config_digest": hashlib.sha256(config_text.encode()).hexdigest(),
         "config_text": config_text,
         "outputs": [str(p) for p in outputs],
-        "wall_time_s": round(wall_time, 3),
+        "wall_time_s": round(time.perf_counter() - args.started, 3),
         **(extras or {}),
     }
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -213,8 +213,6 @@ def _out_dir(args) -> Path:
 
 
 def cmd_simulate(args, config, config_text) -> int:
-    t0 = time.perf_counter()
-    seed = config["simulation"]["seed"]
     cfg = _sim_config(config)
     strategy = _strategy(args, config, cfg)
     stream = _dataset(args, config)
@@ -245,8 +243,7 @@ def cmd_simulate(args, config, config_text) -> int:
     outputs.append(out / "summary.csv")
     write_csv_rows(outputs[-1], ("key", "value"), summary.items())
 
-    manifest = _write_manifest(out / "manifest.json", args, seed, config_text, outputs,
-                               time.perf_counter() - t0,
+    manifest = _write_manifest(out / "manifest.json", args, config, config_text, outputs,
                                {"strategy": strategy.attributes()})
     for key, value in summary.items():
         print(f"{key}: {value}")
@@ -255,17 +252,16 @@ def cmd_simulate(args, config, config_text) -> int:
 
 
 def cmd_optimize(args, config, config_text) -> int:
-    t0 = time.perf_counter()
-    seed = config["simulation"]["seed"]
     cfg = _sim_config(config)
     if args.jobs < 1:
-        raise ConfigError("--jobs must be positive")
+        raise ValueError("--jobs must be positive")
     if args.grid:
         # A config file's algorithm and category stay defaults; a flag would be ignored.
         for flag, value in (("--algo", args.algorithm), ("--category", args.category)):
             if value is not None:
-                raise ConfigError(f"--grid runs every algorithm and category; drop {flag}")
-    base = OptimizerConfig(**config["optimizer"], n_eval=args.budget, rng_seed=seed)
+                raise ValueError(f"--grid runs every algorithm and category; drop {flag}")
+    base = OptimizerConfig(**config["optimizer"], n_eval=args.budget,
+                           rng_seed=config["simulation"]["seed"])
     w, c1, c2 = PSO_COEFFICIENTS
 
     stream = _dataset(args, config)
@@ -284,7 +280,7 @@ def cmd_optimize(args, config, config_text) -> int:
         write_trace_csv(r, outputs[-1])
 
     manifest = _write_manifest(
-        out / "manifest.json", args, seed, config_text, outputs, time.perf_counter() - t0,
+        out / "manifest.json", args, config, config_text, outputs,
         {"pso_derived": {"w": round(w, 6), "c1": round(c1, 6), "c2": round(c2, 6)},
          "budget": base.budget,
          "cells": [{"algorithm": r.algorithm, "category": r.category_id,
@@ -309,12 +305,11 @@ def _parse_scenarios(text: str):
         else:
             scenarios.append((part, int(part)))
     if not scenarios:
-        raise ConfigError("no scenarios given")
+        raise ValueError("no scenarios given")
     return scenarios
 
 
 def cmd_proofsize(args, config, config_text) -> int:
-    t0 = time.perf_counter()
     scenarios = (_parse_scenarios(args.scenarios) if args.scenarios
                  else [*PUBLISHED_SCENARIOS, INTEGRATION_SCENARIO])
     ks = [int(k) for k in args.k.split(",")] if args.k else BRANCHING_FACTORS
@@ -340,8 +335,7 @@ def cmd_proofsize(args, config, config_text) -> int:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         write_bandwidth_csv(rows, out)
-        _write_manifest(out.with_suffix(".manifest.json"), args, config["simulation"]["seed"],
-                        config_text, [out], time.perf_counter() - t0)
+        _write_manifest(out.with_suffix(".manifest.json"), args, config, config_text, [out])
     return 0
 
 
@@ -382,9 +376,9 @@ def _packing(rows, heights, capacity):
 
 def cmd_vrp_check(args, config, config_text) -> int:
     if not 1 <= args.oracle_max_n <= MAX_ORACLE_TXS:
-        raise ConfigError(f"--oracle-max-n must be between 1 and {MAX_ORACLE_TXS}")
+        raise ValueError(f"--oracle-max-n must be between 1 and {MAX_ORACLE_TXS}")
     if not 1 <= args.oracle_blocks <= MAX_ORACLE_BLOCKS:
-        raise ConfigError(f"--oracle-blocks must be between 1 and {MAX_ORACLE_BLOCKS}")
+        raise ValueError(f"--oracle-blocks must be between 1 and {MAX_ORACLE_BLOCKS}")
     assignments_path = args.assignments or Path(args.blocks).with_name("assignments.csv")
     rows = list(zip(*read_csv_columns(
         assignments_path, {"tx_id": int, "block": int, "fee": float, "nodes": int})))
@@ -442,7 +436,7 @@ def _incentive(text: str) -> float:
 
 def cmd_volatility(args, config, config_text) -> int:
     if args.out and args.window is None:
-        raise ConfigError("--out writes the rolling series; give --window")
+        raise ValueError("--out writes the rolling series; give --window")
     (values,) = read_csv_columns(args.infile, {args.column: _incentive})
     if len(values) < 2:
         raise DataError("need at least two incentives")
@@ -535,6 +529,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.started = time.perf_counter()  # a manifest's wall time covers the whole command
     args.argv = argv  # the manifest records what was parsed, not the host's sys.argv
     if args.print_defaults:
         print(default_config_text(), end="")

@@ -107,11 +107,13 @@ def inject_irrational(stream: Iterable[Transaction], mix: IrrationalMix,
                       seed: int) -> Stream:
     """Replace a seeded random slice of fees with over/under-paid ones.
 
-    Exactly round(fraction * n) transactions fall in each irrational group;
-    multipliers are drawn uniformly from the configured ranges, one per
-    perturbed transaction in stream order. Amounts, ids and arrival order
-    are untouched. A fee that would underflow to zero is clamped to the
-    smallest positive float, with a warning.
+    n_over = round(overpaid_fraction * n) transactions are overpaid. The
+    underpaid group takes round(underpaid_fraction * n), but at most the
+    n - n_over left, so halves at n = 7 give 4 and 3. Multipliers are drawn
+    uniformly from the configured ranges, one per perturbed transaction in
+    stream order. Amounts, ids and arrival order are untouched. A fee that
+    would underflow to zero is clamped to the smallest positive float, with
+    a warning.
     """
     stream = Stream.of(stream)
     n = len(stream)

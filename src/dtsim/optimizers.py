@@ -269,10 +269,7 @@ def gbo(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
     probability 0.5."""
     lb, ub, tally, x, f = _start(objective, lb, ub, budget, rng, n_pop)
     n_pop, dim = x.shape
-    best_i = int(np.argmin(f))
     worst_i = int(np.argmax(f))
-    best_x = x[best_i].copy()
-    best_f = float(f[best_i])
     worst_x = x[worst_i].copy()
     worst_f = float(f[worst_i])
 
@@ -282,6 +279,7 @@ def gbo(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
         alpha = abs(beta * math.sin(3 * math.pi / 2 + math.sin(3 * math.pi / 2 * beta)))
 
         for i in range(n_pop):
+            best_x = tally.best_x  # the population's best: only a trial that beats x[i] enters
             r1, r2, r3, r4 = rng.integers(n_pop, size=4)
             x_mean4 = (x[r1] + x[r2] + x[r3] + x[r4]) / 4.0
             ro = alpha * (2 * rng.random() - 1)
@@ -312,21 +310,14 @@ def gbo(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
                 x_rand = lb + rng.random(dim) * (ub - lb)
                 x_p = x[rng.integers(n_pop)]
                 x_k = x_rand if l2 else x_p
-                if u1 < 0.5:
-                    x_new = (x_new + f1 * (u1 * best_x - u2 * x_k)
-                             + f2 * ro_leo * (u3 * (x2 - x1) + u2 * (x[r1] - x[r2])) / 2)
-                else:
-                    x_new = (best_x + f1 * (u1 * best_x - u2 * x_k)
-                             + f2 * ro_leo * (u3 * (x2 - x1) + u2 * (x[r1] - x[r2])) / 2)
+                x_new = ((x_new if u1 < 0.5 else best_x) + f1 * (u1 * best_x - u2 * x_k)
+                         + f2 * ro_leo * (u3 * (x2 - x1) + u2 * (x[r1] - x[r2])) / 2)
 
             x_new = _clamp(x_new, lb, ub)
             f_new = tally(x_new)
             if f_new < f[i]:
                 x[i] = x_new
                 f[i] = f_new
-                if f_new < best_f:
-                    best_f = float(f_new)
-                    best_x = x_new.copy()
             if f[i] > worst_f:
                 worst_f = float(f[i])
                 worst_x = x[i].copy()

@@ -51,6 +51,9 @@ class AssignmentMatrix:
     def __post_init__(self):
         if len(self.blocks) != len(self.tx_ids):
             raise ValueError("blocks and tx_ids must have equal length")
+        bad = next((k for k in self.blocks if k is not None and not 0 <= k < self.n_blocks), None)
+        if bad is not None:
+            raise ValueError(f"block index {bad} is outside [0, {self.n_blocks})")
 
 
 def encode(blocks: Sequence[BlockRecord], universe: Optional[Sequence[int]] = None) -> AssignmentMatrix:

@@ -302,6 +302,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == "config error: unknown config key 'max_gen' in [optimizer]\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 3\n", "File contains no section headers. file: '{ini}', line: 1 'seed = 3\\n'"),
+        ("[simulation]\nseed = 3\n[simulation]\nseed = 4\n",
+         "While reading from '{ini}' [line 3]: section 'simulation' already exists"),
+        ("[simulation]\nseed = 3\nseed = 4\n",
+         "While reading from '{ini}' [line 3]: option 'seed' in section 'simulation' already exists"),
+        ("[simulation]\ngarbage\n", "Source contains parsing errors: '{ini}' [line 2]: 'garbage\\n'"),
+        # No interpolation: a '%' is a plain character of the value.
+        ("[simulation]\nseed = 5%\n", "seed in [simulation] must be of type int, got '5%'"),
+    ], ids=["no-header", "duplicate-section", "duplicate-key", "no-key-value", "percent"])
+    def test_malformed_config_is_one_line_config_error_before_any_output(
+            self, tmp_path, capsys, text, message):
+        config = tmp_path / "dtsim.ini"
+        config.write_text(text)
+        assert main(["proofsize", "--config", str(config), "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message.format(ini=config)}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["dtsim.ini"]
+
 
 class TestVolatilityCommand:
     def test_constant_column_is_below_range(self, tmp_path):

@@ -79,6 +79,15 @@ class TestInjectIrrational:
         assert abs(over - 15_000) <= 1
         assert abs(under - 15_000) <= 1
 
+    def test_underpaid_group_takes_at_most_what_overpaid_leaves(self):
+        # round(0.5 * 7) is 4 for both groups; the underpaid get the other 3.
+        stream = generate(DatasetSpec(count=7, rng_seed=4))
+        mix = IrrationalMix(0.0, 0.5, 0.5, over_multiplier=(2.0, 3.0), under_multiplier=(0.2, 0.5))
+        out = inject_irrational(stream, mix, seed=6)
+        ratios = [b.fee / a.fee for a, b in zip(stream, out)]
+        assert sum(r >= 2.0 for r in ratios) == 4
+        assert sum(r <= 0.5 for r in ratios) == 3
+
     def test_preserves_ids_amounts_and_order(self):
         stream = generate(DatasetSpec(count=2000, rng_seed=8))
         out = inject_irrational(stream, IrrationalMix(0.7, 0.15, 0.15), seed=3)

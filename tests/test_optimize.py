@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -437,3 +438,23 @@ def test_pinned_grid_cells(pinned_grid, cell):
     r = pinned_grid[cell]
     assert (r.best_volatility.hex(), " ".join(map(float.hex, r.trace)), r.best_attrs) == (
         best, trace, attrs)
+
+
+def _rastrigin(x):
+    return float(10 * x.size + np.sum(x * x - 10 * np.cos(2 * math.pi * x)))
+
+
+def test_gbo_pinned_direct_runs():
+    # 30 direct runs (sphere and Rastrigin over an asymmetric 3-d box, rng
+    # seeds 1-5, n_pop 1, 4 and 50, budget 2000): one sha256 over each run's
+    # best value, best point and trace as float.hex, and its evaluations.
+    lb, ub = (-5.12, -2.0, -1.0), (5.12, 3.0, 4.0)
+    digest = hashlib.sha256()
+    for objective in (lambda x: float(np.sum(x * x)), _rastrigin):
+        for seed in range(1, 6):
+            for n_pop in (1, 4, 50):
+                r = gbo(objective, lb, ub, 2000, np.random.default_rng(seed), n_pop=n_pop)
+                fields = [r.best_f.hex(), *map(float.hex, r.best_x), *map(float.hex, r.trace),
+                          str(r.evaluations)]
+                digest.update(" ".join(fields).encode() + b"\n")
+    assert digest.hexdigest() == "5b52d2c94e9cb0f06ff581462e51e21d9fbb3cacec8d0568b5ac9f852c03b02b"

@@ -36,6 +36,13 @@ class TestEncode:
         assert m.blocks == (0, None)
 
 
+class TestAssignmentMatrix:
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_block_index_outside_the_blocks_rejected(self, index):
+        with pytest.raises(ValueError, match=rf"block index {index} is outside \[0, 2\)"):
+            AssignmentMatrix(blocks=(0, index, None), tx_ids=(1, 2, 3), n_blocks=2)
+
+
 class TestCheckConstraints:
     def test_valid_matrix(self):
         m = encode([block(0, [1, 2]), block(1, [3])])
