@@ -123,12 +123,15 @@ def load_config(args) -> tuple[dict, str]:
     seed_in_file = False
     path = getattr(args, "config", None)
     if path is not None:
-        parser = configparser.ConfigParser(interpolation=None)
+        # No header names the section "", so a [DEFAULT] section is unknown.
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             text = Path(path).read_text(encoding="utf-8")
             parser.read_string(text, source=path)
         except OSError:
             raise ValueError(f"config file not found: {path}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"cannot read {path}: {exc}") from None
         except configparser.Error as exc:  # its messages name the file, some over lines
             raise ValueError(" ".join(str(exc).split())) from None
         for section in parser.sections():

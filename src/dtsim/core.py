@@ -336,13 +336,9 @@ def optional_float(text: str) -> Optional[float]:
 
 
 # The cell kinds that `read_csv_columns` parses in numpy's C pass, and the
-# field type of each; a blank `optional_float` cell is left to the row loop.
+# field type of each; `_row_loop_only` says which files it may read.
 NUMERIC_FIELDS = {int: np.int64, float: np.float64, optional_float: np.float64}
 
-# What the C pass reads otherwise than the row loop: a quote (`csv.reader`
-# quotes, the pass does not), a NUL (`csv.reader` rejects it before Python
-# 3.11) and \x1c-\x1f (numpy strips them around a number; int and float do not).
-_ROW_LOOP_ONLY = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 def read_csv_columns(path, kinds: dict, optional: Sequence[str] = ()) -> list[list]:
     """The columns of the CSV file at `path` that `kinds` names, in its order,
@@ -350,8 +346,9 @@ def read_csv_columns(path, kinds: dict, optional: Sequence[str] = ()) -> list[li
 
     The one input reader of the package. `csv.reader` reads the header, whose
     names are stripped. When every column present is of a `NUMERIC_FIELDS`
-    kind, `_numeric_columns` parses the rest in one C pass; else, or when that
-    pass declines, a row loop reads it through the same `csv.reader`, parses
+    kind and the rows are numbers, commas and line ends with no empty field,
+    `_numeric_columns` parses them in one C pass; else, or when that pass
+    declines, a row loop reads them through the same `csv.reader`, parses
     each cell with its callable and skips blank rows. The row loop defines
     the result: the C pass returns the same lists or declines. A column in
     `optional` that the header lacks holds `kind("")` in every row. Raises
@@ -398,11 +395,11 @@ def _numeric_columns(fh, header_lines: int, cells) -> Optional[tuple[list[list],
     first `header_lines` lines by one `np.loadtxt` pass, numpy's C tokenizer.
 
     Returns None, with `fh` past its header, to leave the rows to the row
-    loop: when a kind has no field, the file, header included, holds a byte
-    of `_ROW_LOOP_ONLY`, a line that may pass `csv.field_size_limit()` or,
-    where a kind is `optional_float`, a blank field, or the pass raises or
-    warns for any reason (a blank cell, a short row, a value that int64 or
-    float64 cannot hold, a header-only file).
+    loop: when a kind has no field, when `_row_loop_only` finds more than
+    rows of numbers past the header or the file holds a line that may pass
+    `csv.field_size_limit()`, or when the pass raises or warns for any reason
+    (a short row, a value that int64 or float64 cannot hold, a header-only
+    file).
     """
     if not cells or not fh.seekable() or not all(kind in NUMERIC_FIELDS for _, kind in cells):
         return None
@@ -411,10 +408,9 @@ def _numeric_columns(fh, header_lines: int, cells) -> Optional[tuple[list[list],
         # a whole block of `step` bytes, as no character is less than a byte.
         with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as raw:
             step = csv.field_size_limit() // 2 + 1
-            if any(raw.find(c) >= 0 for c in _ROW_LOOP_ONLY) or any(
+            if _row_loop_only(raw) or any(
                     raw.find(b"\n", at, at + step) < 0 and raw.find(b"\r", at, at + step) < 0
-                    for at in range(0, len(raw) - step + 1, step)) or (
-                    any(kind is optional_float for _, kind in cells) and _blank_field(raw)):
+                    for at in range(0, len(raw) - step + 1, step)):
                 return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -433,30 +429,30 @@ def _numeric_columns(fh, header_lines: int, cells) -> Optional[tuple[list[list],
     return [table[name].tolist() for name in table.dtype.names], len(table)
 
 
-# A blank `optional_float` cell fails the pass only where it reaches it, so
-# a file with one near its end would be parsed twice; the scan sends such a
-# file to the row loop first. Blocks of this many bytes keep its masks in
-# cache: 5 ms for a 10 MB file, against 13 ms in blocks of 1 MiB.
-_BLANK_SCAN_BYTES = 1 << 16
+# The bytes of a row of numbers. On them `np.loadtxt` reads a cell as `int`
+# and `float` do, or fails: no quote, NUL, space, \x1c-\x1f or letter, each
+# of which one of the two reads otherwise, ever reaches the pass.
+_NUMBER_BYTES = b"0123456789+-.eE,\r\n"
+# Blocks of this many bytes keep the scan in cache: about 9 ms for a 10 MB file.
+_SCAN_BYTES = 1 << 16
 
 
-def _blank_field(raw) -> bool:
-    """Whether the CSV bytes `raw`, which hold no quote, may hold a blank
-    field past their header line: a space or a tab there, or a comma next
-    to a comma, a line end or the end of the bytes."""
+def _row_loop_only(raw) -> bool:
+    """Whether the CSV bytes `raw` hold more than rows of numbers past their
+    header's first line end: a byte that is not in `_NUMBER_BYTES`, or an
+    empty field, a comma next to a comma, a line end or the end of the
+    bytes. An empty field fails the pass only where it reaches it, so a file
+    with one near its end would be parsed twice."""
     start = min((at for at in (raw.find(b"\n"), raw.find(b"\r")) if at >= 0), default=len(raw))
-    if (start < len(raw) and raw[-1:] == b","
-            or raw.find(b" ", start) >= 0 or raw.find(b"\t", start) >= 0):
-        return True
-    data = np.frombuffer(raw, np.uint8)
-    # Each block is one byte longer, to see the pair across its end.
-    for at in range(start, len(data), _BLANK_SCAN_BYTES):
-        block = data[at:at + _BLANK_SCAN_BYTES + 1]
-        comma = block == ord(",")
-        sep = comma | (block == ord("\n")) | (block == ord("\r"))
-        if (sep[1:] & sep[:-1] & (comma[1:] | comma[:-1])).any():
+    # Each block is one byte longer, to see a pair across its end.
+    for at in range(start, len(raw), _SCAN_BYTES):
+        block = raw[at:at + _SCAN_BYTES + 1]
+        data = np.frombuffer(block, np.uint8)
+        comma = data == ord(",")
+        sep = comma | (data == ord("\n")) | (data == ord("\r"))
+        if block.translate(None, _NUMBER_BYTES) or (sep[1:] & sep[:-1] & (comma[1:] | comma[:-1])).any():
             return True
-    return False
+    return start < len(raw) and raw[-1:] == b","
 
 
 CSV_CHUNK_ROWS = 4096

@@ -269,9 +269,7 @@ def gbo(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
     probability 0.5."""
     lb, ub, tally, x, f = _start(objective, lb, ub, budget, rng, n_pop)
     n_pop, dim = x.shape
-    worst_i = int(np.argmax(f))
-    worst_x = x[worst_i].copy()
-    worst_f = float(f[worst_i])
+    worst_x = x[int(np.argmax(f))].copy()  # the first population's worst, kept for the run
 
     max_gen = max(1, budget // n_pop)
     for it in tally.generations(n_pop):
@@ -318,9 +316,6 @@ def gbo(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
             if f_new < f[i]:
                 x[i] = x_new
                 f[i] = f_new
-            if f[i] > worst_f:
-                worst_f = float(f[i])
-                worst_x = x[i].copy()
     return tally.result()
 
 

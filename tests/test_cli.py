@@ -311,13 +311,26 @@ class TestExitCodes:
         ("[simulation]\ngarbage\n", "Source contains parsing errors: '{ini}' [line 2]: 'garbage\\n'"),
         # No interpolation: a '%' is a plain character of the value.
         ("[simulation]\nseed = 5%\n", "seed in [simulation] must be of type int, got '5%'"),
-    ], ids=["no-header", "duplicate-section", "duplicate-key", "no-key-value", "percent"])
+        # [DEFAULT] is no section of dtsim's, first or after another.
+        ("[DEFAULT]\nseed = 3\n", "unknown config section [DEFAULT]"),
+        ("[simulation]\n[DEFAULT]\nleaf_capacity = 50\n", "unknown config section [DEFAULT]"),
+    ], ids=["no-header", "duplicate-section", "duplicate-key", "no-key-value", "percent",
+            "default", "default-after-section"])
     def test_malformed_config_is_one_line_config_error_before_any_output(
             self, tmp_path, capsys, text, message):
         config = tmp_path / "dtsim.ini"
         config.write_text(text)
         assert main(["proofsize", "--config", str(config), "--out", str(tmp_path / "p.csv")]) == 2
         assert capsys.readouterr() == ("", f"config error: {message.format(ini=config)}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["dtsim.ini"]
+
+    def test_config_that_is_not_utf8_is_a_config_error_naming_the_file(self, tmp_path, capsys):
+        config = tmp_path / "dtsim.ini"
+        config.write_bytes("# r\xe9glages\n[simulation]\nseed = 3\n".encode("latin-1"))
+        assert main(["proofsize", "--config", str(config), "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr() == ("", f"config error: cannot read {config}: 'utf-8' codec "
+                                           "can't decode byte 0xe9 in position 3: invalid "
+                                           "continuation byte\n")
         assert [p.name for p in tmp_path.iterdir()] == ["dtsim.ini"]
 
 

@@ -281,7 +281,7 @@ def test_a_blank_fee_is_left_to_the_row_loop_before_the_c_pass(tmp_path, monkeyp
     assert loaded.fees[-1] == stream.amounts[-1] * DEFAULT_COMMISSION_RATIO
 
 
-@pytest.mark.parametrize("content, blank", [
+@pytest.mark.parametrize("content, row_loop_only", [
     (b"a,b\n1,2\n\n3,4\n", False),
     (b",a,b\n1,2\n", False),
     (b"a,b,", False),
@@ -290,10 +290,52 @@ def test_a_blank_fee_is_left_to_the_row_loop_before_the_c_pass(tmp_path, monkeyp
     (b"a,b\r1,\r", True),
     (b"a,b\n1,2,", True),
     (b"a,b\n1, 2\n", True),
-    (b"a\n" + b"1" * (core._BLANK_SCAN_BYTES - 2) + b",,1\n", True),
+    (b"a\n" + b"1" * (core._SCAN_BYTES - 2) + b",,1\n", True),
+    # Past the header, the one rule: a byte of a row of numbers, or the row loop.
+    (b"a,b\r\n-1.5e-3,+2E7\r\n", False),
+    (b'"a",b\n1,2\n', False),
+    (b'a,b\n"1",2\n', True),
+    (b"a,b\n1,2\x00\n", True),
+    (b"a,b\n\x1c1,2\n", True),
+    (b"a,b\n1,\t2\n", True),
+    (b"a,b\n1,inf\n", True),
+    (b"a,b\n1,2\xc2\xa0\n", True),
+    (b'"a\nb",c\n1,2\n', True),
 ])
-def test_blank_field_scan(content, blank):
-    assert core._blank_field(content) is blank
+def test_blank_field_scan(content, row_loop_only):
+    assert core._row_loop_only(content) is row_loop_only
+
+
+def test_a_blank_or_padded_int_cell_never_reaches_the_c_pass(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    passes = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: passes.append(1) or loadtxt(*args, **kwargs))
+    path.write_text("a,b\n1, 2\n")
+    assert read_csv_columns(path, {"a": int, "b": int}) == [[1], [2]]
+    path.write_text("a,b\n1,2\n3,\n")
+    with pytest.raises(SchemaError, match=":3: malformed row: invalid literal for int"):
+        read_csv_columns(path, {"a": int, "b": int})
+    assert passes == []
+
+
+# Cells of the pass's own alphabet: whatever bytes reach `np.loadtxt`, in
+# any order, read as the row loop reads them, or the pass declines.
+NUMBER_TEXT = st.text(alphabet="0123456789+-.eE", min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(NUMBER_TEXT, min_size=4, max_size=4).map(",".join), max_size=6),
+       case=st.integers(0, 2))
+def test_the_c_pass_reads_number_bytes_as_the_row_loop(tmp_path_factory, rows, case):
+    path = tmp_path_factory.mktemp("numbers") / "t.csv"
+    path.write_text("".join(f"{line}\n" for line in [HEADER, *rows]))
+    with mock.patch.object(core, "_numeric_columns", lambda *args: None):
+        expected = _outcome(path, case)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _outcome(path, case) == expected
+    assert not caught
 
 
 def test_vrp_check_reads_a_simulate_output_through_the_c_pass(tmp_path, capsys, csv_reader_rows):
