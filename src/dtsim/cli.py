@@ -302,11 +302,8 @@ def _parse_scenarios(text: str):
         part = part.strip()
         if not part:
             continue
-        if "=" in part:
-            name, _, num = part.partition("=")
-            scenarios.append((name.strip(), int(num)))
-        else:
-            scenarios.append((part, int(part)))
+        name, sep, num = part.partition("=")
+        scenarios.append((name.strip(), int(num if sep else name)))
     if not scenarios:
         raise ValueError("no scenarios given")
     return scenarios

@@ -81,10 +81,6 @@ def _start(objective: Objective, lb, ub, budget: int, rng: np.random.Generator, 
     return lb, ub, tally, x, f
 
 
-def _clamp(x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    return np.minimum(np.maximum(x, lb), ub)
-
-
 def constriction_params(k: float, phi1: float, phi2: float) -> Tuple[float, float, float]:
     """Derive (w, c1, c2) from the constriction coefficient.
 
@@ -124,7 +120,7 @@ def pso(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
         r1 = rng.random(x.shape)
         r2 = rng.random(x.shape)
         v = w * v + c1 * r1 * (pbest_x - x) + c2 * r2 * (pbest_x[g] - x)
-        x = _clamp(x + v, lb, ub)
+        x = np.clip(x + v, lb, ub)
         f = tally.eval_population(x)
         improved = f < pbest_f
         pbest_x[improved] = x[improved]
@@ -147,7 +143,7 @@ def differential_evolution(objective: Objective, lb, ub, budget: int,
             mutant = x[r1] + 0.5 * (x[r2] - x[r3])
             cross = rng.random(dim) < 0.9
             cross[rng.integers(dim)] = True
-            trial = _clamp(np.where(cross, mutant, x[i]), lb, ub)
+            trial = np.clip(np.where(cross, mutant, x[i]), lb, ub)
             ft = tally(trial)
             if ft < f[i]:
                 x[i] = trial
@@ -188,7 +184,7 @@ def genetic_algorithm(objective: Objective, lb, ub, budget: int,
                     break
                 mutate = rng.random(dim) < (1.0 / dim)
                 child = child + np.where(mutate, rng.normal(0.0, 1.0, dim) * sigma, 0.0)
-                children.append(_clamp(child, lb, ub))
+                children.append(np.clip(child, lb, ub))
         x = np.array(children)
         f = tally.eval_population(x)
     return tally.result()
@@ -228,7 +224,7 @@ def cma_es(objective: Objective, lb, ub, budget: int, rng: np.random.Generator) 
     for iteration in tally.generations(lam):
         z = rng.standard_normal((lam, dim))
         y = z @ (b_mat * d_diag).T
-        xs = _clamp(mean + sigma * y, lb, ub)
+        xs = np.clip(mean + sigma * y, lb, ub)
         fs = tally.eval_population(xs)
         order = np.argsort(fs, kind="stable")
         sel = xs[order[:mu]]
@@ -256,7 +252,7 @@ def cma_es(objective: Objective, lb, ub, budget: int, rng: np.random.Generator) 
         d_diag = np.sqrt(np.maximum(eigvals, 1e-30))
     if not tally.trace:
         # Budget below one population: spend what is left on random samples.
-        xs = _clamp(mean + sigma * rng.standard_normal((tally.remaining(), dim)), lb, ub)
+        xs = np.clip(mean + sigma * rng.standard_normal((tally.remaining(), dim)), lb, ub)
         tally.eval_population(xs)
         tally.trace.append(tally.best_f)
     return tally.result()
@@ -311,7 +307,7 @@ def gbo(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
                 x_new = ((x_new if u1 < 0.5 else best_x) + f1 * (u1 * best_x - u2 * x_k)
                          + f2 * ro_leo * (u3 * (x2 - x1) + u2 * (x[r1] - x[r2])) / 2)
 
-            x_new = _clamp(x_new, lb, ub)
+            x_new = np.clip(x_new, lb, ub)
             f_new = tally(x_new)
             if f_new < f[i]:
                 x[i] = x_new

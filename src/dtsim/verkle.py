@@ -19,11 +19,12 @@ digests up to the root, so a block's leaves are never Python ints or
 tuples. `build_tree` commits through the same routine and splits each level
 into 32-byte digests for `prove`.
 
-Proof-size formulas come in two rounding modes because the published
-comparison tables were computed without the ceiling that the printed
-formulas carry:
-  ceil    bytes = ceil(log_b(n)) * 32  (path counted in whole levels)
-  smooth  bytes = log_b(n) * 32        (reproduces the published table cells)
+Proof size has one formula, `verkle_proof_size_bytes`; the binary (Merkle)
+figures are its k = 2 case. It comes in two rounding modes because the
+published comparison tables were computed without the ceiling that the
+printed formulas carry:
+  ceil    bytes = ceil(log_k(n)) * 32  (path counted in whole levels)
+  smooth  bytes = log_k(n) * 32        (reproduces the published table cells)
 """
 
 from __future__ import annotations
@@ -170,10 +171,14 @@ def verify(root: bytes, proof: MembershipProof, leaf: bytes) -> bool:
         return False
 
 
-def _proof_size(n_t: int, base: float, mode: str) -> float:
+def verkle_proof_size_bytes(n_t: int, k: int, mode: str = "smooth") -> float:
+    """k-ary commitment-tree membership proof size in bytes for n_t
+    transactions: log_k(n_t) levels of 32 bytes, whole levels in ceil mode."""
+    if k < 2:
+        raise ValueError("branching factor must be >= 2")
     if n_t < 2:
         raise ValueError("proof size is defined for n_t >= 2")
-    levels = math.log(n_t) / math.log(base)
+    levels = math.log(n_t) / math.log(k)
     if mode == "ceil":
         levels = math.ceil(levels - 1e-12)
     elif mode != "smooth":
@@ -182,15 +187,8 @@ def _proof_size(n_t: int, base: float, mode: str) -> float:
 
 
 def merkle_proof_size_bytes(n_t: int, mode: str = "smooth") -> float:
-    """Binary-tree membership proof size in bytes for n_t transactions."""
-    return _proof_size(n_t, 2.0, mode)
-
-
-def verkle_proof_size_bytes(n_t: int, k: int, mode: str = "smooth") -> float:
-    """k-ary commitment-tree membership proof size in bytes."""
-    if k < 2:
-        raise ValueError("branching factor must be >= 2")
-    return _proof_size(n_t, float(k), mode)
+    """Binary-tree membership proof size in bytes: the k = 2 case."""
+    return verkle_proof_size_bytes(n_t, 2, mode)
 
 
 # The published large-block integration scenario, and the branching factors
@@ -234,10 +232,7 @@ def check_published_cells() -> List[dict]:
     """
     report = []
     for name, n_t, structure, k, published in PUBLISHED_PROOF_CELLS:
-        if structure == "merkle":
-            computed = merkle_proof_size_bytes(n_t, "smooth")
-        else:
-            computed = verkle_proof_size_bytes(n_t, k, "smooth")
+        computed = verkle_proof_size_bytes(n_t, k, "smooth")
         report.append({
             "scenario": name,
             "n_t": n_t,
@@ -286,31 +281,19 @@ def bandwidth_report(scenarios: Sequence[Tuple[str, int]],
     """Tabulate binary- and k-ary proof sizes for each scenario.
 
     Rows carry (scenario, n_t, structure, k, mode, bytes); the binary rows
-    are reported once per mode with k = 2. The 540,000-transaction
-    integration scenario additionally gets a "published" row carrying the
-    printed 19-level figure, which no strict rounding mode reproduces.
+    come first, the same formula at k = 2, once per mode. The
+    540,000-transaction integration scenario additionally gets a "published"
+    binary row carrying the printed 19-level figure, which no strict
+    rounding mode reproduces.
     """
     rows = []
     for name, n_t in scenarios:
-        for mode in modes:
-            rows.append({
-                "scenario": name, "n_t": n_t, "structure": "merkle",
-                "k": 2, "mode": mode,
-                "bytes": merkle_proof_size_bytes(n_t, mode),
-            })
-        if n_t == INTEGRATION_SCENARIO[1]:
-            rows.append({
-                "scenario": name, "n_t": n_t, "structure": "merkle",
-                "k": 2, "mode": "published",
-                "bytes": graphene_integration_summary().merkle_proof_bytes,
-            })
-        for k in ks:
-            for mode in modes:
-                rows.append({
-                    "scenario": name, "n_t": n_t, "structure": "verkle",
-                    "k": k, "mode": mode,
-                    "bytes": verkle_proof_size_bytes(n_t, k, mode),
-                })
+        for structure, k in (("merkle", 2), *(("verkle", k) for k in ks)):
+            sizes = [(mode, verkle_proof_size_bytes(n_t, k, mode)) for mode in modes]
+            if structure == "merkle" and n_t == INTEGRATION_SCENARIO[1]:
+                sizes.append(("published", graphene_integration_summary().merkle_proof_bytes))
+            rows.extend({"scenario": name, "n_t": n_t, "structure": structure,
+                         "k": k, "mode": mode, "bytes": size} for mode, size in sizes)
     return rows
 
 

@@ -203,6 +203,7 @@ def test_the_c_pass_returns_what_the_row_loop_returns(tmp_path):
     @settings(max_examples=400, deadline=None)
     @given(content=csv_files(), case=st.integers(0, len(KINDS) - 1))
     @example(content=f"{HEADER}\n1,{'1.' + '0' * csv.field_size_limit()},3,x\n".encode(), case=0)
+    @example(content=f"{HEADER}\n1,2.5,3,4\n".encode(), case=0)
     @example(content=f"{HEADER}\n".encode(), case=0)
     @example(content=f'{HEADER}\n"1",2.5,3,x\n'.encode(), case=0)
     @example(content=f"{HEADER}\n1_000,2,3,x\n".encode(), case=0)

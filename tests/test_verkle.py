@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtsim import verkle
+from dtsim.cli import main
 from dtsim.core import SimulationConfig, strategy_from_category
 from dtsim.ingest import DatasetSpec, generate
 from dtsim.simulator import run
 from dtsim.verkle import (
+    BRANCHING_FACTORS,
+    INTEGRATION_SCENARIO,
+    PUBLISHED_SCENARIOS,
     MembershipProof,
     bandwidth_report,
     build_tree,
@@ -190,6 +194,26 @@ class TestBandwidthReport:
         rows = bandwidth_report([("Bitcoin", 2100)], ks=[5], modes=("smooth", "ceil"))
         assert {r["mode"] for r in rows} == {"smooth", "ceil"}
         assert {r["structure"] for r in rows} == {"merkle", "verkle"}
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_pinned_proof_size_tables(tmp_path, capsys):
+    """The whole ordered report, the published-cell check and a proofsize CSV,
+    each pinned by one sha256 (of the `repr`, or of the file's bytes)."""
+    report = bandwidth_report([*PUBLISHED_SCENARIOS, INTEGRATION_SCENARIO],
+                              (*BRANCHING_FACTORS, 2), ("smooth", "ceil"))
+    assert _digest(report) == "d147d037cf8876bc375da75ae7454018b507547769c26bf1da89a9e300fb2788"
+    assert _digest(check_published_cells()) == (
+        "6924f7a2a77cf322b48ca88754f0e0b76edf48076589e01bdd02009f53843f42")
+    out = tmp_path / "p.csv"
+    assert main(["proofsize", "--scenarios", "Bitcoin=2100, 7 ,,x = 540000",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "da180e66107bf679c9901c45b869578255f84aed43e8d5256895964345ab8d3f")
 
 
 @settings(max_examples=40, deadline=None)
