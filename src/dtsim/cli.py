@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -81,15 +82,7 @@ def _defaults() -> dict:
                     ("count", "amount_mu", "amount_sigma", "drift_sigma", "drift_tau_s")},
         "strategy": dict(REFERENCE_STRATEGY),
         "optimizer": {"algorithm": opt.algorithm, "n_pop": opt.n_pop},
-        "irrational": {
-            "rational_fraction": mix.rational_fraction,
-            "overpaid_fraction": mix.overpaid_fraction,
-            "underpaid_fraction": mix.underpaid_fraction,
-            "over_multiplier_low": mix.over_multiplier[0],
-            "over_multiplier_high": mix.over_multiplier[1],
-            "under_multiplier_low": mix.under_multiplier[0],
-            "under_multiplier_high": mix.under_multiplier[1],
-        },
+        "irrational": asdict(mix),
     }
 
 
@@ -161,7 +154,7 @@ def _sim_config(config) -> SimulationConfig:
 
 def _dataset(args, config):
     """Load or synthesize the transaction stream per flags and config."""
-    sim, irr = config["simulation"], config["irrational"]
+    sim = config["simulation"]
     if args.dataset:
         stream = load_csv(args.dataset, commission_ratio=sim["commission_ratio"])
         if not stream:
@@ -170,13 +163,7 @@ def _dataset(args, config):
         stream = generate(DatasetSpec(**config["dataset"], arrival_rate_tps=sim["arrival_rate_tps"],
                                       commission_ratio=sim["commission_ratio"],
                                       rng_seed=sim["seed"]))
-    mix = IrrationalMix(
-        rational_fraction=irr["rational_fraction"],
-        overpaid_fraction=irr["overpaid_fraction"],
-        underpaid_fraction=irr["underpaid_fraction"],
-        over_multiplier=(irr["over_multiplier_low"], irr["over_multiplier_high"]),
-        under_multiplier=(irr["under_multiplier_low"], irr["under_multiplier_high"]),
-    )
+    mix = IrrationalMix(**config["irrational"])
     if mix.rational_fraction < 1.0:
         stream = inject_irrational(stream, mix, sim["seed"] + 1)
     return stream
@@ -186,9 +173,7 @@ def _strategy(args, config, cfg: SimulationConfig):
     """The configured strategy, checked against `cfg` before any input is read."""
     attrs = dict(config["strategy"])
     strategy = strategy_from_category(attrs.pop("category"), **attrs, a4=args.a4, a5=args.a5)
-    problems = validate_strategy(strategy, cfg)
-    if problems:
-        raise ValueError("invalid strategy: " + "; ".join(problems))
+    validate_strategy(strategy, cfg)
     return strategy
 
 

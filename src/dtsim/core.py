@@ -318,12 +318,12 @@ def strategy_from_category(cat: StrategyCategory | int, *, a1: int, a6: int,
 REFERENCE_STRATEGY = {"category": 2, "a1": 25469, "a6": 110, "a7": 6.94, "a8": 1.0}
 
 
-def validate_strategy(s: DtsStrategy, cfg: SimulationConfig) -> list[str]:
-    """The violated invariants of `s` that depend on `cfg`; empty list when
-    valid. A `DtsStrategy` has already passed its own checks."""
+def validate_strategy(s: DtsStrategy, cfg: SimulationConfig) -> None:
+    """Raise ValueError when `s` breaks an invariant that depends on `cfg`.
+    A `DtsStrategy` has already passed its own checks."""
     if s.max_trx_nodes > cfg.leaf_capacity:
-        return [f"max_trx_nodes (a6) {s.max_trx_nodes} exceeds leaf capacity {cfg.leaf_capacity}"]
-    return []
+        raise ValueError(f"invalid strategy: max_trx_nodes (a6) {s.max_trx_nodes} "
+                         f"exceeds leaf capacity {cfg.leaf_capacity}")
 
 
 class SchemaError(DataError):
@@ -352,19 +352,23 @@ def read_csv_columns(path, kinds: dict, optional: Sequence[str] = ()) -> list[li
     each cell with its callable and skips blank rows. The row loop defines
     the result: the C pass returns the same lists or declines. A column in
     `optional` that the header lacks holds `kind("")` in every row. Raises
-    SchemaError naming the file when it cannot be read, is empty or lacks a
-    column, and its line when a row is short or a cell fails its callable
-    with ValueError.
+    SchemaError naming the file when it cannot be read, is empty, lacks a
+    column or names an asked-for column more than once, and its line when a
+    row is short or a cell fails its callable with ValueError.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = {name.strip(): i for i, name in enumerate(next(reader, ()))}
+            names = [name.strip() for name in next(reader, ())]
+            header = {name: i for i, name in enumerate(names)}
             if not header:
                 raise SchemaError(f"{path}: empty file")
             missing = [name for name in kinds if name not in header and name not in optional]
             if missing:
                 raise SchemaError(f"{path}: missing columns {missing}; available: {list(header)}")
+            for name in kinds:
+                if names.count(name) > 1:
+                    raise SchemaError(f"{path}: column {name!r} appears more than once in the header")
             cells = [(header[name], kind) for name, kind in kinds.items() if name in header]
             typed = _numeric_columns(fh, reader.line_num, cells)
             if typed:

@@ -57,13 +57,17 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class IrrationalMix:
-    """Population split between rational, overpaying and underpaying users."""
+    """Population split between rational, overpaying and underpaying users,
+    and the fee multiplier range of each perturbed group; the fields are the
+    keys of the [irrational] config section."""
 
     rational_fraction: float = 1.0
     overpaid_fraction: float = 0.0
     underpaid_fraction: float = 0.0
-    over_multiplier: tuple = (1.5, 3.0)
-    under_multiplier: tuple = (0.1, 0.7)
+    over_multiplier_low: float = 1.5
+    over_multiplier_high: float = 3.0
+    under_multiplier_low: float = 0.1
+    under_multiplier_high: float = 0.7
 
     def __post_init__(self):
         total = self.rational_fraction + self.overpaid_fraction + self.underpaid_fraction
@@ -124,7 +128,8 @@ def inject_irrational(stream: Iterable[Transaction], mix: IrrationalMix,
     perm = rng.permutation(n)
     chosen = np.sort(perm[:n_over + n_under])
     over = np.isin(chosen, perm[:n_over])
-    lows, highs = np.where(over[:, None], mix.over_multiplier, mix.under_multiplier).T
+    lows, highs = np.where(over[:, None], (mix.over_multiplier_low, mix.over_multiplier_high),
+                           (mix.under_multiplier_low, mix.under_multiplier_high)).T
     fees = stream.fees.copy()
     fees[chosen] *= rng.uniform(lows, highs)
     clamped = chosen[fees[chosen] <= 0.0]

@@ -136,9 +136,8 @@ def evaluate_attrs(attrs: Dict[str, float], cat: StrategyCategory,
     """`evaluate` of an already decoded attribute dict."""
     try:
         strategy = strategy_from_category(cat, **attrs)
+        validate_strategy(strategy, cfg)
     except ValueError:
-        return math.inf
-    if validate_strategy(strategy, cfg):
         return math.inf
     series = incentives(dataset, strategy, cfg)
     return series_volatility(series) if len(series) >= MIN_INCENTIVES else math.inf

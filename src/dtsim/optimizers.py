@@ -265,10 +265,10 @@ def gbo(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
     probability 0.5."""
     lb, ub, tally, x, f = _start(objective, lb, ub, budget, rng, n_pop)
     n_pop, dim = x.shape
-    worst_x = x[int(np.argmax(f))].copy()  # the first population's worst, kept for the run
 
     max_gen = max(1, budget // n_pop)
     for it in tally.generations(n_pop):
+        worst_x = x[int(np.argmax(f))].copy()  # the population's worst as this generation starts
         beta = 0.2 + (1.2 - 0.2) * (1 - (it / max_gen) ** 3) ** 2
         alpha = abs(beta * math.sin(3 * math.pi / 2 + math.sin(3 * math.pi / 2 * beta)))
 

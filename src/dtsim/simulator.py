@@ -210,9 +210,7 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
     Returns `dataset` as a Stream, the picks, each sealed block as (end index
     into the picks, occupied slots), every position's slot count (picks and
     slot counts are int64 arrays) and the overflow's victim (None without one)."""
-    problems = validate_strategy(strategy, cfg)
-    if problems:
-        raise ValueError("invalid strategy: " + "; ".join(problems))
+    validate_strategy(strategy, cfg)
     stream = Stream.of(dataset)
     fees = stream.fees
     # Slots come before the ranks, so on a stream's first run the mapping's

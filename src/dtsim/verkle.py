@@ -171,9 +171,10 @@ def verify(root: bytes, proof: MembershipProof, leaf: bytes) -> bool:
         return False
 
 
-def verkle_proof_size_bytes(n_t: int, k: int, mode: str = "smooth") -> float:
+def verkle_proof_size_bytes(n_t: int, k: int, mode: str = "smooth") -> int | float:
     """k-ary commitment-tree membership proof size in bytes for n_t
-    transactions: log_k(n_t) levels of 32 bytes, whole levels in ceil mode."""
+    transactions: log_k(n_t) levels of 32 bytes, a float in smooth mode; in
+    ceil mode whole levels, so an int (levels x 32)."""
     if k < 2:
         raise ValueError("branching factor must be >= 2")
     if n_t < 2:
@@ -186,8 +187,8 @@ def verkle_proof_size_bytes(n_t: int, k: int, mode: str = "smooth") -> float:
     return levels * _BYTES_PER_LEVEL
 
 
-def merkle_proof_size_bytes(n_t: int, mode: str = "smooth") -> float:
-    """Binary-tree membership proof size in bytes: the k = 2 case."""
+def merkle_proof_size_bytes(n_t: int, mode: str = "smooth") -> int | float:
+    """Binary-tree membership proof size in bytes: the k = 2 case (an int in ceil mode)."""
     return verkle_proof_size_bytes(n_t, 2, mode)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -639,3 +640,23 @@ def test_irrational_mix_config_path(tmp_path):
     mixed = (out_mixed / "blocks.csv").read_bytes()
     plain = (out_plain / "blocks.csv").read_bytes()
     assert mixed != plain  # the perturbation must actually change the run
+
+
+def test_irrational_keys_pin_the_config_to_mix_path(tmp_path):
+    # Every [irrational] key off its default; the digests were recorded before
+    # IrrationalMix took the config keys as its fields, and must not move.
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[irrational]\nrational_fraction = 0.6\noverpaid_fraction = 0.25\n"
+                   "underpaid_fraction = 0.15\nover_multiplier_low = 2.0\n"
+                   "over_multiplier_high = 4.0\nunder_multiplier_low = 0.2\n"
+                   "under_multiplier_high = 0.5\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--count", "20000", "--seed", "3",
+                 "--category", "3", "--a4", "1.5", "--a5", "20", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("blocks.csv", "assignments.csv", "summary.csv")}
+    assert digests == {
+        "blocks.csv": "abe76e37869b163422ff5c12684d69c79b508308adc76e5aa43928727d4c3f65",
+        "assignments.csv": "787aed27d577e6187c267604c24401a6a5e24564a529e7efd499973ef47c6ca6",
+        "summary.csv": "dfa3c7b96752fa6c264ddf45d1b2c5d9facd5607d86e0842485ae1032d5a8b53",
+    }

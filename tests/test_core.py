@@ -83,12 +83,12 @@ def test_out_of_bounds_attributes_rejected():
 class TestValidateStrategy:
     def test_reference_strategy_valid_under_defaults(self):
         s = strategy_from_category(2, a1=25469, a6=110, a7=6.94, a8=1.00)
-        assert validate_strategy(s, SimulationConfig()) == []
+        assert validate_strategy(s, SimulationConfig()) is None
 
     def test_capacity_violation(self):
         s = strategy_from_category(2, a1=1000, a6=5000, a7=6.0, a8=0.5)
-        problems = validate_strategy(s, SimulationConfig(leaf_capacity=2100))
-        assert any("exceeds leaf capacity" in p for p in problems)
+        with pytest.raises(ValueError, match="exceeds leaf capacity"):
+            validate_strategy(s, SimulationConfig(leaf_capacity=2100))
 
     def test_total_function_collects_everything(self):
         from dtsim.core import DtsStrategy
@@ -99,8 +99,10 @@ class TestValidateStrategy:
         assert "(a1)" in str(excinfo.value) and "(a8)" in str(excinfo.value)
         s = DtsStrategy(mempool_size=1, priority=Priority.TIME, designated_space=False,
                         max_trx_nodes=9000, scale=1.0, shape=1.0)
-        (problem,) = validate_strategy(s, SimulationConfig())
-        assert "exceeds leaf capacity" in problem
+        with pytest.raises(ValueError) as excinfo:
+            validate_strategy(s, SimulationConfig())
+        assert str(excinfo.value) == ("invalid strategy: max_trx_nodes (a6) 9000 "
+                                      "exceeds leaf capacity 2100")
 
 
 @given(

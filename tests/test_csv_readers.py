@@ -121,6 +121,34 @@ def test_unreadable_file_is_a_data_error(tmp_path):
     assert IngestSchemaError is SchemaError and issubclass(SchemaError, DataError)
 
 
+# A repeated name leaves open which cell a writer meant, so a column that
+# the caller asks for must be named once.
+@pytest.mark.parametrize("header", ["id,amount,arrival_time_ms,fee,fee",
+                                    "id, fee,amount,arrival_time_ms,fee "])
+def test_a_repeated_asked_for_column_is_a_schema_error(tmp_path, header):
+    path = tmp_path / "stream.csv"
+    path.write_text(header + "\n1,100.0,0,0.5,0.7\n")
+    with pytest.raises(SchemaError) as excinfo:
+        load_csv(path)
+    assert str(excinfo.value) == f"{path}: column 'fee' appears more than once in the header"
+
+
+def test_a_repeated_column_no_caller_asks_for_is_allowed(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,x,b, x\n1,2,3,4\n5,6,7,8\n")
+    assert read_csv_columns(path, {"a": int, "b": int}) == [[1, 5], [3, 7]]
+
+
+def test_vrp_check_of_a_repeated_fee_column_is_a_data_error(tmp_path, capsys):
+    assignments = tmp_path / "assignments.csv"
+    assignments.write_text("tx_id,block,fee,nodes,fee\n1,0,1.0,1,9.0\n")
+    (tmp_path / "blocks.csv").write_text("height,tx_count,occupied_nodes,incentive,seal_time\n"
+                                         "0,1,1,1.0,0\n")
+    assert main(["vrp-check", "--blocks", str(tmp_path / "blocks.csv")]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {assignments}: column 'fee' appears more than once in the header\n")
+
+
 @pytest.mark.parametrize("command, content", [
     (["simulate", "--dataset", "{path}", "--out", "{tmp}/o"],
      "id,amount,arrival_time_ms\n1,100.0,0\n\n2,x,5\n"),

@@ -82,7 +82,8 @@ class TestInjectIrrational:
     def test_underpaid_group_takes_at_most_what_overpaid_leaves(self):
         # round(0.5 * 7) is 4 for both groups; the underpaid get the other 3.
         stream = generate(DatasetSpec(count=7, rng_seed=4))
-        mix = IrrationalMix(0.0, 0.5, 0.5, over_multiplier=(2.0, 3.0), under_multiplier=(0.2, 0.5))
+        mix = IrrationalMix(0.0, 0.5, 0.5, over_multiplier_low=2.0, over_multiplier_high=3.0,
+                            under_multiplier_low=0.2, under_multiplier_high=0.5)
         out = inject_irrational(stream, mix, seed=6)
         ratios = [b.fee / a.fee for a, b in zip(stream, out)]
         assert sum(r >= 2.0 for r in ratios) == 4
@@ -97,8 +98,8 @@ class TestInjectIrrational:
 
     def test_multipliers_stay_in_ranges(self):
         stream = generate(DatasetSpec(count=20_000, rng_seed=8))
-        mix = IrrationalMix(0.7, 0.15, 0.15, over_multiplier=(2.0, 3.0),
-                            under_multiplier=(0.2, 0.5))
+        mix = IrrationalMix(0.7, 0.15, 0.15, over_multiplier_low=2.0, over_multiplier_high=3.0,
+                            under_multiplier_low=0.2, under_multiplier_high=0.5)
         out = inject_irrational(stream, mix, seed=3)
         for before, after in zip(stream, out):
             ratio = after.fee / before.fee
@@ -107,7 +108,7 @@ class TestInjectIrrational:
 
     def test_zero_fee_clamped_with_warning(self):
         stream = [t for t in generate(DatasetSpec(count=10, rng_seed=1))]
-        mix = IrrationalMix(0.0, 0.0, 1.0, under_multiplier=(0.0, 0.0))
+        mix = IrrationalMix(0.0, 0.0, 1.0, under_multiplier_low=0.0, under_multiplier_high=0.0)
         with pytest.warns(UserWarning, match="clamped"):
             out = inject_irrational(stream, mix, seed=5)
         assert all(t.fee > 0 for t in out)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dtsim import allocation
+from dtsim import allocation, optimizers
 from dtsim.core import SimulationConfig, Stream, category
 from dtsim.ingest import DatasetSpec, generate
 from dtsim.optimize import (
@@ -409,15 +409,15 @@ GRID_PINS = {
     ("cmaes", 3): ("0x1.58ba3810a7a65p-4",
         "0x1.14072a7a4ed22p-3 0x1.58ba3810a7a65p-4 0x1.58ba3810a7a65p-4",
         {"a1": 42645, "a4": 1.0, "a5": 0, "a6": 10, "a7": 4.0, "a8": 1.0}),
-    ("gbo", 2): ("0x1.17e5997d9163dp-4",
-        "0x1.215fd7b46bbfap-4 0x1.1d826dc466b1dp-4 0x1.1d826dc466b1dp-4 0x1.1d826dc466b1dp-4 0x1.17e5997d9163dp-4",
-        {"a1": 55034, "a6": 174, "a7": 8.72708340103624, "a8": 0.40972455847475264}),
+    ("gbo", 2): ("0x1.048e87725e387p-4",
+        "0x1.215fd7b46bbfap-4 0x1.1d826dc466b1dp-4 0x1.12ea75a89a308p-4 0x1.12ea75a89a308p-4 0x1.048e87725e387p-4",
+        {"a1": 55202, "a6": 51, "a7": 8.474165182421343, "a8": 0.5987374672643742}),
     ("gbo", 1): ("0x1.065e073637e7ap-4",
         "0x1.0dba5ccfe99cep-4 0x1.0dba5ccfe99cep-4 0x1.0dba5ccfe99cep-4 0x1.0dba5ccfe99cep-4 0x1.065e073637e7ap-4",
         {"a1": 46145, "a4": 1.1938881559406536, "a5": 116, "a6": 101, "a7": 8.515588307448217, "a8": 0.486485864355674}),
-    ("gbo", 4): ("0x1.447c1ee562ccbp-6",
-        "0x1.8f1a65bc4cd48p-6 0x1.51ec0ca152758p-6 0x1.51ec0ca152758p-6 0x1.4de6ecf101badp-6 0x1.447c1ee562ccbp-6",
-        {"a1": 44883, "a6": 260, "a7": 4.145447949726417, "a8": 0.7528378235452604}),
+    ("gbo", 4): ("0x1.4620030358c2dp-6",
+        "0x1.8f1a65bc4cd48p-6 0x1.51ec0ca152758p-6 0x1.51ec0ca152758p-6 0x1.51ec0ca152758p-6 0x1.4620030358c2dp-6",
+        {"a1": 38222, "a6": 232, "a7": 4.0, "a8": 0.6205638114547102}),
     ("gbo", 3): ("0x1.a5b650ebcfeafp-6",
         "0x1.4eb4f540588ebp-5 0x1.4eb4f540588ebp-5 0x1.32ad42d0f805ap-5 0x1.12b825ac8833cp-5 0x1.a5b650ebcfeafp-6",
         {"a1": 30846, "a4": 1.0, "a5": 138, "a6": 70, "a7": 4.143177332968709, "a8": 0.8948520348704715}),
@@ -457,4 +457,30 @@ def test_gbo_pinned_direct_runs():
                 fields = [r.best_f.hex(), *map(float.hex, r.best_x), *map(float.hex, r.trace),
                           str(r.evaluations)]
                 digest.update(" ".join(fields).encode() + b"\n")
-    assert digest.hexdigest() == "5b52d2c94e9cb0f06ff581462e51e21d9fbb3cacec8d0568b5ac9f852c03b02b"
+    assert digest.hexdigest() == "2788aaedd0c68298411c719a38133b5c41285e37bda5db60dc75986689f93b9d"
+
+
+def test_gbo_takes_the_worst_of_each_generations_population(monkeypatch):
+    # The published GBO (Ahmadianfar et al. 2020) takes x_worst from the
+    # population each generation starts from. A point x[i] enters both of its
+    # gradient search rules before its own trial may replace it, so the first
+    # xi of each pair is the population the generation started from.
+    calls = []
+    search_rule = optimizers._gradient_search_rule
+
+    def spy(rng, ro1, best_x, worst_x, xi, *rest):
+        calls.append((worst_x.copy(), xi.copy()))
+        return search_rule(rng, ro1, best_x, worst_x, xi, *rest)
+
+    monkeypatch.setattr(optimizers, "_gradient_search_rule", spy)
+    sphere = lambda x: float(np.sum(x * x))
+    n_pop = 6
+    gbo(sphere, (-5.12, -2.0, -1.0), (5.12, 3.0, 4.0), 60, np.random.default_rng(4), n_pop=n_pop)
+    assert len(calls) == 9 * 2 * n_pop  # the first population, then 9 generations of 6
+    generations = [calls[at:at + 2 * n_pop] for at in range(0, len(calls), 2 * n_pop)]
+    worsts = []
+    for generation in generations:
+        worst = max((xi for _, xi in generation[::2]), key=sphere)
+        assert all(np.array_equal(worst_x, worst) for worst_x, _ in generation)
+        worsts.append(tuple(worst))
+    assert len(set(worsts)) > 1  # the population's worst point is replaced during the run
