@@ -553,12 +553,53 @@ class TestVrpCheckCommand:
         assert "violations (1):" in out
         assert f"block 0: (tx_count, occupied_nodes, incentive) is (" in out
 
-    # One transaction above the capacity, and two that fit only apart: the
-    # exhaustive oracle has no feasible packing of either.
-    @pytest.mark.parametrize("rows, block", [
-        ("1,0,1.0,2200\n", "0,1,2200,1.0,0\n"),
-        ("1,0,1.0,1500\n2,0,2.0,1500\n", "0,2,3000,3.0,0\n"),
-    ])
+    # The whole report and exit code, recorded while the reader returned lists.
+    PINNED_REPORTS = {
+        "clean": (0, "transactions: 5665, blocks: 9, capacity: 2100\nviolations (0): none\n"),
+        "duplicated-row": (1, (
+            "transactions: 5665, blocks: 9, capacity: 2100\nviolations (3):\n"
+            "  transaction 0 assigned more than once: packed 2 times\n"
+            "  block 0 demand 2101 exceeds capacity 2100\n"
+            "  block 0: (tx_count, occupied_nodes, incentive) is (911, 2100, 69432.22523601081) "
+            "in {blocks}, (912, 2101, 69465.55360192692) by its assignments\n")),
+        "one-ulp-incentive": (1, (
+            "transactions: 5665, blocks: 9, capacity: 2100\nviolations (1):\n"
+            "  block 0: (tx_count, occupied_nodes, incentive) is (911, 2100, 69432.22523601083) "
+            "in {blocks}, (911, 2100, 69432.22523601081) by its assignments\n")),
+        "overfull-0": (1, "transactions: 1, blocks: 1, capacity: 2100\nviolations (1):\n"
+                          "  block 0 demand 2200 exceeds capacity 2100\n"),
+        "overfull-1": (1, "transactions: 2, blocks: 1, capacity: 2100\nviolations (1):\n"
+                          "  block 0 demand 3000 exceeds capacity 2100\n"),
+    }
+    # One transaction above the capacity, and two that fit only apart.
+    OVERFULL = [("1,0,1.0,2200\n", "0,1,2200,1.0,0\n"),
+                ("1,0,1.0,1500\n2,0,2.0,1500\n", "0,2,3000,3.0,0\n")]
+
+    @pytest.mark.parametrize("case", PINNED_REPORTS)
+    def test_report_and_exit_code_are_pinned(self, run_dir, tmp_path, capsys, case):
+        blocks, assignments = run_dir / "blocks.csv", run_dir / "assignments.csv"
+        if case == "duplicated-row":
+            lines = assignments.read_text().splitlines()
+            assignments = tmp_path / "assignments.csv"
+            assignments.write_text("\n".join([*lines, lines[1]]) + "\n")
+        elif case == "one-ulp-incentive":
+            lines = blocks.read_text().splitlines()
+            cells = lines[1].split(",")
+            cells[3] = repr(math.nextafter(float(cells[3]), math.inf))
+            blocks = tmp_path / "blocks.csv"
+            blocks.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+        elif case.startswith("overfull"):
+            rows, block = self.OVERFULL[int(case[-1])]
+            blocks, assignments = tmp_path / "blocks.csv", tmp_path / "assignments.csv"
+            assignments.write_text("tx_id,block,fee,nodes\n" + rows)
+            blocks.write_text("height,tx_count,occupied_nodes,incentive,seal_time\n" + block)
+        code, report = self.PINNED_REPORTS[case]
+        assert main(["vrp-check", "--blocks", str(blocks), "--assignments", str(assignments)]) == code
+        out = capsys.readouterr().out
+        out = ''.join(l for l in out.splitlines(True) if not l.startswith(('oracle ', 'assignment variance', 'gap (')))
+        assert out == report.format(blocks=blocks)
+
+    @pytest.mark.parametrize("rows, block", OVERFULL)
     def test_overfull_block_is_a_violation_and_skips_the_oracle(self, tmp_path, capsys, rows, block):
         (tmp_path / "assignments.csv").write_text("tx_id,block,fee,nodes\n" + rows)
         blocks = tmp_path / "blocks.csv"

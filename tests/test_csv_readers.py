@@ -8,6 +8,7 @@ pass must return what its row loop returns, or decline.
 
 import ast
 import csv
+import hashlib
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -19,7 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 from dtsim import core
 from dtsim.cli import main
 from dtsim.core import DataError, SchemaError, optional_float, read_csv_columns
-from dtsim.ingest import DEFAULT_COMMISSION_RATIO, DatasetSpec, generate, load_csv, write_csv
+from dtsim.ingest import (DEFAULT_COMMISSION_RATIO, DatasetSpec, IrrationalMix, generate,
+                          inject_irrational, load_csv, write_csv)
 from dtsim.ingest import SchemaError as IngestSchemaError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dtsim"
@@ -290,6 +292,39 @@ def test_a_written_stream_loads_through_the_c_pass(tmp_path, csv_reader_rows):
     assert csv_reader_rows == [1]
     for column in ("ids", "arrivals", "amounts", "fees"):
         assert np.array_equal(getattr(loaded, column), getattr(stream, column))
+
+
+# sha256 of each loaded column's bytes at commission ratio 0.003, recorded
+# while the reader returned lists: a file the C pass reads, the same file with
+# blank fees mid-file and on the last row (the row loop), and no fee column.
+LOADED_COLUMNS = {
+    "ids": "55f385cf2332d9056aaed6f496e7bebd2df52c6a9547ce2144b309432d4b0290",
+    "arrivals": "deefd7d9025adea4b2cd1c4035006197b66976a95a6c957d457d700db7331992",
+    "amounts": "7a5217912d7771c53c806ab55afc8cefc1943d709aeb64cfb9cc537555d4c45e",
+}
+LOADED_FEES = {
+    "c-pass": "9ddd559783c7de069740fcd472772b5041af71fb6aa251ccb03284f717eef84a",
+    "blank-fees": "1f6c3a5b610400ae5aa32979fffa1b01a38098a140039f154808567c007964f3",
+    "no-fee": "9e49913b4e8f681b93cc572dd37996b7c438df96156ec0ce866cb1e6a27cc694",
+}
+
+
+@pytest.mark.parametrize("case", LOADED_FEES)
+def test_loaded_columns_are_pinned(tmp_path, case):
+    path = tmp_path / "s.csv"
+    stream = generate(DatasetSpec(count=2000, rng_seed=31))
+    write_csv(inject_irrational(stream, IrrationalMix(0.8, 0.1, 0.1), seed=32), path)
+    lines = path.read_text().splitlines()
+    if case == "blank-fees":
+        for at in (700, len(lines) - 1):
+            lines[at] = lines[at].rsplit(",", 1)[0] + ","
+    elif case == "no-fee":
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_csv(path, commission_ratio=0.003)
+    digests = {name: hashlib.sha256(getattr(loaded, name).tobytes()).hexdigest()
+               for name in ("ids", "arrivals", "amounts", "fees")}
+    assert digests == dict(LOADED_COLUMNS, fees=LOADED_FEES[case])
 
 
 @pytest.mark.parametrize("blank", ["", " ", "\t "])
