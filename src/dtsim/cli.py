@@ -9,9 +9,8 @@ configuration verbatim, so those outputs are traceable to their exact inputs
 > config file > built-in defaults, which are the library's dataclass defaults;
 the DTSIM_SEED environment variable overrides the built-in default seed only.
 
-Exit codes: 0 success, 1 `vrp-check` found a violated constraint or a
-negative oracle gap, 2 configuration error or an output that cannot be
-written, 3 data error.
+Exit codes: 0 success, 1 `vrp-check` listed a violation, 2 configuration
+error or an output that cannot be written, 3 data error.
 """
 
 from __future__ import annotations
@@ -53,16 +52,7 @@ from .verkle import (
     graphene_integration_summary,
     write_bandwidth_csv,
 )
-from .vrp import (
-    MAX_ORACLE_BLOCKS,
-    MAX_ORACLE_TXS,
-    AssignmentMatrix,
-    VrpInstance,
-    block_sums,
-    brute_force_min_variance,
-    check_constraints,
-    variance_objective,
-)
+from .vrp import AssignmentMatrix, VrpInstance, block_sums, check_constraints
 
 ENV_SEED = "DTSIM_SEED"
 
@@ -153,8 +143,10 @@ def _sim_config(config) -> SimulationConfig:
 
 
 def _dataset(args, config):
-    """Load or synthesize the transaction stream per flags and config."""
+    """Load or synthesize the transaction stream per flags and config; the
+    [irrational] mix is checked before any input is read."""
     sim = config["simulation"]
+    mix = IrrationalMix(**config["irrational"])
     if args.dataset:
         stream = load_csv(args.dataset, commission_ratio=sim["commission_ratio"])
         if not stream:
@@ -163,7 +155,6 @@ def _dataset(args, config):
         stream = generate(DatasetSpec(**config["dataset"], arrival_rate_tps=sim["arrival_rate_tps"],
                                       commission_ratio=sim["commission_ratio"],
                                       rng_seed=sim["seed"]))
-    mix = IrrationalMix(**config["irrational"])
     if mix.rational_fraction < 1.0:
         stream = inject_irrational(stream, mix, sim["seed"] + 1)
     return stream
@@ -324,17 +315,17 @@ def cmd_proofsize(args, config, config_text) -> int:
     return 0
 
 
-def _block_mismatches(path, rows) -> list[str]:
-    """Heights where blocks.csv disagrees with the (tx_id, block, fee, nodes)
-    rows. `run` writes each block's tx_count, occupied_nodes and the fsum of
-    its fees, and CSV floats round-trip, so the totals must match exactly."""
-    heights, *totals = read_csv_columns(path, {
-        "height": int, "tx_count": int, "occupied_nodes": int, "incentive": float})
+def _block_mismatches(path, blocks, fees, nodes) -> list[str]:
+    """Heights where blocks.csv disagrees with the assignment columns. `run`
+    writes each block's tx_count, occupied_nodes and the fsum of its fees,
+    and CSV floats round-trip, so the totals must match exactly."""
+    heights, *totals = (column.tolist() for column in read_csv_columns(path, {
+        "height": int, "tx_count": int, "occupied_nodes": int, "incentive": float}))
     listed = dict(zip(heights, zip(*totals)))
     problems = [f"{path} lists a height more than once"] if len(listed) < len(heights) else []
     packed = {}
-    for _, block, fee, nodes in rows:
-        packed.setdefault(block, []).append((fee, nodes))
+    for block, fee, n in zip(blocks, fees, nodes):
+        packed.setdefault(block, []).append((fee, n))
     for height in sorted(listed.keys() | packed.keys()):
         txs = packed.get(height, [])
         found = (len(txs), sum(n for _, n in txs), math.fsum(f for f, _ in txs))
@@ -344,39 +335,24 @@ def _block_mismatches(path, rows) -> list[str]:
     return problems
 
 
-def _packing(rows, heights, capacity):
-    """Assignment and instance of (tx_id, block, fee, nodes) rows over `heights`.
-
-    Block k of the assignment is the k-th entry of `heights`.
-    """
-    column = {b: k for k, b in enumerate(heights)}
-    matrix = AssignmentMatrix(blocks=tuple(column[block] for _, block, _, _ in rows),
-                              tx_ids=tuple(tx_id for tx_id, _, _, _ in rows),
-                              n_blocks=len(heights))
-    instance = VrpInstance(fees=tuple(fee for _, _, fee, _ in rows),
-                           demands=tuple(nodes for _, _, _, nodes in rows),
-                           capacity=capacity)
-    return matrix, instance
-
-
 def cmd_vrp_check(args, config, config_text) -> int:
-    if not 1 <= args.oracle_max_n <= MAX_ORACLE_TXS:
-        raise ValueError(f"--oracle-max-n must be between 1 and {MAX_ORACLE_TXS}")
-    if not 1 <= args.oracle_blocks <= MAX_ORACLE_BLOCKS:
-        raise ValueError(f"--oracle-blocks must be between 1 and {MAX_ORACLE_BLOCKS}")
     assignments_path = args.assignments or Path(args.blocks).with_name("assignments.csv")
-    rows = list(zip(*read_csv_columns(
-        assignments_path, {"tx_id": int, "block": int, "fee": float, "nodes": int})))
-    if not rows:
+    # Python numbers, as in `_block_mismatches`: the report reads the same under every numpy.
+    tx_ids, blocks, fees, nodes = (column.tolist() for column in read_csv_columns(
+        assignments_path, {"tx_id": int, "block": int, "fee": float, "nodes": int}))
+    if not tx_ids:
         raise DataError(f"{assignments_path}: no assignment rows")
     capacity = config["simulation"]["leaf_capacity"]
 
-    # Full-chain constraint check.
-    block_ids = sorted({block for _, block, _, _ in rows})
-    matrix, instance = _packing(rows, block_ids, capacity)
-    unpackable = check_constraints(matrix, instance)
-    violations = unpackable + _block_mismatches(args.blocks, rows)
-    print(f"transactions: {len(set(matrix.tx_ids))}, blocks: {len(block_ids)}, capacity: {capacity}")
+    # Block k of the assignment is the k-th smallest height that a row names.
+    heights = sorted(set(blocks))
+    column = {height: k for k, height in enumerate(heights)}
+    matrix = AssignmentMatrix(blocks=tuple(column[b] for b in blocks), tx_ids=tuple(tx_ids),
+                              n_blocks=len(heights))
+    instance = VrpInstance(fees=tuple(fees), demands=tuple(nodes), capacity=capacity)
+    violations = (check_constraints(matrix, instance)
+                  + _block_mismatches(args.blocks, blocks, fees, nodes))
+    print(f"transactions: {len(set(tx_ids))}, blocks: {len(heights)}, capacity: {capacity}")
     if violations:
         print(f"violations ({len(violations)}):")
         for v in violations:
@@ -390,24 +366,6 @@ def cmd_vrp_check(args, config, config_text) -> int:
         print(f"target incentive {args.target_incentive!r}: "
               f"mean |deviation| {sum(deviations) / len(deviations)!r}, "
               f"max |deviation| {max(deviations)!r}")
-
-    # Oracle gap on the first few blocks and txs; meaningless for an unpackable assignment.
-    if unpackable:
-        print("oracle gap: skipped, the assignment violates a packing constraint")
-        return 1
-    chosen_blocks = block_ids[: args.oracle_blocks]
-    truncated = [row for row in rows if row[1] in chosen_blocks][: args.oracle_max_n]
-    actual, oracle_instance = _packing(truncated, chosen_blocks, capacity)
-    actual_var = variance_objective(actual, oracle_instance.fees)
-    _witness, best_var = brute_force_min_variance(oracle_instance, len(chosen_blocks))
-    gap = actual_var - best_var
-    print(f"oracle instance: {len(truncated)} txs over {len(chosen_blocks)} blocks")
-    print(f"assignment variance: {actual_var!r}")
-    print(f"oracle minimum variance: {best_var!r}")
-    print(f"gap (assignment - optimum, >= 0): {gap!r}")
-    if gap < -1e-9:
-        print("ERROR: greedy assignment beats exhaustive optimum; invariant broken")
-        return 1
     return 1 if violations else 0
 
 
@@ -484,11 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     proof.add_argument("--mode", choices=("smooth", "ceil", "both"), default="both")
     proof.add_argument("--out", help="write the report CSV here")
 
-    vrp = sub.add_parser("vrp-check", parents=[common], help="constraint and oracle-gap check of a run")
+    vrp = sub.add_parser("vrp-check", parents=[common], help="packing and block-total check of a run")
     vrp.add_argument("--blocks", required=True, help="blocks.csv from a simulate run")
     vrp.add_argument("--assignments", help="assignments.csv (default: next to blocks.csv)")
-    vrp.add_argument("--oracle-max-n", type=int, default=10)
-    vrp.add_argument("--oracle-blocks", type=int, default=3)
     vrp.add_argument("--target-incentive", type=float,
                      help="report per-block deviation from this depot incentive level")
 

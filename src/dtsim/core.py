@@ -336,25 +336,29 @@ def optional_float(text: str) -> Optional[float]:
 
 
 # The cell kinds that `read_csv_columns` parses in numpy's C pass, and the
-# field type of each; `_row_loop_only` says which files it may read.
+# dtype of each one's column from either path; `_row_loop_only` says which
+# files the pass may read.
 NUMERIC_FIELDS = {int: np.int64, float: np.float64, optional_float: np.float64}
 
 
-def read_csv_columns(path, kinds: dict, optional: Sequence[str] = ()) -> list[list]:
+def read_csv_columns(path, kinds: dict, optional: Sequence[str] = ()) -> list:
     """The columns of the CSV file at `path` that `kinds` names, in its order,
     each cell parsed by the callable that `kinds` maps its column to.
 
-    The one input reader of the package. `csv.reader` reads the header, whose
-    names are stripped. When every column present is of a `NUMERIC_FIELDS`
-    kind and the rows are numbers, commas and line ends with no empty field,
-    `_numeric_columns` parses them in one C pass; else, or when that pass
-    declines, a row loop reads them through the same `csv.reader`, parses
-    each cell with its callable and skips blank rows. The row loop defines
-    the result: the C pass returns the same lists or declines. A column in
-    `optional` that the header lacks holds `kind("")` in every row. Raises
-    SchemaError naming the file when it cannot be read, is empty, lacks a
-    column or names an asked-for column more than once, and its line when a
-    row is short or a cell fails its callable with ValueError.
+    The one input reader of the package. A column of a `NUMERIC_FIELDS` kind
+    comes back as a numpy array of its field type, an `optional_float` one
+    as a masked array, masked on blank cells; a column of any other kind as a
+    list. `csv.reader` reads the header, whose names are stripped. When every
+    column present is of a `NUMERIC_FIELDS` kind and the rows are numbers,
+    commas and line ends with no empty field, `_numeric_columns` parses them
+    in one C pass; else, or when that pass declines, a row loop reads them
+    through the same `csv.reader`, parses each cell with its callable and
+    skips blank rows. The row loop defines the result: the C pass returns the
+    same columns or declines. A column in `optional` that the header lacks
+    holds `kind("")` in every row. Raises SchemaError naming the file when it
+    cannot be read, is empty, lacks a column, names an asked-for column more
+    than once or holds an `int` that does not fit in 64 bits, and its line
+    when a row is short or a cell fails its callable with ValueError.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -369,7 +373,8 @@ def read_csv_columns(path, kinds: dict, optional: Sequence[str] = ()) -> list[li
             for name in kinds:
                 if names.count(name) > 1:
                     raise SchemaError(f"{path}: column {name!r} appears more than once in the header")
-            cells = [(header[name], kind) for name, kind in kinds.items() if name in header]
+            present = [name for name in kinds if name in header]
+            cells = [(header[name], kinds[name]) for name in present]
             typed = _numeric_columns(fh, reader.line_num, cells)
             if typed:
                 columns, rows = typed
@@ -385,18 +390,34 @@ def read_csv_columns(path, kinds: dict, optional: Sequence[str] = ()) -> list[li
                             append(kind(row[i]))
                     except (ValueError, IndexError) as exc:
                         raise SchemaError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
+                columns = [_array(path, name, kinds[name], col) for name, col in zip(present, columns)]
     except csv.Error as exc:
         raise SchemaError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
     columns = iter(columns)
-    return [next(columns) if name in header else [kind("")] * rows for name, kind in kinds.items()]
+    return [next(columns) if name in header else _array(path, name, kind, [kind("")] * rows)
+            for name, kind in kinds.items()]
 
 
-def _numeric_columns(fh, header_lines: int, cells) -> Optional[tuple[list[list], int]]:
+def _array(path, name: str, kind, values: list):
+    """The row loop's `values` of column `name` as `read_csv_columns` returns them."""
+    if kind is optional_float:
+        return np.ma.masked_array(np.array(values, np.float64), [v is None for v in values])
+    if kind not in NUMERIC_FIELDS:
+        return values
+    try:
+        return np.array(values, NUMERIC_FIELDS[kind])
+    except OverflowError:
+        raise SchemaError(f"{path}: values of column {name!r} must fit in 64 bits") from None
+
+
+def _numeric_columns(fh, header_lines: int, cells) -> Optional[tuple[list, int]]:
     """The columns of `cells`, (header index, kind) pairs of `NUMERIC_FIELDS`
-    kinds, and the row count, parsed from the seekable text file `fh` past its
-    first `header_lines` lines by one `np.loadtxt` pass, numpy's C tokenizer.
+    kinds, as `read_csv_columns` returns them (an `optional_float` one with
+    no cell masked), and the row count, parsed from the seekable text file
+    `fh` past its first `header_lines` lines by one `np.loadtxt` pass, numpy's
+    C tokenizer.
 
     Returns None, with `fh` past its header, to leave the rows to the row
     loop: when a kind has no field, when `_row_loop_only` finds more than
@@ -430,7 +451,8 @@ def _numeric_columns(fh, header_lines: int, cells) -> Optional[tuple[list[list],
         for _ in range(header_lines):
             fh.readline()
         return None
-    return [table[name].tolist() for name in table.dtype.names], len(table)
+    return [np.ma.masked_array(table[name], False) if kind is optional_float else table[name]
+            for name, (_, kind) in zip(table.dtype.names, cells)], len(table)
 
 
 # The bytes of a row of numbers. On them `np.loadtxt` reads a cell as `int`

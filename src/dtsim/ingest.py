@@ -76,6 +76,11 @@ class IrrationalMix:
         for frac in (self.rational_fraction, self.overpaid_fraction, self.underpaid_fraction):
             if frac < 0:
                 raise ValueError("fractions must be non-negative")
+        for group, low, high in (("over", self.over_multiplier_low, self.over_multiplier_high),
+                                 ("under", self.under_multiplier_low, self.under_multiplier_high)):
+            if not 0 <= low <= high:  # also rejects NaN
+                raise ValueError(f"{group}_multiplier_low ({low!r}) and {group}_multiplier_high "
+                                 f"({high!r}) must satisfy 0 <= low <= high")
 
 
 def generate(spec: DatasetSpec) -> Stream:
@@ -146,17 +151,18 @@ def load_csv(path, commission_ratio: float = DEFAULT_COMMISSION_RATIO) -> Stream
     Expected header: id, amount, arrival_time_ms and optionally fee. A fee
     that is absent or blank is derived as amount * commission_ratio. Every
     kind is numeric, so `read_csv_columns` parses a file that `write_csv`
-    wrote in its C pass; a blank fee, as any cell the pass cannot take,
-    leaves the rows to its row loop.
-    Raises SchemaError naming the file: `read_csv_columns`' errors, or the
-    `Stream` check's own message when the columns fail it (arrival order,
-    repeated ids, 64-bit range, finite non-negative values, a finite fee sum).
+    wrote in its C pass into arrays; a blank fee, as any cell the pass cannot
+    take, leaves the rows to its row loop.
+    Raises SchemaError naming the file: `read_csv_columns`' errors (an id or
+    arrival time past 64 bits among them), or the `Stream` check's own message
+    when the columns fail it (arrival order, repeated ids, finite non-negative
+    values, a finite fee sum).
     """
     ids, amounts, arrivals, fees = read_csv_columns(path, {
         "id": int, "amount": float, "arrival_time_ms": int, "fee": optional_float},
         optional=("fee",))
-    fees = [amount * commission_ratio if fee is None else fee
-            for amount, fee in zip(amounts, fees)]
+    with np.errstate(all="ignore"):  # as Python's float product, which never warns
+        fees = np.where(np.ma.getmaskarray(fees), amounts * commission_ratio, np.ma.getdata(fees))
     try:
         return Stream(ids, arrivals, amounts, fees)
     except DataError as exc:

@@ -87,15 +87,15 @@ def test_numpy_parses_text_only_in_the_readers_c_pass():
 def test_columns_are_parsed_in_the_order_asked():
     path = SRC.parent.parent / "tests" / "data" / "golden_blocks_reference_seed42.csv"
     incentives, heights = read_csv_columns(path, {"incentive": float, "height": int})
-    assert heights[:3] == [0, 1, 2]
-    assert len(incentives) == len(heights) and all(isinstance(v, float) for v in incentives)
+    assert heights[:3].tolist() == [0, 1, 2]
+    assert len(incentives) == len(heights) and incentives.dtype == np.float64
 
 
 def test_header_is_stripped_blank_rows_skipped_and_absent_optional_filled(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text(" a , b \n1,x\n\n  ,  \n2,y\n")
-    assert read_csv_columns(path, {"b": str.strip, "a": int, "c": len}, optional=("c",)) == [
-        ["x", "y"], [1, 2], [0, 0]]
+    strips, ints, lens = read_csv_columns(path, {"b": str.strip, "a": int, "c": len}, optional=("c",))
+    assert (strips, ints.tolist(), lens) == (["x", "y"], [1, 2], [0, 0])
 
 
 @pytest.mark.parametrize("content, message", [
@@ -138,7 +138,7 @@ def test_a_repeated_asked_for_column_is_a_schema_error(tmp_path, header):
 def test_a_repeated_column_no_caller_asks_for_is_allowed(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,x,b, x\n1,2,3,4\n5,6,7,8\n")
-    assert read_csv_columns(path, {"a": int, "b": int}) == [[1, 5], [3, 7]]
+    assert [c.tolist() for c in read_csv_columns(path, {"a": int, "b": int})] == [[1, 5], [3, 7]]
 
 
 def test_vrp_check_of_a_repeated_fee_column_is_a_data_error(tmp_path, capsys):
@@ -163,6 +163,19 @@ def test_malformed_row_after_a_blank_line_reports_its_own_line(tmp_path, capsys,
     assert main([a.format(path=path, tmp=tmp_path) for a in command]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {path}:4: malformed row: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, name, content", [
+    (["simulate", "--dataset", "{path}", "--out", "{tmp}/o"], "id",
+     f"id,amount,arrival_time_ms\n1,100.0,0\n{2**63},100.0,5\n"),
+    (["vrp-check", "--blocks", "{tmp}/blocks.csv", "--assignments", "{path}"], "tx_id",
+     f"tx_id,block,fee,nodes\n{2**63},0,1.0,1\n"),
+], ids=["simulate", "vrp-check"])
+def test_an_int_past_64_bits_is_a_schema_error(tmp_path, capsys, command, name, content):
+    path = tmp_path / "input.csv"
+    path.write_text(content)
+    assert main([a.format(path=path, tmp=tmp_path) for a in command]) == 3
+    assert capsys.readouterr().err == f"data error: {path}: values of column {name!r} must fit in 64 bits\n"
 
 
 # Differential check of the C pass: files from a cell grammar, read with the
@@ -213,11 +226,15 @@ def csv_files(draw):
 
 
 def _outcome(path, case):
+    """Each column's type, dtype, data bytes and mask, or a list column
+    itself; or the SchemaError text."""
     kinds, optional = KINDS[case]
     try:
-        return repr(read_csv_columns(path, kinds, optional))
+        columns = read_csv_columns(path, kinds, optional)
     except SchemaError as exc:
         return f"SchemaError: {exc}"
+    return [(type(c), c.dtype, np.ma.getdata(c).tobytes(), np.ma.getmaskarray(c).tobytes())
+            if isinstance(c, np.ndarray) else c for c in columns]
 
 
 def test_the_c_pass_returns_what_the_row_loop_returns(tmp_path):
@@ -283,6 +300,26 @@ def csv_reader_rows(monkeypatch):
 
     monkeypatch.setattr(csv, "reader", Counting)
     return counts
+
+
+def test_each_kind_has_one_column_type_from_both_paths(tmp_path, csv_reader_rows):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c,d\n1,2.5,3.5,7\n4,5.0,6,8\n")
+    kinds = {"a": int, "b": float, "c": optional_float, "e": optional_float}
+    c_pass = read_csv_columns(path, kinds, optional=("e",))
+    with mock.patch.object(core, "_numeric_columns", lambda *args: None):
+        row_loop = read_csv_columns(path, kinds, optional=("e",))
+    assert csv_reader_rows == [1, 3]
+    for columns in (c_pass, row_loop):
+        assert [(type(c), c.dtype) for c in columns] == [
+            (np.ndarray, np.int64), (np.ndarray, np.float64),
+            (np.ma.MaskedArray, np.float64), (np.ma.MaskedArray, np.float64)]
+        assert [np.ma.getmaskarray(c).tolist() for c in columns[2:]] == [[False, False], [True, True]]
+    path.write_text("a,b,c,d\n1,2.5,,x\n")
+    ints, blanks, strips, lens = read_csv_columns(
+        path, {"a": int, "c": optional_float, "d": str.strip, "b": len})
+    assert type(ints) is np.ndarray and np.ma.getmaskarray(blanks).tolist() == [True]
+    assert (strips, lens) == (["x"], [3])
 
 
 def test_a_written_stream_loads_through_the_c_pass(tmp_path, csv_reader_rows):
@@ -376,7 +413,7 @@ def test_a_blank_or_padded_int_cell_never_reaches_the_c_pass(tmp_path, monkeypat
     loadtxt = np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: passes.append(1) or loadtxt(*args, **kwargs))
     path.write_text("a,b\n1, 2\n")
-    assert read_csv_columns(path, {"a": int, "b": int}) == [[1], [2]]
+    assert [c.tolist() for c in read_csv_columns(path, {"a": int, "b": int})] == [[1], [2]]
     path.write_text("a,b\n1,2\n3,\n")
     with pytest.raises(SchemaError, match=":3: malformed row: invalid literal for int"):
         read_csv_columns(path, {"a": int, "b": int})

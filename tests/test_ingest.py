@@ -117,6 +117,16 @@ class TestInjectIrrational:
         with pytest.raises(ValueError):
             IrrationalMix(0.5, 0.1, 0.1)
 
+    @pytest.mark.parametrize("group, ranges", [
+        ("under", dict(under_multiplier_low=-1.0)),
+        ("over", dict(over_multiplier_low=4.0, over_multiplier_high=2.0)),
+        ("under", dict(under_multiplier_high=math.nan)),
+    ])
+    def test_multiplier_ranges_must_run_from_zero_up(self, group, ranges):
+        with pytest.raises(ValueError, match=f"{group}_multiplier_low .* and {group}_multiplier_high "
+                                             r".* must satisfy 0 <= low <= high"):
+            IrrationalMix(0.8, 0.1, 0.1, **ranges)
+
     def test_determinism(self):
         stream = generate(DatasetSpec(count=3000, rng_seed=4))
         mix = IrrationalMix(0.7, 0.15, 0.15)
