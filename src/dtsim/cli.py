@@ -3,11 +3,12 @@
 `simulate` and `optimize` take the same stream and output flags (`optimize`
 spends --budget evaluations per cell, n_pop x 100 by default) and write CSV
 artifacts plus a `manifest.json`, and `proofsize --out X.csv` writes
-`X.manifest.json` beside its CSV; a manifest embeds the effective
-configuration verbatim, so those outputs are traceable to their exact inputs
-(`volatility --out` writes none). Configuration precedence: command-line flags
-> config file > built-in defaults, which are the library's dataclass defaults;
-the DTSIM_SEED environment variable overrides the built-in default seed only.
+`X.manifest.json` beside its CSV (`volatility --out` writes none). A manifest
+holds the settings the run used as config text, and its sha256: that text as
+a `--config` file repeats the run (`simulate --a4/--a5` are flags only, which
+the manifest records under `strategy`). Settings precedence: command-line
+flags > config file > the DTSIM_SEED environment variable, which sets the
+seed only > built-in defaults, which are the library's dataclass defaults.
 
 Exit codes: 0 success, 1 `vrp-check` listed a violation, 2 configuration
 error or an output that cannot be written, 3 data error.
@@ -79,9 +80,10 @@ def _defaults() -> dict:
 DEFAULTS = _defaults()
 
 
-def default_config_text() -> str:
-    parser = configparser.ConfigParser()
-    parser.read_dict(DEFAULTS)
+def config_text(config: dict = DEFAULTS) -> str:
+    """`config` as INI text: the schema's order, each value as `str` writes it."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(config)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -94,27 +96,23 @@ def _typed(text: str, kind: type, name: str):
         raise ValueError(f"{name} must be of type {kind.__name__}, got {text!r}") from None
 
 
-def load_config(args) -> tuple[dict, str]:
-    """Typed settings: flags over the config file over the defaults.
-
-    A flag overrides the config key of its own name. DTSIM_SEED replaces
-    the default seed when neither --seed nor the file sets one. Returns
-    (values by section and key, the config text).
-    """
+def load_config(args) -> dict:
+    """The effective settings by section and key: flags over the config file
+    over DTSIM_SEED over the defaults. A flag overrides the config key of its
+    own name, and DTSIM_SEED the default seed."""
     config = {section: dict(values) for section, values in DEFAULTS.items()}
-    text = default_config_text()
-    seed_in_file = False
-    path = getattr(args, "config", None)
-    if path is not None:
+    env = os.environ.get(ENV_SEED)
+    if env is not None:
+        config["simulation"]["seed"] = _typed(env, int, ENV_SEED)
+    if args.config is not None:
         # No header names the section "", so a [DEFAULT] section is unknown.
         parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
-            text = Path(path).read_text(encoding="utf-8")
-            parser.read_string(text, source=path)
+            parser.read_string(Path(args.config).read_text(encoding="utf-8"), source=args.config)
         except OSError:
-            raise ValueError(f"config file not found: {path}") from None
+            raise ValueError(f"config file not found: {args.config}") from None
         except UnicodeDecodeError as exc:
-            raise ValueError(f"cannot read {path}: {exc}") from None
+            raise ValueError(f"cannot read {args.config}: {exc}") from None
         except configparser.Error as exc:  # its messages name the file, some over lines
             raise ValueError(" ".join(str(exc).split())) from None
         for section in parser.sections():
@@ -125,15 +123,11 @@ def load_config(args) -> tuple[dict, str]:
                     raise ValueError(f"unknown config key {key!r} in [{section}]")
                 config[section][key] = _typed(value, type(DEFAULTS[section][key]),
                                               f"{key} in [{section}]")
-        seed_in_file = parser.has_option("simulation", "seed")
-    env = os.environ.get(ENV_SEED)
-    if env is not None and not seed_in_file and getattr(args, "seed", None) is None:
-        config["simulation"]["seed"] = _typed(env, int, ENV_SEED)
     for values in config.values():
         for key in values:
             if getattr(args, key, None) is not None:
                 values[key] = getattr(args, key)
-    return config, text
+    return config
 
 
 def _sim_config(config) -> SimulationConfig:
@@ -168,15 +162,15 @@ def _strategy(args, config, cfg: SimulationConfig):
     return strategy
 
 
-def _write_manifest(path: Path, args, config, config_text: str, outputs: list,
-                    extras: dict | None = None):
+def _write_manifest(path: Path, args, config, outputs: list, extras: dict | None = None):
+    text = config_text(config)
     manifest = {
         "command": args.command,
         "argv": args.argv,
         "package_version": __version__,
         "seed": config["simulation"]["seed"],
-        "config_digest": hashlib.sha256(config_text.encode()).hexdigest(),
-        "config_text": config_text,
+        "config_digest": hashlib.sha256(text.encode()).hexdigest(),
+        "config_text": text,
         "outputs": [str(p) for p in outputs],
         "wall_time_s": round(time.perf_counter() - args.started, 3),
         **(extras or {}),
@@ -191,7 +185,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def cmd_simulate(args, config, config_text) -> int:
+def cmd_simulate(args, config) -> int:
     cfg = _sim_config(config)
     strategy = _strategy(args, config, cfg)
     stream = _dataset(args, config)
@@ -222,7 +216,7 @@ def cmd_simulate(args, config, config_text) -> int:
     outputs.append(out / "summary.csv")
     write_csv_rows(outputs[-1], ("key", "value"), summary.items())
 
-    manifest = _write_manifest(out / "manifest.json", args, config, config_text, outputs,
+    manifest = _write_manifest(out / "manifest.json", args, config, outputs,
                                {"strategy": strategy.attributes()})
     for key, value in summary.items():
         print(f"{key}: {value}")
@@ -230,7 +224,7 @@ def cmd_simulate(args, config, config_text) -> int:
     return 0
 
 
-def cmd_optimize(args, config, config_text) -> int:
+def cmd_optimize(args, config) -> int:
     cfg = _sim_config(config)
     if args.jobs < 1:
         raise ValueError("--jobs must be positive")
@@ -259,7 +253,7 @@ def cmd_optimize(args, config, config_text) -> int:
         write_trace_csv(r, outputs[-1])
 
     manifest = _write_manifest(
-        out / "manifest.json", args, config, config_text, outputs,
+        out / "manifest.json", args, config, outputs,
         {"pso_derived": {"w": round(w, 6), "c1": round(c1, 6), "c2": round(c2, 6)},
          "budget": base.budget,
          "cells": [{"algorithm": r.algorithm, "category": r.category_id,
@@ -285,7 +279,7 @@ def _parse_scenarios(text: str):
     return scenarios
 
 
-def cmd_proofsize(args, config, config_text) -> int:
+def cmd_proofsize(args, config) -> int:
     scenarios = (_parse_scenarios(args.scenarios) if args.scenarios
                  else [*PUBLISHED_SCENARIOS, INTEGRATION_SCENARIO])
     ks = [int(k) for k in args.k.split(",")] if args.k else BRANCHING_FACTORS
@@ -311,7 +305,7 @@ def cmd_proofsize(args, config, config_text) -> int:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         write_bandwidth_csv(rows, out)
-        _write_manifest(out.with_suffix(".manifest.json"), args, config, config_text, [out])
+        _write_manifest(out.with_suffix(".manifest.json"), args, config, [out])
     return 0
 
 
@@ -335,7 +329,7 @@ def _block_mismatches(path, blocks, fees, nodes) -> list[str]:
     return problems
 
 
-def cmd_vrp_check(args, config, config_text) -> int:
+def cmd_vrp_check(args, config) -> int:
     assignments_path = args.assignments or Path(args.blocks).with_name("assignments.csv")
     # Python numbers, as in `_block_mismatches`: the report reads the same under every numpy.
     tx_ids, blocks, fees, nodes = (column.tolist() for column in read_csv_columns(
@@ -344,14 +338,16 @@ def cmd_vrp_check(args, config, config_text) -> int:
         raise DataError(f"{assignments_path}: no assignment rows")
     capacity = config["simulation"]["leaf_capacity"]
 
-    # Block k of the assignment is the k-th smallest height that a row names.
-    heights = sorted(set(blocks))
-    column = {height: k for k, height in enumerate(heights)}
-    matrix = AssignmentMatrix(blocks=tuple(column[b] for b in blocks), tx_ids=tuple(tx_ids),
-                              n_blocks=len(heights))
+    # A block's column is its height: a run's K blocks hold at least K rows.
+    bad = next((b for b in blocks if not 0 <= b < len(blocks)), None)
+    if bad is not None:
+        raise DataError(f"{assignments_path}: block {bad} is not a height below the "
+                        f"row count, {len(blocks)}")
+    matrix = AssignmentMatrix(blocks=tuple(blocks), tx_ids=tuple(tx_ids), n_blocks=len(blocks))
     instance = VrpInstance(fees=tuple(fees), demands=tuple(nodes), capacity=capacity)
     violations = (check_constraints(matrix, instance)
                   + _block_mismatches(args.blocks, blocks, fees, nodes))
+    heights = sorted(set(blocks))
     print(f"transactions: {len(set(tx_ids))}, blocks: {len(heights)}, capacity: {capacity}")
     if violations:
         print(f"violations ({len(violations)}):")
@@ -362,7 +358,8 @@ def cmd_vrp_check(args, config, config_text) -> int:
 
     if args.target_incentive is not None:
         # Depot-style report: how far block incomes sit from the target level.
-        deviations = [abs(s - args.target_incentive) for s in block_sums(matrix, instance.fees)]
+        sums = block_sums(matrix, instance.fees)
+        deviations = [abs(sums[h] - args.target_incentive) for h in heights]
         print(f"target incentive {args.target_incentive!r}: "
               f"mean |deviation| {sum(deviations) / len(deviations)!r}, "
               f"max |deviation| {max(deviations)!r}")
@@ -377,12 +374,13 @@ def _incentive(text: str) -> float:
     return value
 
 
-def cmd_volatility(args, config, config_text) -> int:
+def cmd_volatility(args, config) -> int:
     if args.out and args.window is None:
         raise ValueError("--out writes the rolling series; give --window")
     (values,) = read_csv_columns(args.infile, {args.column: _incentive})
-    if len(values) < 2:
-        raise DataError("need at least two incentives")
+    if len(values) < MIN_INCENTIVES:
+        raise DataError(f"{args.infile}: {len(values)} incentives; volatility needs "
+                        f"at least {MIN_INCENTIVES}")
 
     if args.window is not None:
         series = rolling_volatility(values, args.window)
@@ -473,13 +471,13 @@ def main(argv=None) -> int:
     args.started = time.perf_counter()  # a manifest's wall time covers the whole command
     args.argv = argv  # the manifest records what was parsed, not the host's sys.argv
     if args.print_defaults:
-        print(default_config_text(), end="")
+        print(config_text(), end="")
         return 0
     if args.command is None:
         parser.print_help()
         return 2
     try:
-        return COMMANDS[args.command](args, *load_config(args))
+        return COMMANDS[args.command](args, load_config(args))
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -11,6 +11,7 @@ import csv
 import enum
 import math
 import mmap
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -375,7 +376,7 @@ def read_csv_columns(path, kinds: dict, optional: Sequence[str] = ()) -> list:
                     raise SchemaError(f"{path}: column {name!r} appears more than once in the header")
             present = [name for name in kinds if name in header]
             cells = [(header[name], kinds[name]) for name in present]
-            typed = _numeric_columns(fh, reader.line_num, cells)
+            typed = _numeric_columns(path, reader.line_num, cells)
             if typed:
                 columns, rows = typed
             else:
@@ -412,26 +413,26 @@ def _array(path, name: str, kind, values: list):
         raise SchemaError(f"{path}: values of column {name!r} must fit in 64 bits") from None
 
 
-def _numeric_columns(fh, header_lines: int, cells) -> Optional[tuple[list, int]]:
+def _numeric_columns(path, header_lines: int, cells) -> Optional[tuple[list, int]]:
     """The columns of `cells`, (header index, kind) pairs of `NUMERIC_FIELDS`
     kinds, as `read_csv_columns` returns them (an `optional_float` one with
-    no cell masked), and the row count, parsed from the seekable text file
-    `fh` past its first `header_lines` lines by one `np.loadtxt` pass, numpy's
-    C tokenizer.
+    no cell masked), and the row count, parsed from the file at `path` past
+    its first `header_lines` lines by one `np.loadtxt` pass, numpy's C
+    tokenizer.
 
-    Returns None, with `fh` past its header, to leave the rows to the row
-    loop: when a kind has no field, when `_row_loop_only` finds more than
+    Returns None to leave the rows to the row loop: when a kind has no field,
+    when the file cannot be mapped, when `_row_loop_only` finds more than
     rows of numbers past the header or the file holds a line that may pass
     `csv.field_size_limit()`, or when the pass raises or warns for any reason
     (a short row, a value that int64 or float64 cannot hold, a header-only
     file).
     """
-    if not cells or not fh.seekable() or not all(kind in NUMERIC_FIELDS for _, kind in cells):
+    if not cells or not all(kind in NUMERIC_FIELDS for _, kind in cells):
         return None
     try:
         # Scan the file's bytes in place. A line longer than the limit holds
         # a whole block of `step` bytes, as no character is less than a byte.
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as raw:
+        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as raw:
             step = csv.field_size_limit() // 2 + 1
             if _row_loop_only(raw) or any(
                     raw.find(b"\n", at, at + step) < 0 and raw.find(b"\r", at, at + step) < 0
@@ -439,17 +440,12 @@ def _numeric_columns(fh, header_lines: int, cells) -> Optional[tuple[list, int]]
                 return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(
-                fh, dtype=[(f"f{at}", NUMERIC_FIELDS[kind]) for at, (_, kind) in enumerate(cells)],
+            table = np.loadtxt(  # by an absolute name, which numpy never takes for a URL
+                os.path.abspath(path),
+                dtype=[(f"f{at}", NUMERIC_FIELDS[kind]) for at, (_, kind) in enumerate(cells)],
                 delimiter=",", comments=None, quotechar=None, usecols=[i for i, _ in cells],
-                encoding="utf-8", ndmin=1)
-    except Exception:
-        # Whatever failed, the row loop decides the outcome. It starts past the
-        # header lines read again from offset 0, so it decodes in the chunks of
-        # a first read and a decoding error names the same position.
-        fh.seek(0)
-        for _ in range(header_lines):
-            fh.readline()
+                skiprows=header_lines, encoding="utf-8", ndmin=1)
+    except Exception:  # whatever failed, the row loop decides the outcome
         return None
     return [np.ma.masked_array(table[name], False) if kind is optional_float else table[name]
             for name, (_, kind) in zip(table.dtype.names, cells)], len(table)

@@ -362,6 +362,40 @@ class TestExitCodes:
                                            "continuation byte\n")
         assert [p.name for p in tmp_path.iterdir()] == ["dtsim.ini"]
 
+    # Paths of cli.py that no other test runs in process.
+    BLOCKS_HEADER = "height,tx_count,occupied_nodes,incentive,seal_time\n"
+    TWO_HEIGHTS = {"assignments.csv": "tx_id,block,fee,nodes\n1,0,1.0,100\n2,2,1.5,200\n3,2,2.5,200\n",
+                   "blocks.csv": BLOCKS_HEADER + "0,1,100,1.0,0\n2,2,400,4.0,0\n"}
+
+    @pytest.mark.parametrize("args, files, code, line", [
+        (["proofsize", "--config", "{tmp}/absent.ini"], {}, 2,
+         "config error: config file not found: {tmp}/absent.ini"),
+        (["simulate", "--dataset", "{tmp}/stream.csv", "--out", "{tmp}/o"],
+         {"stream.csv": "id,amount,arrival_time_ms,fee\n"}, 3,
+         "data error: dataset {tmp}/stream.csv holds no transactions"),
+        (["proofsize", "--scenarios", ","], {}, 2, "config error: no scenarios given"),
+        (["vrp-check", "--blocks", "{tmp}/blocks.csv"],
+         {"assignments.csv": "tx_id,block,fee,nodes\n", "blocks.csv": BLOCKS_HEADER}, 3,
+         "data error: {tmp}/assignments.csv: no assignment rows"),
+        # Deviations over the heights present, 0 and 2: |1.0 - 2| and |4.0 - 2|.
+        (["vrp-check", "--blocks", "{tmp}/blocks.csv", "--target-incentive", "2"], TWO_HEIGHTS, 0,
+         "target incentive 2.0: mean |deviation| 1.5, max |deviation| 2.0"),
+        (["volatility", "--in", "{tmp}/series.csv"], {"series.csv": "incentive\n5.0\n6.0\n"}, 3,
+         "data error: {tmp}/series.csv: 2 incentives; volatility needs at least 3"),
+    ], ids=["config-not-found", "empty-dataset", "no-scenarios", "no-assignment-rows",
+            "target-incentive", "too-few-incentives"])
+    def test_each_rarely_taken_path_prints_its_one_line(self, tmp_path, capsys, args, files, code,
+                                                        line):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert main([a.format(tmp=tmp_path) for a in args]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert (out, err) == ("", line.format(tmp=tmp_path) + "\n")
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+        else:
+            assert err == "" and out.splitlines()[-1] == line
+
 
 class TestVolatilityCommand:
     def test_constant_column_is_below_range(self, tmp_path):
@@ -462,6 +496,50 @@ class TestSimulateCommand:
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m2["seed"] == 60
         assert m2["strategy"]["a6"] == 77
+
+    @pytest.mark.parametrize("env, file_seed, flag_seed, seed", [
+        (None, None, None, 0),
+        ("123", None, None, 123),
+        ("123", 50, None, 50),
+        ("123", None, 60, 60),
+        (None, 50, 60, 60),
+    ], ids=["default", "env", "file-over-env", "flag-over-env", "flag-over-file"])
+    def test_seed_is_flag_over_file_over_env_over_default(
+            self, tmp_path, monkeypatch, capsys, env, file_seed, flag_seed, seed):
+        monkeypatch.delenv("DTSIM_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("DTSIM_SEED", env)
+        args = ["proofsize", "--k", "3", "--scenarios", "100", "--out", str(tmp_path / "p.csv")]
+        if file_seed is not None:
+            (tmp_path / "cfg.ini").write_text(f"[simulation]\nseed = {file_seed}\n")
+            args += ["--config", str(tmp_path / "cfg.ini")]
+        if flag_seed is not None:
+            args += ["--seed", str(flag_seed)]
+        assert main(args) == 0
+        manifest = json.loads((tmp_path / "p.manifest.json").read_text())
+        assert manifest["seed"] == seed
+        if (env, file_seed, flag_seed) == (None, None, None):
+            capsys.readouterr()
+            assert main(["--print-defaults"]) == 0
+            defaults = capsys.readouterr().out
+            assert manifest["config_digest"] == hashlib.sha256(defaults.encode()).hexdigest()
+
+    def test_a_manifests_config_text_repeats_its_run(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("DTSIM_SEED", raising=False)
+        flags = ["--seed", "11", "--a1", "500", "--category", "4"]
+        assert main(["simulate", "--count", "3000", *flags, "--out", str(tmp_path / "a")]) == 0
+        first = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        (tmp_path / "a.ini").write_text(first["config_text"])
+        assert main(["simulate", "--config", str(tmp_path / "a.ini"),
+                     "--out", str(tmp_path / "b")]) == 0
+        for name in ("blocks.csv", "assignments.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        replay = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert (replay["config_text"], replay["config_digest"]) == (
+            first["config_text"], first["config_digest"])
+        assert main(["simulate", "--count", "4000", *flags, "--out", str(tmp_path / "c")]) == 0
+        other = json.loads((tmp_path / "c" / "manifest.json").read_text())
+        assert other["config_digest"] != first["config_digest"]
 
 
 class TestOptimizeCommand:
@@ -634,6 +712,29 @@ class TestVrpCheckCommand:
         demand = block.split(",")[2]
         assert f"violations (1):\n  block 0 demand {demand} exceeds capacity 2100\n" in out
         assert err == ""
+
+    def test_an_overfull_block_is_named_by_its_height(self, tmp_path, capsys):
+        (tmp_path / "assignments.csv").write_text(
+            "tx_id,block,fee,nodes\n1,0,1.0,100\n2,2,1.0,1500\n3,2,2.0,1500\n")
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("height,tx_count,occupied_nodes,incentive,seal_time\n"
+                          "0,1,100,1.0,0\n2,2,3000,3.0,0\n")
+        assert main(["vrp-check", "--blocks", str(blocks)]) == 1
+        assert capsys.readouterr() == ("transactions: 3, blocks: 2, capacity: 2100\n"
+                                       "violations (1):\n  block 2 demand 3000 exceeds capacity 2100\n",
+                                       "")
+
+    # A run's K blocks hold at least K rows, so each height is below the row count.
+    @pytest.mark.parametrize("height", [-1, 2, 2**62])
+    def test_a_height_outside_the_row_count_is_a_data_error(self, tmp_path, capsys, height):
+        assignments = tmp_path / "assignments.csv"
+        assignments.write_text(f"tx_id,block,fee,nodes\n1,0,1.0,100\n2,{height},1.0,100\n")
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("height,tx_count,occupied_nodes,incentive,seal_time\n"
+                          f"0,1,100,1.0,0\n{height},1,100,1.0,0\n")
+        assert main(["vrp-check", "--blocks", str(blocks)]) == 3
+        assert capsys.readouterr() == ("", f"data error: {assignments}: block {height} is not a "
+                                           "height below the row count, 2\n")
 
     @pytest.mark.parametrize("content", [None, b"garbage\n", b"\xff\xfe\x00\x01garbage"])
     def test_missing_or_unreadable_blocks_file_is_data_error(
