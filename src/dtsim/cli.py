@@ -6,9 +6,11 @@ artifacts plus a `manifest.json`, and `proofsize --out X.csv` writes
 `X.manifest.json` beside its CSV (`volatility --out` writes none). A manifest
 holds the settings the run used as config text, and its sha256: that text as
 a `--config` file repeats the run (`simulate --a4/--a5` are flags only, which
-the manifest records under `strategy`). Settings precedence: command-line
-flags > config file > the DTSIM_SEED environment variable, which sets the
-seed only > built-in defaults, which are the library's dataclass defaults.
+the manifest records under `strategy`) over the same input, which a `simulate`
+or `optimize` manifest names by `dataset_sha256`, the sha256 of the `--dataset`
+file (null for a generated stream). Settings precedence: command-line flags >
+config file > the DTSIM_SEED environment variable, which sets the seed only >
+built-in defaults, which are the library's dataclass defaults.
 
 Exit codes: 0 success, 1 `vrp-check` listed a violation, 2 configuration
 error or an output that cannot be written, 3 data error.
@@ -29,13 +31,12 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .core import (REFERENCE_STRATEGY, SimulationConfig, read_csv_columns,
+from .core import (REFERENCE_STRATEGY, DataError, SimulationConfig, read_csv_columns,
                    strategy_from_category, validate_strategy, write_csv_rows)
 from .ingest import DatasetSpec, IrrationalMix, generate, inject_irrational, load_csv
 from .metrics import MIN_INCENTIVES, benchmark_check, rolling_volatility, series_volatility
 from .optimize import (
     ALGORITHMS,
-    PSO_COEFFICIENTS,
     OptimizerConfig,
     experiment_grid,
     grid_cell,
@@ -43,7 +44,8 @@ from .optimize import (
     write_grid_csv,
     write_trace_csv,
 )
-from .simulator import DataError, run, write_assignments_csv, write_blocks_csv
+from .optimizers import PSO_COEFFICIENTS
+from .simulator import run, write_assignments_csv, write_blocks_csv
 from .verkle import (
     BRANCHING_FACTORS,
     INTEGRATION_SCENARIO,
@@ -53,7 +55,7 @@ from .verkle import (
     graphene_integration_summary,
     write_bandwidth_csv,
 )
-from .vrp import AssignmentMatrix, VrpInstance, block_sums, check_constraints
+from .vrp import AssignmentMatrix, VrpInstance, check_constraints
 
 ENV_SEED = "DTSIM_SEED"
 
@@ -137,21 +139,23 @@ def _sim_config(config) -> SimulationConfig:
 
 
 def _dataset(args, config):
-    """Load or synthesize the transaction stream per flags and config; the
-    [irrational] mix is checked before any input is read."""
+    """The transaction stream per flags and config, and the hex sha256 of a loaded
+    file (None for a generated stream); the [irrational] mix is checked first."""
     sim = config["simulation"]
     mix = IrrationalMix(**config["irrational"])
+    digest = None
     if args.dataset:
         stream = load_csv(args.dataset, commission_ratio=sim["commission_ratio"])
         if not stream:
             raise DataError(f"dataset {args.dataset} holds no transactions")
+        digest = hashlib.sha256(Path(args.dataset).read_bytes()).hexdigest()
     else:
         stream = generate(DatasetSpec(**config["dataset"], arrival_rate_tps=sim["arrival_rate_tps"],
                                       commission_ratio=sim["commission_ratio"],
                                       rng_seed=sim["seed"]))
     if mix.rational_fraction < 1.0:
         stream = inject_irrational(stream, mix, sim["seed"] + 1)
-    return stream
+    return stream, digest
 
 
 def _strategy(args, config, cfg: SimulationConfig):
@@ -188,7 +192,7 @@ def _out_dir(args) -> Path:
 def cmd_simulate(args, config) -> int:
     cfg = _sim_config(config)
     strategy = _strategy(args, config, cfg)
-    stream = _dataset(args, config)
+    stream, dataset_sha256 = _dataset(args, config)
 
     result = run(stream, strategy, cfg, force_seal=args.force_seal,
                  build_trees=args.verkle_roots)
@@ -217,7 +221,8 @@ def cmd_simulate(args, config) -> int:
     write_csv_rows(outputs[-1], ("key", "value"), summary.items())
 
     manifest = _write_manifest(out / "manifest.json", args, config, outputs,
-                               {"strategy": strategy.attributes()})
+                               {"strategy": strategy.attributes(),
+                                "dataset_sha256": dataset_sha256})
     for key, value in summary.items():
         print(f"{key}: {value}")
     print(f"manifest: {manifest}")
@@ -237,7 +242,7 @@ def cmd_optimize(args, config) -> int:
                            rng_seed=config["simulation"]["seed"])
     w, c1, c2 = PSO_COEFFICIENTS
 
-    stream = _dataset(args, config)
+    stream, dataset_sha256 = _dataset(args, config)
     out = _out_dir(args)
 
     if args.grid:
@@ -256,6 +261,7 @@ def cmd_optimize(args, config) -> int:
         out / "manifest.json", args, config, outputs,
         {"pso_derived": {"w": round(w, 6), "c1": round(c1, 6), "c2": round(c2, 6)},
          "budget": base.budget,
+         "dataset_sha256": dataset_sha256,
          "cells": [{"algorithm": r.algorithm, "category": r.category_id,
                     "evaluations": r.evaluations, "simulations": r.simulations} for r in runs]})
     for row in rows:
@@ -309,20 +315,16 @@ def cmd_proofsize(args, config) -> int:
     return 0
 
 
-def _block_mismatches(path, blocks, fees, nodes) -> list[str]:
-    """Heights where blocks.csv disagrees with the assignment columns. `run`
-    writes each block's tx_count, occupied_nodes and the fsum of its fees,
-    and CSV floats round-trip, so the totals must match exactly."""
-    heights, *totals = (column.tolist() for column in read_csv_columns(path, {
+def _block_mismatches(path, totals: dict) -> list[str]:
+    """Heights where blocks.csv disagrees with the assignments' `totals`. `run`
+    writes each block's tx_count, occupied_nodes and the fsum of its fees, and
+    CSV floats round-trip, so the totals must match exactly."""
+    heights, *columns = (column.tolist() for column in read_csv_columns(path, {
         "height": int, "tx_count": int, "occupied_nodes": int, "incentive": float}))
-    listed = dict(zip(heights, zip(*totals)))
+    listed = dict(zip(heights, zip(*columns)))
     problems = [f"{path} lists a height more than once"] if len(listed) < len(heights) else []
-    packed = {}
-    for block, fee, n in zip(blocks, fees, nodes):
-        packed.setdefault(block, []).append((fee, n))
-    for height in sorted(listed.keys() | packed.keys()):
-        txs = packed.get(height, [])
-        found = (len(txs), sum(n for _, n in txs), math.fsum(f for f, _ in txs))
+    for height in sorted(listed.keys() | totals.keys()):
+        found = totals.get(height, (0, 0, 0.0))
         if listed.get(height) != found:
             problems.append(f"block {height}: (tx_count, occupied_nodes, incentive) is "
                             f"{listed.get(height)} in {path}, {found} by its assignments")
@@ -345,10 +347,13 @@ def cmd_vrp_check(args, config) -> int:
                         f"row count, {len(blocks)}")
     matrix = AssignmentMatrix(blocks=tuple(blocks), tx_ids=tuple(tx_ids), n_blocks=len(blocks))
     instance = VrpInstance(fees=tuple(fees), demands=tuple(nodes), capacity=capacity)
-    violations = (check_constraints(matrix, instance)
-                  + _block_mismatches(args.blocks, blocks, fees, nodes))
-    heights = sorted(set(blocks))
-    print(f"transactions: {len(set(tx_ids))}, blocks: {len(heights)}, capacity: {capacity}")
+    packed = {}
+    for block, fee, n in zip(blocks, fees, nodes):
+        packed.setdefault(block, []).append((fee, n))
+    totals = {height: (len(txs), sum(n for _, n in txs), math.fsum(f for f, _ in txs))
+              for height, txs in packed.items()}
+    violations = check_constraints(matrix, instance) + _block_mismatches(args.blocks, totals)
+    print(f"transactions: {len(set(tx_ids))}, blocks: {len(totals)}, capacity: {capacity}")
     if violations:
         print(f"violations ({len(violations)}):")
         for v in violations:
@@ -357,11 +362,10 @@ def cmd_vrp_check(args, config) -> int:
         print("violations (0): none")
 
     if args.target_incentive is not None:
-        # Depot-style report: how far block incomes sit from the target level.
-        sums = block_sums(matrix, instance.fees)
-        deviations = [abs(sums[h] - args.target_incentive) for h in heights]
+        # Depot-style report: how far the block incomes just checked sit from the target.
+        deviations = [abs(incentive - args.target_incentive) for _, _, incentive in totals.values()]
         print(f"target incentive {args.target_incentive!r}: "
-              f"mean |deviation| {sum(deviations) / len(deviations)!r}, "
+              f"mean |deviation| {math.fsum(deviations) / len(deviations)!r}, "
               f"max |deviation| {max(deviations)!r}")
     return 1 if violations else 0
 

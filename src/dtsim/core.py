@@ -51,14 +51,14 @@ class DataError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class Stream(Sequence):
+class Stream:
     """A transaction stream as four read-only columns: int64 `ids` and
     `arrivals` (ms since stream start), float64 `amounts` and `fees`.
 
     Construction raises DataError unless ids are unique, arrivals sorted, ids
     and arrivals fit in 64 bits, arrivals, amounts and fees are finite and
-    non-negative, and the fees have a finite sum. As a Sequence it yields
-    `Transaction` views; a slice is a list of views, not a Stream.
+    non-negative, and the fees have a finite sum. Iteration yields
+    `Transaction` views; the stream itself is not indexed, its columns are.
 
     What a run derives from the columns alone is computed on first use and
     kept for the stream's life, read-only: `fee_logs` and their ascending
@@ -159,12 +159,6 @@ class Stream(Sequence):
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return Transaction(int(self.ids[i]), float(self.amounts[i]), float(self.fees[i]),
-                           int(self.arrivals[i]))
 
     def __iter__(self):
         return map(Transaction, self.ids.tolist(), self.amounts.tolist(), self.fees.tolist(),

@@ -21,14 +21,6 @@ from .core import (CSV_CHUNK_ROWS, MIN_POSITIVE_FEE, DataError, SchemaError, Str
                    Transaction, optional_float, read_csv_columns, write_csv_chunks)
 
 DEFAULT_COMMISSION_RATIO = 0.002
-# Median amount chosen so the default commission ratio puts the median fee
-# near e^4, a few log-units below the reference strategy's CDF scale: the
-# bulk of transactions then occupy few leaf slots while the expensive tail
-# engages the space rule, which is the regime the allocation targets.
-DEFAULT_AMOUNT_MU = 4.0 - math.log(DEFAULT_COMMISSION_RATIO)
-DEFAULT_AMOUNT_SIGMA = 1.0
-DEFAULT_DRIFT_SIGMA = 0.6
-DEFAULT_DRIFT_TAU_S = 14400.0
 
 
 @dataclass(frozen=True)
@@ -38,10 +30,14 @@ class DatasetSpec:
     count: int = 400000
     arrival_rate_tps: float = 3.5
     commission_ratio: float = DEFAULT_COMMISSION_RATIO
-    amount_mu: float = DEFAULT_AMOUNT_MU
-    amount_sigma: float = DEFAULT_AMOUNT_SIGMA
-    drift_sigma: float = DEFAULT_DRIFT_SIGMA
-    drift_tau_s: float = DEFAULT_DRIFT_TAU_S
+    # Median amount chosen so the default commission ratio puts the median fee
+    # near e^4, a few log-units below the reference strategy's CDF scale: the
+    # bulk of transactions then occupy few leaf slots while the expensive tail
+    # engages the space rule, which is the regime the allocation targets.
+    amount_mu: float = 4.0 - math.log(DEFAULT_COMMISSION_RATIO)
+    amount_sigma: float = 1.0
+    drift_sigma: float = 0.6
+    drift_tau_s: float = 14400.0
     rng_seed: int = 0
 
     def __post_init__(self):

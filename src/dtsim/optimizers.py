@@ -9,7 +9,6 @@ whose per-generation best-so-far sequence is non-increasing by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
@@ -17,34 +16,27 @@ import numpy as np
 Objective = Callable[[np.ndarray], float]
 
 
-@dataclass
 class OptTrace:
-    best_x: np.ndarray
-    best_f: float
-    trace: List[float] = field(default_factory=list)  # best-so-far per generation
-    evaluations: int = 0
-
-
-class _Budget:
-    """Evaluation counter that also maintains the global best and the trace."""
+    """One search's record: the evaluation counter, the global best so far and
+    the best-so-far value after each generation."""
 
     def __init__(self, objective: Objective, budget: int):
         if budget < 1:
             raise ValueError("budget must be positive")
         self.objective = objective
         self.budget = budget
-        self.used = 0
+        self.evaluations = 0
         self.best_x = None
         self.best_f = math.inf
         self.trace: List[float] = []
 
     def remaining(self) -> int:
-        return self.budget - self.used
+        return self.budget - self.evaluations
 
     def __call__(self, x: np.ndarray) -> float:
-        if self.used >= self.budget:
+        if self.evaluations >= self.budget:
             raise RuntimeError("evaluation budget exceeded")
-        self.used += 1
+        self.evaluations += 1
         f = self.objective(x)
         if f < self.best_f or self.best_x is None:
             self.best_f = f
@@ -63,9 +55,6 @@ class _Budget:
             yield gen
             self.trace.append(self.best_f)
 
-    def result(self) -> OptTrace:
-        return OptTrace(self.best_x, self.best_f, self.trace, self.used)
-
 
 def _start(objective: Objective, lb, ub, budget: int, rng: np.random.Generator, n_pop: int):
     """Float bounds, the budget's tally, and a first population of
@@ -74,7 +63,7 @@ def _start(objective: Objective, lb, ub, budget: int, rng: np.random.Generator, 
         raise ValueError("n_pop must be positive")
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
-    tally = _Budget(objective, budget)
+    tally = OptTrace(objective, budget)
     x = lb + rng.random((min(n_pop, budget), lb.size)) * (ub - lb)
     f = tally.eval_population(x)
     tally.trace.append(tally.best_f)
@@ -126,7 +115,7 @@ def pso(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
         pbest_x[improved] = x[improved]
         pbest_f[improved] = f[improved]
         g = int(np.argmin(pbest_f))
-    return tally.result()
+    return tally
 
 
 def differential_evolution(objective: Objective, lb, ub, budget: int,
@@ -148,7 +137,7 @@ def differential_evolution(objective: Objective, lb, ub, budget: int,
             if ft < f[i]:
                 x[i] = trial
                 f[i] = ft
-    return tally.result()
+    return tally
 
 
 def genetic_algorithm(objective: Objective, lb, ub, budget: int,
@@ -187,7 +176,7 @@ def genetic_algorithm(objective: Objective, lb, ub, budget: int,
                 children.append(np.clip(child, lb, ub))
         x = np.array(children)
         f = tally.eval_population(x)
-    return tally.result()
+    return tally
 
 
 def cma_es(objective: Objective, lb, ub, budget: int, rng: np.random.Generator) -> OptTrace:
@@ -197,7 +186,7 @@ def cma_es(objective: Objective, lb, ub, budget: int, rng: np.random.Generator) 
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     dim = lb.size
-    tally = _Budget(objective, budget)
+    tally = OptTrace(objective, budget)
 
     lam = max(4, min(4 + int(3 * math.log(dim)), budget))
     mu = lam // 2
@@ -255,7 +244,7 @@ def cma_es(objective: Objective, lb, ub, budget: int, rng: np.random.Generator) 
         xs = np.clip(mean + sigma * rng.standard_normal((tally.remaining(), dim)), lb, ub)
         tally.eval_population(xs)
         tally.trace.append(tally.best_f)
-    return tally.result()
+    return tally
 
 
 def gbo(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
@@ -312,7 +301,7 @@ def gbo(objective: Objective, lb, ub, budget: int, rng: np.random.Generator,
             if f_new < f[i]:
                 x[i] = x_new
                 f[i] = f_new
-    return tally.result()
+    return tally
 
 
 def _gradient_search_rule(rng, ro1, best_x, worst_x, xi, xr1, dm, eps, x_mean4):

@@ -38,8 +38,7 @@ import numpy as np
 
 from .core import write_csv_rows
 
-HASH_BITS = 256
-_BYTES_PER_LEVEL = HASH_BITS // 8
+_BYTES_PER_LEVEL = 32  # one sha256 digest
 
 
 def commit(children: Sequence[bytes]) -> bytes:

@@ -335,3 +335,13 @@ class TestBlockIncentive:
             comp = (t - acc) - y
             acc = t
         assert abs(total - acc) <= 1e-9 * max(1.0, abs(total))
+
+
+@pytest.mark.parametrize("shape, max_trx_nodes, message", [
+    (0.0, 1, "shape must be positive"),
+    (1.0, 0, "max_trx_nodes must be >= 1"),
+], ids=["shape", "max-trx-nodes"])
+def test_each_bound_raises_its_message(shape, max_trx_nodes, message):
+    with pytest.raises(ValueError) as raised:
+        AllocationParams(scale=6.0, shape=shape, max_trx_nodes=max_trx_nodes)
+    assert str(raised.value) == message

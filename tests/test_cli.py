@@ -380,10 +380,16 @@ class TestExitCodes:
         # Deviations over the heights present, 0 and 2: |1.0 - 2| and |4.0 - 2|.
         (["vrp-check", "--blocks", "{tmp}/blocks.csv", "--target-incentive", "2"], TWO_HEIGHTS, 0,
          "target incentive 2.0: mean |deviation| 1.5, max |deviation| 2.0"),
+        # The deviation of the incentive just checked, the fsum 0.6, not the
+        # left-to-right sum 0.6000000000000001.
+        (["vrp-check", "--blocks", "{tmp}/blocks.csv", "--target-incentive", "0"],
+         {"assignments.csv": "tx_id,block,fee,nodes\n1,0,0.1,1\n2,0,0.2,1\n3,0,0.3,1\n",
+          "blocks.csv": BLOCKS_HEADER + "0,3,3,0.6,0\n"}, 0,
+         "target incentive 0.0: mean |deviation| 0.6, max |deviation| 0.6"),
         (["volatility", "--in", "{tmp}/series.csv"], {"series.csv": "incentive\n5.0\n6.0\n"}, 3,
          "data error: {tmp}/series.csv: 2 incentives; volatility needs at least 3"),
     ], ids=["config-not-found", "empty-dataset", "no-scenarios", "no-assignment-rows",
-            "target-incentive", "too-few-incentives"])
+            "target-incentive", "target-incentive-fsum", "too-few-incentives"])
     def test_each_rarely_taken_path_prints_its_one_line(self, tmp_path, capsys, args, files, code,
                                                         line):
         for name, text in files.items():
@@ -540,6 +546,29 @@ class TestSimulateCommand:
         assert main(["simulate", "--count", "4000", *flags, "--out", str(tmp_path / "c")]) == 0
         other = json.loads((tmp_path / "c" / "manifest.json").read_text())
         assert other["config_digest"] != first["config_digest"]
+
+    def test_a_manifest_names_its_dataset_by_the_sha256_of_its_bytes(self, tmp_path):
+        # Two input files under one configuration: the config digest is the
+        # same, and only dataset_sha256 tells the runs apart.
+        manifests = {}
+        flags = {"simulate": [], "optimize": ["--budget", "2", "--n-pop", "2"]}
+        for seed in (1, 2):
+            path = tmp_path / f"stream{seed}.csv"
+            write_csv(generate(DatasetSpec(count=1500, rng_seed=seed)), path)
+            for command in flags:
+                out = tmp_path / f"{command}{seed}"
+                assert main([command, "--dataset", str(path), *flags[command],
+                             "--out", str(out)]) == 0
+                manifest = json.loads((out / "manifest.json").read_text())
+                assert manifest["dataset_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+                manifests[command, seed] = manifest
+        for command in flags:
+            one, two = manifests[command, 1], manifests[command, 2]
+            assert one["config_digest"] == two["config_digest"]
+            assert one["dataset_sha256"] != two["dataset_sha256"]
+        assert main(["simulate", "--count", "1500", "--out", str(tmp_path / "generated")]) == 0
+        generated = json.loads((tmp_path / "generated" / "manifest.json").read_text())
+        assert generated["dataset_sha256"] is None
 
 
 class TestOptimizeCommand:

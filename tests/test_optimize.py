@@ -11,14 +11,14 @@ from dtsim.optimize import (
     DEFAULT_BOUNDS,
     OptimizerConfig,
     SearchSpace,
-    constriction_params,
     evaluate,
     experiment_grid,
     grid_cell,
     grid_rows,
     run_optimizer,
 )
-from dtsim.optimizers import cma_es, differential_evolution, gbo, genetic_algorithm, pso
+from dtsim.optimizers import (cma_es, constriction_params, differential_evolution, gbo,
+                              genetic_algorithm, pso)
 from dtsim.simulator import DataError
 
 
@@ -87,6 +87,34 @@ def sphere_objective(attrs):
         mid = (lo + hi) / 2
         total += ((value - mid) / (hi - lo)) ** 2
     return total
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: OptimizerConfig(algorithm="sa"),
+     "unknown algorithm 'sa'; expected one of ('pso', 'de', 'ga', 'cmaes', 'gbo')"),
+    (lambda: run_optimizer("sa", SearchSpace(category=category(2)), sphere_objective,
+                           OptimizerConfig(n_eval=4)), "unknown algorithm 'sa'"),
+], ids=["config", "run-optimizer"])
+def test_an_unknown_algorithm_raises_its_message(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+def _overspend():
+    tally = optimizers.OptTrace(lambda x: 0.0, 1)
+    tally(np.zeros(2))
+    tally(np.zeros(2))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: optimizers.OptTrace(lambda x: 0.0, 0), ValueError, "budget must be positive"),
+    (_overspend, RuntimeError, "evaluation budget exceeded"),
+], ids=["zero-budget", "overspent"])
+def test_the_tally_guards_its_budget(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 class TestRunOptimizer:
@@ -210,7 +238,7 @@ class TestEvaluate:
         assert sorted_keys[2].tolist() == (-fresh.fees).tolist()
 
     def test_data_error_propagates_instead_of_scoring_inf(self):
-        reversed_stream = generate(DatasetSpec(count=3_000, rng_seed=1))[::-1]
+        reversed_stream = list(generate(DatasetSpec(count=3_000, rng_seed=1)))[::-1]
         with pytest.raises(DataError, match="ordered by arrival_time"):
             evaluate([2000, 110, 6.94, 1.0], category(2), reversed_stream, SimulationConfig())
 

@@ -726,6 +726,14 @@ class TestAssignmentsView:
         assert list(view) == plain
         assert {nodes for *_, nodes in plain} == {1}
 
+    def test_a_view_equals_no_list_of_its_rows(self):
+        s = strategy_from_category(2, a1=10, a6=110, a7=6.94, a8=1.0)
+        view, again = (run([tx(1, 5.0), tx(2, 5.0)], s, CFG, force_seal=True).assignments
+                       for _ in range(2))
+        rows = list(view)
+        assert view.__eq__(rows) is NotImplemented and view != rows
+        assert view == again and list(again) == rows
+
     def test_view_is_read_only(self, stream_30k):
         s = strategy_from_category(3, a1=1000, a6=110, a7=6.94, a8=1.0, a4=60.0, a5=200)
         view = run(stream_30k, s, CFG).assignments

@@ -38,3 +38,13 @@ def test_the_check_finds_an_unused_import():
               "from heapq import heapify, heappop\nfrom .core import Stream  # noqa: F401\n"
               "def f():\n    return sys.argv, heappop\n")
     assert unused_imports(source) == [(2, "os"), (4, "heapify")]
+
+
+def test_the_package_imports_nothing():
+    # Every name is imported from its defining module; the package binds only
+    # `__version__`, so importing one module does not load the others.
+    init = next(path for path in SOURCES if path.name == "__init__.py")
+    tree = ast.parse(init.read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [t.id for node in tree.body if isinstance(node, ast.Assign)
+            for t in node.targets] == ["__version__"]

@@ -109,6 +109,13 @@ class TestProofs:
         bad = MembershipProof(leaf_index=2, path=((0, 5, good.path[0][2]),))
         assert verify(tree.root, bad, ls[2]) is False
 
+    @pytest.mark.parametrize("entry", [(0, 2), (0, 2, None), (0, "2", ())],
+                             ids=["short", "no-children", "text-position"])
+    def test_a_malformed_path_entry_returns_false(self, entry):
+        ls = leaves(9)
+        tree = build_tree(ls, k=3)
+        assert verify(tree.root, MembershipProof(leaf_index=2, path=(entry,)), ls[2]) is False
+
     def test_index_out_of_range(self):
         tree = build_tree(leaves(5), k=2)
         with pytest.raises(IndexError):

@@ -4,6 +4,7 @@ from dtsim.core import BlockRecord
 from dtsim.vrp import (
     AssignmentMatrix,
     VrpInstance,
+    block_sums,
     brute_force_min_variance,
     check_constraints,
     encode,
@@ -113,3 +114,38 @@ class TestBruteForce:
         m1, v1 = brute_force_min_variance(inst, block_count=2)
         m2, v2 = brute_force_min_variance(inst, block_count=2)
         assert m1.blocks == m2.blocks and v1 == v2
+
+
+def _message(build):
+    """The message `build` raises, or what it returns."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+ONE_ROW = AssignmentMatrix(blocks=(0,), tx_ids=(1,), n_blocks=1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: VrpInstance(fees=(1.0,), demands=(), capacity=1),
+     "fees and demands must have equal length"),
+    (lambda: VrpInstance(fees=(), demands=(), capacity=0), "capacity must be positive"),
+    (lambda: AssignmentMatrix(blocks=(0,), tx_ids=(), n_blocks=1),
+     "blocks and tx_ids must have equal length"),
+    (lambda: check_constraints(ONE_ROW, VrpInstance(fees=(1.0, 2.0), demands=(1, 1), capacity=2)),
+     ["matrix has 1 rows for 2 transactions"]),
+    (lambda: check_constraints(AssignmentMatrix(blocks=(None,), tx_ids=(1,), n_blocks=1),
+                               VrpInstance(fees=(1.0,), demands=(1,), capacity=1)),
+     ["transaction 1 packed 0 times (expected once)"]),
+    (lambda: block_sums(ONE_ROW, (1.0, 2.0)), "fee vector length must match matrix rows"),
+    (lambda: variance_objective(AssignmentMatrix(blocks=(), tx_ids=(), n_blocks=0), ()),
+     "variance needs at least one block"),
+    (lambda: brute_force_min_variance(VrpInstance(fees=(), demands=(), capacity=1), 1),
+     "instance has no transactions"),
+    (lambda: brute_force_min_variance(VrpInstance(fees=(1.0, 1.0), demands=(2, 2), capacity=3), 1),
+     "no capacity-feasible assignment exists"),
+], ids=["instance-lengths", "capacity", "matrix-lengths", "rows", "unpacked", "fee-vector",
+        "zero-blocks", "no-transactions", "infeasible"])
+def test_each_invalid_input_gets_its_message(build, message):
+    assert _message(build) == message
