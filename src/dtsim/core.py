@@ -15,12 +15,9 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-
-from .allocation import fee_logs
 
 MIN_POSITIVE_FEE = sys.float_info.min
 
@@ -61,11 +58,12 @@ class Stream:
     `Transaction` views; the stream itself is not indexed, its columns are.
 
     What a run derives from the columns alone is computed on first use and
-    kept for the stream's life, read-only: `fee_logs` and their ascending
-    `fee_log_order` (8 B per transaction each) and, per priority used, the
-    rank/order pair of `ranks` (16 B per transaction). So every evaluation
-    of a search on one stream reuses one sort per order. A pickled Stream
-    is rebuilt through the constructor and carries no cache.
+    kept for the stream's life, read-only: per priority sorted, the
+    rank/order pair of `ranks` (16 B per transaction). Every run maps fees
+    to slots through the fee order, so a fee-priority stream keeps 16 B per
+    transaction and a time-priority one 32 B, and every evaluation of a
+    search on one stream reuses one sort per order. A pickled Stream is
+    rebuilt through the constructor and carries no cache.
     """
 
     ids: np.ndarray
@@ -109,20 +107,6 @@ class Stream:
                 except OverflowError:
                     raise DataError(f"the fees sum past the largest float, "
                                     f"{sys.float_info.max!r}") from None
-
-    @cached_property
-    def fee_logs(self) -> np.ndarray:
-        """Read-only `allocation.fee_logs` of the fees, a zero fee as MIN_POSITIVE_FEE."""
-        logs = fee_logs(np.where(self.fees > 0, self.fees, MIN_POSITIVE_FEE))
-        logs.flags.writeable = False
-        return logs
-
-    @cached_property
-    def fee_log_order(self) -> np.ndarray:
-        """Read-only positions in ascending `fee_logs` order (a stable argsort)."""
-        order = np.argsort(self.fee_logs, kind="stable")
-        order.flags.writeable = False
-        return order
 
     def ranks(self, priority: Priority) -> tuple[np.ndarray, np.ndarray]:
         """Every position's rank in `priority` order, and the positions in rank

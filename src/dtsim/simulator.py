@@ -12,11 +12,12 @@ configured pool depth for the whole stream; remaining transactions are
 drained through the miner after the last arrival.
 
 `run` reads the fee, arrival and id columns of one checked `core.Stream`
-and maps all fees to slot counts in one vectorized pass, through the fee-log
-order the stream keeps. It takes every position's rank in the pool's
-priority order from the stream too, which sorts once per priority and keeps
-the pair for its later runs; pool and miner then handle int positions, and
-a block is a contiguous slice of the pick sequence.
+and maps all fees to slot counts in one vectorized pass, through the
+descending fee order of the stream's fee-priority ranks. It takes every
+position's rank in the pool's priority order from the stream too, which
+sorts once per priority and keeps the pair for its later runs; pool and
+miner then handle int positions, and a block is a contiguous slice of the
+pick sequence.
 
 The pool holds a1 positions after warm-up and loses one to every pick, so
 it overflows exactly once, at position a1, before the first pick: the
@@ -61,9 +62,10 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .allocation import AllocationParams, block_incentive, log_slots
-from .core import (CSV_CHUNK_ROWS, BlockRecord, DataError, DtsStrategy, SimulationConfig,
-                   Stream, Transaction, validate_strategy, write_csv_chunks, write_csv_rows)
+from .allocation import AllocationParams, block_incentive, fee_slots
+from .core import (CSV_CHUNK_ROWS, BlockRecord, DataError, DtsStrategy, Priority,
+                   SimulationConfig, Stream, Transaction, validate_strategy, write_csv_chunks,
+                   write_csv_rows)
 from . import verkle
 
 
@@ -213,10 +215,8 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
     validate_strategy(strategy, cfg)
     stream = Stream.of(dataset)
     fees = stream.fees
-    # Slots come before the ranks, so on a stream's first run the mapping's
-    # temporaries are freed before its ranks are sorted; later runs reuse them.
     params = AllocationParams(strategy.scale, strategy.shape, strategy.max_trx_nodes)
-    slot_of = log_slots(stream.fee_logs, stream.fee_log_order, params)
+    slot_of = fee_slots(fees, stream.ranks(Priority.FEE)[1], params)
     rank, order = stream.ranks(strategy.priority)
     # The Python loops read single ranks and positions as ints through memoryviews.
     rank_at, order_at = memoryview(rank), memoryview(order)

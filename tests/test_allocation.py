@@ -6,7 +6,6 @@ hermetic. Regenerate with: mpmath.erf(x) at mp.dps=40.
 """
 
 import math
-import struct
 import sys
 
 import numpy as np
@@ -14,9 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dtsim import allocation
-from dtsim.allocation import (AllocationParams, block_incentive, erf, fee_logs, leaf_nodes,
-                              log_slots)
-from dtsim.ingest import MIN_POSITIVE_FEE
+from dtsim.allocation import AllocationParams, block_incentive, erf, fee_slots, leaf_nodes
+from dtsim.core import MIN_POSITIVE_FEE, Priority
 
 # (x, erf(x)) pairs spanning the series branch, the continued-fraction
 # branch and the sign reflection.
@@ -62,7 +60,7 @@ def test_erf_is_odd_and_monotone():
 
 
 def test_erf_is_nondecreasing_across_float_neighbours():
-    # `log_slots` bisects where each slot level starts among the sorted logs,
+    # `fee_slots` bisects where each slot level starts along the sorted fees,
     # which is exact only if erf never steps down from one float to the next.
     # Probe glibc's piece boundaries (0.84375, 1.25, 1/0.35, 6) on both signs,
     # then random points.
@@ -75,13 +73,27 @@ def test_erf_is_nondecreasing_across_float_neighbours():
         assert (np.diff(values) >= 0).all(), c
 
 
+def test_log_is_nondecreasing_across_float_neighbours():
+    # So is `math.log`, or the formula would not be monotone in the fee itself.
+    # Probe 1 and the points about it, e, the least normal float and a
+    # subnormal, then random fees; positive floats order like their bits.
+    rng = np.random.default_rng(21)
+    centres = [0.5, 1.0, 2.0, math.e, MIN_POSITIVE_FEE, 1e-315,
+               *rng.lognormal(6.0, 3.0, 30), *rng.uniform(0.0, 1e4, 10)]
+    for c in centres:
+        key = int(np.float64(c).view(np.int64))
+        xs = np.arange(max(key - 3000, 1), key + 3000, dtype=np.int64).view(np.float64)
+        values = np.array([math.log(x) for x in xs.tolist()])
+        assert (np.diff(values) >= 0).all(), c
+
+
 PARAMS_EXP17 = AllocationParams(scale=6.94, shape=1.00, max_trx_nodes=110)
 
 
-def column_slots(logs, params):
-    """`log_slots` of `logs` through their stable ascending order, as a Stream keeps it."""
-    logs = np.asarray(logs, dtype=np.float64)
-    return log_slots(logs, np.argsort(logs, kind="stable"), params)
+def column_slots(fees, params):
+    """`fee_slots` of `fees` through their stable descending order."""
+    fees = np.asarray(fees, dtype=np.float64)
+    return fee_slots(fees, np.argsort(-fees, kind="stable"), params)
 
 
 class TestLognormalCdf:
@@ -159,15 +171,16 @@ class TestLeafNodes:
 
 
 class TestLeafSlots:
-    """A fee column's slots, `log_slots` of its `fee_logs`, must be exactly the
-    scalar rule's counts."""
+    """A fee column's slots, `fee_slots` through its descending order, must be
+    exactly the scalar rule's counts."""
 
     def test_matches_leaf_nodes_on_the_400k_stream(self, big_stream):
         # The simulator clamps zero fees to the minimum positive fee.
-        fees = [t.fee if t.fee > 0 else MIN_POSITIVE_FEE for t in big_stream]
+        fees = [f if f > 0 else MIN_POSITIVE_FEE for f in big_stream.fees.tolist()]
+        order = big_stream.ranks(Priority.FEE)[1]
         designated = AllocationParams(scale=6.72, shape=0.91, max_trx_nodes=93)
         for params in (PARAMS_EXP17, designated):
-            assert (column_slots(fee_logs(fees), params).tolist()
+            assert (fee_slots(big_stream.fees, order, params).tolist()
                     == [leaf_nodes(f, params) for f in fees])
 
     # (fee, scale, shape) where F(fee) * cap is cap/2 up to float noise.
@@ -185,25 +198,41 @@ class TestLeafSlots:
     def test_exact_ceil_boundary(self, fee, scale, shape, cap):
         p = AllocationParams(scale=scale, shape=shape, max_trx_nodes=cap)
         assert leaf_nodes(fee, p) == cap // 2
-        assert column_slots(fee_logs([fee]), p).tolist() == [cap // 2]
+        assert column_slots([fee], p).tolist() == [cap // 2]
 
     def test_floor_and_cap(self):
         fees = [MIN_POSITIVE_FEE, 1e-300, 2.0, 1e12, 1e300]
-        assert column_slots(fee_logs(fees), PARAMS_EXP17).tolist() == [1, 1, 1, 110, 110]
+        assert column_slots(fees, PARAMS_EXP17).tolist() == [1, 1, 1, 110, 110]
         assert [leaf_nodes(f, PARAMS_EXP17) for f in fees] == [1, 1, 1, 110, 110]
 
     def test_logs_are_math_log_of_each_fee(self, big_stream):
+        # With the median at a fee's own `math.log` and a near-zero shape, F is
+        # exactly 1/2; a log one ulp higher, as numpy's loop gives for some
+        # fees, would add a slot.
         fees = big_stream.fees
-        assert fee_logs(fees).tolist() == [math.log(f) for f in fees.tolist()]
+        differ = fees[np.log(fees) != [math.log(f) for f in fees.tolist()]]
+        for fee in [1.5651786956535216, *differ.tolist()]:
+            p = AllocationParams(scale=math.log(fee), shape=1e-9, max_trx_nodes=2100)
+            assert column_slots([fee], p).tolist() == [leaf_nodes(fee, p)] == [1050]
 
-    def test_rejects_nonpositive_fee(self):
-        for fees in ([1.0, 0.0], [-5.0]):
-            with pytest.raises(ValueError, match="fee_logs requires every fee > 0"):
-                fee_logs(fees)
+    def test_zero_fees_take_the_least_positive_fees_count(self):
+        # MIN_POSITIVE_FEE's count exceeds a subnormal fee's here, so the
+        # zero fees that end the descending order are no step of its bisection.
+        p = AllocationParams(scale=-710.0, shape=10.0, max_trx_nodes=2100)
+        fees = [0.0, 5e-324, 1e-310, MIN_POSITIVE_FEE, -0.0, 2.0, 1e3, 0.0]
+        want = [leaf_nodes(f or MIN_POSITIVE_FEE, p) for f in fees]
+        assert want[0] > want[2] > want[1]
+        assert column_slots(fees, p).tolist() == want
+        assert column_slots([0.0] * 3, p).tolist() == [leaf_nodes(MIN_POSITIVE_FEE, p)] * 3
+        assert column_slots([], p).dtype == np.int64 and len(column_slots([], p)) == 0
 
 
-LOG_MIN_FEE = math.log(MIN_POSITIVE_FEE)
-LOG_MAX_FEE = math.log(sys.float_info.max)
+MAX_FEE = sys.float_info.max
+
+
+def fee_rule(fee, params):
+    """`leaf_nodes` of one fee, a zero fee as MIN_POSITIVE_FEE."""
+    return scalar_slots(math.log(fee or MIN_POSITIVE_FEE), params)
 
 
 def scalar_slots(log, params):
@@ -213,23 +242,17 @@ def scalar_slots(log, params):
     return min(max(math.ceil(raw - 1e-9), 1), params.max_trx_nodes)
 
 
-def _key(x):
-    # Order-preserving int of a float64: its bits, negatives mirrored.
-    bits = struct.unpack("<q", struct.pack("<d", x))[0]
-    return bits ^ 0x7FFF_FFFF_FFFF_FFFF if bits < 0 else bits
-
-
-def _float(key):
-    bits = key ^ 0x7FFF_FFFF_FFFF_FFFF if key < 0 else key
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
+def _float(bits):
+    # Positive floats order like their bits.
+    return float(np.int64(bits).view(np.float64))
 
 
 def threshold(s, params):
-    """The smallest float log whose `scalar_slots` exceed s (1 <= s < cap)."""
-    lo, hi = _key(-800.0), _key(800.0)
+    """The smallest positive float fee whose `fee_rule` exceeds s (1 <= s < cap)."""
+    lo, hi = 0, int(np.float64(MAX_FEE).view(np.int64))
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if scalar_slots(_float(mid), params) > s:
+        if fee_rule(_float(mid), params) > s:
             hi = mid
         else:
             lo = mid
@@ -248,32 +271,34 @@ def slot_cases(draw):
     levels = (draw(st.lists(st.integers(1, params.max_trx_nodes - 1), max_size=4))
               if params.max_trx_nodes > 1 else [])
     near = [x for s in levels for x in at_threshold(s, params)]
-    values = st.sampled_from([LOG_MIN_FEE, LOG_MAX_FEE, math.inf, *near]) | st.floats(-750.0, 710.0)
-    logs = draw(st.lists(values, max_size=40))
-    if logs and draw(st.booleans()):
-        logs = logs[:1] * len(logs)
-    return params, logs
+    values = (st.sampled_from([0.0, 5e-324, 1e-310, MIN_POSITIVE_FEE, MAX_FEE, *near])
+              | st.floats(0.0, MAX_FEE))
+    fees = draw(st.lists(values, max_size=40))
+    if fees and draw(st.booleans()):
+        fees = fees[:1] * len(fees)
+    return params, fees
 
 
 class TestLogSlots:
-    """`log_slots` must give the scalar rule's count for every float log."""
+    """`fee_slots` must give the log-normal rule's count for every float fee."""
 
     @settings(max_examples=150, deadline=None)
     @example((PARAMS_EXP17, []))
-    @example((PARAMS_EXP17, [math.log(2000.0)]))
-    @example((PARAMS_EXP17, [6.94] * 7))
-    @example((PARAMS_EXP17, [LOG_MIN_FEE, 0.0, 1.5, 6.94, 9.2, LOG_MIN_FEE]))
-    @example((AllocationParams(12.0, 1e-3, 2100), [LOG_MAX_FEE, math.inf, 12.0, LOG_MIN_FEE]))
+    @example((PARAMS_EXP17, [2000.0]))
+    @example((PARAMS_EXP17, [math.exp(6.94)] * 7))
+    @example((PARAMS_EXP17, [MIN_POSITIVE_FEE, 1.0, math.exp(1.5), math.exp(6.94), 1e4, 0.0]))
+    @example((AllocationParams(12.0, 1e-3, 2100), [MAX_FEE, math.exp(12.0), MIN_POSITIVE_FEE, 0.0]))
+    @example((AllocationParams(-710.0, 10.0, 2100), [1e-310, 0.0, 5e-324, 0.0, MIN_POSITIVE_FEE]))
     @given(slot_cases())
     def test_matches_the_scalar_rule(self, case):
-        params, logs = case
-        got = column_slots(logs, params)
+        params, fees = case
+        got = column_slots(fees, params)
         assert got.dtype == np.int64
-        assert got.tolist() == [scalar_slots(x, params) for x in logs]
-        # Any ascending order will do: here tied logs come last position first.
-        logs = np.array(logs, dtype=np.float64)
-        order = np.lexsort((-np.arange(len(logs)), logs))
-        assert log_slots(logs, order, params).tolist() == got.tolist()
+        assert got.tolist() == [fee_rule(f, params) for f in fees]
+        # Any descending order will do: here tied fees come last position first.
+        fees = np.array(fees, dtype=np.float64)
+        order = np.lexsort((-np.arange(len(fees)), -fees))
+        assert fee_slots(fees, order, params).tolist() == got.tolist()
 
     @pytest.mark.parametrize("params", [
         PARAMS_EXP17,
@@ -283,9 +308,9 @@ class TestLogSlots:
         AllocationParams(scale=1.0, shape=0.97, max_trx_nodes=2053),
     ])
     def test_every_threshold_and_the_float_below_it(self, params):
-        logs = [x for s in range(1, params.max_trx_nodes) for x in at_threshold(s, params)]
-        logs = np.random.default_rng(5).permutation([LOG_MIN_FEE, LOG_MAX_FEE, *logs])
-        assert column_slots(logs, params).tolist() == [scalar_slots(x, params) for x in logs]
+        fees = [x for s in range(1, params.max_trx_nodes) for x in at_threshold(s, params)]
+        fees = np.random.default_rng(5).permutation([0.0, MIN_POSITIVE_FEE, MAX_FEE, *fees])
+        assert column_slots(fees, params).tolist() == [fee_rule(f, params) for f in fees]
 
     def test_evaluates_the_formula_only_near_its_steps(self, big_stream, monkeypatch):
         # A count of work, not a time: one formula call per distinct midpoint
@@ -293,10 +318,9 @@ class TestLogSlots:
         # plus the column's two ends. One erf per fee would be 400,000 calls.
         calls = []
         monkeypatch.setattr(allocation, "erf", lambda z: calls.append(z) or math.erf(z))
-        logs = big_stream.fee_logs
-        slots = log_slots(logs, big_stream.fee_log_order, PARAMS_EXP17)
+        slots = fee_slots(big_stream.fees, big_stream.ranks(Priority.FEE)[1], PARAMS_EXP17)
         thresholds = int(slots.max() - slots.min())
-        rounds = len(logs).bit_length()
+        rounds = len(big_stream).bit_length()
         assert 0 < len(calls) <= sum(min(2**k, thresholds) for k in range(rounds)) + 2
 
     def test_scalar_rule_is_leaf_nodes(self):

@@ -228,41 +228,24 @@ class TestStream:
         assert list(again) == list(stream)
         assert not again.fees.flags.writeable and not again.ids.flags.writeable
 
-    def test_fee_logs_are_math_log_of_the_clamped_fees_taken_once(self):
-        base = generate(DatasetSpec(count=500, rng_seed=3))
-        stream = Stream(base.ids, base.arrivals, base.amounts,
-                        np.r_[0.0, np.linspace(1e-3, 1e4, 499)])
-        logs = stream.fee_logs
-        assert logs.tolist() == [math.log(f if f > 0 else MIN_POSITIVE_FEE)
-                                 for f in stream.fees.tolist()]
-        assert stream.fee_logs is logs and not logs.flags.writeable
-        with pytest.raises(ValueError):
-            logs[0] = 1.0
-
-    def test_new_fee_column_takes_its_own_fee_logs_and_slots(self):
+    def test_new_fee_column_takes_its_own_fee_order_and_slots(self):
         from dtsim.simulator import run
 
         stream = generate(DatasetSpec(count=5000, rng_seed=11))
-        logs = stream.fee_logs
+        order = stream.ranks(Priority.FEE)[1]
         fees = stream.fees * 3.0
+        fees[[1, 2]] = 0.0, 1e9
         tripled = Stream(stream.ids, stream.arrivals, stream.amounts, fees)
         fees[0] = 7.0
         assert tripled.fees[0] == 3.0 * stream.fees[0] and not tripled.ids.flags.writeable
-        assert "fee_logs" not in tripled.__dict__
-        assert tripled.fee_logs.tolist() == [math.log(f) for f in tripled.fees.tolist()]
-        assert stream.fee_logs is logs
+        assert "_ranks" not in tripled.__dict__
+        assert tripled.ranks(Priority.FEE)[1].tolist() == np.lexsort(
+            (tripled.ids, tripled.arrivals, -tripled.fees)).tolist() != order.tolist()
+        assert stream.ranks(Priority.FEE)[1] is order
         strategy = strategy_from_category(4, a1=400, a6=110, a7=6.94, a8=1.0)
         result = run(tripled, strategy, SimulationConfig())
         slots = [nodes for *_, nodes in result.assignments]
         assert slots != [nodes for *_, nodes in run(stream, strategy, SimulationConfig()).assignments]
-
-    def test_fee_logs_do_not_outlive_their_stream(self):
-        stream = generate(DatasetSpec(count=500, rng_seed=3))
-        logs = weakref.ref(stream.fee_logs)
-        assert logs() is not None
-        del stream
-        gc.collect()
-        assert logs() is None
 
     @pytest.mark.parametrize("cat", [1, 2, 3, 4])
     def test_run_reads_a_stream_like_its_transactions(self, cat):
@@ -283,7 +266,7 @@ def tied_stream(n=3000, seed=9):
 
 
 class TestStreamCaches:
-    """The rank/order pairs and the fee-log order a Stream sorts once and keeps."""
+    """The rank/order pair of each priority, which a Stream sorts once and keeps."""
 
     def test_ranks_are_a_full_lexsort_of_each_prioritys_keys(self):
         stream = tied_stream()
@@ -296,17 +279,16 @@ class TestStreamCaches:
             assert rank[order].tolist() == list(range(len(stream)))
             assert stream.ranks(priority)[0] is rank and stream.ranks(priority)[1] is order
 
-    def test_fee_log_order_maps_slots_like_the_per_fee_rule(self):
-        from dtsim.allocation import AllocationParams, leaf_nodes, log_slots
+    def test_fee_order_maps_slots_like_the_per_fee_rule(self):
+        from dtsim.allocation import AllocationParams, fee_slots, leaf_nodes
 
         stream = tied_stream()
-        logs, order = stream.fee_logs, stream.fee_log_order
-        assert order.tolist() == np.lexsort((np.arange(len(stream)), logs)).tolist()
-        assert stream.fee_log_order is order
+        order = stream.ranks(Priority.FEE)[1]
         clamped = [f if f > 0 else MIN_POSITIVE_FEE for f in stream.fees.tolist()]
         for params in (AllocationParams(6.94, 1.0, 110), AllocationParams(0.5, 0.3, 800)):
-            assert log_slots(logs, order, params).tolist() == [leaf_nodes(f, params)
-                                                               for f in clamped]
+            assert fee_slots(stream.fees, order, params).tolist() == [leaf_nodes(f, params)
+                                                                      for f in clamped]
+        assert stream.ranks(Priority.FEE)[1] is order
 
     @pytest.mark.parametrize("stream", [tied_stream(),
                                         generate(DatasetSpec(count=5000, rng_seed=4))],
@@ -332,24 +314,23 @@ class TestStreamCaches:
 
     def test_cached_arrays_are_read_only(self):
         stream = tied_stream()
-        for column in (stream.fee_log_order, *stream.ranks(Priority.TIME),
-                       *stream.ranks(Priority.FEE)):
+        for column in (*stream.ranks(Priority.TIME), *stream.ranks(Priority.FEE)):
             assert not column.flags.writeable
             with pytest.raises(ValueError):
                 column[0] = 1
 
     def test_a_pickled_stream_carries_no_cache(self):
         stream = tied_stream()
-        stream.ranks(Priority.FEE), stream.fee_log_order
+        stream.ranks(Priority.FEE)
         again = pickle.loads(pickle.dumps(stream))
-        assert {"_ranks", "fee_logs", "fee_log_order"} <= stream.__dict__.keys()
-        assert not {"_ranks", "fee_logs", "fee_log_order"} & again.__dict__.keys()
+        columns = {"ids", "arrivals", "amounts", "fees"}
+        assert stream.__dict__.keys() == columns | {"_ranks"}
+        assert again.__dict__.keys() == columns
         assert again.ranks(Priority.FEE)[1].tolist() == stream.ranks(Priority.FEE)[1].tolist()
 
     def test_caches_do_not_outlive_their_stream(self):
         stream = tied_stream()
-        cached = [weakref.ref(column) for column in (stream.fee_log_order,
-                                                     *stream.ranks(Priority.TIME),
+        cached = [weakref.ref(column) for column in (*stream.ranks(Priority.TIME),
                                                      *stream.ranks(Priority.FEE))]
         assert all(ref() is not None for ref in cached)
         del stream

@@ -15,7 +15,7 @@ from heapq import heappop, heappush
 import numpy as np
 import pytest
 
-from dtsim.allocation import AllocationParams, log_slots
+from dtsim.allocation import AllocationParams, fee_slots
 from dtsim.core import BlockRecord, Priority, SimulationConfig, Stream, strategy_from_category
 from dtsim.ingest import DatasetSpec, IrrationalMix, generate, inject_irrational
 from dtsim.simulator import run
@@ -36,7 +36,7 @@ def heap_run(stream, strategy, cfg, force_seal):
     for r, p in enumerate(order):
         rank[p] = r
     params = AllocationParams(strategy.scale, strategy.shape, strategy.max_trx_nodes)
-    slots = log_slots(stream.fee_logs, stream.fee_log_order, params).tolist()
+    slots = fee_slots(stream.fees, stream.ranks(Priority.FEE)[1], params).tolist()
     below = [fee < strategy.small_fee_threshold for fee in fees]
     reserve, capacity = strategy.small_fee_count, cfg.leaf_capacity
     warm = strategy.mempool_size

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from dtsim.core import SchemaError
 from dtsim.ingest import (
     DatasetSpec,
     IrrationalMix,
-    SchemaError,
     generate,
     inject_irrational,
     load_csv,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dtsim import allocation, optimizers
-from dtsim.core import SimulationConfig, Stream, category
+from dtsim.core import DataError, SimulationConfig, Stream, category
 from dtsim.ingest import DatasetSpec, generate
 from dtsim.optimize import (
     DEFAULT_BOUNDS,
@@ -19,7 +19,6 @@ from dtsim.optimize import (
 )
 from dtsim.optimizers import (cma_es, constriction_params, differential_evolution, gbo,
                               genetic_algorithm, pso)
-from dtsim.simulator import DataError
 
 
 class TestConstriction:
@@ -198,19 +197,41 @@ class TestEvaluate:
         cfg = SimulationConfig(leaf_capacity=100)
         assert evaluate([2000, 110, 6.94, 1.0], cat, stream, cfg) == math.inf
 
-    def test_evaluations_log_the_stream_once(self, stream, monkeypatch):
-        vectors = ([2000, 110, 6.94, 1.0], [900, 60, 3.5, 0.8])
+    @pytest.mark.parametrize("a1, a4, a6, a7, a8", [(1000, 2.0, 110, 6.94, 1.0),
+                                                   (2500, 1.5, 40, 4.5, 0.3),
+                                                   (6000, 1.9, 700, 9.0, 0.9)])
+    def test_a_space_for_no_transaction_scores_as_no_space(self, stream, a1, a4, a6, a7, a8):
+        # The categories nest: 1 at a5 = 0 is 2 and 3 at a5 = 0 is 4, bit for
+        # bit. Some fees fall below a4, and a5 = 5 moves each score.
+        assert (stream.fees < a4).any()
+        for spaced, plain in ((1, 2), (3, 4)):
+            without = evaluate([a1, a6, a7, a8], category(plain), stream, self.CFG)
+            with_none = evaluate([a1, a4, 0, a6, a7, a8], category(spaced), stream, self.CFG)
+            assert with_none.hex() == without.hex() and math.isfinite(without)
+            assert evaluate([a1, a4, 5, a6, a7, a8], category(spaced), stream, self.CFG) != without
+
+    def test_a_run_logs_only_the_fees_its_bisection_reads(self, stream, monkeypatch):
+        # A count of work, not a time: a run takes `math.log` of at most a6
+        # midpoints per bisection round, the column's two ends and
+        # MIN_POSITIVE_FEE for zero fees, never of every fee.
+        vectors = ([2000, 110, 6.94, 1.0], [900, 60, 3.5, 0.8], [1500, 5, 6.0, 2.0])
         before = [evaluate(vec, category(2), stream, self.CFG) for vec in vectors]
         fresh = Stream(stream.ids, stream.arrivals, stream.amounts, stream.fees)
         logged = []
 
-        def fee_logs(fees):
-            logged.append(len(fees))
-            return allocation.fee_logs(fees)
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
 
-        monkeypatch.setattr("dtsim.core.fee_logs", fee_logs)
-        assert [evaluate(vec, category(2), fresh, self.CFG) for vec in vectors] == before
-        assert logged == [len(stream)] and "fee_logs" in fresh.__dict__
+            def log(self, x):
+                logged.append(x)
+                return math.log(x)
+
+        monkeypatch.setattr(allocation, "math", CountingMath())
+        for vec, value in zip(vectors, before):
+            logged.clear()
+            assert evaluate(vec, category(2), fresh, self.CFG) == value
+            assert 0 < len(logged) <= (len(fresh).bit_length() + 1) * vec[1] + 2 < len(fresh)
 
     def test_a_cells_evaluations_sort_the_stream_once_per_order(self, stream, monkeypatch):
         # Counts of work, not times, over a GA cell of each priority on one
@@ -232,10 +253,11 @@ class TestEvaluate:
         config = OptimizerConfig(algorithm="ga", n_pop=6, n_eval=30, rng_seed=3)
         runs = [grid_cell(cat_id, config, fresh, self.CFG) for cat_id in (1, 3)]
         assert all(r.simulations > 10 for r in runs)
-        # The fee-log order, the time order (arrivals first), the fee order (fees descending).
-        assert len(sorted_keys) == 3
-        assert sorted_keys[0] is fresh.fee_logs and sorted_keys[1] is fresh.arrivals
-        assert sorted_keys[2].tolist() == (-fresh.fees).tolist()
+        # The fee order (fees descending), which maps fees to slots, then the
+        # time order (arrivals first).
+        assert len(sorted_keys) == 2
+        assert sorted_keys[0].tolist() == (-fresh.fees).tolist()
+        assert sorted_keys[1] is fresh.arrivals
 
     def test_data_error_propagates_instead_of_scoring_inf(self):
         reversed_stream = list(generate(DatasetSpec(count=3_000, rng_seed=1)))[::-1]

@@ -12,9 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dtsim.allocation import AllocationParams, block_incentive, leaf_nodes
-from dtsim.core import (BlockRecord, Priority, SimulationConfig, Transaction,
+from dtsim.core import (MIN_POSITIVE_FEE, BlockRecord, Priority, SimulationConfig, Transaction,
                         strategy_from_category)
-from dtsim.ingest import MIN_POSITIVE_FEE
 from dtsim.simulator import run
 
 

@@ -11,14 +11,13 @@ import pytest
 import numpy as np
 
 from dtsim import simulator
-from dtsim.core import (Priority, SimulationConfig, Stream, Transaction, category,
+from dtsim.core import (DataError, Priority, SimulationConfig, Stream, Transaction, category,
                         strategy_from_category)
 from dtsim.ingest import DatasetSpec, generate
 from dtsim.metrics import MIN_INCENTIVES, series_volatility
 from dtsim.optimize import evaluate_attrs
 from dtsim.simulator import (
     Assignments,
-    DataError,
     fixed_block_baseline,
     incentives,
     run,
