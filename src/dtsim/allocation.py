@@ -8,7 +8,7 @@ priority) or one fee at a time (`leaf_nodes`). The slot count is a step
 function of the fee with at most max_trx_nodes levels, so a column is mapped
 by bisecting, for all levels at once, where each level starts in that order,
 taking the log of only the fees the bisection reads, and scattering the
-levels back through the order. Also provides the per-block incentive sum.
+levels back through the order.
 """
 
 from __future__ import annotations
@@ -113,12 +113,3 @@ def _slots(fees, params: AllocationParams) -> np.ndarray:
     cdf = _cdf(logs, lambda z: np.fromiter(map(erf, z), np.float64, len(z)), params)
     raw = cdf * params.max_trx_nodes
     return np.clip(np.ceil(raw - _CEIL_SLACK), 1, params.max_trx_nodes).astype(np.int64)
-
-
-def block_incentive(fees) -> float:
-    """Total fee income of one block: the compensated sum of its fees."""
-    fees = list(fees)
-    for f in fees:
-        if not f >= 0:  # NaN fails too
-            raise ValueError("fees must be non-negative")
-    return math.fsum(fees)

@@ -274,12 +274,14 @@ def cmd_optimize(args, config) -> int:
 
 def _parse_scenarios(text: str):
     scenarios = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, map(str.strip, text.split(","))):
         name, sep, num = part.partition("=")
-        scenarios.append((name.strip(), int(num if sep else name)))
+        if not name.strip():
+            raise ValueError(f"scenario {part!r} has an empty name")
+        try:
+            scenarios.append((name.strip(), int(num if sep else name)))
+        except ValueError:
+            raise ValueError(f"scenario {part!r}: n_t must be an integer") from None
     if not scenarios:
         raise ValueError("no scenarios given")
     return scenarios
@@ -332,6 +334,8 @@ def _block_mismatches(path, totals: dict) -> list[str]:
 
 
 def cmd_vrp_check(args, config) -> int:
+    if args.target_incentive is not None and not math.isfinite(args.target_incentive):
+        raise ValueError(f"--target-incentive must be finite, got {args.target_incentive!r}")
     assignments_path = args.assignments or Path(args.blocks).with_name("assignments.csv")
     # Python numbers, as in `_block_mismatches`: the report reads the same under every numpy.
     tx_ids, blocks, fees, nodes = (column.tolist() for column in read_csv_columns(

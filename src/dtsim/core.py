@@ -31,16 +31,12 @@ class Priority(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class Transaction:
+    """A stream's row, as `Stream` yields it; only `Stream.of` checks one."""
+
     id: int
     amount: float
     fee: float
     arrival_time: int  # milliseconds since stream start
-
-    def __post_init__(self):
-        # `not x >= 0` also rejects NaN.
-        for name in ("amount", "fee", "arrival_time"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"transaction {self.id}: {name} must be >= 0")
 
 
 class DataError(ValueError):
@@ -204,6 +200,10 @@ class DtsStrategy:
             problems.append("max_trx_nodes (a6) must be >= 1")
         if self.shape <= 0:
             problems.append("shape (a8) must be positive")
+        nonfinite = [name for name, value in (("a4", self.small_fee_threshold), ("a7", self.scale),
+                                              ("a8", self.shape)) if not math.isfinite(value or 0)]
+        if nonfinite:
+            problems.append(f"{', '.join(nonfinite)} must be finite")
         small_fee = (self.small_fee_threshold, self.small_fee_count)
         if not self.designated_space:
             if small_fee != (None, None):

@@ -11,9 +11,9 @@ warm-up that fills the mempool, which keeps the selection window at the
 configured pool depth for the whole stream; remaining transactions are
 drained through the miner after the last arrival.
 
-`run` reads the fee, arrival and id columns of one checked `core.Stream`
-and maps all fees to slot counts in one vectorized pass, through the
-descending fee order of the stream's fee-priority ranks. It takes every
+`run` and `incentives` each check their input once, as `Stream.of`, and
+`_mine` maps all the stream's fees to slot counts in one vectorized pass,
+through the descending fee order of its fee-priority ranks. It takes every
 position's rank in the pool's priority order from the stream too, which
 sorts once per priority and keeps the pair for its later runs; pool and
 miner then handle int positions, and a block is a contiguous slice of the
@@ -62,7 +62,7 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .allocation import AllocationParams, block_incentive, fee_slots
+from .allocation import AllocationParams, fee_slots
 from .core import (CSV_CHUNK_ROWS, BlockRecord, DataError, DtsStrategy, Priority,
                    SimulationConfig, Stream, Transaction, validate_strategy, write_csv_chunks,
                    write_csv_rows)
@@ -160,7 +160,7 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
                             f"{stream.ids[at]} at position {at} is negative")
     # The heaps live only inside _mine: freed before the records are built. The
     # ranks stay with the stream, for its next run.
-    stream, picks, sealed, slot_of, victim = _mine(stream, strategy, cfg)
+    picks, sealed, slot_of, victim = _mine(stream, strategy, cfg)
     bounds = [0, *(end for end, _ in sealed)]
     if force_seal and len(picks) > bounds[-1]:
         sealed.append((len(picks), int(slot_of[picks[bounds[-1]:]].sum())))
@@ -191,7 +191,8 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
 def incentives(dataset, strategy: DtsStrategy, cfg: SimulationConfig) -> List[float]:
     """`run(dataset, strategy, cfg).incentives` from the same picks, seals and
     slicing, but with no block records, assignment rows or fate accounting."""
-    stream, picks, sealed = _mine(dataset, strategy, cfg)[:3]
+    stream = Stream.of(dataset)
+    picks, sealed = _mine(stream, strategy, cfg)[:2]
     return list(map(math.fsum, _blocks(stream.fees, picks, [0, *(end for end, _ in sealed)])))
 
 
@@ -206,14 +207,13 @@ def _blocks(column: np.ndarray, picks: np.ndarray, bounds: Sequence[int]) -> Ite
         at += len(ends) - 1
 
 
-def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationConfig):
+def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
     """The run loop on positions, shared by `run` and `incentives`, over the
-    whole of `dataset`, as the module docstring describes.
-    Returns `dataset` as a Stream, the picks, each sealed block as (end index
-    into the picks, occupied slots), every position's slot count (picks and
-    slot counts are int64 arrays) and the overflow's victim (None without one)."""
+    whole of `stream`, as the module docstring describes.
+    Returns the picks, each sealed block as (end index into the picks,
+    occupied slots), every position's slot count (picks and slot counts are
+    int64 arrays) and the overflow's victim (None without one)."""
     validate_strategy(strategy, cfg)
-    stream = Stream.of(dataset)
     fees = stream.fees
     params = AllocationParams(strategy.scale, strategy.shape, strategy.max_trx_nodes)
     slot_of = fee_slots(fees, stream.ranks(Priority.FEE)[1], params)
@@ -239,7 +239,7 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
         picks = order if victim is None else np.delete(order, rank[victim])
         if (picks <= np.arange(warm, warm + len(picks))).all():
             _next_fit(np.cumsum(slot_of[picks]), 0, capacity, 0, sealed)
-            return stream, picks, sealed, slot_of, victim
+            return picks, sealed, slot_of, victim
     # The loop reads slot counts from an array('q'); holding the numpy
     # column through it instead raised the peak RSS of a 200k run by
     # 4 MB, with the same traced peak.
@@ -309,7 +309,7 @@ def _mine(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: Simulation
     picks.frombytes(_drain(small, large, order, slots_np, reserve, capacity,
                            filled, small_used, len(picks), sealed).tobytes())
     picks, slot_of = (np.frombuffer(a, dtype=np.int64) for a in (picks, slot_of))
-    return stream, picks, sealed, slot_of, victim
+    return picks, sealed, slot_of, victim
 
 
 def _next_fit(cum: np.ndarray, base: int, capacity: int, done: int, sealed: list) -> int:
@@ -388,15 +388,15 @@ def fixed_block_baseline(dataset: Iterable[Transaction], txs_per_block: int = 21
     """Reference chain that packs a fixed transaction count per block.
 
     Consecutive arrival-order chunks of `txs_per_block` transactions become
-    blocks; the final partial chunk is dropped, mirroring the unsealed-tail
-    rule of the strategy runs.
+    blocks, each with the `math.fsum` of its fees; the final partial chunk
+    is dropped, mirroring the unsealed-tail rule of the strategy runs.
     """
     if txs_per_block < 1:
         raise ValueError("txs_per_block must be positive")
     stream, n = Stream.of(dataset), txs_per_block
     return [BlockRecord(height=height, tx_ids=tuple(stream.ids[at:at + n].tolist()),
                         occupied_nodes=n, seal_time=int(stream.arrivals[at + n - 1]),
-                        incentive=block_incentive(stream.fees[at:at + n].tolist()))
+                        incentive=math.fsum(memoryview(stream.fees[at:at + n])))
             for height, at in enumerate(range(0, len(stream) - n + 1, n))]
 
 

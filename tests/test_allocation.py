@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dtsim import allocation
-from dtsim.allocation import AllocationParams, block_incentive, erf, fee_slots, leaf_nodes
+from dtsim.allocation import AllocationParams, erf, fee_slots, leaf_nodes
 from dtsim.core import MIN_POSITIVE_FEE, Priority
 
 # (x, erf(x)) pairs spanning the series branch, the continued-fraction
@@ -327,38 +327,6 @@ class TestLogSlots:
         rng = np.random.default_rng(8)
         for fee in [MIN_POSITIVE_FEE, 2.0, math.exp(6.94), *rng.lognormal(6.0, 3.0, 200)]:
             assert leaf_nodes(fee, PARAMS_EXP17) == scalar_slots(math.log(fee), PARAMS_EXP17)
-
-
-class TestBlockIncentive:
-    def test_commission_example(self):
-        fees = [amount * 0.002 for amount in (1000.0, 2000.0)]
-        assert block_incentive(fees) == pytest.approx(6.0, abs=1e-12)
-
-    def test_empty(self):
-        assert block_incentive([]) == 0.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            block_incentive([1.0, -0.5])
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            block_incentive([1.0, float("nan")])
-
-    def test_compensated_sum_oracle_400k(self):
-        # Oracle: math.fsum IS exactly-rounded summation; cross-check the
-        # result against a from-scratch Kahan accumulation.
-        rng = np.random.default_rng(42)
-        fees = rng.lognormal(4.0, 1.0, size=400_000).tolist()
-        total = block_incentive(fees)
-        acc = 0.0
-        comp = 0.0
-        for f in fees:
-            y = f - comp
-            t = acc + y
-            comp = (t - acc) - y
-            acc = t
-        assert abs(total - acc) <= 1e-9 * max(1.0, abs(total))
 
 
 @pytest.mark.parametrize("shape, max_trx_nodes, message", [

@@ -402,6 +402,27 @@ class TestExitCodes:
         else:
             assert err == "" and out.splitlines()[-1] == line
 
+    SIM = ["simulate", "--count", "3000", "--out", "{tmp}/o"]
+
+    @pytest.mark.parametrize("args, files, message", [
+        (SIM + ["--a7", "nan"], {}, "a7 must be finite"),
+        (SIM + ["--a8", "nan"], {}, "a8 must be finite"),
+        (SIM + ["--config", "{tmp}/dtsim.ini"], {"dtsim.ini": "[strategy]\na7 = nan\n"},
+         "a7 must be finite"),
+        (SIM + ["--category", "3", "--a4", "nan", "--a5", "5"], {}, "a4 must be finite"),
+        (["vrp-check", "--blocks", "{tmp}/blocks.csv", "--target-incentive", "nan"], TWO_HEIGHTS,
+         "--target-incentive must be finite, got nan"),
+        (["proofsize", "--scenarios", "=5"], {}, "scenario '=5' has an empty name"),
+        (["proofsize", "--scenarios", "a=5, b=x"], {}, "scenario 'b=x': n_t must be an integer"),
+    ], ids=["a7", "a8", "a7-config", "a4", "target-incentive", "empty-name", "count"])
+    def test_a_nonfinite_value_or_malformed_scenario_is_a_config_error(
+            self, tmp_path, capsys, args, files, message):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert main([a.format(tmp=tmp_path) for a in args]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
 
 class TestVolatilityCommand:
     def test_constant_column_is_below_range(self, tmp_path):

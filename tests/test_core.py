@@ -136,21 +136,25 @@ def test_round_trip_reproduces_inputs(cat_id, a1, a6, a7, a8, a4, a5):
 
 
 def test_transaction_invariants():
-    Transaction(id=1, amount=100.0, fee=0.2, arrival_time=5)
-    with pytest.raises(ValueError):
-        Transaction(id=2, amount=-1.0, fee=0.0, arrival_time=0)
-    with pytest.raises(ValueError):
-        Transaction(id=3, amount=1.0, fee=-0.1, arrival_time=0)
-    with pytest.raises(ValueError):
-        Transaction(id=4, amount=1.0, fee=0.1, arrival_time=-2)
+    # A Transaction is a plain row; Stream.of names the one that breaks a rule.
+    first = Transaction(id=1, amount=100.0, fee=0.2, arrival_time=5)
+    assert list(Stream.of([first])) == [first]
+    for bad, message in ((Transaction(id=2, amount=-1.0, fee=0.0, arrival_time=5), "amount -1.0"),
+                         (Transaction(id=3, amount=1.0, fee=-0.1, arrival_time=5), "fee -0.1"),
+                         (Transaction(id=4, amount=1.0, fee=0.1, arrival_time=-2),
+                          "arrival_time -2")):
+        with pytest.raises(DataError) as raised:
+            Stream.of([bad, first])
+        assert f"transaction {bad.id} at position 0 has {message}" in str(raised.value)
 
 
 @pytest.mark.parametrize("field", ["amount", "fee"])
-@pytest.mark.parametrize("value", [math.nan, -0.5])
+@pytest.mark.parametrize("value", [math.nan, -0.5, math.inf])
 def test_transaction_rejects_nan_and_negative_values(field, value):
     values = {"amount": 1.0, "fee": 0.1, field: value}
-    with pytest.raises(ValueError, match=field):
-        Transaction(id=1, arrival_time=0, **values)
+    with pytest.raises(DataError, match=f"transaction 1 at position 0 has {field} {value}; "
+                                        f"it must be finite and >= 0"):
+        Stream.of([Transaction(id=1, arrival_time=0, **values)])
 
 
 def txs_of(*rows):
@@ -345,10 +349,16 @@ class TestStreamCaches:
      "small_fee_threshold (a4) must be positive"),
     (lambda: strategy_from_category(1, a1=1000, a6=50, a7=6.0, a8=0.5, a4=1.2, a5=-1),
      "small_fee_count (a5) must be >= 0"),
+    (lambda: strategy_from_category(2, a1=1000, a6=50, a7=math.nan, a8=0.5), "a7 must be finite"),
+    (lambda: strategy_from_category(2, a1=1000, a6=50, a7=6.0, a8=math.nan), "a8 must be finite"),
+    (lambda: strategy_from_category(2, a1=1000, a6=50, a7=6.0, a8=math.inf), "a8 must be finite"),
+    (lambda: strategy_from_category(3, a1=1000, a6=50, a7=-math.inf, a8=0.5, a4=math.nan, a5=5),
+     "a4, a7 must be finite"),
     (lambda: SimulationConfig(leaf_capacity=0), "leaf_capacity must be positive"),
     (lambda: BlockRecord(height=0, tx_ids=(), occupied_nodes=-1, incentive=0.0, seal_time=0),
      "occupied_nodes must be >= 0"),
-], ids=["a6", "a4", "a5", "leaf-capacity", "occupied-nodes"])
+], ids=["a6", "a4", "a5", "a7-nan", "a8-nan", "a8-inf", "a4-a7-nonfinite", "leaf-capacity",
+        "occupied-nodes"])
 def test_each_bound_raises_its_message(build, message):
     with pytest.raises(ValueError) as raised:
         build()

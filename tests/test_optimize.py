@@ -12,6 +12,7 @@ from dtsim.optimize import (
     OptimizerConfig,
     SearchSpace,
     evaluate,
+    evaluate_attrs,
     experiment_grid,
     grid_cell,
     grid_rows,
@@ -191,6 +192,14 @@ class TestEvaluate:
     def test_invalid_candidate_gets_penalty(self, stream):
         cat = category(2)
         assert evaluate([2000, 110, 6.94, 0.0], cat, stream, self.CFG) == math.inf
+
+    @pytest.mark.parametrize("cat_id, attrs", [
+        (2, dict(a7=math.nan)), (2, dict(a8=math.nan)), (2, dict(a8=math.inf)),
+        (3, dict(a4=math.nan, a5=5)),
+    ], ids=["a7-nan", "a8-nan", "a8-inf", "a4-nan"])
+    def test_nonfinite_attributes_score_inf(self, stream, cat_id, attrs):
+        attrs = dict(a1=2000, a6=110, a7=6.94, a8=1.0) | attrs
+        assert evaluate_attrs(attrs, category(cat_id), stream, self.CFG) == math.inf
 
     def test_oversize_nodes_penalized_not_raised(self, stream):
         cat = category(2)

@@ -2,8 +2,9 @@
 
 The reference miner keeps its pool as a plain list and rescans it with
 `min()` for every pick and every eviction, so its ordering rules can be read
-off directly. Only the fee-to-slot mapping and the incentive sum are shared
-with the package; both have their own oracle tests in test_allocation.py.
+off directly. Only the fee-to-slot mapping is shared with the package; it
+has its own oracle tests in test_allocation.py. Blocks are summed with
+`math.fsum`.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dtsim.allocation import AllocationParams, block_incentive, leaf_nodes
+from dtsim.allocation import AllocationParams, leaf_nodes
 from dtsim.core import (MIN_POSITIVE_FEE, BlockRecord, Priority, SimulationConfig, Transaction,
                         strategy_from_category)
 from dtsim.simulator import run
@@ -77,7 +78,7 @@ def naive_run(txs, strategy, cfg, force_seal):
             height=height,
             tx_ids=tuple(t.id for t, _ in block),
             occupied_nodes=sum(n for _, n in block),
-            incentive=block_incentive(t.fee for t, _ in block),
+            incentive=math.fsum(t.fee for t, _ in block),
             seal_time=max(t.arrival_time for t, _ in block),
         ))
         assignments.extend((t.id, height, t.fee, n) for t, n in block)

@@ -433,6 +433,11 @@ class TestBaseline:
         assert all(len(b.tx_ids) == 2100 for b in blocks)
         assert blocks[0].incentive == pytest.approx(4200.0)
 
+    def test_incentive_is_the_correctly_rounded_sum(self):
+        # 0.1 + 0.2 + 0.3 sums to 0.6000000000000001 left to right; fsum gives 0.6.
+        stream = [tx(i, fee, t=i) for i, fee in enumerate((0.1, 0.2, 0.3))]
+        assert fixed_block_baseline(stream, txs_per_block=3)[0].incentive == 0.6
+
     def test_rejects_bad_chunk(self):
         with pytest.raises(ValueError):
             fixed_block_baseline([], txs_per_block=0)
