@@ -32,18 +32,12 @@ class AllocationParams:
 
     `scale` is the mean of the fee's natural logarithm, `shape` its standard
     deviation; `max_trx_nodes` caps how many leaf slots one transaction may
-    occupy no matter how large its fee.
+    occupy no matter how large its fee. A `DtsStrategy` checks all three.
     """
 
     scale: float
     shape: float
     max_trx_nodes: int
-
-    def __post_init__(self):
-        if self.shape <= 0:
-            raise ValueError("shape must be positive")
-        if self.max_trx_nodes < 1:
-            raise ValueError("max_trx_nodes must be >= 1")
 
 
 def _cdf(log_x, erf_fn, params: AllocationParams):

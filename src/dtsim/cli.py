@@ -342,6 +342,10 @@ def cmd_vrp_check(args, config) -> int:
         assignments_path, {"tx_id": int, "block": int, "fee": float, "nodes": int}))
     if not tx_ids:
         raise DataError(f"{assignments_path}: no assignment rows")
+    at = next((i for i, fee in enumerate(fees) if not 0 <= fee < math.inf), None)
+    if at is not None:
+        raise DataError(f"{assignments_path}: transaction {tx_ids[at]} has fee {fees[at]!r}; "
+                        f"it must be finite and >= 0")
     capacity = config["simulation"]["leaf_capacity"]
 
     # A block's column is its height: a run's K blocks hold at least K rows.

@@ -176,7 +176,7 @@ def category(category_id: int) -> StrategyCategory:
 
 @dataclass(frozen=True)
 class DtsStrategy:
-    """Full storage-strategy attribute vector.
+    """Full storage-strategy attribute vector, checked once, on construction.
 
     `small_fee_threshold` / `small_fee_count` exist only when
     `designated_space` is set; they bound the per-block quota of
@@ -200,8 +200,9 @@ class DtsStrategy:
             problems.append("max_trx_nodes (a6) must be >= 1")
         if self.shape <= 0:
             problems.append("shape (a8) must be positive")
-        nonfinite = [name for name, value in (("a4", self.small_fee_threshold), ("a7", self.scale),
-                                              ("a8", self.shape)) if not math.isfinite(value or 0)]
+        nonfinite = [name for name, value in zip(("a1", "a4", "a5", "a6", "a7", "a8"), (
+            self.mempool_size, self.small_fee_threshold, self.small_fee_count,
+            self.max_trx_nodes, self.scale, self.shape)) if not -math.inf < (value or 0) < math.inf]
         if nonfinite:
             problems.append(f"{', '.join(nonfinite)} must be finite")
         small_fee = (self.small_fee_threshold, self.small_fee_count)
@@ -320,7 +321,7 @@ def optional_float(text: str) -> Optional[float]:
 NUMERIC_FIELDS = {int: np.int64, float: np.float64, optional_float: np.float64}
 
 
-def read_csv_columns(path, kinds: dict, optional: Sequence[str] = ()) -> list:
+def read_csv_columns(path, kinds: dict) -> list:
     """The columns of the CSV file at `path` that `kinds` names, in its order,
     each cell parsed by the callable that `kinds` maps its column to.
 
@@ -333,8 +334,8 @@ def read_csv_columns(path, kinds: dict, optional: Sequence[str] = ()) -> list:
     in one C pass; else, or when that pass declines, a row loop reads them
     through the same `csv.reader`, parses each cell with its callable and
     skips blank rows. The row loop defines the result: the C pass returns the
-    same columns or declines. A column in `optional` that the header lacks
-    holds `kind("")` in every row. Raises SchemaError naming the file when it
+    same columns or declines. An `optional_float` column that the header
+    lacks is masked in every row. Raises SchemaError naming the file when it
     cannot be read, is empty, lacks a column, names an asked-for column more
     than once or holds an `int` that does not fit in 64 bits, and its line
     when a row is short or a cell fails its callable with ValueError.
@@ -346,7 +347,7 @@ def read_csv_columns(path, kinds: dict, optional: Sequence[str] = ()) -> list:
             header = {name: i for i, name in enumerate(names)}
             if not header:
                 raise SchemaError(f"{path}: empty file")
-            missing = [name for name in kinds if name not in header and name not in optional]
+            missing = [name for name, k in kinds.items() if name not in header and k is not optional_float]
             if missing:
                 raise SchemaError(f"{path}: missing columns {missing}; available: {list(header)}")
             for name in kinds:

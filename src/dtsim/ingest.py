@@ -155,8 +155,7 @@ def load_csv(path, commission_ratio: float = DEFAULT_COMMISSION_RATIO) -> Stream
     values, a finite fee sum).
     """
     ids, amounts, arrivals, fees = read_csv_columns(path, {
-        "id": int, "amount": float, "arrival_time_ms": int, "fee": optional_float},
-        optional=("fee",))
+        "id": int, "amount": float, "arrival_time_ms": int, "fee": optional_float})
     with np.errstate(all="ignore"):  # as Python's float product, which never warns
         fees = np.where(np.ma.getmaskarray(fees), amounts * commission_ratio, np.ma.getdata(fees))
     try:

@@ -70,9 +70,9 @@ class SearchSpace:
         return np.array([self.bounds[n][1] for n in self.names], dtype=float)
 
     def decode(self, x: Sequence[float]) -> Dict[str, float]:
-        """Vector -> attribute dict, rounding integer attributes."""
-        return {name: int(round(value)) if name in INTEGER_ATTRS else float(value)
-                for name, value in zip(self.names, x)}
+        """Vector -> attribute dict, rounding finite integer attributes."""
+        return {name: int(round(value)) if name in INTEGER_ATTRS and math.isfinite(value)
+                else float(value) for name, value in zip(self.names, x)}
 
 
 @dataclass(frozen=True)

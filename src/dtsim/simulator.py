@@ -15,17 +15,17 @@ drained through the miner after the last arrival.
 `_mine` maps all the stream's fees to slot counts in one vectorized pass,
 through the descending fee order of its fee-priority ranks. It takes every
 position's rank in the pool's priority order from the stream too, which
-sorts once per priority and keeps the pair for its later runs; pool and
-miner then handle int positions, and a block is a contiguous slice of the
-pick sequence.
+sorts once per priority and keeps the pair for its later runs. Pool and
+miner handle int positions; the seals are one array of block ends into the
+pick sequence, starting at 0, so block i lies between bounds i and i + 1.
 
 The pool holds a1 positions after warm-up and loses one to every pick, so
 it overflows exactly once, at position a1, before the first pick: the
-cheapest pending transaction by (fee, arrival, id) is evicted when the
-newcomer pays strictly more, else the newcomer is rejected. `_mine` settles
-that once. Every slot count is at least 1, so the running slot total of a
-run of picks rises strictly and each next-fit seal in it is one
-`searchsorted` on that total (`_next_fit`).
+cheapest pending transaction by (fee, arrival, id), first among the lowest
+fees in the fee order, is evicted when the newcomer pays strictly more, else
+the newcomer is rejected. Every slot count is at least 1, so the running
+slot total of a run of picks rises strictly and each next-fit seal in it is
+one `searchsorted` on that total (`_next_fit`).
 
 A waiting small fee comes first while the block's quota (a5) is open, else
 the lowest pending rank, and the quota resets at every seal. Without a quota
@@ -38,16 +38,16 @@ STRETCH arrivals pass before the next small fee, every pick of that stretch
 pops the other heap, so the stretch is one `heappushpop` chain on it;
 elsewhere the miner steps once per arrival. After the last arrival the
 pending ranks are fixed, and `_drain` takes each block's picks at once by
-bisection over the two sorted lists, which are still sorted when no arrival
-came after the warm-up.
+bisection over the two sorted lists.
 
 Without a quota, when every rank arrives by its turn, as under time priority
 unless tied arrivals put a higher fee later, the picks are the rank order
 less the overflow's victim, and `_mine` returns them with no heap.
 
-`_mine` mines the whole stream; `run` alone goes on to `force_seal`,
-block records and fates. It stores no assignment row: `Assignments` derives
-the rows' columns a chunk at a time from the picks, bounds and slot counts.
+`run` alone goes on to `force_seal`, block records (slot totals and seal
+times by one `reduceat` each over the bounds) and fates. It stores no
+assignment row: `Assignments` derives the rows' columns a chunk at a time
+from the picks, bounds and slot counts.
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ from . import verkle
 # The fewest arrivals a `heappushpop` chain takes: a chain's fixed numpy
 # cost matches about a dozen single steps.
 STRETCH = 16
+# Transactions per block of `fixed_block_baseline`: the default leaf capacity.
+BASELINE_TXS_PER_BLOCK = 2100
 
 
 class Assignments:
@@ -160,20 +162,19 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
                             f"{stream.ids[at]} at position {at} is negative")
     # The heaps live only inside _mine: freed before the records are built. The
     # ranks stay with the stream, for its next run.
-    picks, sealed, slot_of, victim = _mine(stream, strategy, cfg)
-    bounds = [0, *(end for end, _ in sealed)]
+    picks, bounds, slot_of, victim = _mine(stream, strategy, cfg)
     if force_seal and len(picks) > bounds[-1]:
-        sealed.append((len(picks), int(slot_of[picks[bounds[-1]:]].sum())))
         bounds.append(len(picks))
-    included = bounds[-1]
-    seal_times = np.maximum.reduceat(stream.arrivals[picks[:included]], bounds[:-1]).tolist()
+    included, starts = bounds[-1], bounds[:-1]
+    seal_times = np.maximum.reduceat(stream.arrivals[picks[:included]], starts).tolist()
+    occupied = np.add.reduceat(slot_of[picks[:included]], starts).tolist()
     roots = ((verkle.block_root(stream.ids[at], slot_of[at], cfg.verkle_branching_factor)
               for at in (picks[begin:end] for begin, end in zip(bounds, bounds[1:])))
              if build_trees else repeat(None))
     blocks = [BlockRecord(height, tuple(tx_ids), nodes, math.fsum(block_fees), seal_time, root)
-              for height, (tx_ids, block_fees, seal_time, (_, nodes), root) in enumerate(zip(
+              for height, (tx_ids, block_fees, nodes, seal_time, root) in enumerate(zip(
                   *(_blocks(column, picks, bounds) for column in (stream.ids, stream.fees)),
-                  seal_times, sealed, roots))]
+                  occupied, seal_times, roots))]
 
     def fee_sum(positions) -> float:
         # A memoryview yields Python floats one at a time: no numpy scalars, no list.
@@ -192,8 +193,8 @@ def incentives(dataset, strategy: DtsStrategy, cfg: SimulationConfig) -> List[fl
     """`run(dataset, strategy, cfg).incentives` from the same picks, seals and
     slicing, but with no block records, assignment rows or fate accounting."""
     stream = Stream.of(dataset)
-    picks, sealed = _mine(stream, strategy, cfg)[:2]
-    return list(map(math.fsum, _blocks(stream.fees, picks, [0, *(end for end, _ in sealed)])))
+    picks, bounds = _mine(stream, strategy, cfg)[:2]
+    return list(map(math.fsum, _blocks(stream.fees, picks, bounds)))
 
 
 def _blocks(column: np.ndarray, picks: np.ndarray, bounds: Sequence[int]) -> Iterator[list]:
@@ -210,13 +211,14 @@ def _blocks(column: np.ndarray, picks: np.ndarray, bounds: Sequence[int]) -> Ite
 def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
     """The run loop on positions, shared by `run` and `incentives`, over the
     whole of `stream`, as the module docstring describes.
-    Returns the picks, each sealed block as (end index into the picks,
-    occupied slots), every position's slot count (picks and slot counts are
-    int64 arrays) and the overflow's victim (None without one)."""
+    Returns the picks, the bounds (an array('q'): 0, then each sealed block's
+    end index into the picks), every position's slot count (picks and slot
+    counts are int64 arrays) and the overflow's victim (None without one)."""
     validate_strategy(strategy, cfg)
     fees = stream.fees
+    fee_rank, fee_order = stream.ranks(Priority.FEE)
     params = AllocationParams(strategy.scale, strategy.shape, strategy.max_trx_nodes)
-    slot_of = fee_slots(fees, stream.ranks(Priority.FEE)[1], params)
+    slot_of = fee_slots(fees, fee_order, params)
     rank, order = stream.ranks(strategy.priority)
     # The Python loops read single ranks and positions as ints through memoryviews.
     rank_at, order_at = memoryview(rank), memoryview(order)
@@ -224,12 +226,12 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
     capacity = cfg.leaf_capacity
     n_txs = len(stream)
     warm = strategy.mempool_size
-    sealed: List[Tuple[int, int]] = []
+    bounds = array("q", [0])
     victim = None
     if warm < n_txs:
-        # Position warm evicts the cheapest of the full pool by (fee, arrival,
-        # id) when it pays strictly more, and is rejected otherwise.
-        cheapest = int(np.lexsort((stream.ids[:warm], stream.arrivals[:warm], fees[:warm]))[0])
+        # Position warm evicts the pool's cheapest by (fee, arrival, id), the first
+        # of the lowest fees in the fee order, if it pays strictly more; else it is rejected.
+        cheapest = int(fee_order[fee_rank[:warm][fees[:warm] == fees[:warm].min()].min()])
         victim = cheapest if fees[warm] > fees[cheapest] else warm
 
     if reserve == 0:
@@ -238,8 +240,8 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
         # are the rank order, as always without an overflow.
         picks = order if victim is None else np.delete(order, rank[victim])
         if (picks <= np.arange(warm, warm + len(picks))).all():
-            _next_fit(np.cumsum(slot_of[picks]), 0, capacity, 0, sealed)
-            return picks, sealed, slot_of, victim
+            _next_fit(np.cumsum(slot_of[picks]), 0, capacity, 0, bounds)
+            return picks, bounds, slot_of, victim
     # The loop reads slot counts from an array('q'); holding the numpy
     # column through it instead raised the peak RSS of a 200k run by
     # 4 MB, with the same traced peak.
@@ -285,7 +287,7 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
                 pick = order_at[heappop(large)]
             n = slot_of[pick]
             if filled + n > capacity:
-                sealed.append((len(picks), filled))
+                bounds.append(len(picks))
                 filled = small_used = 0
             small_used += below[pick]
             picks.append(pick)
@@ -300,35 +302,34 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
         took = order[np.fromiter(map(heappushpop, repeat(large), rank_at[pos:stop]),
                                  np.int64, stop - pos)]
         cum = np.cumsum(slots_np[took])
-        blocks = len(sealed)
-        filled = int(cum[-1]) - _next_fit(cum, -filled, capacity, len(picks), sealed)
-        if len(sealed) > blocks:
+        blocks = len(bounds)
+        filled = int(cum[-1]) - _next_fit(cum, -filled, capacity, len(picks), bounds)
+        if len(bounds) > blocks:
             small_used = 0
         picks.frombytes(took.tobytes())
         pos = stop
     picks.frombytes(_drain(small, large, order, slots_np, reserve, capacity,
-                           filled, small_used, len(picks), sealed).tobytes())
+                           filled, small_used, len(picks), bounds).tobytes())
     picks, slot_of = (np.frombuffer(a, dtype=np.int64) for a in (picks, slot_of))
-    return picks, sealed, slot_of, victim
+    return picks, bounds, slot_of, victim
 
 
-def _next_fit(cum: np.ndarray, base: int, capacity: int, done: int, sealed: list) -> int:
-    """Append to `sealed` the next-fit seals of a run of picks, the first
-    `done` picks in, whose running slot totals are `cum`; the open block
-    holds the picks from running total `base` on (-filled: its slots before
-    the run). Returns the base of the block left open."""
+def _next_fit(cum: np.ndarray, base: int, capacity: int, done: int, bounds: array) -> int:
+    """Append to `bounds` the pick index ending each next-fit seal of a run
+    of picks, the first `done` picks in, whose running slot totals are `cum`;
+    the open block holds the picks from running total `base` on (-filled: its
+    slots before the run). Returns the base of the block left open."""
     while (end := int(cum.searchsorted(base + capacity, side="right"))) < len(cum):
-        opened = int(cum[end - 1]) if end else 0
-        sealed.append((done + end, opened - base))
-        base = opened
+        bounds.append(done + end)
+        base = int(cum[end - 1]) if end else 0
     return base
 
 
 def _drain(S: List[int], L: List[int], order: np.ndarray, slots: np.ndarray, reserve: int,
-           capacity: int, filled: int, small_used: int, done: int, sealed: list) -> np.ndarray:
+           capacity: int, filled: int, small_used: int, done: int, bounds: array) -> np.ndarray:
     """The miner after the last arrival, `done` picks in, with the
-    open block's `filled` slots and `small_used` quota: appends its seals to
-    `sealed` and returns its picks.
+    open block's `filled` slots and `small_used` quota: appends the pick
+    index ending each of its seals to `bounds` and returns its picks.
 
     The pending ranks are fixed, so the heaps of small-fee ranks S and other
     ranks L are sorted once, in place, and taken as int64 arrays once, for
@@ -339,7 +340,8 @@ def _drain(S: List[int], L: List[int], order: np.ndarray, slots: np.ndarray, res
     wait, else the merge of both by rank, whose slots below rank r rise with
     r. The pick that does not fit opens the next block under the old block's
     quota. Each step's picks are in rank order, and the drain takes every
-    pending rank, so its picks are S and L sorted by (step, rank)."""
+    pending rank once, so its picks are S and L sorted by (step, rank),
+    that is by step * len(order) + rank."""
     S.sort()
     L.sort()
     taken = [np.array(ranks, dtype=np.int64) for ranks in (S, L)]
@@ -370,7 +372,7 @@ def _drain(S: List[int], L: List[int], order: np.ndarray, slots: np.ndarray, res
         done += a - i + b - j
         i, j = a, b
         if seal:
-            sealed.append((done, filled))
+            bounds.append(done)
             done += 1
             if i < n_small and (small_used < reserve or j == n_large or S[i] < L[j]):
                 filled, small_used, i = PS[i + 1] - PS[i], 1, i + 1
@@ -380,20 +382,17 @@ def _drain(S: List[int], L: List[int], order: np.ndarray, slots: np.ndarray, res
     del PS, PL
     took = np.diff(np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), axis=0, prepend=0)
     step = np.repeat(np.tile(np.arange(len(took)), 2), took.T.ravel())
-    ranks = np.concatenate(taken)
-    return order[ranks[np.lexsort((ranks, step))]]
+    return order[np.sort(step * len(order) + np.concatenate(taken)) % len(order)]
 
 
-def fixed_block_baseline(dataset: Iterable[Transaction], txs_per_block: int = 2100) -> List[BlockRecord]:
+def fixed_block_baseline(dataset: Iterable[Transaction]) -> List[BlockRecord]:
     """Reference chain that packs a fixed transaction count per block.
 
-    Consecutive arrival-order chunks of `txs_per_block` transactions become
-    blocks, each with the `math.fsum` of its fees; the final partial chunk
-    is dropped, mirroring the unsealed-tail rule of the strategy runs.
+    Consecutive arrival-order chunks of BASELINE_TXS_PER_BLOCK transactions
+    become blocks, each with the `math.fsum` of its fees; the final partial
+    chunk is dropped, mirroring the unsealed-tail rule of the strategy runs.
     """
-    if txs_per_block < 1:
-        raise ValueError("txs_per_block must be positive")
-    stream, n = Stream.of(dataset), txs_per_block
+    stream, n = Stream.of(dataset), BASELINE_TXS_PER_BLOCK
     return [BlockRecord(height=height, tx_ids=tuple(stream.ids[at:at + n].tolist()),
                         occupied_nodes=n, seal_time=int(stream.arrivals[at + n - 1]),
                         incentive=math.fsum(memoryview(stream.fees[at:at + n])))

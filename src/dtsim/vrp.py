@@ -79,9 +79,9 @@ def encode(blocks: Sequence[BlockRecord], universe: Optional[Sequence[int]] = No
 def check_constraints(m: AssignmentMatrix, instance: VrpInstance) -> List[str]:
     """All violated packing constraints; empty when the assignment is valid.
 
-    Checks that every transaction is packed exactly once and that no
-    block's total slot demand exceeds the capacity. Every placed row counts
-    toward its block's demand, duplicates included.
+    Checks that every transaction is packed exactly once, that each row
+    demands at least 1 slot and that no block's total slot demand exceeds
+    the capacity, to which every placed row counts, duplicates included.
     """
     if len(m.blocks) != len(instance.fees):
         return [f"matrix has {len(m.blocks)} rows for {len(instance.fees)} transactions"]
@@ -97,6 +97,8 @@ def check_constraints(m: AssignmentMatrix, instance: VrpInstance) -> List[str]:
             problems.append(f"transaction {tx_id} assigned more than once: packed {times} times")
         elif times == 0:
             problems.append(f"transaction {tx_id} packed 0 times (expected once)")
+    problems += [f"transaction {tx_id} demand {demand} is below 1 slot"
+                 for tx_id, demand in zip(m.tx_ids, instance.demands) if demand < 1]
     for k, demand in enumerate(demand_per_block):
         if demand > instance.capacity:
             problems.append(

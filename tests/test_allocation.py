@@ -113,10 +113,6 @@ class TestLognormalCdf:
         expected = 0.745662565671609974769
         assert abs(allocation._cdf(math.log(2000.0), erf, PARAMS_EXP17) - expected) / expected < 1e-12
 
-    def test_shape_must_be_positive(self):
-        with pytest.raises(ValueError):
-            AllocationParams(scale=1.0, shape=0.0, max_trx_nodes=10)
-
 
 class TestLeafNodes:
     def test_huge_fee_saturates_at_cap(self):
@@ -328,12 +324,3 @@ class TestLogSlots:
         for fee in [MIN_POSITIVE_FEE, 2.0, math.exp(6.94), *rng.lognormal(6.0, 3.0, 200)]:
             assert leaf_nodes(fee, PARAMS_EXP17) == scalar_slots(math.log(fee), PARAMS_EXP17)
 
-
-@pytest.mark.parametrize("shape, max_trx_nodes, message", [
-    (0.0, 1, "shape must be positive"),
-    (1.0, 0, "max_trx_nodes must be >= 1"),
-], ids=["shape", "max-trx-nodes"])
-def test_each_bound_raises_its_message(shape, max_trx_nodes, message):
-    with pytest.raises(ValueError) as raised:
-        AllocationParams(scale=6.0, shape=shape, max_trx_nodes=max_trx_nodes)
-    assert str(raised.value) == message

@@ -774,6 +774,31 @@ class TestVrpCheckCommand:
                                        "violations (1):\n  block 2 demand 3000 exceeds capacity 2100\n",
                                        "")
 
+    # Every transaction occupies at least 1 slot, so a row below that could
+    # hide an over-capacity row in a block whose total fits.
+    @pytest.mark.parametrize("rows, block, demand", [
+        ("1,0,1.0,3000\n2,0,2.0,-1000\n", "0,2,2000,3.0,5\n", -1000),
+        ("1,0,1.0,2100\n2,0,2.0,0\n", "0,2,2100,3.0,5\n", 0),
+    ], ids=["negative", "zero"])
+    def test_a_row_below_one_slot_is_a_violation(self, tmp_path, capsys, rows, block, demand):
+        (tmp_path / "assignments.csv").write_text("tx_id,block,fee,nodes\n" + rows)
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("height,tx_count,occupied_nodes,incentive,seal_time\n" + block)
+        assert main(["vrp-check", "--blocks", str(blocks)]) == 1
+        assert capsys.readouterr() == ("transactions: 2, blocks: 1, capacity: 2100\n"
+                                       "violations (1):\n"
+                                       f"  transaction 2 demand {demand} is below 1 slot\n", "")
+
+    @pytest.mark.parametrize("fee", ["nan", "inf", "-1.0"])
+    def test_a_negative_or_nonfinite_fee_is_a_data_error(self, tmp_path, capsys, fee):
+        assignments = tmp_path / "assignments.csv"
+        assignments.write_text(f"tx_id,block,fee,nodes\n1,0,1.0,100\n2,0,{fee},100\n")
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("height,tx_count,occupied_nodes,incentive,seal_time\n0,2,200,nan,5\n")
+        assert main(["vrp-check", "--blocks", str(blocks)]) == 3
+        assert capsys.readouterr() == ("", f"data error: {assignments}: transaction 2 has fee "
+                                           f"{float(fee)!r}; it must be finite and >= 0\n")
+
     # A run's K blocks hold at least K rows, so each height is below the row count.
     @pytest.mark.parametrize("height", [-1, 2, 2**62])
     def test_a_height_outside_the_row_count_is_a_data_error(self, tmp_path, capsys, height):

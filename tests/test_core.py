@@ -354,15 +354,27 @@ class TestStreamCaches:
     (lambda: strategy_from_category(2, a1=1000, a6=50, a7=6.0, a8=math.inf), "a8 must be finite"),
     (lambda: strategy_from_category(3, a1=1000, a6=50, a7=-math.inf, a8=0.5, a4=math.nan, a5=5),
      "a4, a7 must be finite"),
+    (lambda: strategy_from_category(2, a1=math.nan, a6=50, a7=6.0, a8=0.5), "a1 must be finite"),
+    (lambda: strategy_from_category(1, a1=1000, a6=50, a7=6.0, a8=0.5, a4=1.2, a5=math.inf),
+     "a5 must be finite"),
+    (lambda: strategy_from_category(2, a1=1000, a6=math.nan, a7=6.0, a8=0.5), "a6 must be finite"),
+    (lambda: strategy_from_category(3, a1=-math.inf, a6=math.inf, a7=6.0, a8=0.5, a4=1.2,
+                                    a5=-math.inf),
+     "mempool_size (a1) must be positive; a1, a5, a6 must be finite; "
+     "small_fee_count (a5) must be >= 0"),
     (lambda: SimulationConfig(leaf_capacity=0), "leaf_capacity must be positive"),
     (lambda: BlockRecord(height=0, tx_ids=(), occupied_nodes=-1, incentive=0.0, seal_time=0),
      "occupied_nodes must be >= 0"),
-], ids=["a6", "a4", "a5", "a7-nan", "a8-nan", "a8-inf", "a4-a7-nonfinite", "leaf-capacity",
-        "occupied-nodes"])
+], ids=["a6", "a4", "a5", "a7-nan", "a8-nan", "a8-inf", "a4-a7-nonfinite", "a1-nan", "a5-inf",
+        "a6-nan", "a1-a5-a6-nonfinite", "leaf-capacity", "occupied-nodes"])
 def test_each_bound_raises_its_message(build, message):
     with pytest.raises(ValueError) as raised:
         build()
     assert str(raised.value) == message
+
+
+def test_an_int_attribute_of_any_size_is_finite():
+    assert strategy_from_category(2, a1=10**400, a6=50, a7=6.0, a8=0.5).mempool_size == 10**400
 
 
 def test_simulation_config_bounds():

@@ -93,8 +93,9 @@ def test_columns_are_parsed_in_the_order_asked():
 def test_header_is_stripped_blank_rows_skipped_and_absent_optional_filled(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text(" a , b \n1,x\n\n  ,  \n2,y\n")
-    strips, ints, lens = read_csv_columns(path, {"b": str.strip, "a": int, "c": len}, optional=("c",))
-    assert (strips, ints.tolist(), lens) == (["x", "y"], [1, 2], [0, 0])
+    strips, ints, blanks = read_csv_columns(path, {"b": str.strip, "a": int, "c": optional_float})
+    assert (strips, ints.tolist()) == (["x", "y"], [1, 2])
+    assert np.ma.getmaskarray(blanks).tolist() == [True, True]
 
 
 @pytest.mark.parametrize("content, message", [
@@ -182,10 +183,10 @@ def test_an_int_past_64_bits_is_a_schema_error(tmp_path, capsys, command, name, 
 # SchemaError text.
 HEADER = "a,b,c,d"
 KINDS = [
-    ({"a": int, "b": float, "c": optional_float}, ()),
-    ({"c": optional_float, "a": int, "e": optional_float}, ("e",)),
-    ({"d": int}, ()),
-    ({"b": float, "d": str.strip}, ()),
+    {"a": int, "b": float, "c": optional_float},
+    {"c": optional_float, "a": int, "e": optional_float},
+    {"d": int},
+    {"b": float, "d": str.strip},
 ]
 LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 NUMBERS = st.one_of(
@@ -227,9 +228,8 @@ def csv_files(draw):
 def _outcome(path, case):
     """Each column's type, dtype, data bytes and mask, or a list column
     itself; or the SchemaError text."""
-    kinds, optional = KINDS[case]
     try:
-        columns = read_csv_columns(path, kinds, optional)
+        columns = read_csv_columns(path, KINDS[case])
     except SchemaError as exc:
         return f"SchemaError: {exc}"
     return [(type(c), c.dtype, np.ma.getdata(c).tobytes(), np.ma.getmaskarray(c).tobytes())
@@ -305,9 +305,9 @@ def test_each_kind_has_one_column_type_from_both_paths(tmp_path, csv_reader_rows
     path = tmp_path / "t.csv"
     path.write_text("a,b,c,d\n1,2.5,3.5,7\n4,5.0,6,8\n")
     kinds = {"a": int, "b": float, "c": optional_float, "e": optional_float}
-    c_pass = read_csv_columns(path, kinds, optional=("e",))
+    c_pass = read_csv_columns(path, kinds)
     with mock.patch.object(core, "_numeric_columns", lambda *args: None):
-        row_loop = read_csv_columns(path, kinds, optional=("e",))
+        row_loop = read_csv_columns(path, kinds)
     assert csv_reader_rows == [1, 3]
     for columns in (c_pass, row_loop):
         assert [(type(c), c.dtype) for c in columns] == [

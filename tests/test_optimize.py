@@ -201,6 +201,15 @@ class TestEvaluate:
         attrs = dict(a1=2000, a6=110, a7=6.94, a8=1.0) | attrs
         assert evaluate_attrs(attrs, category(cat_id), stream, self.CFG) == math.inf
 
+    # An integer attribute is rounded only when finite, so a NaN or an
+    # infinity reaches `DtsStrategy`, which rejects it.
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("cat_id, at", [(2, 0), (1, 2), (2, 1)], ids=["a1", "a5", "a6"])
+    def test_a_nonfinite_integer_attribute_scores_inf(self, stream, cat_id, at, value):
+        vector = {1: [2000, 1.5, 5, 110, 6.94, 1.0], 2: [2000, 110, 6.94, 1.0]}[cat_id]
+        vector[at] = value
+        assert evaluate(vector, category(cat_id), stream, self.CFG) == math.inf
+
     def test_oversize_nodes_penalized_not_raised(self, stream):
         cat = category(2)
         cfg = SimulationConfig(leaf_capacity=100)

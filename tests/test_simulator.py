@@ -17,6 +17,7 @@ from dtsim.ingest import DatasetSpec, generate
 from dtsim.metrics import MIN_INCENTIVES, series_volatility
 from dtsim.optimize import evaluate_attrs
 from dtsim.simulator import (
+    BASELINE_TXS_PER_BLOCK,
     Assignments,
     fixed_block_baseline,
     incentives,
@@ -98,6 +99,29 @@ class TestMempoolSubmit:
         for _, result in mined(txs, a1=2):
             assert (result.evicted_count, result.evicted_fees) == (1, 1.0)
             assert sorted(pick_order(result)) == sorted({1, 2, 3} - {victim})
+
+    @pytest.mark.parametrize("cat, small", [(1, {"a4": 60.0, "a5": 100}), (2, {}),
+                                            (3, {"a4": 60.0, "a5": 100}), (4, {})])
+    def test_an_overflowing_run_sorts_nothing_itself(self, stream_30k, cat, small, monkeypatch):
+        # Counted work: the victim comes from the stream's fee order, and the
+        # drain orders its picks by one key, so the simulator calls no lexsort.
+        lexsorts = []
+
+        class Numpy:
+            """numpy as `dtsim.simulator` sees it, counting `lexsort` calls."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def lexsort(self, *args, **kwargs):
+                lexsorts.append(args)
+                return np.lexsort(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "np", Numpy())
+        s = strategy_from_category(cat, a1=1000, a6=110, a7=6.94, a8=1.0, **small)
+        result = run(stream_30k, s, CFG)
+        assert result.evicted_count + result.rejected_count == 1
+        assert lexsorts == []
 
     def test_duplicate_id_rejected(self):
         # Ranks need unique ids; `run` refuses a stream that repeats one.
@@ -428,19 +452,22 @@ class TestRun:
 class TestBaseline:
     def test_chunks_of_fixed_size(self):
         stream = [tx(i, 2.0, t=i) for i in range(5000)]
-        blocks = fixed_block_baseline(stream, txs_per_block=2100)
+        blocks = fixed_block_baseline(stream)
+        assert BASELINE_TXS_PER_BLOCK == 2100
         assert len(blocks) == 2
         assert all(len(b.tx_ids) == 2100 for b in blocks)
         assert blocks[0].incentive == pytest.approx(4200.0)
 
     def test_incentive_is_the_correctly_rounded_sum(self):
         # 0.1 + 0.2 + 0.3 sums to 0.6000000000000001 left to right; fsum gives 0.6.
-        stream = [tx(i, fee, t=i) for i, fee in enumerate((0.1, 0.2, 0.3))]
-        assert fixed_block_baseline(stream, txs_per_block=3)[0].incentive == 0.6
+        fees = (0.1, 0.2, 0.3) + (0.0,) * (BASELINE_TXS_PER_BLOCK - 3)
+        stream = [tx(i, fee, t=i) for i, fee in enumerate(fees)]
+        assert fixed_block_baseline(stream)[0].incentive == 0.6
 
-    def test_rejects_bad_chunk(self):
-        with pytest.raises(ValueError):
-            fixed_block_baseline([], txs_per_block=0)
+    def test_a_stream_shorter_than_a_block_gives_no_block(self):
+        stream = [tx(i, 1.0, t=i) for i in range(BASELINE_TXS_PER_BLOCK - 1)]
+        assert fixed_block_baseline(stream) == []
+        assert fixed_block_baseline([]) == []
 
 
 class TestGoldenRun:
