@@ -39,14 +39,14 @@ MIN_INCENTIVES = 3
 def log_returns(incentives: Sequence[float]) -> tuple:
     """R_n = ln(I_n / I_{n-1}) over consecutive incentives.
 
-    Requires two values or more; one not > 0 is a DataError naming its block, its index.
+    Requires two values or more; one not finite and > 0 is a DataError naming its block, its index.
     """
     values = list(incentives)
     if len(values) < 2:
         raise ValueError("need at least two incentives to form returns")
     for i, v in enumerate(values):
-        if v <= 0:
-            raise DataError(f"block {i} has incentive {v}; log returns need incentives > 0")
+        if not 0 < v < math.inf:
+            raise DataError(f"block {i} has incentive {v}; it must be finite and > 0")
     return tuple(math.log(values[i] / values[i - 1]) for i in range(1, len(values)))
 
 

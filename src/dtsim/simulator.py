@@ -36,9 +36,9 @@ ascending lists of the warm-up pool's ranks, masked from the rank order, so
 they need no `heapify`. Where the small-fee heap is empty and at least
 STRETCH arrivals pass before the next small fee, every pick of that stretch
 pops the other heap, so the stretch is one `heappushpop` chain on it;
-elsewhere the miner steps once per arrival. After the last arrival the
-pending ranks are fixed, and `_drain` takes each block's picks at once by
-bisection over the two sorted lists.
+elsewhere the miner steps once per arrival. After the last arrival `_drain`
+takes each block's picks at once by bisection over the fixed pending ranks as
+two ascending int64 arrays, built with no heap in a pure drain (a1 >= n).
 
 Without a quota, when every rank arrives by its turn, as under time priority
 unless tied arrivals put a higher fee later, the picks are the rank order
@@ -197,13 +197,13 @@ def incentives(dataset, strategy: DtsStrategy, cfg: SimulationConfig) -> List[fl
     return list(map(math.fsum, _blocks(stream.fees, picks, bounds)))
 
 
-def _blocks(column: np.ndarray, picks: np.ndarray, bounds: Sequence[int]) -> Iterator[list]:
-    """`column` at picks[bounds[i]:bounds[i + 1]] for each block i: slices of one `tolist`
-    per run of whole blocks that just reaches 4096 picks, so no whole column is held."""
+def _blocks(column: np.ndarray, picks: np.ndarray, bounds: Sequence[int]) -> Iterator[memoryview]:
+    """`column` at picks[bounds[i]:bounds[i + 1]] for each block i: memoryview slices of one
+    gather per run of whole blocks that just reaches 4096 picks, so no whole column is held."""
     at = 0
     while at < len(bounds) - 1:
         ends = bounds[at:bisect_left(bounds, bounds[at] + 4096, at) + 1]
-        values = column[picks[ends[0]:ends[-1]]].tolist()
+        values = memoryview(column[picks[ends[0]:ends[-1]]])
         yield from (values[begin - ends[0]:end - ends[0]] for begin, end in zip(ends, ends[1:]))
         at += len(ends) - 1
 
@@ -261,17 +261,19 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
     del after
     # Two disjoint heaps of the pending ranks, split by the small-fee
     # threshold: the warm-up pool, less an evicted position, taken in
-    # rank order, so each is an ascending list and a heap already. Every
+    # rank order, so each is ascending, and as a list a heap already. Every
     # pick pops the heap it read, so together they hold at most a1 ranks.
     pooled = order < warm
     if victim is not None and victim < warm:
         pooled[rank[victim]] = False
     small_at = is_small[order]
-    small, large = (np.flatnonzero(pooled & side).tolist() for side in (small_at, ~small_at))
+    small, large = (np.flatnonzero(pooled & side) for side in (small_at, ~small_at))
     del pooled, small_at, is_small
     slots_np = np.frombuffer(slot_of, dtype=np.int64)
     picks, filled, small_used = array("q"), 0, 0
     pos = warm
+    if warm < n_txs:
+        small, large = small.tolist(), large.tolist()
     while pos < n_txs:
         gate = heads[bisect_left(heads, pos)]
         # One pick per arrival from a pool that is never empty: the small
@@ -308,6 +310,10 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
             small_used = 0
         picks.frombytes(took.tobytes())
         pos = stop
+    if warm < n_txs:
+        small, large = (np.array(heap, dtype=np.int64) for heap in (small, large))
+        small.sort()
+        large.sort()
     picks.frombytes(_drain(small, large, order, slots_np, reserve, capacity,
                            filled, small_used, len(picks), bounds).tobytes())
     picks, slot_of = (np.frombuffer(a, dtype=np.int64) for a in (picks, slot_of))
@@ -325,16 +331,16 @@ def _next_fit(cum: np.ndarray, base: int, capacity: int, done: int, bounds: arra
     return base
 
 
-def _drain(S: List[int], L: List[int], order: np.ndarray, slots: np.ndarray, reserve: int,
+def _drain(S: np.ndarray, L: np.ndarray, order: np.ndarray, slots: np.ndarray, reserve: int,
            capacity: int, filled: int, small_used: int, done: int, bounds: array) -> np.ndarray:
     """The miner after the last arrival, `done` picks in, with the
     open block's `filled` slots and `small_used` quota: appends the pick
     index ending each of its seals to `bounds` and returns its picks.
 
-    The pending ranks are fixed, so the heaps of small-fee ranks S and other
-    ranks L are sorted once, in place, and taken as int64 arrays once, for
-    the prefix sums PS and PL of their slots and for the final order.
-    Every pick takes the head of one, so the state is two indices (i, j), and
+    The pending ranks are fixed: S holds the small-fee ranks and L the
+    others, each an ascending int64 array, read as ints through memoryviews
+    and summed into the prefix sums PS and PL of their slots. Every pick
+    takes the head of one, so the state is two indices (i, j), and
     each step takes the picks of one block segment by bisection: S[i:] while
     the quota is open or only small fees wait, L[j:] when only other fees
     wait, else the merge of both by rank, whose slots below rank r rise with
@@ -342,10 +348,9 @@ def _drain(S: List[int], L: List[int], order: np.ndarray, slots: np.ndarray, res
     quota. Each step's picks are in rank order, and the drain takes every
     pending rank once, so its picks are S and L sorted by (step, rank),
     that is by step * len(order) + rank."""
-    S.sort()
-    L.sort()
-    taken = [np.array(ranks, dtype=np.int64) for ranks in (S, L)]
+    taken = (S, L)
     PS, PL = (np.concatenate(([0], np.cumsum(slots[order[ranks]]))).tolist() for ranks in taken)
+    S, L = map(memoryview, taken)
     n_small, n_large = len(S), len(L)
     i, j, ends = 0, 0, array("q")
     while i < n_small or j < n_large:
@@ -361,9 +366,9 @@ def _drain(S: List[int], L: List[int], order: np.ndarray, slots: np.ndarray, res
             a, b, seal = n_small, n_large, False
         else:
             # The first rank whose merged slots overflow the block; at most
-            # `room` picks fit, so the (room + 1)-th rank of either list bounds it.
+            # `room` picks fit, so the (room + 1)-th rank of either array bounds it.
             lo = min(S[i], L[j])
-            hi = min(S[i + room:i + room + 1] + L[j + room:j + room + 1] + [max(S[-1], L[-1])])
+            hi = min([max(S[-1], L[-1]), *S[i + room:i + room + 1], *L[j + room:j + room + 1]])
             first = lo + bisect_right(range(lo, hi + 1), PS[i] + PL[j] + room, key=lambda r: (
                 PS[bisect_left(S, r + 1, i)] + PL[bisect_left(L, r + 1, j)]))
             a, b, seal = bisect_left(S, first, i), bisect_left(L, first, j), True

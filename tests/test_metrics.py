@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from dtsim.core import DataError
 from dtsim.metrics import (
     BENCHMARK_MAX,
     BENCHMARK_MIN,
@@ -33,6 +34,15 @@ class TestLogReturns:
             log_returns([1.0, 0.0, 2.0])
         with pytest.raises(ValueError):
             log_returns([3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_a_nonfinite_incentive_is_a_data_error_naming_its_block(self, bad):
+        series = [1.0, bad, 2.0, 3.0]
+        message = f"block 1 has incentive {bad}; it must be finite and > 0"
+        with pytest.raises(DataError, match=message):
+            series_volatility(series)
+        with pytest.raises(DataError, match=message):
+            rolling_volatility(series, window=2)
 
 
 class TestVolatility:

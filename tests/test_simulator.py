@@ -676,6 +676,54 @@ def test_incentives_equal_the_run_series_with_zero_fees(stream_30k, cat, small):
     assert _bits(series) != _bits(incentives(stream_30k, s, CFG))
 
 
+# A pool that never overflows (a1 = 40,000 > 30,000) builds no heap: the
+# warm-up split's ascending rank arrays go to `_drain` as they are, with no
+# round trip through a list, and the drain turns no list into an array.
+@pytest.mark.parametrize("cat, small", [(1, {"a4": 1.5, "a5": 100}), (3, {"a4": 60.0, "a5": 200})],
+                         ids=["cat1-a5_100", "cat3-a5_200"])
+def test_a_pure_drain_takes_the_warm_up_arrays_as_they_are(stream_30k, cat, small, monkeypatch):
+    drained, listed = [], []
+
+    class Numpy:
+        """numpy as `dtsim.simulator` sees it, recording `array` calls on a list."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def array(self, obj, *args, **kwargs):
+            if isinstance(obj, list):
+                listed.append(len(obj))
+            return np.array(obj, *args, **kwargs)
+
+    def recording_drain(S, L, *args, drain=simulator._drain):
+        drained.append((S, L))
+        return drain(S, L, *args)
+
+    monkeypatch.setattr(simulator, "np", Numpy())
+    monkeypatch.setattr(simulator, "_drain", recording_drain)
+    s = strategy_from_category(cat, a1=40_000, a6=110, a7=6.94, a8=1.0, **small)
+    assert len(incentives(stream_30k, s, CFG)) >= 3
+    assert len(drained) == 1
+    for ranks in drained[0]:
+        assert type(ranks) is np.ndarray and ranks.dtype == np.int64 and len(ranks) > 0
+        assert (np.diff(ranks) > 0).all()
+    assert sum(map(len, drained[0])) == len(stream_30k)
+    assert listed == []
+
+
+# `_blocks` hands out memoryview slices; the records still hold Python
+# numbers, not numpy scalars.
+@pytest.mark.parametrize("a1", [1000, 40000])
+@pytest.mark.parametrize("cat, small", INCENTIVE_CATEGORIES, ids=INCENTIVE_IDS)
+def test_block_records_hold_python_ints_and_floats(stream_30k, cat, small, a1):
+    s = strategy_from_category(cat, a1=a1, a6=110, a7=6.94, a8=1.0, **small)
+    blocks = run(stream_30k, s, CFG).blocks
+    assert len(blocks) >= 3
+    for block in blocks:
+        assert type(block.tx_ids) is tuple and {type(tx_id) for tx_id in block.tx_ids} == {int}
+        assert type(block.incentive) is float
+
+
 # The first 1,500 and 500 transactions of the 30k stream seal two blocks and
 # none, fewer than the MIN_INCENTIVES that a volatility needs.
 @pytest.mark.parametrize("n, blocks", [(1_500, 2), (500, 0)], ids=["two-blocks", "no-block"])
