@@ -287,10 +287,22 @@ def _parse_scenarios(text: str):
     return scenarios
 
 
+def _parse_ks(text: str):
+    ks = []
+    for part in filter(None, map(str.strip, text.split(","))):
+        try:
+            ks.append(int(part))
+        except ValueError:
+            raise ValueError(f"--k entry {part!r} is not an integer") from None
+    if not ks:
+        raise ValueError("--k lists no branching factor")
+    return ks
+
+
 def cmd_proofsize(args, config) -> int:
     scenarios = (_parse_scenarios(args.scenarios) if args.scenarios
                  else [*PUBLISHED_SCENARIOS, INTEGRATION_SCENARIO])
-    ks = [int(k) for k in args.k.split(",")] if args.k else BRANCHING_FACTORS
+    ks = _parse_ks(args.k) if args.k else BRANCHING_FACTORS
     modes = ("smooth", "ceil") if args.mode == "both" else (args.mode,)
 
     rows = bandwidth_report(scenarios, ks, modes)

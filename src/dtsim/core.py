@@ -43,6 +43,10 @@ class DataError(ValueError):
     """A transaction stream violates a precondition of the run."""
 
 
+class StrategyError(ValueError):
+    """A strategy breaks an attribute bound, or does not fit the run's config."""
+
+
 @dataclass(frozen=True, eq=False)
 class Stream:
     """A transaction stream as four read-only columns: int64 `ids` and
@@ -217,7 +221,7 @@ class DtsStrategy:
             if self.small_fee_count < 0:
                 problems.append("small_fee_count (a5) must be >= 0")
         if problems:
-            raise ValueError("; ".join(problems))
+            raise StrategyError("; ".join(problems))
 
     def attributes(self) -> dict:
         """Attribute-vector view keyed a1..a8 (a4/a5 omitted when absent)."""
@@ -250,6 +254,9 @@ class SimulationConfig:
             raise ValueError("leaf_capacity must be positive")
         if self.verkle_branching_factor < 2:
             raise ValueError("verkle_branching_factor must be >= 2")
+        if self.verkle_branching_factor > 65535:
+            raise ValueError("verkle_branching_factor must be <= 65535: a commitment "
+                             "hashes its child count in 2 bytes")
 
 
 @dataclass(frozen=True)
@@ -276,7 +283,7 @@ def strategy_from_category(cat: StrategyCategory | int, *, a1: int, a6: int,
 
     The category fixes priority (a2) and designated space (a3). a4/a5 are
     required exactly when the category reserves space for small-fee
-    transactions, and rejected otherwise; `DtsStrategy` raises ValueError
+    transactions, and rejected otherwise; `DtsStrategy` raises StrategyError
     listing every violated attribute bound.
     """
     if isinstance(cat, int):
@@ -299,11 +306,11 @@ REFERENCE_STRATEGY = {"category": 2, "a1": 25469, "a6": 110, "a7": 6.94, "a8": 1
 
 
 def validate_strategy(s: DtsStrategy, cfg: SimulationConfig) -> None:
-    """Raise ValueError when `s` breaks an invariant that depends on `cfg`.
+    """Raise StrategyError when `s` breaks an invariant that depends on `cfg`.
     A `DtsStrategy` has already passed its own checks."""
     if s.max_trx_nodes > cfg.leaf_capacity:
-        raise ValueError(f"invalid strategy: max_trx_nodes (a6) {s.max_trx_nodes} "
-                         f"exceeds leaf capacity {cfg.leaf_capacity}")
+        raise StrategyError(f"invalid strategy: max_trx_nodes (a6) {s.max_trx_nodes} "
+                            f"exceeds leaf capacity {cfg.leaf_capacity}")
 
 
 class SchemaError(DataError):

@@ -17,8 +17,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (DataError, SimulationConfig, Stream, StrategyCategory, category,
-                   strategy_from_category, validate_strategy, write_csv_rows)
+from .core import (DataError, SimulationConfig, Stream, StrategyCategory, StrategyError,
+                   category, strategy_from_category, write_csv_rows)
 from .metrics import MIN_INCENTIVES, series_volatility
 from .optimizers import constriction_params  # noqa: F401  the acceptance suite imports it here
 from .optimizers import cma_es, differential_evolution, genetic_algorithm, gbo, pso
@@ -123,7 +123,7 @@ def evaluate(candidate: Sequence[float], cat: StrategyCategory,
              dataset, cfg: SimulationConfig) -> float:
     """Objective: volatility of the simulated incentive series (`simulator.incentives`).
 
-    Invalid strategies and degenerate runs (fewer than
+    Invalid strategies (a StrategyError) and degenerate runs (fewer than
     `metrics.MIN_INCENTIVES` sealed blocks) score +inf instead of raising,
     so optimizers can rank them out. Data errors of the stream (DataError
     from the simulator) propagate.
@@ -135,11 +135,9 @@ def evaluate_attrs(attrs: Dict[str, float], cat: StrategyCategory,
                    dataset, cfg: SimulationConfig) -> float:
     """`evaluate` of an already decoded attribute dict."""
     try:
-        strategy = strategy_from_category(cat, **attrs)
-        validate_strategy(strategy, cfg)
-    except ValueError:
+        series = incentives(dataset, strategy_from_category(cat, **attrs), cfg)
+    except StrategyError:
         return math.inf
-    series = incentives(dataset, strategy, cfg)
     return series_volatility(series) if len(series) >= MIN_INCENTIVES else math.inf
 
 

@@ -4,20 +4,18 @@ The tree groups leaf digests into subsets of size k and commits each subset,
 iterating until a single root commitment remains. The commitment is a digest
 stand-in (hash of the ordered children) for a real vector commitment with
 constant-size openings, so the closed-form proof-size figures below are
-computed from the k-ary depth rather than measured from the stand-in's
-sibling-set proofs.
+computed from the k-ary depth.
 
 A level is one contiguous `bytes` buffer of 32-byte digests, and
 `commit_level` is the one way to commit it: one sha256 per group of k over
 the 2-byte big-endian child count and the group's slice of the buffer, the
-short last group under its own count. Those are the bytes `commit` hashes
-for the same children. A leaf is `slot_digest(id, slot)`, the sha256 of the
-8-byte big-endian id and the 4-byte big-endian slot number. `block_root`
-packs a block's leaf preimages in one numpy pass, as 12-byte records of a
-`>u8` id and a `>u4` slot, hashes each record once and commits the joined
-digests up to the root, so a block's leaves are never Python ints or
-tuples. `build_tree` commits through the same routine and splits each level
-into 32-byte digests for `prove`.
+short last group under its own count. A leaf is `slot_digest(id, slot)`, the
+sha256 of the 8-byte big-endian id and the 4-byte big-endian slot number.
+`block_root` packs a block's leaf preimages in one numpy pass, as 12-byte
+records of a `>u8` id and a `>u4` slot, hashes each record once and commits
+the joined digests up to the root, so a block's leaves are never Python ints
+or tuples. `build_tree` commits through the same routine and keeps each
+level as a tuple of 32-byte digests.
 
 Proof size has one formula, `verkle_proof_size_bytes`; the binary (Merkle)
 figures are its k = 2 case. It comes in two rounding modes because the
@@ -41,24 +39,15 @@ from .core import write_csv_rows
 _BYTES_PER_LEVEL = 32  # one sha256 digest
 
 
-def commit(children: Sequence[bytes]) -> bytes:
-    """Commitment to an ordered sequence of child digests: sha256 over the
-    length-prefixed child concatenation."""
-    h = hashlib.sha256()
-    h.update(len(children).to_bytes(2, "big"))
-    for child in children:
-        h.update(child)
-    return h.digest()
-
-
 def slot_digest(tx_id: int, slot: int) -> bytes:
     """Digest for one occupied leaf slot of a transaction."""
     return hashlib.sha256(tx_id.to_bytes(8, "big") + slot.to_bytes(4, "big")).digest()
 
 
 def commit_level(level: bytes, k: int) -> bytes:
-    """The level above `level`, a buffer of 32-byte digests: `commit` of each
-    group of `k` children, joined into the same kind of buffer."""
+    """The level above `level`, a buffer of 32-byte digests: per group of `k`
+    children, the sha256 of its 2-byte big-endian child count and its
+    children, joined into the same kind of buffer."""
     n, width = len(level) // _BYTES_PER_LEVEL, k * _BYTES_PER_LEVEL
     full = n - n % k
     count = k.to_bytes(2, "big") if full else b""
@@ -88,37 +77,19 @@ def block_root(ids: np.ndarray, slots: np.ndarray, k: int) -> bytes:
 
 
 @dataclass(frozen=True)
-class MembershipProof:
-    """Path from one leaf to the root: per level, the child position and the
-    full ordered child group of the node on the path."""
-
-    leaf_index: int
-    path: Tuple[Tuple[int, int, Tuple[bytes, ...]], ...]  # (level, position, children)
-
-
-@dataclass(frozen=True)
 class VerkleTree:
-    branching_factor: int
     levels: Tuple[Tuple[bytes, ...], ...]  # levels[0] = leaves, levels[-1] = (root,)
-
-    @property
-    def leaves(self) -> Tuple[bytes, ...]:
-        return self.levels[0]
 
     @property
     def root(self) -> bytes:
         return self.levels[-1][0]
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
 
 def build_tree(leaves: Sequence[bytes], k: int) -> VerkleTree:
     """Commit `leaves` bottom-up in groups of `k`.
 
-    Depth is ceil(log_k(n)) for n >= 2 and exactly 1 for a single leaf
-    (the root then commits to that one leaf).
+    Depth, `len(levels) - 1`, is ceil(log_k(n)) for n >= 2 and exactly 1
+    for a single leaf (the root then commits to that one leaf).
     """
     if k < 2:
         raise ValueError("branching factor must be >= 2")
@@ -133,41 +104,7 @@ def build_tree(leaves: Sequence[bytes], k: int) -> VerkleTree:
         level = commit_level(level, k)
         levels.append(tuple(level[at:at + _BYTES_PER_LEVEL]
                             for at in range(0, len(level), _BYTES_PER_LEVEL)))
-    return VerkleTree(branching_factor=k, levels=tuple(levels))
-
-
-def prove(tree: VerkleTree, leaf_index: int) -> MembershipProof:
-    """Membership proof for tree.leaves[leaf_index]; one entry per level."""
-    if not 0 <= leaf_index < len(tree.leaves):
-        raise IndexError(f"leaf index {leaf_index} out of range")
-    k = tree.branching_factor
-    path = []
-    idx = leaf_index
-    for level in range(tree.depth):
-        nodes = tree.levels[level]
-        group_start = (idx // k) * k
-        group = nodes[group_start: group_start + k]
-        path.append((level, idx - group_start, tuple(group)))
-        idx //= k
-    return MembershipProof(leaf_index=leaf_index, path=tuple(path))
-
-
-def verify(root: bytes, proof: MembershipProof, leaf: bytes) -> bool:
-    """Recompute commitments along the path; True iff they reach `root`.
-
-    Malformed proofs return False rather than raising.
-    """
-    try:
-        current = leaf
-        for _level, position, children in proof.path:
-            if not 0 <= position < len(children):
-                return False
-            if children[position] != current:
-                return False
-            current = commit(children)
-        return current == root
-    except (IndexError, TypeError, ValueError):
-        return False
+    return VerkleTree(tuple(levels))
 
 
 def verkle_proof_size_bytes(n_t: int, k: int, mode: str = "smooth") -> int | float:

@@ -414,7 +414,11 @@ class TestExitCodes:
          "--target-incentive must be finite, got nan"),
         (["proofsize", "--scenarios", "=5"], {}, "scenario '=5' has an empty name"),
         (["proofsize", "--scenarios", "a=5, b=x"], {}, "scenario 'b=x': n_t must be an integer"),
-    ], ids=["a7", "a8", "a7-config", "a4", "target-incentive", "empty-name", "count"])
+        (["proofsize", "--k", "3,,5, x"], {}, "--k entry 'x' is not an integer"),
+        (["proofsize", "--k", "3, 2.5"], {}, "--k entry '2.5' is not an integer"),
+        (["proofsize", "--k", " , ,"], {}, "--k lists no branching factor"),
+    ], ids=["a7", "a8", "a7-config", "a4", "target-incentive", "empty-name", "count", "k-text",
+            "k-float", "k-blank"])
     def test_a_nonfinite_value_or_malformed_scenario_is_a_config_error(
             self, tmp_path, capsys, args, files, message):
         for name, text in files.items():

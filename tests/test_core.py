@@ -363,10 +363,12 @@ class TestStreamCaches:
      "mempool_size (a1) must be positive; a1, a5, a6 must be finite; "
      "small_fee_count (a5) must be >= 0"),
     (lambda: SimulationConfig(leaf_capacity=0), "leaf_capacity must be positive"),
+    (lambda: SimulationConfig(verkle_branching_factor=65_536),
+     "verkle_branching_factor must be <= 65535: a commitment hashes its child count in 2 bytes"),
     (lambda: BlockRecord(height=0, tx_ids=(), occupied_nodes=-1, incentive=0.0, seal_time=0),
      "occupied_nodes must be >= 0"),
 ], ids=["a6", "a4", "a5", "a7-nan", "a8-nan", "a8-inf", "a4-a7-nonfinite", "a1-nan", "a5-inf",
-        "a6-nan", "a1-a5-a6-nonfinite", "leaf-capacity", "occupied-nodes"])
+        "a6-nan", "a1-a5-a6-nonfinite", "leaf-capacity", "branching-factor", "occupied-nodes"])
 def test_each_bound_raises_its_message(build, message):
     with pytest.raises(ValueError) as raised:
         build()

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dtsim import allocation, optimizers
-from dtsim.core import DataError, SimulationConfig, Stream, category
+from dtsim import allocation, core, optimize, optimizers, simulator
+from dtsim.core import DataError, SimulationConfig, Stream, category, strategy_from_category
 from dtsim.ingest import DatasetSpec, generate
 from dtsim.optimize import (
     DEFAULT_BOUNDS,
@@ -214,6 +214,30 @@ class TestEvaluate:
         cat = category(2)
         cfg = SimulationConfig(leaf_capacity=100)
         assert evaluate([2000, 110, 6.94, 1.0], cat, stream, cfg) == math.inf
+
+    def test_an_evaluation_checks_its_strategy_once(self, stream, monkeypatch):
+        # A count of work: `validate_strategy` wrapped in each module that binds it.
+        check, calls = core.validate_strategy, []
+
+        def counted(strategy, cfg):
+            calls.append(strategy.max_trx_nodes)
+            return check(strategy, cfg)
+
+        for module in (core, simulator, optimize):
+            monkeypatch.setattr(module, "validate_strategy", counted, raising=False)
+        cat = category(2)
+        for cfg, expected in ((self.CFG, math.isfinite), (SimulationConfig(leaf_capacity=100),
+                                                          math.isinf)):
+            calls.clear()
+            assert expected(evaluate([2000, 110, 6.94, 1.0], cat, stream, cfg))
+            assert calls == [110]
+        # Called directly, the simulator still rejects the strategy with the check's text.
+        message = "invalid strategy: max_trx_nodes (a6) 110 exceeds leaf capacity 100"
+        s = strategy_from_category(cat, a1=2000, a6=110, a7=6.94, a8=1.0)
+        for simulate in (simulator.run, simulator.incentives):
+            with pytest.raises(ValueError) as raised:
+                simulate(stream, s, SimulationConfig(leaf_capacity=100))
+            assert str(raised.value) == message
 
     @pytest.mark.parametrize("a1, a4, a6, a7, a8", [(1000, 2.0, 110, 6.94, 1.0),
                                                    (2500, 1.5, 40, 4.5, 0.3),
