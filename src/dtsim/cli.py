@@ -282,6 +282,8 @@ def _parse_scenarios(text: str):
             scenarios.append((name.strip(), int(num if sep else name)))
         except ValueError:
             raise ValueError(f"scenario {part!r}: n_t must be an integer") from None
+        if scenarios[-1][1] < 2:
+            raise ValueError(f"scenario {part!r}: n_t must be >= 2")
     if not scenarios:
         raise ValueError("no scenarios given")
     return scenarios
@@ -294,6 +296,8 @@ def _parse_ks(text: str):
             ks.append(int(part))
         except ValueError:
             raise ValueError(f"--k entry {part!r} is not an integer") from None
+        if ks[-1] < 2:
+            raise ValueError(f"--k entry {part!r}: a branching factor must be >= 2")
     if not ks:
         raise ValueError("--k lists no branching factor")
     return ks

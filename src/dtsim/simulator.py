@@ -29,20 +29,26 @@ one `searchsorted` on that total (`_next_fit`).
 
 A waiting small fee comes first while the block's quota (a5) is open, else
 the lowest pending rank, and the quota resets at every seal. Without a quota
-(categories 2 and 4, and 1 and 3 with a5 = 0) no fee counts as small. While
-arrivals continue the pending ranks sit in two disjoint heaps, one for the
-fees below the small-fee threshold and one for the rest; both start as
-ascending lists of the warm-up pool's ranks, masked from the rank order, so
-they need no `heapify`. Where the small-fee heap is empty and at least
-STRETCH arrivals pass before the next small fee, every pick of that stretch
-pops the other heap, so the stretch is one `heappushpop` chain on it;
-elsewhere the miner steps once per arrival. After the last arrival `_drain`
-takes each block's picks at once by bisection over the fixed pending ranks as
-two ascending int64 arrays, built with no heap in a pure drain (a1 >= n).
+(categories 2 and 4, and 1 and 3 with a5 = 0) no fee counts as small.
+The ranks but the victim's split into two ascending int64 queues, S below
+the small-fee threshold and L the rest. Under time priority a rank differs
+from its position only within a group of equal arrival times, so past the
+picked S[:i] and L[:j] each queue holds its side's pending ranks first: a
+pick is a queue's head, exact if it has arrived by its turn (pick k follows
+position a1 + k), and a count of the small fees come says whether one
+waits. Fee priority, and time priority from the first head not come by its
+turn (a tie inversion) on, mine from two heaps of the pending ranks, which
+start as ascending lists, so need no `heapify`. Where no small fee waits
+and at least STRETCH arrivals pass before the next small fee, every pick of
+that stretch takes the next rank of L: a slice of the queue, checked
+against the arrivals at once, or one `heappushpop` chain; elsewhere the
+miner steps once per arrival. After the last arrival `_drain` takes each
+block's picks at once by bisection over the pending ranks: the rests of the
+queues (whole in a pure drain, a1 >= n), or the heaps sorted.
 
 Without a quota, when every rank arrives by its turn, as under time priority
 unless tied arrivals put a higher fee later, the picks are the rank order
-less the overflow's victim, and `_mine` returns them with no heap.
+less the overflow's victim, and `_mine` returns them with no queue walk.
 
 `run` alone goes on to `force_seal`, block records (slot totals and seal
 times by one `reduceat` each over the bounds) and fates. It stores no
@@ -246,8 +252,12 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
     # column through it instead raised the peak RSS of a 200k run by
     # 4 MB, with the same traced peak.
     slot_of = array("q", slot_of.tobytes())
-    # Fees are >= 0, so without a quota no fee is small.
+    # Fees are >= 0, so without a quota no fee is small. The victim is never
+    # pending, so it counts as neither.
     is_small = fees < (strategy.small_fee_threshold if reserve else 0.0)
+    kept = np.ones(n_txs, dtype=bool)
+    if victim is not None:
+        is_small[victim] = kept[rank[victim]] = False
     below = is_small.tobytes()
     # A stretch runs from a position where no small fee waits to the next
     # small-fee arrival (`stops`, ending in n_txs); `heads` are the first
@@ -258,35 +268,49 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
     heads = array("q", after[stops - after >= STRETCH].tobytes())
     heads.append(n_txs)
     stops = array("q", stops.tobytes())
-    del after
-    # Two disjoint heaps of the pending ranks, split by the small-fee
-    # threshold: the warm-up pool, less an evicted position, taken in
-    # rank order, so each is ascending, and as a list a heap already. Every
-    # pick pops the heap it read, so together they hold at most a1 ranks.
-    pooled = order < warm
-    if victim is not None and victim < warm:
-        pooled[rank[victim]] = False
+    # Every rank but the victim's, split by the small-fee threshold into the
+    # ascending queues S and L.
     small_at = is_small[order]
-    small, large = (np.flatnonzero(pooled & side) for side in (small_at, ~small_at))
-    del pooled, small_at, is_small
+    S, L = (np.flatnonzero(kept & side) for side in (small_at, ~small_at))
+    del after, kept, small_at, is_small
     slots_np = np.frombuffer(slot_of, dtype=np.int64)
-    picks, filled, small_used = array("q"), 0, 0
-    pos = warm
-    if warm < n_txs:
-        small, large = small.tolist(), large.tolist()
+    picks, filled, small_used, pos, i, j = array("q"), 0, 0, warm, 0, 0
+    # Time priority mines from the queues: S[:i] and L[:j] are picked, and
+    # `arrived` counts the small fees come before `pos`. Fee priority, and
+    # time priority from a tie inversion on, mine from two heaps.
+    queued = strategy.priority is Priority.TIME or warm >= n_txs
+    if queued:
+        S_at, L_at, n_large = memoryview(S), memoryview(L), len(L)
+        arrived = below[:warm].count(1)
+    else:
+        small, large = _heaps(order, pos, S, L)
     while pos < n_txs:
         gate = heads[bisect_left(heads, pos)]
-        # One pick per arrival from a pool that is never empty: the small
-        # heap while the quota is open, else the lower of the two heads.
+        # One pick per arrival from a pool that is never empty: a waiting
+        # small fee while the quota is open, else the lower of the two heads.
         for pos in range(pos, n_txs):
-            if pos >= gate and not small:
-                break
-            if pos != victim:
-                heappush(small if below[pos] else large, rank_at[pos])
-            if small and (small_used < reserve or not large or small[0] < large[0]):
-                pick = order_at[heappop(small)]
-            else:
-                pick = order_at[heappop(large)]
+            if queued:
+                if pos >= gate and arrived == i:
+                    break
+                arrived += below[pos]
+                if arrived > i and (small_used < reserve or j == n_large or S_at[i] < L_at[j]):
+                    pick, i = order_at[S_at[i]], i + 1
+                else:
+                    pick, j = order_at[L_at[j]], j + 1
+                if pick > pos:
+                    # The head is yet to arrive (a tie inversion): the heaps take
+                    # this arrival on, and hold that head only once it comes.
+                    queued = False
+                    small, large = _heaps(order, pos, S[i:], L[j:])
+            if not queued:
+                if pos >= gate and not small:
+                    break
+                if pos != victim:
+                    heappush(small if below[pos] else large, rank_at[pos])
+                if small and (small_used < reserve or not large or small[0] < large[0]):
+                    pick = order_at[heappop(small)]
+                else:
+                    pick = order_at[heappop(large)]
             n = slot_of[pick]
             if filled + n > capacity:
                 bounds.append(len(picks))
@@ -300,9 +324,17 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
         if stop - pos < STRETCH:
             continue
         # No small fee waits or arrives before `stop`, so every pick up
-        # to it pops the other heap, and the quota only resets at seals.
-        took = order[np.fromiter(map(heappushpop, repeat(large), rank_at[pos:stop]),
-                                 np.int64, stop - pos)]
+        # to it takes the next rank of L, and the quota only resets at seals.
+        if queued:
+            took = order[L[j:j + stop - pos]]
+            if (took <= np.arange(pos, stop)).all():
+                j += stop - pos
+            else:
+                queued = False
+                small, large = _heaps(order, pos, S[i:], L[j:])
+        if not queued:
+            took = order[np.fromiter(map(heappushpop, repeat(large), rank_at[pos:stop]),
+                                     np.int64, stop - pos)]
         cum = np.cumsum(slots_np[took])
         blocks = len(bounds)
         filled = int(cum[-1]) - _next_fit(cum, -filled, capacity, len(picks), bounds)
@@ -310,14 +342,22 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
             small_used = 0
         picks.frombytes(took.tobytes())
         pos = stop
-    if warm < n_txs:
-        small, large = (np.array(heap, dtype=np.int64) for heap in (small, large))
-        small.sort()
-        large.sort()
-    picks.frombytes(_drain(small, large, order, slots_np, reserve, capacity,
+    if queued:
+        S, L = S[i:], L[j:]
+    else:
+        S, L = (np.array(heap, dtype=np.int64) for heap in (small, large))
+        S.sort()
+        L.sort()
+    picks.frombytes(_drain(S, L, order, slots_np, reserve, capacity,
                            filled, small_used, len(picks), bounds).tobytes())
     picks, slot_of = (np.frombuffer(a, dtype=np.int64) for a in (picks, slot_of))
     return picks, bounds, slot_of, victim
+
+
+def _heaps(order: np.ndarray, pos: int, *queues: np.ndarray) -> List[List[int]]:
+    """The ranks of each ascending queue that arrived before `pos`: ascending
+    lists, so heaps already."""
+    return [queue[order[queue] < pos].tolist() for queue in queues]
 
 
 def _next_fit(cum: np.ndarray, base: int, capacity: int, done: int, bounds: array) -> int:
@@ -338,30 +378,27 @@ def _drain(S: np.ndarray, L: np.ndarray, order: np.ndarray, slots: np.ndarray, r
     index ending each of its seals to `bounds` and returns its picks.
 
     The pending ranks are fixed: S holds the small-fee ranks and L the
-    others, each an ascending int64 array, read as ints through memoryviews
-    and summed into the prefix sums PS and PL of their slots. Every pick
-    takes the head of one, so the state is two indices (i, j), and
-    each step takes the picks of one block segment by bisection: S[i:] while
-    the quota is open or only small fees wait, L[j:] when only other fees
-    wait, else the merge of both by rank, whose slots below rank r rise with
-    r. The pick that does not fit opens the next block under the old block's
-    quota. Each step's picks are in rank order, and the drain takes every
-    pending rank once, so its picks are S and L sorted by (step, rank),
-    that is by step * len(order) + rank."""
-    taken = (S, L)
-    PS, PL = (np.concatenate(([0], np.cumsum(slots[order[ranks]]))).tolist() for ranks in taken)
-    S, L = map(memoryview, taken)
+    others, each an ascending int64 array, summed into the prefix sums PS
+    and PL of their slots; the walk reads all four as ints through
+    memoryviews. Every pick takes the head of one, so the state is two
+    indices (i, j). While both wait, each step takes the picks of one block
+    segment by bisection: S[i:] while the quota is open, else the merge of
+    both by rank, whose slots below rank r rise with r. The pick that does
+    not fit opens the next block under the old block's quota. Once one side
+    is left, it takes the rest in rank order, sealed by `_next_fit`. Each
+    step's picks are in rank order, so the picks are the steps' slices of S
+    and L in turn, and a step that took from both sorts only its own."""
+    sides = (S, L)
+    prefixes = [np.concatenate(([0], np.cumsum(slots[order[ranks]]))) for ranks in sides]
+    S, L, PS, PL = map(memoryview, (*sides, *prefixes))
     n_small, n_large = len(S), len(L)
-    i, j, ends = 0, 0, array("q")
-    while i < n_small or j < n_large:
-        room = capacity - filled
-        if i < n_small and (small_used < reserve or j == n_large):
-            quota = i + reserve - small_used if small_used < reserve else n_small
+    i, j, pieces = 0, 0, []
+    while i < n_small and j < n_large:
+        i0, j0, room = i, j, capacity - filled
+        if small_used < reserve:
+            quota = i + reserve - small_used
             a, b = min(bisect_right(PS, PS[i] + room, i) - 1, quota), j
             seal = a < min(quota, n_small)
-        elif i == n_small:
-            a, b = i, bisect_right(PL, PL[j] + room, j) - 1
-            seal = b < n_large
         elif PS[-1] + PL[-1] <= PS[i] + PL[j] + room:
             a, b, seal = n_small, n_large, False
         else:
@@ -383,11 +420,13 @@ def _drain(S: np.ndarray, L: np.ndarray, order: np.ndarray, slots: np.ndarray, r
                 filled, small_used, i = PS[i + 1] - PS[i], 1, i + 1
             else:
                 filled, small_used, j = PL[j + 1] - PL[j], 0, j + 1
-        ends.extend((i, j))
-    del PS, PL
-    took = np.diff(np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), axis=0, prepend=0)
-    step = np.repeat(np.tile(np.arange(len(took)), 2), took.T.ravel())
-    return order[np.sort(step * len(order) + np.concatenate(taken)) % len(order)]
+        took = sides[0][i0:i], sides[1][j0:j]
+        pieces.append(np.sort(np.concatenate(took)) if i > i0 and j > j0 else took[j > j0])
+    # One side is left, and it takes the rest in rank order.
+    side, at = (0, i) if i < n_small else (1, j)
+    _next_fit(prefixes[side][at + 1:] - prefixes[side][at], -filled, capacity, done, bounds)
+    pieces.append(sides[side][at:])
+    return order[np.concatenate(pieces)]
 
 
 def fixed_block_baseline(dataset: Iterable[Transaction]) -> List[BlockRecord]:

@@ -417,8 +417,10 @@ class TestExitCodes:
         (["proofsize", "--k", "3,,5, x"], {}, "--k entry 'x' is not an integer"),
         (["proofsize", "--k", "3, 2.5"], {}, "--k entry '2.5' is not an integer"),
         (["proofsize", "--k", " , ,"], {}, "--k lists no branching factor"),
+        (["proofsize", "--k", "3, 1"], {}, "--k entry '1': a branching factor must be >= 2"),
+        (["proofsize", "--scenarios", "a=5, b=1"], {}, "scenario 'b=1': n_t must be >= 2"),
     ], ids=["a7", "a8", "a7-config", "a4", "target-incentive", "empty-name", "count", "k-text",
-            "k-float", "k-blank"])
+            "k-float", "k-blank", "k-below-2", "n_t-below-2"])
     def test_a_nonfinite_value_or_malformed_scenario_is_a_config_error(
             self, tmp_path, capsys, args, files, message):
         for name, text in files.items():

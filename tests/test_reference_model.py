@@ -249,6 +249,23 @@ def mixed_stream(n):
                         arrival_time=i // 3) for i in range(n)]
 
 
+# Time priority on tie-heavy streams: three arrivals per millisecond, so a
+# later arrival often outranks an earlier one of its millisecond (a tie
+# inversion). A fee below 3.6 is small, five of the eleven fee levels,
+# and two of them share a millisecond with the later one paying more. Pools
+# of one or two hit an inversion within a few picks; a pool of 64 with a
+# quota of 1 or 3 never does, and one of n - 1 mines everything in the drain.
+@pytest.mark.parametrize("n, a1", [(5000, 1), (5000, 2), (5000, 64), (2000, 1999)])
+@pytest.mark.parametrize("cat, a5", [(2, None), (1, 1), (1, 3), (1, 200)])
+def test_time_order_on_tied_arrivals_matches_naive_miner(n, a1, cat, a5):
+    txs = mixed_stream(n)
+    small = {} if a5 is None else {"a4": 3.6, "a5": a5}
+    strategy = strategy_from_category(cat, a1=a1, a6=3, a7=0.5, a8=1.0, **small)
+    cfg = SimulationConfig(leaf_capacity=60)
+    result = run(txs, strategy, cfg, force_seal=True)
+    assert observed(result) == naive_run(txs, strategy, cfg, True)
+
+
 @pytest.mark.parametrize("priority", list(Priority))
 @pytest.mark.parametrize("fee,evicted", [(9.0, True), (1.0, False), (2.0, False)])
 def test_unreserved_overflow_at_a1(priority, fee, evicted):

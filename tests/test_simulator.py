@@ -2,11 +2,14 @@ import gc
 import hashlib
 import math
 import tracemalloc
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from heapq import heappop, heappush, heappushpop
 from itertools import groupby
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
@@ -219,6 +222,31 @@ class TestWholeStretches:
         s = strategy_from_category(2, a1=25469, a6=110, a7=6.94, a8=1.0)
         assert run(stream, s, CFG).included_count > 49_000
         assert calls == 0
+
+    # Unique arrival times leave no tie inversion, so every rank of each
+    # queue arrives before its turn: whether small fees are rare (a4 = 2.0),
+    # or wait behind a quota that fills (a4 = 60.0, 44% of the fees), or
+    # the pool holds one transaction.
+    @pytest.mark.parametrize("a1, a4, a5", [(25469, 2.0, 200), (1000, 60.0, 3), (25469, 60.0, 1),
+                                            (1, 60.0, 2)])
+    def test_time_order_without_tie_inversions_takes_no_heap(self, stream_50k, a1, a4, a5,
+                                                             monkeypatch):
+        calls = Counter()
+
+        def counted(call):
+            def wrapper(*args):
+                calls[call.__name__] += 1
+                return call(*args)
+            return wrapper
+
+        for call in (heappush, heappop, heappushpop):
+            monkeypatch.setattr(simulator, call.__name__, counted(call))
+        untied = Stream(stream_50k.ids, np.arange(len(stream_50k)), stream_50k.amounts,
+                        stream_50k.fees)
+        assert (untied.ranks(Priority.TIME)[0] == np.arange(len(untied))).all()
+        s = strategy_from_category(1, a1=a1, a6=110, a7=6.94, a8=1.0, a4=a4, a5=a5)
+        assert run(untied, s, CFG).included_count > 49_000
+        assert calls == {}
 
     @pytest.mark.parametrize("cat, small", [(4, {}), (3, {"a4": 60.0, "a5": 0})])
     @pytest.mark.parametrize("a1", [1000, 25469])
@@ -709,6 +737,111 @@ def test_a_pure_drain_takes_the_warm_up_arrays_as_they_are(stream_30k, cat, smal
         assert (np.diff(ranks) > 0).all()
     assert sum(map(len, drained[0])) == len(stream_30k)
     assert listed == []
+
+
+# A pure drain sorts only the picks of its merged steps, those that take
+# from both sides: with fewer small fees (30 below a4 = 1.5) than the quota
+# of 200, every step is one-sided and nothing is sorted; with a quota of 1,
+# each block's merged step sorts at most the block's own picks.
+@pytest.mark.parametrize("a5, merged", [(200, False), (1, True)])
+def test_a_pure_drain_sorts_only_its_merged_steps(stream_30k, a5, merged, monkeypatch):
+    sorted_lengths = []
+
+    class Numpy:
+        """numpy as `dtsim.simulator` sees it, recording `sort` calls."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def sort(self, a, *args, **kwargs):
+            sorted_lengths.append(len(a))
+            return np.sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "np", Numpy())
+    s = strategy_from_category(1, a1=40_000, a6=110, a7=6.94, a8=1.0, a4=1.5, a5=a5)
+    assert len(incentives(stream_30k, s, CFG)) >= 3
+    assert bool(sorted_lengths) == merged
+    assert max(sorted_lengths, default=0) <= CFG.leaf_capacity + 1
+
+
+def drain_by_sort(S, L, order, slots, reserve, capacity, filled, small_used, done, bounds):
+    """`simulator._drain` as it was before its picks were assembled from
+    per-step slices: the same walk, recording each step's end (i, j), then
+    one sort of every pending rank by (step, rank), that is by
+    step * len(order) + rank."""
+    taken = (S, L)
+    PS, PL = (np.concatenate(([0], np.cumsum(slots[order[ranks]]))).tolist() for ranks in taken)
+    S, L = (ranks.tolist() for ranks in taken)
+    n_small, n_large = len(S), len(L)
+    i, j, ends = 0, 0, array("q")
+    while i < n_small or j < n_large:
+        room = capacity - filled
+        if i < n_small and (small_used < reserve or j == n_large):
+            quota = i + reserve - small_used if small_used < reserve else n_small
+            a, b = min(bisect_right(PS, PS[i] + room, i) - 1, quota), j
+            seal = a < min(quota, n_small)
+        elif i == n_small:
+            a, b = i, bisect_right(PL, PL[j] + room, j) - 1
+            seal = b < n_large
+        elif PS[-1] + PL[-1] <= PS[i] + PL[j] + room:
+            a, b, seal = n_small, n_large, False
+        else:
+            lo = min(S[i], L[j])
+            hi = min([max(S[-1], L[-1]), *S[i + room:i + room + 1], *L[j + room:j + room + 1]])
+            first = lo + bisect_right(range(lo, hi + 1), PS[i] + PL[j] + room, key=lambda r: (
+                PS[bisect_left(S, r + 1, i)] + PL[bisect_left(L, r + 1, j)]))
+            a, b, seal = bisect_left(S, first, i), bisect_left(L, first, j), True
+        filled += PS[a] - PS[i] + PL[b] - PL[j]
+        small_used += a - i
+        done += a - i + b - j
+        i, j = a, b
+        if seal:
+            bounds.append(done)
+            done += 1
+            if i < n_small and (small_used < reserve or j == n_large or S[i] < L[j]):
+                filled, small_used, i = PS[i + 1] - PS[i], 1, i + 1
+            else:
+                filled, small_used, j = PL[j + 1] - PL[j], 0, j + 1
+        ends.extend((i, j))
+    took = np.diff(np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), axis=0, prepend=0)
+    step = np.repeat(np.tile(np.arange(len(took)), 2), took.T.ravel())
+    return order[np.sort(step * len(order) + np.concatenate(taken)) % len(order)]
+
+
+@st.composite
+def drains(draw):
+    """`_drain`'s arguments: pending ranks out of up to 150, each small or
+    not, one-slot to full-block slot counts in blocks of 1-12 slots, quotas
+    of 0-4, and an open block part used."""
+    n = draw(st.integers(min_value=0, max_value=150))
+    capacity = draw(st.integers(min_value=1, max_value=12))
+    reserve = draw(st.integers(min_value=0, max_value=4))
+
+    def flags(p):
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)) if p is None
+                        else np.random.default_rng(draw(st.integers(0, 2**32))).random(n) < p,
+                        dtype=bool)
+
+    pending = flags(draw(st.sampled_from([None, 0.5, 0.9, 1.0])))
+    small = flags(draw(st.sampled_from([None, 0.05, 0.3, 0.7])))
+    order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    slots = np.array(draw(st.lists(st.integers(min_value=1, max_value=capacity), min_size=n,
+                                   max_size=n)), dtype=np.int64)
+    S, L = (np.flatnonzero(pending & side) for side in (small, ~small))
+    filled = draw(st.integers(min_value=0, max_value=capacity))
+    small_used = draw(st.integers(min_value=0, max_value=reserve + 1))
+    return S, L, order, slots, reserve, capacity, filled, small_used, draw(st.integers(0, 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=drains())
+def test_drain_picks_are_its_steps_sorted_by_step_then_rank(args):
+    bounds, expected_bounds = array("q"), array("q")
+    picks = simulator._drain(*args, bounds)
+    expected = drain_by_sort(*args, expected_bounds)
+    assert picks.dtype == np.int64
+    assert picks.tolist() == expected.tolist()
+    assert bounds == expected_bounds
 
 
 # `_blocks` hands out memoryview slices; the records still hold Python
