@@ -110,7 +110,7 @@ def load_config(args) -> dict:
         # No header names the section "", so a [DEFAULT] section is unknown.
         parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
-            parser.read_string(Path(args.config).read_text(encoding="utf-8"), source=args.config)
+            parser.read_string(Path(args.config).read_text(encoding="utf-8-sig"), source=args.config)
         except OSError:
             raise ValueError(f"config file not found: {args.config}") from None
         except UnicodeDecodeError as exc:

@@ -348,7 +348,7 @@ def read_csv_columns(path, kinds: dict) -> list:
     when a row is short or a cell fails its callable with ValueError.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             names = [name.strip() for name in next(reader, ())]
             header = {name: i for i, name in enumerate(names)}

@@ -31,24 +31,23 @@ A waiting small fee comes first while the block's quota (a5) is open, else
 the lowest pending rank, and the quota resets at every seal. Without a quota
 (categories 2 and 4, and 1 and 3 with a5 = 0) no fee counts as small.
 The ranks but the victim's split into two ascending int64 queues, S below
-the small-fee threshold and L the rest. Under time priority a rank differs
-from its position only within a group of equal arrival times, so past the
-picked S[:i] and L[:j] each queue holds its side's pending ranks first: a
-pick is a queue's head, exact if it has arrived by its turn (pick k follows
-position a1 + k), and a count of the small fees come says whether one
-waits. Fee priority, and time priority from the first head not come by its
-turn (a tie inversion) on, mine from two heaps of the pending ranks, which
-start as ascending lists, so need no `heapify`. Where no small fee waits
-and at least STRETCH arrivals pass before the next small fee, every pick of
-that stretch takes the next rank of L: a slice of the queue, checked
-against the arrivals at once, or one `heappushpop` chain; elsewhere the
-miner steps once per arrival. After the last arrival `_drain` takes each
-block's picks at once by bisection over the pending ranks: the rests of the
-queues (whole in a pure drain, a1 >= n), or the heaps sorted.
+the small-fee threshold and L the rest. A run with a quota starts on the
+queues: while every pick has arrived by its turn (pick k follows position
+a1 + k), each side's picks are a prefix of its queue, so in any rank order
+its head is its lowest pending rank, and a count of the small fees come
+says whether one waits. From the first pick not come by its turn on, and
+from the start without a quota, the miner takes two heaps of the pending
+ranks, which start as ascending lists, so need no `heapify`. Where no small
+fee waits and at least STRETCH arrivals pass before the next small fee,
+every pick of that stretch takes the next rank of L: a slice of the queue,
+checked against the arrivals at once, or one `heappushpop` chain; elsewhere
+the miner steps once per arrival. After the last arrival `_drain` takes
+each block's picks at once by bisection over the pending ranks: the rests
+of the queues (whole in a pure drain, a1 >= n), or the heaps sorted.
 
 Without a quota, when every rank arrives by its turn, as under time priority
 unless tied arrivals put a higher fee later, the picks are the rank order
-less the overflow's victim, and `_mine` returns them with no queue walk.
+less the overflow's victim, and `_mine` returns them with no walk.
 
 `run` alone goes on to `force_seal`, block records (slot totals and seal
 times by one `reduceat` each over the bounds) and fates. It stores no
@@ -226,9 +225,9 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
     params = AllocationParams(strategy.scale, strategy.shape, strategy.max_trx_nodes)
     slot_of = fee_slots(fees, fee_order, params)
     rank, order = stream.ranks(strategy.priority)
-    # The Python loops read single ranks and positions as ints through memoryviews.
-    rank_at, order_at = memoryview(rank), memoryview(order)
-    reserve = strategy.small_fee_count if strategy.designated_space else 0
+    # The Python loops read single ranks, positions and slot counts as ints through memoryviews.
+    rank_at, order_at, slots_at = memoryview(rank), memoryview(order), memoryview(slot_of)
+    reserve = strategy.small_fee_count or 0
     capacity = cfg.leaf_capacity
     n_txs = len(stream)
     warm = strategy.mempool_size
@@ -248,10 +247,6 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
         if (picks <= np.arange(warm, warm + len(picks))).all():
             _next_fit(np.cumsum(slot_of[picks]), 0, capacity, 0, bounds)
             return picks, bounds, slot_of, victim
-    # The loop reads slot counts from an array('q'); holding the numpy
-    # column through it instead raised the peak RSS of a 200k run by
-    # 4 MB, with the same traced peak.
-    slot_of = array("q", slot_of.tobytes())
     # Fees are >= 0, so without a quota no fee is small. The victim is never
     # pending, so it counts as neither.
     is_small = fees < (strategy.small_fee_threshold if reserve else 0.0)
@@ -265,20 +260,17 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
     # arrivals, past a newcomer rejected at the overflow.
     stops = np.append(np.flatnonzero(is_small[warm:]) + warm, n_txs)
     after = np.append(warm + (victim == warm), stops[:-1] + 1)
-    heads = array("q", after[stops - after >= STRETCH].tobytes())
-    heads.append(n_txs)
-    stops = array("q", stops.tobytes())
+    heads = memoryview(np.append(after[stops - after >= STRETCH], n_txs))
+    stops = memoryview(stops)
     # Every rank but the victim's, split by the small-fee threshold into the
     # ascending queues S and L.
     small_at = is_small[order]
     S, L = (np.flatnonzero(kept & side) for side in (small_at, ~small_at))
     del after, kept, small_at, is_small
-    slots_np = np.frombuffer(slot_of, dtype=np.int64)
     picks, filled, small_used, pos, i, j = array("q"), 0, 0, warm, 0, 0
-    # Time priority mines from the queues: S[:i] and L[:j] are picked, and
-    # `arrived` counts the small fees come before `pos`. Fee priority, and
-    # time priority from a tie inversion on, mine from two heaps.
-    queued = strategy.priority is Priority.TIME or warm >= n_txs
+    # A run with a quota starts on the queues: S[:i] and L[:j] are picked,
+    # and `arrived` counts the small fees come before `pos`.
+    queued = reserve > 0
     if queued:
         S_at, L_at, n_large = memoryview(S), memoryview(L), len(L)
         arrived = below[:warm].count(1)
@@ -298,8 +290,8 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
                 else:
                     pick, j = order_at[L_at[j]], j + 1
                 if pick > pos:
-                    # The head is yet to arrive (a tie inversion): the heaps take
-                    # this arrival on, and hold that head only once it comes.
+                    # The head is yet to arrive: the heaps take this arrival
+                    # on, and hold that head only once it comes.
                     queued = False
                     small, large = _heaps(order, pos, S[i:], L[j:])
             if not queued:
@@ -311,7 +303,7 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
                     pick = order_at[heappop(small)]
                 else:
                     pick = order_at[heappop(large)]
-            n = slot_of[pick]
+            n = slots_at[pick]
             if filled + n > capacity:
                 bounds.append(len(picks))
                 filled = small_used = 0
@@ -335,7 +327,7 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
         if not queued:
             took = order[np.fromiter(map(heappushpop, repeat(large), rank_at[pos:stop]),
                                      np.int64, stop - pos)]
-        cum = np.cumsum(slots_np[took])
+        cum = np.cumsum(slot_of[took])
         blocks = len(bounds)
         filled = int(cum[-1]) - _next_fit(cum, -filled, capacity, len(picks), bounds)
         if len(bounds) > blocks:
@@ -348,10 +340,9 @@ def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
         S, L = (np.array(heap, dtype=np.int64) for heap in (small, large))
         S.sort()
         L.sort()
-    picks.frombytes(_drain(S, L, order, slots_np, reserve, capacity,
+    picks.frombytes(_drain(S, L, order, slot_of, reserve, capacity,
                            filled, small_used, len(picks), bounds).tobytes())
-    picks, slot_of = (np.frombuffer(a, dtype=np.int64) for a in (picks, slot_of))
-    return picks, bounds, slot_of, victim
+    return np.frombuffer(picks, dtype=np.int64), bounds, slot_of, victim
 
 
 def _heaps(order: np.ndarray, pos: int, *queues: np.ndarray) -> List[List[int]]:

@@ -343,12 +343,14 @@ class TestExitCodes:
         # [DEFAULT] is no section of dtsim's, first or after another.
         ("[DEFAULT]\nseed = 3\n", "unknown config section [DEFAULT]"),
         ("[simulation]\n[DEFAULT]\nleaf_capacity = 50\n", "unknown config section [DEFAULT]"),
+        # A UTF-8 byte-order mark, as spreadsheet and Windows editors write it.
+        ("\ufeff[simulation]\nseed = 5%\n", "seed in [simulation] must be of type int, got '5%'"),
     ], ids=["no-header", "duplicate-section", "duplicate-key", "no-key-value", "percent",
-            "default", "default-after-section"])
+            "default", "default-after-section", "byte-order-mark"])
     def test_malformed_config_is_one_line_config_error_before_any_output(
             self, tmp_path, capsys, text, message):
         config = tmp_path / "dtsim.ini"
-        config.write_text(text)
+        config.write_text(text, encoding="utf-8")
         assert main(["proofsize", "--config", str(config), "--out", str(tmp_path / "p.csv")]) == 2
         assert capsys.readouterr() == ("", f"config error: {message.format(ini=config)}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["dtsim.ini"]
@@ -409,6 +411,8 @@ class TestExitCodes:
         (SIM + ["--a8", "nan"], {}, "a8 must be finite"),
         (SIM + ["--config", "{tmp}/dtsim.ini"], {"dtsim.ini": "[strategy]\na7 = nan\n"},
          "a7 must be finite"),
+        (SIM + ["--config", "{tmp}/dtsim.ini"], {"dtsim.ini": "\ufeff[strategy]\na7 = nan\n"},
+         "a7 must be finite"),
         (SIM + ["--category", "3", "--a4", "nan", "--a5", "5"], {}, "a4 must be finite"),
         (["vrp-check", "--blocks", "{tmp}/blocks.csv", "--target-incentive", "nan"], TWO_HEIGHTS,
          "--target-incentive must be finite, got nan"),
@@ -419,12 +423,12 @@ class TestExitCodes:
         (["proofsize", "--k", " , ,"], {}, "--k lists no branching factor"),
         (["proofsize", "--k", "3, 1"], {}, "--k entry '1': a branching factor must be >= 2"),
         (["proofsize", "--scenarios", "a=5, b=1"], {}, "scenario 'b=1': n_t must be >= 2"),
-    ], ids=["a7", "a8", "a7-config", "a4", "target-incentive", "empty-name", "count", "k-text",
-            "k-float", "k-blank", "k-below-2", "n_t-below-2"])
+    ], ids=["a7", "a8", "a7-config", "a7-marked-config", "a4", "target-incentive", "empty-name",
+            "count", "k-text", "k-float", "k-blank", "k-below-2", "n_t-below-2"])
     def test_a_nonfinite_value_or_malformed_scenario_is_a_config_error(
             self, tmp_path, capsys, args, files, message):
         for name, text in files.items():
-            (tmp_path / name).write_text(text)
+            (tmp_path / name).write_text(text, encoding="utf-8")
         assert main([a.format(tmp=tmp_path) for a in args]) == 2
         assert capsys.readouterr() == ("", f"config error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)

@@ -7,6 +7,7 @@ pass must return what its row loop returns, or decline.
 """
 
 import ast
+import codecs
 import csv
 import hashlib
 import warnings
@@ -178,6 +179,37 @@ def test_an_int_past_64_bits_is_a_schema_error(tmp_path, capsys, command, name, 
     assert capsys.readouterr().err == f"data error: {path}: values of column {name!r} must fit in 64 bits\n"
 
 
+# Spreadsheet and Windows editors begin a UTF-8 file with a byte-order mark.
+# Every reader takes a marked file as its unmarked bytes, a stream through the
+# C pass: the mark is no part of the first column's name.
+def test_each_reader_takes_a_marked_file_as_its_unmarked_bytes(tmp_path, capsys, csv_reader_rows):
+    source = tmp_path / "stream.csv"
+    stream = generate(DatasetSpec(count=5000, rng_seed=3))
+    write_csv(stream, source)
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    assert main(["simulate", "--dataset", str(source), "--a1", "500", "--out", str(plain)]) == 0
+    marked.mkdir()
+    for path in (source, plain / "blocks.csv", plain / "assignments.csv"):
+        (marked / path.name).write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    del csv_reader_rows[:]
+    loaded = load_csv(marked / "stream.csv")
+    assert csv_reader_rows == [1]
+    for column in ("ids", "arrivals", "amounts", "fees"):
+        assert np.array_equal(getattr(loaded, column), getattr(stream, column))
+    capsys.readouterr()
+    printed = []
+    for folder in (plain, marked):
+        assert main(["volatility", "--in", str(folder / "blocks.csv")]) == 0
+        assert main(["vrp-check", "--blocks", str(folder / "blocks.csv")]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1] and printed[0].err == ""
+    again = tmp_path / "again"
+    assert main(["simulate", "--dataset", str(marked / "stream.csv"), "--a1", "500",
+                 "--out", str(again)]) == 0
+    for name in ("blocks.csv", "assignments.csv"):
+        assert (again / name).read_bytes() == (plain / name).read_bytes()
+
+
 # Differential check of the C pass: files from a cell grammar, read with the
 # pass and by the row loop alone, must give the same columns or the same
 # SchemaError text.
@@ -260,10 +292,16 @@ def test_the_c_pass_returns_what_the_row_loop_returns(tmp_path):
     @example(content=f"{HEADER}\n1,2,3,x\x00\n".encode(), case=0)
     @example(content=f"{HEADER}\n1,2,,x\n4,5,6,x\n".encode(), case=1)
     @example(content=f"{HEADER}\n1,2,3,x\n".encode() + b"\xff\n", case=0)
+    @example(content=codecs.BOM_UTF8 + f"{HEADER}\n1,2.5,3,4\n".encode(), case=0)
     def check(content, case):
+        # A byte-order mark changes nothing: a file reads as its unmarked bytes.
+        path.write_bytes(content.removeprefix(codecs.BOM_UTF8))
+        with mock.patch.object(core, "_numeric_columns", lambda *args: None):
+            unmarked = _outcome(path, case)
         path.write_bytes(content)
         with mock.patch.object(core, "_numeric_columns", lambda *args: None):
             expected = _outcome(path, case)
+        assert expected == unmarked
         with mock.patch.object(core, "_numeric_columns", recorded), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

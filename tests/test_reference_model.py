@@ -266,6 +266,46 @@ def test_time_order_on_tied_arrivals_matches_naive_miner(n, a1, cat, a5):
     assert observed(result) == naive_run(txs, strategy, cfg, True)
 
 
+# Fee priority with a quota on streams whose fees fall with arrival, one per
+# millisecond, so each position's fee rank is the position: every pick has
+# arrived by its turn and the rank queues stay exact for the whole run. A fee
+# at position p raised to just above position q's outranks the arrivals
+# between them; with a pool of 1 or 64 its turn comes before its arrival,
+# and the miner hands over to the heaps at that single step among the small
+# fees (below 2.0, the last 99 positions; raised-step, late in the run), or
+# at the start of the stretch whose check it fails (raised-stretch).
+def falling_fees(n, raised=None):
+    fees = [0.02 * (n - at) for at in range(n)]
+    if raised is not None:
+        p, q = raised
+        fees[p] = fees[q] + 0.01
+    return [Transaction(at, 1.0, fee, at) for at, fee in enumerate(fees)]
+
+
+@pytest.mark.parametrize("a1", [1, 64, 999, 1005])
+@pytest.mark.parametrize("raised", [None, (995, 910), (700, 500)],
+                         ids=["falling", "raised-step", "raised-stretch"])
+@pytest.mark.parametrize("a5", [1, 3])
+def test_fee_order_on_the_rank_queues_matches_naive_miner(a1, raised, a5):
+    txs = falling_fees(1000, raised)
+    strategy = strategy_from_category(3, a1=a1, a6=3, a7=0.5, a8=1.0, a4=2.0, a5=a5)
+    cfg = SimulationConfig(leaf_capacity=60)
+    result = run(txs, strategy, cfg, force_seal=True)
+    assert observed(result) == naive_run(txs, strategy, cfg, True)
+
+
+# Without a quota, tied arrivals that put a higher fee later fail the
+# rank-order check at a1 = 1 under either priority, and the walk starts on
+# the heaps.
+@pytest.mark.parametrize("cat", [2, 4])
+def test_an_unreserved_run_past_the_rank_order_check_matches_naive_miner(cat):
+    txs = mixed_stream(5000)
+    strategy = strategy_from_category(cat, a1=1, a6=3, a7=0.5, a8=1.0)
+    cfg = SimulationConfig(leaf_capacity=60)
+    result = run(txs, strategy, cfg, force_seal=True)
+    assert observed(result) == naive_run(txs, strategy, cfg, True)
+
+
 @pytest.mark.parametrize("priority", list(Priority))
 @pytest.mark.parametrize("fee,evicted", [(9.0, True), (1.0, False), (2.0, False)])
 def test_unreserved_overflow_at_a1(priority, fee, evicted):

@@ -248,6 +248,30 @@ class TestWholeStretches:
         assert run(untied, s, CFG).included_count > 49_000
         assert calls == {}
 
+    # Fees that fall with arrival make each position's fee rank the position,
+    # so under fee priority too every rank of each queue arrives by its turn:
+    # whether the 199 small fees (below a4 = 1.0, the last positions) meet a
+    # quota that fills, or one that never does, or the pool holds one.
+    @pytest.mark.parametrize("a1, a5", [(1000, 3), (1, 1), (5000, 200)])
+    def test_fee_order_without_late_ranks_takes_no_heap(self, stream_50k, a1, a5, monkeypatch):
+        calls = Counter()
+
+        def counted(call):
+            def wrapper(*args):
+                calls[call.__name__] += 1
+                return call(*args)
+            return wrapper
+
+        for call in (heappush, heappop, heappushpop):
+            monkeypatch.setattr(simulator, call.__name__, counted(call))
+        n = 20_000
+        falling = Stream(stream_50k.ids[:n], np.arange(n), stream_50k.amounts[:n],
+                         np.arange(n, 0, -1) / 200)
+        assert (falling.ranks(Priority.FEE)[0] == np.arange(n)).all()
+        s = strategy_from_category(3, a1=a1, a6=110, a7=6.94, a8=1.0, a4=1.0, a5=a5)
+        assert run(falling, s, CFG).included_count > 18_000
+        assert calls == {}
+
     @pytest.mark.parametrize("cat, small", [(4, {}), (3, {"a4": 60.0, "a5": 0})])
     @pytest.mark.parametrize("a1", [1000, 25469])
     def test_fee_order_without_a_quota_is_one_chain(self, stream_50k, cat, small, a1,
