@@ -101,7 +101,8 @@ def _typed(text: str, kind: type, name: str):
 def load_config(args) -> dict:
     """The effective settings by section and key: flags over the config file
     over DTSIM_SEED over the defaults. A flag overrides the config key of its
-    own name, and DTSIM_SEED the default seed."""
+    own name, and DTSIM_SEED the default seed; a negative seed, from any of
+    them, is a ValueError."""
     config = {section: dict(values) for section, values in DEFAULTS.items()}
     env = os.environ.get(ENV_SEED)
     if env is not None:
@@ -129,6 +130,8 @@ def load_config(args) -> dict:
         for key in values:
             if getattr(args, key, None) is not None:
                 values[key] = getattr(args, key)
+    if config["simulation"]["seed"] < 0:
+        raise ValueError(f"seed must be non-negative, got {config['simulation']['seed']}")
     return config
 
 
@@ -405,7 +408,8 @@ def _incentive(text: str) -> float:
 def cmd_volatility(args, config) -> int:
     if args.out and args.window is None:
         raise ValueError("--out writes the rolling series; give --window")
-    (values,) = read_csv_columns(args.infile, {args.column: _incentive})
+    # Python floats: the returns' quotients overflow to inf without a numpy warning.
+    values = read_csv_columns(args.infile, {args.column: _incentive})[0].tolist()
     if len(values) < MIN_INCENTIVES:
         raise DataError(f"{args.infile}: {len(values)} incentives; volatility needs "
                         f"at least {MIN_INCENTIVES}")

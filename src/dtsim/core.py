@@ -317,9 +317,14 @@ class SchemaError(DataError):
     """A CSV input cannot be read, lacks a column or has a malformed row."""
 
 
-def optional_float(text: str) -> Optional[float]:
-    """A float cell that may be left blank: None for a blank or whitespace-only cell."""
-    return float(text) if text.strip() else None
+def optional_float(text: str) -> float:
+    """A float cell that may be left blank: NaN for a blank or whitespace-only
+    cell, and so a ValueError for a cell that reads as NaN."""
+    if not text.strip():
+        return math.nan
+    if math.isnan(value := float(text)):
+        raise ValueError(f"{text.strip()!r} reads as NaN, which marks a blank cell")
+    return value
 
 
 # The cell kinds that `read_csv_columns` parses in numpy's C pass, and the
@@ -332,17 +337,17 @@ def read_csv_columns(path, kinds: dict) -> list:
     """The columns of the CSV file at `path` that `kinds` names, in its order,
     each cell parsed by the callable that `kinds` maps its column to.
 
-    The one input reader of the package. A column of a `NUMERIC_FIELDS` kind
-    comes back as a numpy array of its field type, an `optional_float` one
-    as a masked array, masked on blank cells; a column of any other kind as a
-    list. `csv.reader` reads the header, whose names are stripped. When every
+    The one input reader of the package. Every column comes back as a plain
+    numpy array: of its field type for a `NUMERIC_FIELDS` kind (NaN in an
+    `optional_float` column's blank cells), else as `np.array` makes it.
+    `csv.reader` reads the header, whose names are stripped. When every
     column present is of a `NUMERIC_FIELDS` kind and the rows are numbers,
     commas and line ends with no empty field, `_numeric_columns` parses them
     in one C pass; else, or when that pass declines, a row loop reads them
     through the same `csv.reader`, parses each cell with its callable and
     skips blank rows. The row loop defines the result: the C pass returns the
     same columns or declines. An `optional_float` column that the header
-    lacks is masked in every row. Raises SchemaError naming the file when it
+    lacks is NaN in every row. Raises SchemaError naming the file when it
     cannot be read, is empty, lacks a column, names an asked-for column more
     than once or holds an `int` that does not fit in 64 bits, and its line
     when a row is short or a cell fails its callable with ValueError.
@@ -387,24 +392,19 @@ def read_csv_columns(path, kinds: dict) -> list:
             for name, kind in kinds.items()]
 
 
-def _array(path, name: str, kind, values: list):
+def _array(path, name: str, kind, values: list) -> np.ndarray:
     """The row loop's `values` of column `name` as `read_csv_columns` returns them."""
-    if kind is optional_float:
-        return np.ma.masked_array(np.array(values, np.float64), [v is None for v in values])
-    if kind not in NUMERIC_FIELDS:
-        return values
     try:
-        return np.array(values, NUMERIC_FIELDS[kind])
+        return np.array(values, NUMERIC_FIELDS.get(kind))
     except OverflowError:
         raise SchemaError(f"{path}: values of column {name!r} must fit in 64 bits") from None
 
 
 def _numeric_columns(path, header_lines: int, cells) -> Optional[tuple[list, int]]:
     """The columns of `cells`, (header index, kind) pairs of `NUMERIC_FIELDS`
-    kinds, as `read_csv_columns` returns them (an `optional_float` one with
-    no cell masked), and the row count, parsed from the file at `path` past
-    its first `header_lines` lines by one `np.loadtxt` pass, numpy's C
-    tokenizer.
+    kinds, as `read_csv_columns` returns them, and the row count, parsed from
+    the file at `path` past its first `header_lines` lines by one
+    `np.loadtxt` pass, numpy's C tokenizer.
 
     Returns None to leave the rows to the row loop: when a kind has no field,
     when the file cannot be mapped, when `_row_loop_only` finds more than
@@ -433,8 +433,7 @@ def _numeric_columns(path, header_lines: int, cells) -> Optional[tuple[list, int
                 skiprows=header_lines, encoding="utf-8", ndmin=1)
     except Exception:  # whatever failed, the row loop decides the outcome
         return None
-    return [np.ma.masked_array(table[name], False) if kind is optional_float else table[name]
-            for name, (_, kind) in zip(table.dtype.names, cells)], len(table)
+    return [table[name] for name in table.dtype.names], len(table)
 
 
 # The bytes of a row of numbers. On them `np.loadtxt` reads a cell as `int`

@@ -41,14 +41,20 @@ class DatasetSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
+        problems = [f"{name} must be finite, got {value!r}" for name, value in vars(self).items()
+                    if isinstance(value, float) and not math.isfinite(value)]
         if self.count <= 0:
-            raise ValueError("count must be positive")
+            problems.append("count must be positive")
         if self.arrival_rate_tps <= 0:
-            raise ValueError("arrival_rate_tps must be positive")
+            problems.append("arrival_rate_tps must be positive")
+        if self.commission_ratio < 0:
+            problems.append("commission_ratio must be non-negative")
         if self.amount_sigma < 0 or self.drift_sigma < 0:
-            raise ValueError("sigmas must be non-negative")
+            problems.append("sigmas must be non-negative")
         if self.drift_tau_s <= 0:
-            raise ValueError("drift_tau_s must be positive")
+            problems.append("drift_tau_s must be positive")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -67,10 +73,10 @@ class IrrationalMix:
 
     def __post_init__(self):
         total = self.rational_fraction + self.overpaid_fraction + self.underpaid_fraction
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # also rejects NaN
             raise ValueError(f"fractions must sum to 1, got {total}")
         for frac in (self.rational_fraction, self.overpaid_fraction, self.underpaid_fraction):
-            if frac < 0:
+            if not frac >= 0:  # also rejects NaN
                 raise ValueError("fractions must be non-negative")
         for group, low, high in (("over", self.over_multiplier_low, self.over_multiplier_high),
                                  ("under", self.under_multiplier_low, self.under_multiplier_high)):
@@ -145,19 +151,22 @@ def load_csv(path, commission_ratio: float = DEFAULT_COMMISSION_RATIO) -> Stream
     """Load a transaction stream from CSV.
 
     Expected header: id, amount, arrival_time_ms and optionally fee. A fee
-    that is absent or blank is derived as amount * commission_ratio. Every
-    kind is numeric, so `read_csv_columns` parses a file that `write_csv`
-    wrote in its C pass into arrays; a blank fee, as any cell the pass cannot
-    take, leaves the rows to its row loop.
-    Raises SchemaError naming the file: `read_csv_columns`' errors (an id or
-    arrival time past 64 bits among them), or the `Stream` check's own message
-    when the columns fail it (arrival order, repeated ids, finite non-negative
-    values, a finite fee sum).
+    that is absent or blank reads as NaN and is derived as amount *
+    commission_ratio. Every kind is numeric, so `read_csv_columns` parses a
+    file that `write_csv` wrote in its C pass into four plain arrays; a blank
+    fee, as any cell the pass cannot take, leaves the rows to its row loop.
+    Raises ValueError unless `commission_ratio` is finite and >= 0, before
+    reading, and SchemaError naming the file: `read_csv_columns`' errors (an
+    id or arrival time past 64 bits, or a fee cell that reads as NaN, among
+    them), or the `Stream` check's own message when the columns fail it
+    (arrival order, repeated ids, finite non-negative values, a finite fee sum).
     """
+    if not 0 <= commission_ratio < math.inf:
+        raise ValueError(f"commission_ratio must be finite and non-negative, got {commission_ratio!r}")
     ids, amounts, arrivals, fees = read_csv_columns(path, {
         "id": int, "amount": float, "arrival_time_ms": int, "fee": optional_float})
     with np.errstate(all="ignore"):  # as Python's float product, which never warns
-        fees = np.where(np.ma.getmaskarray(fees), amounts * commission_ratio, np.ma.getdata(fees))
+        fees = np.where(np.isnan(fees), amounts * commission_ratio, fees)
     try:
         return Stream(ids, arrivals, amounts, fees)
     except DataError as exc:

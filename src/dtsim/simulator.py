@@ -390,16 +390,15 @@ def _drain(S: np.ndarray, L: np.ndarray, order: np.ndarray, slots: np.ndarray, r
             quota = i + reserve - small_used
             a, b = min(bisect_right(PS, PS[i] + room, i) - 1, quota), j
             seal = a < min(quota, n_small)
-        elif PS[-1] + PL[-1] <= PS[i] + PL[j] + room:
-            a, b, seal = n_small, n_large, False
         else:
-            # The first rank whose merged slots overflow the block; at most
-            # `room` picks fit, so the (room + 1)-th rank of either array bounds it.
+            # The first rank whose merged slots overflow the block, or past the last if all
+            # fit; at most `room` picks fit, so the (room + 1)-th rank of either array bounds it.
             lo = min(S[i], L[j])
             hi = min([max(S[-1], L[-1]), *S[i + room:i + room + 1], *L[j + room:j + room + 1]])
             first = lo + bisect_right(range(lo, hi + 1), PS[i] + PL[j] + room, key=lambda r: (
                 PS[bisect_left(S, r + 1, i)] + PL[bisect_left(L, r + 1, j)]))
-            a, b, seal = bisect_left(S, first, i), bisect_left(L, first, j), True
+            a, b = bisect_left(S, first, i), bisect_left(L, first, j)
+            seal = a < n_small or b < n_large
         filled += PS[a] - PS[i] + PL[b] - PL[j]
         small_used += a - i
         done += a - i + b - j

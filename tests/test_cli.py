@@ -205,6 +205,49 @@ class TestExitCodes:
             assert err.startswith(f"config error: {named} must satisfy 0 <= low <= high")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "stream.csv"]
 
+    # A stream setting that `generate` cannot use is named before any output,
+    # and `load_csv` checks the commission ratio it derives blank fees with.
+    # A NaN fraction fails the sum check.
+    @pytest.mark.parametrize("section, key, value, dataset, named", [
+        ("dataset", "drift_sigma", "nan", False, "drift_sigma must be finite"),
+        ("dataset", "drift_tau_s", "inf", False, "drift_tau_s must be finite"),
+        ("dataset", "amount_mu", "inf", False, "amount_mu must be finite"),
+        ("dataset", "amount_sigma", "nan", False, "amount_sigma must be finite"),
+        ("simulation", "commission_ratio", "-0.5", False, "commission_ratio must be non-negative"),
+        ("simulation", "arrival_rate_tps", "nan", False, "arrival_rate_tps must be finite"),
+        ("simulation", "commission_ratio", "-0.5", True, "commission_ratio must be finite and"),
+        ("simulation", "commission_ratio", "inf", True, "commission_ratio must be finite and"),
+        ("irrational", "overpaid_fraction", "nan", False, "fractions must sum to 1, got nan"),
+    ])
+    def test_an_unusable_stream_setting_is_a_config_error_before_any_output(
+            self, tmp_path, capsys, section, key, value, dataset, named):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        path = tmp_path / "stream.csv"
+        path.write_text("id,amount,arrival_time_ms,fee\n1,100.0,0,\n2,100.0,5,0.2\n")
+        stream = ["--dataset", str(path)] if dataset else ["--count", "500"]
+        assert main(["simulate", "--config", str(cfg), *stream, "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"config error: {named}") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["simulate"], ["optimize", "--budget", "2"]])
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_a_negative_seed_is_a_config_error_naming_seed(
+            self, tmp_path, monkeypatch, capsys, command, source):
+        monkeypatch.delenv("DTSIM_SEED", raising=False)
+        args = [*command, "--count", "500", "--out", str(tmp_path / "o")]
+        if source == "flag":
+            args += ["--seed", "-5"]
+        elif source == "config":
+            (tmp_path / "cfg.ini").write_text("[simulation]\nseed = -5\n")
+            args += ["--config", str(tmp_path / "cfg.ini")]
+        else:
+            monkeypatch.setenv("DTSIM_SEED", "-5")
+        assert main(args) == 2
+        assert capsys.readouterr().err == "config error: seed must be non-negative, got -5\n"
+        assert not (tmp_path / "o").exists()
+
     def test_nonpositive_jobs_rejected_before_any_work(self, tmp_path):
         out = tmp_path / "o"
         assert main(["optimize", "--grid", "--count", "1500", "--budget", "2", "--n-pop", "2",

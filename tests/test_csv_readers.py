@@ -95,8 +95,8 @@ def test_header_is_stripped_blank_rows_skipped_and_absent_optional_filled(tmp_pa
     path = tmp_path / "t.csv"
     path.write_text(" a , b \n1,x\n\n  ,  \n2,y\n")
     strips, ints, blanks = read_csv_columns(path, {"b": str.strip, "a": int, "c": optional_float})
-    assert (strips, ints.tolist()) == (["x", "y"], [1, 2])
-    assert np.ma.getmaskarray(blanks).tolist() == [True, True]
+    assert (strips.tolist(), ints.tolist()) == (["x", "y"], [1, 2])
+    assert type(blanks) is np.ndarray and np.isnan(blanks).tolist() == [True, True]
 
 
 @pytest.mark.parametrize("content, message", [
@@ -258,14 +258,12 @@ def csv_files(draw):
 
 
 def _outcome(path, case):
-    """Each column's type, dtype, data bytes and mask, or a list column
-    itself; or the SchemaError text."""
+    """Each column's type, dtype and bytes, or the SchemaError text."""
     try:
         columns = read_csv_columns(path, KINDS[case])
     except SchemaError as exc:
         return f"SchemaError: {exc}"
-    return [(type(c), c.dtype, np.ma.getdata(c).tobytes(), np.ma.getmaskarray(c).tobytes())
-            if isinstance(c, np.ndarray) else c for c in columns]
+    return [(type(c), c.dtype, c.tobytes()) for c in columns]
 
 
 def test_the_c_pass_returns_what_the_row_loop_returns(tmp_path):
@@ -350,13 +348,13 @@ def test_each_kind_has_one_column_type_from_both_paths(tmp_path, csv_reader_rows
     for columns in (c_pass, row_loop):
         assert [(type(c), c.dtype) for c in columns] == [
             (np.ndarray, np.int64), (np.ndarray, np.float64),
-            (np.ma.MaskedArray, np.float64), (np.ma.MaskedArray, np.float64)]
-        assert [np.ma.getmaskarray(c).tolist() for c in columns[2:]] == [[False, False], [True, True]]
+            (np.ndarray, np.float64), (np.ndarray, np.float64)]
+        assert [np.isnan(c).tolist() for c in columns[2:]] == [[False, False], [True, True]]
     path.write_text("a,b,c,d\n1,2.5,,x\n")
-    ints, blanks, strips, lens = read_csv_columns(
-        path, {"a": int, "c": optional_float, "d": str.strip, "b": len})
-    assert type(ints) is np.ndarray and np.ma.getmaskarray(blanks).tolist() == [True]
-    assert (strips, lens) == (["x"], [3])
+    columns = read_csv_columns(path, {"a": int, "c": optional_float, "d": str.strip, "b": len})
+    assert [type(c) for c in columns] == [np.ndarray] * 4
+    assert [c.tolist() for c in columns[::2]] == [[1], ["x"]] and np.isnan(columns[1]).all()
+    assert (columns[3].tolist(), columns[3].dtype) == ([3], np.dtype(int))
 
 
 def test_a_written_stream_loads_through_the_c_pass(tmp_path, csv_reader_rows):
@@ -399,6 +397,20 @@ def test_loaded_columns_are_pinned(tmp_path, case):
     digests = {name: hashlib.sha256(getattr(loaded, name).tobytes()).hexdigest()
                for name in ("ids", "arrivals", "amounts", "fees")}
     assert digests == dict(LOADED_COLUMNS, fees=LOADED_FEES[case])
+
+
+# NaN marks a blank fee cell, so a cell that reads as NaN is a malformed row.
+@pytest.mark.parametrize("cell", ["nan", " NaN", "-nan"])
+def test_a_nan_fee_cell_is_a_malformed_row_naming_its_line(tmp_path, cell):
+    path = tmp_path / "s.csv"
+    write_csv(generate(DatasetSpec(count=300, rng_seed=3)), path)
+    lines = path.read_text().splitlines()
+    lines[120] = lines[120].rsplit(",", 1)[0] + f",{cell}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as excinfo:
+        load_csv(path)
+    assert str(excinfo.value) == (
+        f"{path}:121: malformed row: {cell.strip()!r} reads as NaN, which marks a blank cell")
 
 
 @pytest.mark.parametrize("blank", ["", " ", "\t "])

@@ -69,7 +69,12 @@ class TestGenerate:
     (lambda: DatasetSpec(drift_tau_s=0.0), "drift_tau_s must be positive"),
     (lambda: IrrationalMix(rational_fraction=1.5, overpaid_fraction=-0.5),
      "fractions must be non-negative"),
-], ids=["amount-sigma", "drift-sigma", "drift-tau", "negative-fraction"])
+    (lambda: DatasetSpec(drift_sigma=math.nan, commission_ratio=-0.5, drift_tau_s=math.inf),
+     "drift_sigma must be finite, got nan; drift_tau_s must be finite, got inf; "
+     "commission_ratio must be non-negative"),
+    (lambda: IrrationalMix(overpaid_fraction=math.nan), "fractions must sum to 1, got nan"),
+], ids=["amount-sigma", "drift-sigma", "drift-tau", "negative-fraction", "every-problem",
+        "nan-fraction"])
 def test_each_bound_raises_its_message(build, message):
     with pytest.raises(ValueError) as raised:
         build()
