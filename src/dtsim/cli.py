@@ -143,9 +143,14 @@ def _sim_config(config) -> SimulationConfig:
 
 def _dataset(args, config):
     """The transaction stream per flags and config, and the hex sha256 of a loaded
-    file (None for a generated stream); the [irrational] mix is checked first."""
+    file (None for a generated stream). The [irrational] mix and the stream
+    settings are checked first, with a file too; `load_csv` checks the
+    commission ratio it derives a file's blank fees with."""
     sim = config["simulation"]
     mix = IrrationalMix(**config["irrational"])
+    ratio = DatasetSpec.commission_ratio if args.dataset else sim["commission_ratio"]
+    spec = DatasetSpec(**config["dataset"], arrival_rate_tps=sim["arrival_rate_tps"],
+                       commission_ratio=ratio, rng_seed=sim["seed"])
     digest = None
     if args.dataset:
         stream = load_csv(args.dataset, commission_ratio=sim["commission_ratio"])
@@ -153,9 +158,7 @@ def _dataset(args, config):
             raise DataError(f"dataset {args.dataset} holds no transactions")
         digest = hashlib.sha256(Path(args.dataset).read_bytes()).hexdigest()
     else:
-        stream = generate(DatasetSpec(**config["dataset"], arrival_rate_tps=sim["arrival_rate_tps"],
-                                      commission_ratio=sim["commission_ratio"],
-                                      rng_seed=sim["seed"]))
+        stream = generate(spec)
     if mix.rational_fraction < 1.0:
         stream = inject_irrational(stream, mix, sim["seed"] + 1)
     return stream, digest
@@ -339,7 +342,9 @@ def cmd_proofsize(args, config) -> int:
 def _block_mismatches(path, totals: dict) -> list[str]:
     """Heights where blocks.csv disagrees with the assignments' `totals`. `run`
     writes each block's tx_count, occupied_nodes and the fsum of its fees, and
-    CSV floats round-trip, so the totals must match exactly."""
+    CSV floats round-trip, so the totals must match exactly. `cmd_vrp_check`
+    sums each block's fees with `math.fsum` itself, an oracle independent of
+    the grid sums (`simulator._fsums`) that `run` takes its incentives from."""
     heights, *columns = (column.tolist() for column in read_csv_columns(path, {
         "height": int, "tx_count": int, "occupied_nodes": int, "incentive": float}))
     listed = dict(zip(heights, zip(*columns)))

@@ -350,7 +350,8 @@ def read_csv_columns(path, kinds: dict) -> list:
     lacks is NaN in every row. Raises SchemaError naming the file when it
     cannot be read, is empty, lacks a column, names an asked-for column more
     than once or holds an `int` that does not fit in 64 bits, and its line
-    when a row is short or a cell fails its callable with ValueError.
+    and column when a row is short or a cell fails its callable with
+    ValueError.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -372,16 +373,18 @@ def read_csv_columns(path, kinds: dict) -> list:
                 columns, rows = typed
             else:
                 columns, rows = [[] for _ in cells], 0
-                parsers = [(i, kind, col.append) for (i, kind), col in zip(cells, columns)]
+                parsers = [(name, i, kind, col.append)
+                           for name, (i, kind), col in zip(present, cells, columns)]
                 for row in reader:
                     if not any(map(str.strip, row)):
                         continue
                     rows += 1
                     try:
-                        for i, kind, append in parsers:
+                        for name, i, kind, append in parsers:
                             append(kind(row[i]))
                     except (ValueError, IndexError) as exc:
-                        raise SchemaError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
+                        raise SchemaError(f"{path}:{reader.line_num}: malformed row: "
+                                          f"column {name!r}: {exc}") from None
                 columns = [_array(path, name, kinds[name], col) for name, col in zip(present, columns)]
     except csv.Error as exc:
         raise SchemaError(f"{path}:{reader.line_num}: malformed row: {exc}") from None

@@ -53,6 +53,13 @@ less the overflow's victim, and `_mine` returns them with no walk.
 times by one `reduceat` each over the bounds) and fates. It stores no
 assignment row: `Assignments` derives the rows' columns a chunk at a time
 from the picks, bounds and slot counts.
+
+Every fee total (a block's incentive, a fate's sum, a baseline block's) is
+`math.fsum` of its fees bit for bit, from `_fsums`. It gathers the picks'
+fees SUM_WINDOW at a time and splits them exactly into parts on a few
+power-of-two grids, so that one `reduceat` per grid sums each block's parts
+exactly; `math.fsum` of a block's few exact partials then rounds its exact
+total once. Typical fees need 2 grids; fees from subnormal to 1e300 about 50.
 """
 
 from __future__ import annotations
@@ -79,6 +86,8 @@ from . import verkle
 STRETCH = 16
 # Transactions per block of `fixed_block_baseline`: the default leaf capacity.
 BASELINE_TXS_PER_BLOCK = 2100
+# Picks per gather of `_fsums`: bounds the values and parts it holds at a time.
+SUM_WINDOW = 1 << 16
 
 
 class Assignments:
@@ -148,8 +157,10 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
     evicted, or rejected, and the per-fate fee sums in the result add up to
     the submitted total, which is the whole stream.
     The unsealed tail block is excluded from the block series unless
-    `force_seal` is given. Raises DataError when the transactions do not
-    form a valid Stream.
+    `force_seal` is given. Each incentive and fate sum is the `math.fsum` of
+    its fees, bit for bit, from the exact grid sums of `_fsums`, which hold
+    SUM_WINDOW gathered fees at a time. Raises DataError when the
+    transactions do not form a valid Stream.
 
     With `build_trees`, each block's `verkle_root` is `verkle.block_root` of
     its id and slot-count columns, numpy slices at the block's picks: one
@@ -176,35 +187,76 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
     roots = ((verkle.block_root(stream.ids[at], slot_of[at], cfg.verkle_branching_factor)
               for at in (picks[begin:end] for begin, end in zip(bounds, bounds[1:])))
              if build_trees else repeat(None))
-    blocks = [BlockRecord(height, tuple(tx_ids), nodes, math.fsum(block_fees), seal_time, root)
-              for height, (tx_ids, block_fees, nodes, seal_time, root) in enumerate(zip(
-                  *(_blocks(column, picks, bounds) for column in (stream.ids, stream.fees)),
-                  occupied, seal_times, roots))]
+    # The last sum is the unsealed tail's, empty when every pick is sealed.
+    *sums, unsealed_fees = _fsums(stream.fees, picks, [*bounds, len(picks)])
+    blocks = [BlockRecord(height, tuple(tx_ids), nodes, incentive, seal_time, root)
+              for height, (tx_ids, nodes, incentive, seal_time, root) in enumerate(zip(
+                  _blocks(stream.ids, picks, bounds), occupied, sums, seal_times, roots))]
 
-    def fee_sum(positions) -> float:
-        # A memoryview yields Python floats one at a time: no numpy scalars, no list.
-        return math.fsum(memoryview(stream.fees[positions]))
+    def fee_sum(positions: list) -> float:
+        return _fsums(stream.fees, positions, [0, len(positions)])[0]
 
     # The overflow's victim is rejected if it is the newcomer at position a1, else evicted.
     lost = [] if victim is None else [victim]
     evicted, rejected = ([], lost) if victim == strategy.mempool_size else (lost, [])
     return RunResult(blocks, Assignments(stream, picks, bounds, slot_of), len(stream),
-                     fee_sum(slice(None)), included, len(evicted), fee_sum(evicted),
-                     len(rejected), fee_sum(rejected), unsealed_count=len(picks) - included,
-                     unsealed_fees=fee_sum(picks[included:]))
+                     _fsums(stream.fees, None, [0, len(stream)])[0], included, len(evicted),
+                     fee_sum(evicted), len(rejected), fee_sum(rejected),
+                     unsealed_count=len(picks) - included, unsealed_fees=unsealed_fees)
 
 
 def incentives(dataset, strategy: DtsStrategy, cfg: SimulationConfig) -> List[float]:
     """`run(dataset, strategy, cfg).incentives` from the same picks, seals and
-    slicing, but with no block records, assignment rows or fate accounting."""
+    sums (`_fsums`), but with no block records, assignment rows or fate
+    accounting."""
     stream = Stream.of(dataset)
     picks, bounds = _mine(stream, strategy, cfg)[:2]
-    return list(map(math.fsum, _blocks(stream.fees, picks, bounds)))
+    return _fsums(stream.fees, picks, bounds)
+
+
+def _fsums(column: np.ndarray, picks, bounds: Sequence[int]) -> List[float]:
+    """`math.fsum(column[picks[bounds[i]:bounds[i + 1]]])` for each block i, bit for bit, of
+    non-negative finite values; `picks` None stands for the positions themselves.
+
+    The cuts are the bounds and every SUM_WINDOW-th pick; a segment runs from one cut to the
+    next, and a window's values are gathered at once. `_grids` splits them exactly into parts
+    on power-of-two grids `shift` bits apart, where no segment holds 2^(53 - shift) values, so
+    each segment's parts on a grid, all multiples of its step below 2^shift steps, sum below
+    2^53 steps: exactly, in any order, by one `reduceat`. A block's result is the fsum of its
+    segments' exact partials, which have its exact total, so it rounds as fsum of its values."""
+    bounds = np.asarray(bounds, dtype=np.int64)
+    first, last = int(bounds[0]), int(bounds[-1])
+    cuts = np.union1d(bounds, np.arange(first, last, SUM_WINDOW))
+    shift = 53 - int(np.diff(cuts).max(initial=0)).bit_length()
+    partials = []  # each segment's list of exact partial sums, one per grid of its window
+    for begin in range(first, last, SUM_WINDOW):
+        end = min(begin + SUM_WINDOW, last)
+        rest = column[begin:end].copy() if picks is None else column[picks[begin:end]]
+        starts = cuts[cuts.searchsorted(begin):cuts.searchsorted(end)] - begin
+        grids = [np.add.reduceat(parts, starts) for parts in _grids(rest, shift)]
+        partials += np.reshape(grids, (len(grids), len(starts))).T.tolist()
+    at = cuts.searchsorted(bounds).tolist()
+    return [math.fsum(chain.from_iterable(partials[a:b])) for a, b in zip(at, at[1:])]
+
+
+def _grids(rest: np.ndarray, shift: int) -> Iterator[np.ndarray]:
+    """Split `rest` in place into parts on power-of-two grids, yielding each grid's parts in
+    one reused buffer: on each, the multiples of its step, which lies `shift` bits below the
+    binade of the largest value left, the values floored to that step. Every split is exact,
+    and the grids end once nothing is left, at the lowest bit that any value holds."""
+    parts = np.empty_like(rest)
+    while (top := float(rest.max())) > 0:
+        step = math.ldexp(1.0, max(math.frexp(top)[1] - shift, -1074))
+        np.floor(np.divide(rest, step, out=parts), out=parts)
+        parts *= step
+        rest -= parts
+        yield parts
 
 
 def _blocks(column: np.ndarray, picks: np.ndarray, bounds: Sequence[int]) -> Iterator[memoryview]:
     """`column` at picks[bounds[i]:bounds[i + 1]] for each block i: memoryview slices of one
-    gather per run of whole blocks that just reaches 4096 picks, so no whole column is held."""
+    gather per run of whole blocks that just reaches 4096 picks, so no whole column is held.
+    `run` takes its blocks' id tuples from it."""
     at = 0
     while at < len(bounds) - 1:
         ends = bounds[at:bisect_left(bounds, bounds[at] + 4096, at) + 1]
@@ -423,14 +475,16 @@ def fixed_block_baseline(dataset: Iterable[Transaction]) -> List[BlockRecord]:
     """Reference chain that packs a fixed transaction count per block.
 
     Consecutive arrival-order chunks of BASELINE_TXS_PER_BLOCK transactions
-    become blocks, each with the `math.fsum` of its fees; the final partial
-    chunk is dropped, mirroring the unsealed-tail rule of the strategy runs.
+    become blocks, each with the `math.fsum` of its fees (from `_fsums`); the
+    final partial chunk is dropped, mirroring the unsealed-tail rule of the
+    strategy runs.
     """
     stream, n = Stream.of(dataset), BASELINE_TXS_PER_BLOCK
+    bounds = range(0, len(stream) // n * n + 1, n)
     return [BlockRecord(height=height, tx_ids=tuple(stream.ids[at:at + n].tolist()),
                         occupied_nodes=n, seal_time=int(stream.arrivals[at + n - 1]),
-                        incentive=math.fsum(memoryview(stream.fees[at:at + n])))
-            for height, at in enumerate(range(0, len(stream) - n + 1, n))]
+                        incentive=incentive)
+            for height, (at, incentive) in enumerate(zip(bounds, _fsums(stream.fees, None, bounds)))]
 
 
 def write_blocks_csv(blocks: Sequence[BlockRecord], path) -> int:

@@ -206,7 +206,8 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "stream.csv"]
 
     # A stream setting that `generate` cannot use is named before any output,
-    # and `load_csv` checks the commission ratio it derives blank fees with.
+    # with a dataset file too, and `load_csv` checks the commission ratio it
+    # derives blank fees with.
     # A NaN fraction fails the sum check.
     @pytest.mark.parametrize("section, key, value, dataset, named", [
         ("dataset", "drift_sigma", "nan", False, "drift_sigma must be finite"),
@@ -215,6 +216,9 @@ class TestExitCodes:
         ("dataset", "amount_sigma", "nan", False, "amount_sigma must be finite"),
         ("simulation", "commission_ratio", "-0.5", False, "commission_ratio must be non-negative"),
         ("simulation", "arrival_rate_tps", "nan", False, "arrival_rate_tps must be finite"),
+        ("dataset", "drift_sigma", "nan", True, "drift_sigma must be finite"),
+        ("dataset", "amount_mu", "inf", True, "amount_mu must be finite"),
+        ("simulation", "arrival_rate_tps", "nan", True, "arrival_rate_tps must be finite"),
         ("simulation", "commission_ratio", "-0.5", True, "commission_ratio must be finite and"),
         ("simulation", "commission_ratio", "inf", True, "commission_ratio must be finite and"),
         ("irrational", "overpaid_fraction", "nan", False, "fractions must sum to 1, got nan"),
@@ -287,8 +291,10 @@ class TestExitCodes:
         assert proc.stderr == f"data error: {path}: transaction id 7 appears more than once in the dataset\n"
 
     @pytest.mark.parametrize("fee", ["nan", "inf", "-1"])
-    def test_nonfinite_or_negative_fee_is_data_error(self, tmp_path, fee):
-        path = tmp_path / "stream.csv"
+    def test_nonfinite_or_negative_fee_is_data_error(self, tmp_path, tmp_path_factory, fee):
+        # Away from tmp_path, which carries this test's name: "fee" must come from the message.
+        path = tmp_path_factory.mktemp("stream") / "s.csv"
+        assert "fee" not in str(path)
         path.write_text(f"id,amount,arrival_time_ms,fee\n1,100.0,0,0.2\n2,100.0,5,{fee}\n")
         proc = run_cli(["simulate", "--dataset", str(path), "--a1", "2",
                         "--out", str(tmp_path / "o")])

@@ -102,8 +102,8 @@ def test_header_is_stripped_blank_rows_skipped_and_absent_optional_filled(tmp_pa
 @pytest.mark.parametrize("content, message", [
     ("", "{path}: empty file"),
     ("a,b\n1,2\n", "{path}: missing columns ['c']; available: ['a', 'b']"),
-    ("a,c\n1,2\n3\n", "{path}:3: malformed row: list index out of range"),
-    ("a,c\n1,2\n\n3,z\n", "{path}:4: malformed row: invalid literal for int() with base 10: 'z'"),
+    ("a,c\n1,2\n3\n", "{path}:3: malformed row: column 'c': list index out of range"),
+    ("a,c\n1,2\n\n3,z\n", "{path}:4: malformed row: column 'c': invalid literal for int() with base 10: 'z'"),
     ('a,c\n1,2\n"' + "9" * 131073 + '",2\n',
      "{path}:3: malformed row: field larger than field limit (131072)"),
 ], ids=["empty", "missing", "short", "blank-then-bad", "huge-field"])
@@ -410,7 +410,8 @@ def test_a_nan_fee_cell_is_a_malformed_row_naming_its_line(tmp_path, cell):
     with pytest.raises(SchemaError) as excinfo:
         load_csv(path)
     assert str(excinfo.value) == (
-        f"{path}:121: malformed row: {cell.strip()!r} reads as NaN, which marks a blank cell")
+        f"{path}:121: malformed row: column 'fee': {cell.strip()!r} reads as NaN, "
+        f"which marks a blank cell")
 
 
 @pytest.mark.parametrize("blank", ["", " ", "\t "])
@@ -464,7 +465,7 @@ def test_a_blank_or_padded_int_cell_never_reaches_the_c_pass(tmp_path, monkeypat
     path.write_text("a,b\n1, 2\n")
     assert [c.tolist() for c in read_csv_columns(path, {"a": int, "b": int})] == [[1], [2]]
     path.write_text("a,b\n1,2\n3,\n")
-    with pytest.raises(SchemaError, match=":3: malformed row: invalid literal for int"):
+    with pytest.raises(SchemaError, match=":3: malformed row: column 'b': invalid literal for int"):
         read_csv_columns(path, {"a": int, "b": int})
     assert passes == []
 

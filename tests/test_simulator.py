@@ -9,7 +9,7 @@ from heapq import heappop, heappush, heappushpop
 from itertools import groupby
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import numpy as np
 
@@ -866,6 +866,70 @@ def test_drain_picks_are_its_steps_sorted_by_step_then_rank(args):
     assert picks.dtype == np.int64
     assert picks.tolist() == expected.tolist()
     assert bounds == expected_bounds
+
+
+# `_fsums` against `math.fsum` of each block's values, bit for bit: values from
+# subnormal to near the float max with 0.0 and -0.0, blocks from one pick to
+# far past a window, crossing windows that a monkeypatch makes small.
+FSUM_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.1, 1.0, 1e16, 1e300,
+                     1.7976931348623157e308, 2.0 ** 1020]),
+    st.floats(min_value=0.0, max_value=1e300), st.floats(min_value=0.0, max_value=1e-300),
+    st.floats(min_value=0.0, allow_infinity=False))
+
+
+@st.composite
+def fsum_cases(draw):
+    values = draw(st.lists(FSUM_VALUES, min_size=1, max_size=200))
+    n = len(values)
+    picks = draw(st.one_of(st.none(), st.permutations(range(n))))
+    cuts = range(n + 1) if draw(st.booleans()) else draw(st.lists(st.integers(0, n), max_size=12))
+    window = draw(st.sampled_from([1, 2, 3, 7, 64, simulator.SUM_WINDOW]))
+    return values, picks, sorted({0, n, *cuts}), window
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=fsum_cases())
+def test_grid_sums_are_fsum_bit_for_bit(case):
+    values, picks, bounds, window = case
+    taken = values if picks is None else [values[p] for p in picks]
+    try:
+        expected = [math.fsum(taken[a:b]) for a, b in zip(bounds, bounds[1:])]
+    except OverflowError:
+        assume(False)  # a stream's fees have a finite sum, so every block's has one
+    column = np.array(values)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "SUM_WINDOW", window)
+        got = simulator._fsums(column, None if picks is None else np.array(picks), bounds)
+    assert _bits(got) == _bits(expected)
+    assert column.tolist() == values
+
+
+def test_incentives_call_fsum_once_per_block(stream_30k, monkeypatch):
+    fsum, calls = math.fsum, []
+    monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or fsum(values))
+    s = strategy_from_category(2, a1=25469, a6=110, a7=6.94, a8=1.0)
+    series = incentives(stream_30k, s, CFG)
+    assert len(series) >= 3 and len(calls) == len(series)
+
+
+# Typical fees span few grids: the 200k stream of seed 2024 needs at most 3
+# per window in every sum a run or the baseline takes.
+def test_the_seed_2024_200k_stream_needs_at_most_3_grids(monkeypatch):
+    stream = generate(DatasetSpec(count=200_000, rng_seed=2024))
+    grids, split = [], simulator._grids
+
+    def counted(rest, shift):
+        grids.append(0)
+        for parts in split(rest, shift):
+            grids[-1] += 1
+            yield parts
+
+    monkeypatch.setattr(simulator, "_grids", counted)
+    for cat, small in [(2, {}), (3, {"a4": 2.0, "a5": 200})]:
+        run(stream, strategy_from_category(cat, a1=25469, a6=110, a7=6.94, a8=1.0, **small), CFG)
+    fixed_block_baseline(stream)
+    assert len(grids) > 10 and max(grids) <= 3
 
 
 # `_blocks` hands out memoryview slices; the records still hold Python
