@@ -261,10 +261,14 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class BlockRecord:
-    """A sealed block: its transactions, slot usage and total fee income."""
+    """A sealed block: its transactions, slot usage and total fee income.
+
+    `tx_ids` is a read-only sequence of Python ints: in `simulator.run`, a view
+    into one gathered id array. A record holding a memoryview can be neither
+    hashed nor pickled; nothing does either (`--jobs` returns `OptimizationRun`s)."""
 
     height: int
-    tx_ids: tuple
+    tx_ids: Sequence[int]
     occupied_nodes: int
     incentive: float
     seal_time: int

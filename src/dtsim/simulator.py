@@ -50,9 +50,9 @@ unless tied arrivals put a higher fee later, the picks are the rank order
 less the overflow's victim, and `_mine` returns them with no walk.
 
 `run` alone goes on to `force_seal`, block records (slot totals and seal
-times by one `reduceat` each over the bounds) and fates. It stores no
-assignment row: `Assignments` derives the rows' columns a chunk at a time
-from the picks, bounds and slot counts.
+times by one `reduceat` each over the bounds, ids as slices of one gather)
+and fates. It stores no assignment row: `Assignments` derives the rows'
+columns a chunk at a time from the picks, bounds and slot counts.
 
 Every fee total (a block's incentive, a fate's sum, a baseline block's) is
 `math.fsum` of its fees bit for bit, from `_fsums`. It gathers the picks'
@@ -157,10 +157,11 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
     evicted, or rejected, and the per-fate fee sums in the result add up to
     the submitted total, which is the whole stream.
     The unsealed tail block is excluded from the block series unless
-    `force_seal` is given. Each incentive and fate sum is the `math.fsum` of
-    its fees, bit for bit, from the exact grid sums of `_fsums`, which hold
-    SUM_WINDOW gathered fees at a time. Raises DataError when the
-    transactions do not form a valid Stream.
+    `force_seal` is given. Block ids are read-only memoryview slices of one
+    gather of the included picks' ids. Each incentive and fate sum is the
+    `math.fsum` of its fees, bit for bit, from the exact grid sums of
+    `_fsums`, which hold SUM_WINDOW gathered fees at a time. Raises
+    DataError when the transactions do not form a valid Stream.
 
     With `build_trees`, each block's `verkle_root` is `verkle.block_root` of
     its id and slot-count columns, numpy slices at the block's picks: one
@@ -189,9 +190,12 @@ def run(dataset: Iterable[Transaction], strategy: DtsStrategy, cfg: SimulationCo
              if build_trees else repeat(None))
     # The last sum is the unsealed tail's, empty when every pick is sealed.
     *sums, unsealed_fees = _fsums(stream.fees, picks, [*bounds, len(picks)])
-    blocks = [BlockRecord(height, tuple(tx_ids), nodes, incentive, seal_time, root)
-              for height, (tx_ids, nodes, incentive, seal_time, root) in enumerate(zip(
-                  _blocks(stream.ids, picks, bounds), occupied, sums, seal_times, roots))]
+    gathered = stream.ids[picks[:included]]
+    gathered.flags.writeable = False
+    ids = memoryview(gathered)
+    blocks = [BlockRecord(height, ids[begin:end], nodes, incentive, seal_time, root)
+              for height, (begin, end, nodes, incentive, seal_time, root) in enumerate(zip(
+                  bounds, bounds[1:], occupied, sums, seal_times, roots))]
 
     def fee_sum(positions: list) -> float:
         return _fsums(stream.fees, positions, [0, len(positions)])[0]
@@ -251,18 +255,6 @@ def _grids(rest: np.ndarray, shift: int) -> Iterator[np.ndarray]:
         parts *= step
         rest -= parts
         yield parts
-
-
-def _blocks(column: np.ndarray, picks: np.ndarray, bounds: Sequence[int]) -> Iterator[memoryview]:
-    """`column` at picks[bounds[i]:bounds[i + 1]] for each block i: memoryview slices of one
-    gather per run of whole blocks that just reaches 4096 picks, so no whole column is held.
-    `run` takes its blocks' id tuples from it."""
-    at = 0
-    while at < len(bounds) - 1:
-        ends = bounds[at:bisect_left(bounds, bounds[at] + 4096, at) + 1]
-        values = memoryview(column[picks[ends[0]:ends[-1]]])
-        yield from (values[begin - ends[0]:end - ends[0]] for begin, end in zip(ends, ends[1:]))
-        at += len(ends) - 1
 
 
 def _mine(stream: Stream, strategy: DtsStrategy, cfg: SimulationConfig):
@@ -475,13 +467,13 @@ def fixed_block_baseline(dataset: Iterable[Transaction]) -> List[BlockRecord]:
     """Reference chain that packs a fixed transaction count per block.
 
     Consecutive arrival-order chunks of BASELINE_TXS_PER_BLOCK transactions
-    become blocks, each with the `math.fsum` of its fees (from `_fsums`); the
-    final partial chunk is dropped, mirroring the unsealed-tail rule of the
-    strategy runs.
+    become blocks, each with its ids as a slice of the read-only `stream.ids`
+    and the `math.fsum` of its fees (from `_fsums`); the final partial chunk
+    is dropped, mirroring the unsealed-tail rule of the strategy runs.
     """
     stream, n = Stream.of(dataset), BASELINE_TXS_PER_BLOCK
     bounds = range(0, len(stream) // n * n + 1, n)
-    return [BlockRecord(height=height, tx_ids=tuple(stream.ids[at:at + n].tolist()),
+    return [BlockRecord(height=height, tx_ids=memoryview(stream.ids)[at:at + n],
                         occupied_nodes=n, seal_time=int(stream.arrivals[at + n - 1]),
                         incentive=incentive)
             for height, (at, incentive) in enumerate(zip(bounds, _fsums(stream.fees, None, bounds)))]

@@ -7,6 +7,7 @@ has its own oracle tests in test_allocation.py. Blocks are summed with
 `math.fsum`.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -136,8 +137,9 @@ def naive_run(txs, strategy, cfg, force_seal):
 
 
 def observed(result):
+    """The result as `naive_run` builds it, with each block's ids as a tuple."""
     return {
-        "blocks": result.blocks,
+        "blocks": [dataclasses.replace(b, tx_ids=tuple(b.tx_ids)) for b in result.blocks],
         "assignments": list(result.assignments),
         "submitted": (result.submitted_count, result.submitted_fees),
         "included": (result.included_count, math.fsum(result.incentives)),
@@ -413,12 +415,12 @@ def test_unreserved_time_order_that_is_the_rank_order(a1):
 # miner. Every transaction takes one slot, and a fee below 2.0 is small.
 def check_reserved(fees, cat, a1, a5, cfg=SimulationConfig(leaf_capacity=60), force_seal=True):
     """`run` equals `naive_run` on transactions with ids 0, 1, ... and the
-    given fees, arriving one per millisecond; returns the blocks' tx ids."""
+    given fees, arriving one per millisecond; returns the blocks' tx ids as tuples."""
     txs = [Transaction(i, 1.0, fee, i) for i, fee in enumerate(fees)]
     strategy = strategy_from_category(cat, a1=a1, a6=1, a7=0.5, a8=1.0, a4=2.0, a5=a5)
     result = run(txs, strategy, cfg, force_seal=force_seal)
     assert observed(result) == naive_run(txs, strategy, cfg, force_seal)
-    return [b.tx_ids for b in result.blocks]
+    return [tuple(b.tx_ids) for b in result.blocks]
 
 
 def test_reserved_pick_falls_through_when_no_small_fee_waits():
